@@ -6,11 +6,10 @@ package vas_test
 // reduced scale through internal/experiments — the same code cmd/vasexp
 // runs at medium/full scale — so `go test -bench=.` exercises every
 // reproduction path. Micro-benchmarks for the hot substrates (Interchange
-// variants, spatial indexes, loss evaluation) follow.
+// variants, density pass, loss evaluation) follow.
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/loss"
 	"repro/internal/proximity"
 	"repro/internal/sampling"
-	"repro/internal/strtree"
 	core "repro/internal/vas"
 
 	vas "repro"
@@ -119,24 +117,6 @@ func BenchmarkInterchangeESLocK1000(b *testing.B) {
 	benchInterchange(b, core.ESLoc, 1000)
 }
 
-// BenchmarkAblationIndexGridK1000 measures the grid index as the ES+Loc
-// locality structure instead of the paper's R-tree (DESIGN.md §4).
-func BenchmarkAblationIndexGridK1000(b *testing.B) {
-	pts, kern := benchData(20_000)
-	bounds := geom.Bounds(pts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ic := core.NewInterchange(core.Options{
-			K: 1000, Kernel: kern, Variant: core.ESLoc,
-			Index: core.IndexGrid, GridBounds: bounds,
-		})
-		for j, p := range pts {
-			ic.Add(p, j)
-		}
-	}
-}
-
 // BenchmarkAblationKernels compares the admissible κ̃ families (DESIGN.md
 // §4): the compact kernels skip the exp and allow exact pruning.
 func BenchmarkAblationKernels(b *testing.B) {
@@ -185,40 +165,6 @@ func BenchmarkStratifiedSampling(b *testing.B) {
 }
 
 // ---- micro-benchmarks: substrates ----
-
-func BenchmarkRTreeInsertDelete(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]geom.Point, 10_000)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := strtree.NewDynamic()
-		for j, p := range pts {
-			t.Insert(p, j)
-		}
-		for j, p := range pts {
-			t.Delete(p, j)
-		}
-	}
-}
-
-func BenchmarkRTreeWithin(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	t := strtree.NewDynamic()
-	for i := 0; i < 50_000; i++ {
-		t.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), i)
-	}
-	var scratch []strtree.Item
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-		scratch = t.Within(p, 2, scratch[:0])
-	}
-}
 
 func BenchmarkDensityPass(b *testing.B) {
 	data, _ := benchData(50_000)

@@ -48,7 +48,7 @@ func main() {
 		bins    = flag.Int("bins", 100, "stratification bins per side")
 		density = flag.Bool("density", false, "attach §V density counts (vas only)")
 		passes  = flag.Int("passes", 2, "Interchange passes over the data")
-		variant = flag.String("variant", "es", "Interchange variant: es | no-es | es+loc")
+		variant = flag.String("variant", "es", "Interchange variant: es | no-es (slow baseline, same sample as es) | es+loc (es with kernel pairs beyond the pair support counted as zero)")
 		snapDir = flag.String("snapshot", "", "also save a serving-catalog snapshot (base table + sample) to this directory (vas only)")
 	)
 	flag.Parse()

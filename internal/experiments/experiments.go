@@ -77,8 +77,7 @@ type Report struct {
 	Caption string
 	Columns []string
 	Rows    [][]string
-	// Notes records shape-level observations (who wins, crossovers) that
-	// EXPERIMENTS.md quotes.
+	// Notes records shape-level observations (who wins, crossovers).
 	Notes []string
 }
 
@@ -225,9 +224,9 @@ func buildSample(method sampling.Method, pts []geom.Point, k int, kern proximity
 		sampling.Run(s, pts)
 		return s.Sample(), s.SampleIDs(), nil
 	case sampling.MethodVAS, sampling.MethodVASDensity:
-		// Plain ES for small samples; the R-tree locality variant once
-		// index upkeep amortizes — the Fig. 10 guidance ("when the user
-		// is interested in large samples ... ES+Loc will be the most
+		// Plain ES for small samples; the truncated ES+Loc for large ones,
+		// following the paper's Fig. 10 guidance ("when the user is
+		// interested in large samples ... ES+Loc will be the most
 		// preferable choice").
 		variant := vas.ES
 		if k >= 2000 {

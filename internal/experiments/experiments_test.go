@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/sampling"
+	"repro/internal/vas"
 )
 
 // tinyScale keeps every experiment fast enough for unit tests. DataN must
@@ -208,20 +212,49 @@ func TestFig9ObjectiveImproves(t *testing.T) {
 	}
 }
 
-func TestFig10VariantsPresent(t *testing.T) {
-	rep, err := Run("fig10", tinyScale())
+// TestFig10VariantsAgree checks what Fig. 10's three variants promise,
+// at a size a unit test can afford; `vasexp -exp fig10` keeps the
+// wall-time rows. NoES is O(K²) per point, so it is compared with ES on a
+// stream prefix rather than all 20 000 points.
+func TestFig10VariantsAgree(t *testing.T) {
+	const k = 400
+	d := geolife(Scale{DataN: 20_000, Seed: 42})
+	kern, err := dataKernel(d.Points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := map[string]bool{}
-	for _, row := range rep.Rows {
-		variants[strings.Fields(row[1])[0]] = true
-	}
-	for _, want := range []string{"no-es", "es", "es+loc"} {
-		if !variants[want] {
-			t.Errorf("fig10 missing variant %s (have %v)", want, variants)
+	run := func(v vas.Variant, pts []geom.Point) *vas.Interchange {
+		ic := vas.NewInterchange(vas.Options{K: k, Kernel: kern, Variant: v})
+		for i, p := range pts {
+			ic.Add(p, i)
 		}
+		return ic
 	}
+
+	// NoES and ES apply the same replacement rule, so they select the same
+	// set; only the slot order differs.
+	prefix := d.Points[:1200]
+	noes, es := run(vas.NoES, prefix), run(vas.ES, prefix)
+	if es.Replacements() == 0 {
+		t.Fatal("ES made no swaps on the prefix; the comparison is vacuous")
+	}
+	if a, b := sortedIDs(noes), sortedIDs(es); !slices.Equal(a, b) {
+		t.Errorf("NoES and ES selected different samples (%d vs %d swaps)", noes.Replacements(), es.Replacements())
+	}
+
+	// ES+Loc only truncates kernel tails beyond the pair support, so its
+	// exact objective stays within 1e-4 relative of ES's.
+	es, esloc := run(vas.ES, d.Points), run(vas.ESLoc, d.Points)
+	objES, objLoc := es.RecomputeObjective(), esloc.RecomputeObjective()
+	if rel := math.Abs(objLoc-objES) / objES; rel > 1e-4 {
+		t.Errorf("ES+Loc objective %v vs ES %v: relative gap %.3g > 1e-4", objLoc, objES, rel)
+	}
+}
+
+func sortedIDs(ic *vas.Interchange) []int {
+	ids := ic.SampleIDs()
+	slices.Sort(ids)
+	return ids
 }
 
 func TestFig1ZoomCoverageGap(t *testing.T) {

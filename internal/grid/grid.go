@@ -1,10 +1,7 @@
-// Package grid implements a uniform spatial grid over a bounding rectangle.
-// It serves two roles in the reproduction:
-//
-//  1. the stratification bins of the stratified-sampling baseline (the paper
-//     uses a 316×316 grid for Fig. 1 and 100 bins for the user study), and
-//  2. an alternative locality index for the Interchange ES+Loc variant,
-//     used in the index ablation bench (DESIGN.md §4).
+// Package grid implements a uniform spatial grid over a bounding rectangle:
+// the stratification bins of the stratified-sampling baseline (the paper
+// uses a 316×316 grid for Fig. 1 and 100 bins for the user study). It maps
+// points to cells and stores nothing.
 package grid
 
 import (
@@ -13,26 +10,17 @@ import (
 	"repro/internal/geom"
 )
 
-// Grid divides a bounding rectangle into Cols × Rows equal cells and stores
-// point/id pairs per cell. Points outside the bounds are clamped into the
-// border cells, which matches how stratified sampling treats boundary
-// tuples.
+// Grid divides a bounding rectangle into Cols × Rows equal cells. Points
+// outside the bounds are clamped into the border cells, which matches how
+// stratified sampling treats boundary tuples.
 type Grid struct {
 	bounds     geom.Rect
 	cols, rows int
 	cellW      float64
 	cellH      float64
-	cells      [][]Item
-	size       int
 }
 
-// Item is a stored point with payload id.
-type Item struct {
-	P  geom.Point
-	ID int
-}
-
-// New returns an empty grid with the given bounds and resolution. It panics
+// New returns a grid with the given bounds and resolution. It panics
 // when cols or rows is not positive or when bounds is empty, since a
 // degenerate grid would silently put every point in one cell.
 func New(bounds geom.Rect, cols, rows int) *Grid {
@@ -46,7 +34,6 @@ func New(bounds geom.Rect, cols, rows int) *Grid {
 		bounds: bounds,
 		cols:   cols,
 		rows:   rows,
-		cells:  make([][]Item, cols*rows),
 	}
 	g.cellW = bounds.Width() / float64(cols)
 	g.cellH = bounds.Height() / float64(rows)
@@ -66,9 +53,6 @@ func (g *Grid) Cols() int { return g.cols }
 
 // Rows returns the number of rows.
 func (g *Grid) Rows() int { return g.rows }
-
-// Len returns the number of stored items.
-func (g *Grid) Len() int { return g.size }
 
 // Bounds returns the grid extent.
 func (g *Grid) Bounds() geom.Rect { return g.bounds }
@@ -106,72 +90,4 @@ func (g *Grid) CellRect(col, row int) geom.Rect {
 		MaxX: g.bounds.MinX + float64(col+1)*g.cellW,
 		MaxY: g.bounds.MinY + float64(row+1)*g.cellH,
 	}
-}
-
-// Insert stores (p, id) in the cell containing p.
-func (g *Grid) Insert(p geom.Point, id int) {
-	i := g.CellIndex(p)
-	g.cells[i] = append(g.cells[i], Item{P: p, ID: id})
-	g.size++
-}
-
-// Delete removes one item equal to (p, id); it reports whether an item was
-// removed.
-func (g *Grid) Delete(p geom.Point, id int) bool {
-	i := g.CellIndex(p)
-	cell := g.cells[i]
-	for j, it := range cell {
-		if it.ID == id && it.P.Equal(p) {
-			cell[j] = cell[len(cell)-1]
-			g.cells[i] = cell[:len(cell)-1]
-			g.size--
-			return true
-		}
-	}
-	return false
-}
-
-// Cell returns the items stored in cell (col, row). The returned slice is
-// owned by the grid and must not be modified.
-func (g *Grid) Cell(col, row int) []Item {
-	return g.cells[row*g.cols+col]
-}
-
-// Within appends every item within Euclidean distance radius of p to dst.
-// Only the cells overlapping the query disc's bounding box are scanned.
-func (g *Grid) Within(p geom.Point, radius float64, dst []Item) []Item {
-	r2 := radius * radius
-	c0, r0 := g.CellOf(geom.Pt(p.X-radius, p.Y-radius))
-	c1, r1 := g.CellOf(geom.Pt(p.X+radius, p.Y+radius))
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			for _, it := range g.cells[row*g.cols+col] {
-				if it.P.Dist2(p) <= r2 {
-					dst = append(dst, it)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Counts returns the per-cell item counts in row-major order. The
-// stratified baseline uses these to compute the most-balanced allocation.
-func (g *Grid) Counts() []int {
-	out := make([]int, len(g.cells))
-	for i, c := range g.cells {
-		out[i] = len(c)
-	}
-	return out
-}
-
-// NonEmptyCells returns the flat indices of cells holding at least one item.
-func (g *Grid) NonEmptyCells() []int {
-	var out []int
-	for i, c := range g.cells {
-		if len(c) > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
 }

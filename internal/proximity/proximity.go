@@ -116,9 +116,7 @@ func (f Func) Kind() Kind { return f.kind }
 func (f Func) Bandwidth() float64 { return f.eps }
 
 // Support returns the radius beyond which Eval is negligible (Gaussian) or
-// exactly zero (compact kernels). The ES+Loc variant of Interchange prunes
-// pairs farther apart than this radius (§IV-B "Speed-Up using the Locality
-// of Proximity function").
+// exactly zero (compact kernels).
 func (f Func) Support() float64 { return f.support }
 
 // Eval returns κ(p, q).
@@ -164,13 +162,12 @@ func (f Func) PairDist2(d2 float64) float64 {
 	return f.EvalDist2(d2)
 }
 
-// PairSupport returns the pruning radius appropriate for Pair. For the
-// Gaussian the pair kernel κ̃ at distance 6ε is exp(-9) ≈ 1.2e-4 — below
-// the paper's own negligibility threshold relative to the responsibility
-// magnitudes the Interchange algorithm compares — so the plain support
-// radius is used; widening it to the κ̃ underflow radius (≈8.5ε) doubles
-// the neighbour count for no measurable quality gain (see the fig10
-// bench).
+// PairSupport returns the truncation radius for Pair: the ES+Loc variant
+// of Interchange counts a pair farther apart than this as zero (§IV-B
+// "Speed-Up using the Locality of Proximity function"). For the Gaussian
+// the pair kernel κ̃ at distance 6ε is exp(-9) ≈ 1.2e-4, negligible
+// against the responsibility magnitudes Interchange compares, so the
+// plain support radius is used.
 func (f Func) PairSupport() float64 {
 	return f.support
 }

@@ -322,6 +322,12 @@ func (ix *rectIndex) collect(cols [][]float64, r geom.Rect, preds []Pred, pi []i
 	if r.Intersects(ix.bounds) {
 		ids = ix.collectCells(cols, r, preds, pi, skip, tally, st, cn)
 	}
+	// A canceled probe's partial ids are discarded by the caller; skip
+	// the extras pass and the sort, which alone can outlast the
+	// cancellation bound on a million-row result.
+	if cn.cause() != nil {
+		return nil
+	}
 	// Non-finite rows live outside the grid; filter them with the same
 	// predicate form the linear scan uses (NaN matches everything, ±Inf
 	// matches nothing finite). Zone maps do not cover them, so every

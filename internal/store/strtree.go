@@ -319,6 +319,12 @@ func (ix *treeIndex) collect(cols [][]float64, r geom.Rect, preds []Pred, pi []i
 	if r.Intersects(ix.bounds) {
 		ids = ix.collectTree(cols, r, preds, pi, skip, tally, st, cn)
 	}
+	// A canceled probe's partial ids are discarded by the caller; skip
+	// the extras pass and the sort, which alone can outlast the
+	// cancellation bound on a million-row result.
+	if cn.cause() != nil {
+		return nil
+	}
 	xs, ys := cols[ix.xi], cols[ix.yi]
 	for _, id := range ix.extra {
 		st.RowsExamined++

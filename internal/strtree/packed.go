@@ -2,16 +2,11 @@
 // (the store's serving-path spatial indexes live in internal/store and
 // share the STR bulk-load algorithm used here).
 //
-// Two shapes:
-//
-//   - Tree: an immutable packed R-tree over 2D points, bulk-loaded with
-//     Sort-Tile-Recursive (Leutenegger 1997). Built once, read forever —
-//     the density-embedding second pass (§V), the loss evaluator, and the
-//     user simulation build it over a sample or dataset and issue
-//     nearest/kNN/range queries. Safe for concurrent reads.
-//   - Dynamic: a mutable quadratic-split R-tree (Guttman 1984) supporting
-//     insert and delete-by-(point,id), used by the VAS Interchange ESLoc
-//     variant whose working set churns one point at a time.
+// It has one shape: Tree, an immutable packed R-tree over 2D points,
+// bulk-loaded with Sort-Tile-Recursive (Leutenegger 1997). Built once, read
+// forever — the density-embedding second pass (§V), the loss evaluator,
+// and the user simulation build it over a sample or dataset and issue
+// nearest/kNN/range queries. Safe for concurrent reads.
 package strtree
 
 import (

@@ -2,7 +2,15 @@
 // Visualization-Aware Sampling problem (Definition 1) and the Interchange
 // approximation algorithm (§IV-B) with its three optimization levels —
 // the naive replacement test (NoES), the Expand/Shrink procedure (ES,
-// Algorithm 1), and Expand/Shrink with a spatial locality index (ES+Loc).
+// Algorithm 1), and Expand/Shrink with the locality speed-up (ES+Loc).
+//
+// ES+Loc is ES with pair-support truncation: a pair farther apart than
+// proximity.Func.PairSupport contributes zero to the responsibilities. The
+// paper skips those pairs through a spatial index; here the same loop
+// tests the squared distance it already computes, which selects the same
+// sample. On the skewed GPS data of the experiments about half of all
+// newcomer–slot pairs fall inside the 6ε support, so the cutoff skips
+// little and ES+Loc runs at the speed of ES rather than beating it.
 //
 // VAS selects a K-subset S of the dataset minimizing the pairwise objective
 //
@@ -17,15 +25,16 @@ package vas
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/proximity"
 )
 
-// Variant selects the Interchange implementation strategy. The three
-// variants produce the same sample on the same input stream (ES+Loc up to
-// kernel-tail truncation); they differ only in cost per scanned point,
-// which is what Fig. 10 measures.
+// Variant selects the Interchange implementation strategy. NoES and ES
+// produce the same sample on the same input stream; ES+Loc differs only by
+// the kernel-tail truncation. Fig. 10 measures their cost per scanned
+// point.
 type Variant int
 
 const (
@@ -36,9 +45,8 @@ const (
 	// ES uses the Expand/Shrink procedure of Algorithm 1: responsibilities
 	// are maintained incrementally, O(K) per scanned point.
 	ES
-	// ESLoc additionally prunes responsibility updates to sample points
-	// within the kernel's support radius using a spatial index,
-	// O(m log K) per scanned point where m is the local neighbour count.
+	// ESLoc is ES with every pair beyond the kernel's pair support
+	// counted as zero (§IV-B's locality speed-up), still O(K) per point.
 	ESLoc
 )
 
@@ -69,17 +77,6 @@ func ParseVariant(s string) (Variant, error) {
 	return 0, fmt.Errorf("vas: unknown variant %q", s)
 }
 
-// IndexKind selects the spatial index backing the ESLoc variant. The paper
-// uses an R-tree; the uniform grid is provided for the index ablation.
-type IndexKind int
-
-const (
-	// IndexRTree uses the quadratic-split R-tree from internal/strtree.
-	IndexRTree IndexKind = iota
-	// IndexGrid uses a uniform grid sized from the data bounds.
-	IndexGrid
-)
-
 // Options configures an Interchange sampler.
 type Options struct {
 	// K is the sample size (required, positive).
@@ -89,16 +86,10 @@ type Options struct {
 	Kernel proximity.Func
 	// Variant selects NoES, ES, or ESLoc. Default ES.
 	Variant Variant
-	// Index selects the locality index for ESLoc. Default IndexRTree.
-	Index IndexKind
-	// GridBounds supplies the domain extent when Index == IndexGrid.
-	// Ignored otherwise. When empty, the grid index falls back to a
-	// bounds-growing R-tree.
-	GridBounds geom.Rect
 }
 
-// entry is one sample slot. Slots are stable: the locality index stores the
-// slot number as payload, so entries never move between slots.
+// entry is one sample slot. Slots are stable, so the slot order of
+// SampleIDs is deterministic for a given input stream.
 type entry struct {
 	p      geom.Point
 	id     int
@@ -117,8 +108,9 @@ type Interchange struct {
 	// objective is Σ_{i<j} κ̃ over active slots, maintained incrementally.
 	objective float64
 
-	index locIndex  // non-nil only for ESLoc
-	heap  *slotHeap // max-heap over responsibilities, ESLoc only
+	// cutoff2 is the squared pair distance beyond which activate and
+	// deactivate count κ̃ as zero: PairSupport² for ESLoc, +Inf otherwise.
+	cutoff2 float64
 
 	// inSample tracks the dataset ids currently selected, so re-streamed
 	// passes skip points already in the sample (a self-replacement is
@@ -129,9 +121,6 @@ type Interchange struct {
 	seen         int // points offered
 	replacements int // successful swaps since construction
 	passSwaps    int // successful swaps since BeginPass
-
-	// scratch buffer reused across Add calls.
-	scratchNear []slotDist
 }
 
 // NewInterchange returns an Interchange sampler. It panics on K <= 0 or an
@@ -149,22 +138,14 @@ func NewInterchange(opt Options) *Interchange {
 		entries:  make([]entry, opt.K+1),
 		free:     make([]int, 0, opt.K+1),
 		inSample: make(map[int]struct{}, opt.K),
+		cutoff2:  math.Inf(1),
 	}
 	for i := opt.K; i >= 0; i-- {
 		ic.free = append(ic.free, i)
 	}
 	if opt.Variant == ESLoc {
-		switch opt.Index {
-		case IndexGrid:
-			if !opt.GridBounds.IsEmpty() {
-				ic.index = newGridIndex(opt.GridBounds, opt.K)
-			} else {
-				ic.index = newRTreeIndex()
-			}
-		default:
-			ic.index = newRTreeIndex()
-		}
-		ic.heap = newSlotHeap(opt.K + 1)
+		r := opt.Kernel.PairSupport()
+		ic.cutoff2 = r * r
 	}
 	return ic
 }
@@ -189,7 +170,8 @@ func (ic *Interchange) PassSwaps() int { return ic.passSwaps }
 
 // Objective returns the current optimization objective Σ_{i<j} κ̃(si,sj).
 // For the ESLoc variant pairs beyond the kernel support are treated as
-// zero, matching the approximation the paper's speed-up makes.
+// zero, matching the approximation the paper's speed-up makes, until
+// RecomputeObjective restores the exact value.
 func (ic *Interchange) Objective() float64 { return ic.objective }
 
 // Add implements sampling.Sampler. It offers one data point to the sampler.
@@ -206,10 +188,8 @@ func (ic *Interchange) Add(p geom.Point, id int) {
 	switch ic.opt.Variant {
 	case NoES:
 		ic.addNoES(p, id)
-	case ES:
+	case ES, ESLoc:
 		ic.addES(p, id)
-	case ESLoc:
-		ic.addESLoc(p, id)
 	default:
 		panic(fmt.Sprintf("vas: unknown variant %d", int(ic.opt.Variant)))
 	}
@@ -223,32 +203,22 @@ func (ic *Interchange) takeSlot() int {
 	return slot
 }
 
-// activate installs (p, id) into slot, wiring responsibilities, the
-// objective, and (for ESLoc) the index and heap. Cost O(K) or O(m log K).
+// pair returns κ̃ for squared distance d2, or zero beyond the cutoff.
+// The test is d2 > cutoff2 so a pair exactly at the support radius still
+// counts.
+func (ic *Interchange) pair(d2 float64) float64 {
+	if d2 > ic.cutoff2 {
+		return 0
+	}
+	return ic.opt.Kernel.PairDist2(d2)
+}
+
+// activate installs (p, id) into slot, wiring responsibilities and the
+// objective. Cost O(K).
 func (ic *Interchange) activate(slot int, p geom.Point, id int) {
 	e := &ic.entries[slot]
 	e.p, e.id, e.active, e.rsp = p, id, true, 0
 	ic.inSample[id] = struct{}{}
-
-	if ic.opt.Variant == ESLoc {
-		// Locality: only neighbours within the pair support interact.
-		ic.scratchNear = ic.scratchNear[:0]
-		ic.scratchNear = ic.index.within(p, ic.opt.Kernel.PairSupport(), ic.scratchNear)
-		var rsp float64
-		for _, nb := range ic.scratchNear {
-			o := &ic.entries[nb.slot]
-			l := ic.opt.Kernel.PairDist2(nb.d2)
-			o.rsp += l
-			rsp += l
-			ic.heap.update(nb.slot, o.rsp)
-		}
-		e.rsp = rsp
-		ic.objective += rsp
-		ic.index.insert(p, slot)
-		ic.heap.push(slot, rsp)
-		ic.nActive++
-		return
-	}
 
 	var rsp float64
 	for s := range ic.entries {
@@ -256,7 +226,7 @@ func (ic *Interchange) activate(slot int, p geom.Point, id int) {
 		if !o.active || s == slot {
 			continue
 		}
-		l := ic.opt.Kernel.PairDist2(p.Dist2(o.p))
+		l := ic.pair(p.Dist2(o.p))
 		o.rsp += l
 		rsp += l
 	}
@@ -268,27 +238,12 @@ func (ic *Interchange) activate(slot int, p geom.Point, id int) {
 // deactivate removes slot from the sample, unwinding what activate did.
 func (ic *Interchange) deactivate(slot int) {
 	e := &ic.entries[slot]
-	if ic.opt.Variant == ESLoc {
-		ic.scratchNear = ic.scratchNear[:0]
-		ic.scratchNear = ic.index.within(e.p, ic.opt.Kernel.PairSupport(), ic.scratchNear)
-		for _, nb := range ic.scratchNear {
-			if nb.slot == slot {
-				continue
-			}
-			o := &ic.entries[nb.slot]
-			o.rsp -= ic.opt.Kernel.PairDist2(nb.d2)
-			ic.heap.update(nb.slot, o.rsp)
+	for s := range ic.entries {
+		o := &ic.entries[s]
+		if !o.active || s == slot {
+			continue
 		}
-		ic.index.remove(e.p, slot)
-		ic.heap.remove(slot)
-	} else {
-		for s := range ic.entries {
-			o := &ic.entries[s]
-			if !o.active || s == slot {
-				continue
-			}
-			o.rsp -= ic.opt.Kernel.PairDist2(e.p.Dist2(o.p))
-		}
+		o.rsp -= ic.pair(e.p.Dist2(o.p))
 	}
 	ic.objective -= e.rsp
 	delete(ic.inSample, e.id)
@@ -319,22 +274,6 @@ func (ic *Interchange) addES(p geom.Point, id int) {
 		}
 	}
 	ic.deactivate(worst)
-	if worst != slot {
-		ic.replacements++
-		ic.passSwaps++
-	}
-}
-
-// addESLoc is addES with the index-backed heap doing the argmax.
-func (ic *Interchange) addESLoc(p geom.Point, id int) {
-	slot := ic.takeSlot()
-	ic.activate(slot, p, id) // Expand
-	worst := ic.heap.maxSlot()
-	// Ties go to the newcomer, as in addES.
-	if ic.entries[worst].rsp <= ic.entries[slot].rsp {
-		worst = slot
-	}
-	ic.deactivate(worst) // Shrink
 	if worst != slot {
 		ic.replacements++
 		ic.passSwaps++
@@ -431,11 +370,6 @@ func (ic *Interchange) RecomputeObjective() float64 {
 			a.rsp += l
 			b.rsp += l
 			obj += l
-		}
-	}
-	if ic.opt.Variant == ESLoc {
-		for _, s := range active {
-			ic.heap.update(s, ic.entries[s].rsp)
 		}
 	}
 	ic.objective = obj

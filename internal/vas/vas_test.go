@@ -113,7 +113,7 @@ func TestIncrementalObjectiveMatchesBruteForce(t *testing.T) {
 
 // TestVariantsAgree: NoES and ES implement the same replacement rule, so
 // on the same stream they must produce identical samples. ESLoc truncates
-// kernel tails, so it must produce an objective within a small tolerance.
+// kernel tails, so its objective must be within a small tolerance.
 func TestVariantsAgree(t *testing.T) {
 	pts := clusteredPoints(600, 4)
 	kern := testKernel()
@@ -289,103 +289,58 @@ func TestNormalizedObjective(t *testing.T) {
 	}
 }
 
+// TestGridIndexVariant: ES+Loc, which once located the slots inside the
+// kernel support through a grid or R-tree index and now skips the pairs
+// beyond it, keeps an objective within 5% of ES's on clustered data.
 func TestGridIndexVariant(t *testing.T) {
 	pts := clusteredPoints(500, 11)
 	kern := testKernel()
 	es := NewInterchange(Options{K: 12, Kernel: kern, Variant: ES})
-	gridLoc := NewInterchange(Options{
-		K: 12, Kernel: kern, Variant: ESLoc,
-		Index: IndexGrid, GridBounds: geom.Bounds(pts),
-	})
+	loc := NewInterchange(Options{K: 12, Kernel: kern, Variant: ESLoc})
 	for i, p := range pts {
 		es.Add(p, i)
-		gridLoc.Add(p, i)
+		loc.Add(p, i)
 	}
 	objES := Objective(kern, es.Sample())
-	objGrid := Objective(kern, gridLoc.Sample())
-	if objGrid > objES*1.05+1e-9 {
-		t.Errorf("grid-indexed ESLoc objective %v much worse than ES %v", objGrid, objES)
+	objLoc := Objective(kern, loc.Sample())
+	if objLoc > objES*1.05+1e-9 {
+		t.Errorf("ESLoc objective %v much worse than ES %v", objLoc, objES)
 	}
 }
 
+// TestSlotHeap pins Shrink's choice of slot: the max-responsibility member
+// of the expanded set is evicted, and a tie with the newcomer keeps the
+// sample unchanged.
 func TestSlotHeap(t *testing.T) {
-	h := newSlotHeap(8)
-	h.push(0, 3)
-	h.push(1, 7)
-	h.push(2, 5)
-	if h.maxSlot() != 1 {
-		t.Fatalf("max = %d, want 1", h.maxSlot())
-	}
-	h.update(2, 10)
-	if h.maxSlot() != 2 {
-		t.Fatalf("after update max = %d, want 2", h.maxSlot())
-	}
-	h.remove(2)
-	if h.maxSlot() != 1 {
-		t.Fatalf("after remove max = %d, want 1", h.maxSlot())
-	}
-	h.update(5, 100) // absent slot: no-op
-	if h.len() != 2 {
-		t.Fatalf("len = %d", h.len())
-	}
-	h.remove(5) // absent: no-op
-	h.update(0, 99)
-	if h.maxSlot() != 0 {
-		t.Fatal("decrease/increase sequencing broken")
-	}
-}
+	for _, v := range []Variant{NoES, ES, ESLoc} {
+		ic := NewInterchange(Options{K: 2, Kernel: testKernel(), Variant: v})
+		ic.Add(geom.Pt(0, 0), 0)
+		ic.Add(geom.Pt(1, 0), 1)
 
-func TestSlotHeapRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const n = 64
-	h := newSlotHeap(n)
-	keys := make(map[int]float64)
-	for op := 0; op < 5000; op++ {
-		switch {
-		case len(keys) == 0 || (rng.Float64() < 0.4 && len(keys) < n):
-			slot := rng.Intn(n)
-			if _, in := keys[slot]; in {
-				continue
-			}
-			k := rng.NormFloat64()
-			keys[slot] = k
-			h.push(slot, k)
-		case rng.Float64() < 0.5:
-			slot := anyKey(rng, keys)
-			k := rng.NormFloat64()
-			keys[slot] = k
-			h.update(slot, k)
-		default:
-			slot := anyKey(rng, keys)
-			delete(keys, slot)
-			h.remove(slot)
+		// A coincident newcomer ties with id 0: no swap.
+		ic.Add(geom.Pt(0, 0), 2)
+		if got := sortedIDs(ic); !equalInts(got, []int{0, 1}) || ic.Replacements() != 0 {
+			t.Fatalf("%v: tie swapped: ids %v, replacements %d", v, got, ic.Replacements())
 		}
-		if len(keys) == 0 {
-			continue
+		// Midway between the members, the newcomer has the largest
+		// responsibility and is the one evicted.
+		ic.Add(geom.Pt(0.5, 0), 3)
+		if got := sortedIDs(ic); !equalInts(got, []int{0, 1}) || ic.Replacements() != 0 {
+			t.Fatalf("%v: newcomer kept: ids %v, replacements %d", v, got, ic.Replacements())
 		}
-		// max of heap must match max of map.
-		wantSlot, wantKey := -1, math.Inf(-1)
-		for s, k := range keys {
-			if k > wantKey {
-				wantSlot, wantKey = s, k
-			}
-		}
-		if got := h.maxSlot(); keys[got] != wantKey {
-			t.Fatalf("op %d: heap max slot %d (key %v), want slot %d (key %v)",
-				op, got, keys[got], wantSlot, wantKey)
+		// Just outside id 0, farther from id 1: id 0 now has the largest
+		// responsibility and is evicted.
+		ic.Add(geom.Pt(-0.1, 0), 4)
+		if got := sortedIDs(ic); !equalInts(got, []int{1, 4}) || ic.Replacements() != 1 {
+			t.Fatalf("%v: want id 0 evicted: ids %v, replacements %d", v, got, ic.Replacements())
 		}
 	}
 }
 
-func anyKey(rng *rand.Rand, m map[int]float64) int {
-	i := rng.Intn(len(m))
-	for k := range m {
-		if i == 0 {
-			return k
-		}
-		i--
-	}
-	panic("unreachable")
+func sortedIDs(ic *Interchange) []int {
+	ids := ic.SampleIDs()
+	sort.Ints(ids)
+	return ids
 }
 
 func equalInts(a, b []int) bool {

@@ -93,7 +93,9 @@ type Options struct {
 	// paper's), "epanechnikov", or "tricube".
 	Kernel string
 	// Variant names the Interchange implementation: "es" (default),
-	// "no-es", or "es+loc".
+	// "no-es" (the unoptimized O(K²)-per-point baseline, same sample as
+	// "es"), or "es+loc" (ES with pairs beyond the kernel's pair support
+	// counted as zero).
 	Variant string
 	// Passes is how many times Build streams the data through
 	// Interchange; 0 means 2. More passes converge closer to the
