@@ -1,5 +1,7 @@
 # Development targets. CI runs fmt/vet/build/test plus a one-iteration
-# bench smoke so the serving benchmarks cannot rot.
+# bench smoke so the go test -bench microbenchmarks cannot rot. The
+# repo's benchmark proper is bench/ (bash bench/run.sh; see
+# bench/README.md).
 
 GO ?= go
 # The serving benchmarks of the read path (internal/store): index probe
@@ -22,7 +24,7 @@ SERVING_BENCH ?= QueryViewport|ExactScanParallel|QueryFullExtentProjection|ScanR
 # middleware (tracing must stay free when nobody is watching).
 SNAPSHOT_BENCH ?= ColdStart|ServerQueryParallel
 
-.PHONY: all build test race bench bench-smoke fmt vet fuzz-smoke obs-smoke torture-smoke
+.PHONY: all build test race bench-smoke fmt vet fuzz-smoke obs-smoke torture-smoke
 
 all: build test
 
@@ -40,18 +42,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-# bench runs the serving + cold-start benchmarks and commits the
-# numbers as BENCH_PR10.json (the repo's benchmark trajectory;
-# BENCH_PR2.json .. BENCH_PR9.json are the previous points on it).
-# PR 10 threads cooperative cancellation checks through the scan
-# kernels; the ScanRectFiltered shapes double as the guard that the
-# polls stay within ±5% of the PR 9 numbers.
-bench:
-	$(GO) test -run '^$$' -bench '$(SERVING_BENCH)' -benchmem ./internal/store | tee /tmp/bench_serving.txt
-	$(GO) test -run '^$$' -bench '$(SNAPSHOT_BENCH)' -benchmem . | tee -a /tmp/bench_serving.txt
-	$(GO) run ./cmd/bench2json < /tmp/bench_serving.txt > BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
 
 # bench-smoke is the CI guard: every committed benchmark must still
 # compile and complete one iteration.
@@ -86,10 +76,10 @@ kernel-alloc:
 # the durability schedule performs, torn-write variants included, each
 # followed by a recovery load that must land on a consistent prefix),
 # the durability fault matrix (ENOSPC / sync / rename failures on the
-# save and tail-append paths), the mid-promotion tail crash, and the
+# save and tail-append paths), the fault injector's own tests, and the
 # scan cancellation/deadline/shedding tests.
 torture-smoke:
 	$(GO) test -race -count=1 -run 'TestCrashRecoveryTorture|TestDurabilityFaultMatrix' .
-	$(GO) test -race -count=1 -run 'TestTailPromotionCrashRecovery' ./internal/snapshot
+	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 -run 'TestScanCancellation|TestScanDeadline|TestScanMidFlight' ./internal/store
 	$(GO) test -race -count=1 -run 'TestAdmission|TestRequestTimeoutTaxonomy|TestHTTPErrorTaxonomy' ./internal/server

@@ -5,17 +5,16 @@
 // crash-recovery torture suite and the durability-degradation fault
 // matrix.
 //
-// The Injector supports three failure shapes:
+// The Injector supports two failure shapes:
 //
-//   - scripted errors — a matching op (sync, rename, write, ...) fails
-//     with a chosen error (ENOSPC, EIO, ...), once or persistently;
-//   - torn writes — a write lands its first N bytes and then fails,
-//     the on-disk shape of a partial page flush;
+//   - scripted errors — the next matching op (sync, rename, write, ...)
+//     fails with a chosen error (ENOSPC, EIO, ...);
 //   - crash points — from the k-th mutating op on, EVERY operation
 //     fails with ErrCrashed, simulating process death mid-operation:
 //     cleanup code that would roll back a partial write never runs,
 //     exactly as after a real crash, so whatever bytes made it to disk
-//     are what recovery must cope with.
+//     are what recovery must cope with. A torn crash on a write lands
+//     half the buffer first, the on-disk shape of a partial page flush.
 //
 // The Injector also counts and logs mutating ops, so a recording run
 // of a workload enumerates every crash site for exhaustive replay.
@@ -26,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 )
 
@@ -111,19 +111,17 @@ type OpRecord struct {
 	Path string
 }
 
-// rule is one scripted fault. Matching is by op kind and a path
-// substring ("" matches every path).
+// rule is one scripted one-shot fault. Matching is by op kind and a
+// path substring ("" matches every path).
 type rule struct {
 	op    Op
 	path  string
 	err   error
-	torn  int  // for OpWrite: land this many bytes before failing
-	once  bool // disarm after the first hit
 	fired bool
 }
 
-// Injector wraps a base FS and injects scripted faults, torn writes,
-// and crash points. All methods are safe for concurrent use.
+// Injector wraps a base FS and injects scripted faults and crash
+// points. All methods are safe for concurrent use.
 type Injector struct {
 	base FS
 
@@ -144,30 +142,14 @@ func NewInjector(base FS) *Injector {
 	return &Injector{base: base, crashAt: -1}
 }
 
-// FailOp arms a persistent fault: every op of the given kind whose path
-// contains pathSubstr fails with err (ErrInjected when err is nil).
-func (i *Injector) FailOp(op Op, pathSubstr string, err error) {
-	i.addRule(&rule{op: op, path: pathSubstr, err: err})
-}
-
-// FailOnce is FailOp for the first matching op only.
+// FailOnce arms a one-shot fault: the first op of the given kind whose
+// path contains pathSubstr fails with err (ErrInjected when err is nil).
 func (i *Injector) FailOnce(op Op, pathSubstr string, err error) {
-	i.addRule(&rule{op: op, path: pathSubstr, err: err, once: true})
-}
-
-// TornWrite arms a one-shot torn write: the first write whose path
-// contains pathSubstr lands its first n bytes and then fails with err
-// (ErrInjected when err is nil).
-func (i *Injector) TornWrite(pathSubstr string, n int, err error) {
-	i.addRule(&rule{op: OpWrite, path: pathSubstr, err: err, torn: n, once: true})
-}
-
-func (i *Injector) addRule(r *rule) {
-	if r.err == nil {
-		r.err = ErrInjected
+	if err == nil {
+		err = ErrInjected
 	}
 	i.mu.Lock()
-	i.rules = append(i.rules, r)
+	i.rules = append(i.rules, &rule{op: op, path: pathSubstr, err: err})
 	i.mu.Unlock()
 }
 
@@ -207,18 +189,6 @@ func (i *Injector) Log() []OpRecord {
 	return out
 }
 
-// Reset disarms every rule and crash point and clears the op log; the
-// Injector becomes a transparent passthrough again.
-func (i *Injector) Reset() {
-	i.mu.Lock()
-	i.rules = nil
-	i.log = nil
-	i.crashAt = -1
-	i.crashed = false
-	i.tornCr = false
-	i.mu.Unlock()
-}
-
 // enter gates one operation. It returns (tornBytes, err): err non-nil
 // fails the op; tornBytes >= 0 on a write means "land that many bytes,
 // then fail with err".
@@ -240,31 +210,13 @@ func (i *Injector) enter(op Op, path string, writeLen int) (int, error) {
 		}
 	}
 	for _, r := range i.rules {
-		if r.fired && r.once {
-			continue
-		}
-		if r.op != op {
-			continue
-		}
-		if r.path != "" && !contains(path, r.path) {
+		if r.fired || r.op != op || !strings.Contains(path, r.path) {
 			continue
 		}
 		r.fired = true
-		if op == OpWrite && r.torn > 0 && r.torn < writeLen {
-			return r.torn, r.err
-		}
 		return -1, r.err
 	}
 	return -1, nil
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func (i *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, error) {

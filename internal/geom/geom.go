@@ -25,9 +25,6 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns the vector p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Scale returns p with both coordinates multiplied by f.
 func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
 
@@ -151,12 +148,6 @@ func (r Rect) Union(s Rect) Rect {
 // UnionPoint returns the smallest rectangle containing r and p.
 func (r Rect) UnionPoint(p Point) Rect {
 	return r.Union(Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
-}
-
-// Enlargement returns the area increase needed for r to also cover s. It is
-// the quantity minimized by the R-tree ChooseLeaf descent.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }
 
 // DistToPoint returns the minimum Euclidean distance from p to r; zero when

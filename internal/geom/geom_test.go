@@ -12,9 +12,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Add(q); got != Pt(4, -2) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := p.Sub(q); got != Pt(-2, 6) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v", got)
 	}
@@ -163,18 +160,6 @@ func TestUnionPointAndBounds(t *testing.T) {
 	}
 	if !Bounds(nil).IsEmpty() {
 		t.Error("Bounds(nil) not empty")
-	}
-}
-
-func TestEnlargement(t *testing.T) {
-	a := Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}
-	inside := Rect{MinX: 0.5, MinY: 0.5, MaxX: 1, MaxY: 1}
-	if e := a.Enlargement(inside); e != 0 {
-		t.Errorf("enlargement for contained rect = %v, want 0", e)
-	}
-	outside := Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 2}
-	if e := a.Enlargement(outside); e != 4 {
-		t.Errorf("enlargement = %v, want 4", e)
 	}
 }
 

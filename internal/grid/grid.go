@@ -81,13 +81,3 @@ func (g *Grid) CellIndex(p geom.Point) int {
 	c, r := g.CellOf(p)
 	return r*g.cols + c
 }
-
-// CellRect returns the rectangle covered by cell (col, row).
-func (g *Grid) CellRect(col, row int) geom.Rect {
-	return geom.Rect{
-		MinX: g.bounds.MinX + float64(col)*g.cellW,
-		MinY: g.bounds.MinY + float64(row)*g.cellH,
-		MaxX: g.bounds.MinX + float64(col+1)*g.cellW,
-		MaxY: g.bounds.MinY + float64(row+1)*g.cellH,
-	}
-}

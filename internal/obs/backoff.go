@@ -82,10 +82,6 @@ func (b *Backoff) Advance() time.Duration {
 // caller should not wait at all.
 func (b *Backoff) Current() time.Duration { return b.cur }
 
-// Failures returns the length of the current consecutive-failure
-// streak.
-func (b *Backoff) Failures() int { return b.failures }
-
 // Reset clears the failure streak after a success: the next Advance
 // starts again from Base, and Current reports zero until then.
 func (b *Backoff) Reset() {

@@ -48,11 +48,6 @@ func (l *SlowLog) SetThreshold(d time.Duration) {
 	l.thresholdNanos.Store(int64(d))
 }
 
-// Threshold returns the current retention threshold.
-func (l *SlowLog) Threshold() time.Duration {
-	return time.Duration(l.thresholdNanos.Load())
-}
-
 // Record offers a finished trace to the log. Traces under the
 // threshold return after one atomic load without locking. Nil-safe on
 // both receiver and trace.

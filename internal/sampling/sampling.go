@@ -12,7 +12,6 @@ package sampling
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -253,19 +252,6 @@ func (s *Stratified) sampleWithIDs() ([]geom.Point, []int) {
 
 // Seen returns how many points have been offered.
 func (s *Stratified) Seen() int { return s.seen }
-
-// BinStats returns the number of retained points per non-empty bin, sorted
-// descending; useful for diagnosing skew.
-func (s *Stratified) BinStats() []int {
-	var out []int
-	for _, b := range s.bins {
-		if b != nil && len(b.pts) > 0 {
-			out = append(out, len(b.pts))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
 
 // Method identifies a sampling strategy by name; used by the CLI tools and
 // experiment harness tables.

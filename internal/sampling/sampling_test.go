@@ -223,9 +223,18 @@ func TestStratifiedBinStats(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Add(geom.Pt(1.5, 0.5), 100+i)
 	}
-	stats := s.BinStats()
-	if len(stats) != 2 || stats[0] != 7 || stats[1] != 3 {
-		t.Errorf("BinStats = %v, want [7 3]", stats)
+	// K covers both bins, so the sample keeps every retained point:
+	// 7 from the left bin, 3 from the right.
+	var left, right int
+	for _, p := range s.Sample() {
+		if p.X < 1 {
+			left++
+		} else {
+			right++
+		}
+	}
+	if left != 7 || right != 3 {
+		t.Errorf("per-bin sample counts = [%d %d], want [7 3]", left, right)
 	}
 }
 

@@ -25,7 +25,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	skewed := append([]byte(nil), valid...)
 	skewed[4] = FormatVersion + 1 // future format version
 	downgraded := append([]byte(nil), valid...)
-	downgraded[4] = 1 // v1 header on a tombstone-bearing v2 body: rejected
+	downgraded[4] = 1 // an older format version: rejected as skew
 	badMagic := append([]byte(nil), valid...)
 	badMagic[0] = 'Z'
 	hostileLen := append([]byte(nil), valid...)
@@ -37,7 +37,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	treeFlipped := append([]byte(nil), tree...)
 	treeFlipped[len(treeFlipped)/2] ^= 0x10
 	treeDowngraded := append([]byte(nil), tree...)
-	treeDowngraded[4] = 2 // v2 header on a tree-bearing v3 body: rejected
+	treeDowngraded[4] = 2 // an older format version: rejected as skew
 	return [][]byte{
 		valid,
 		truncated,

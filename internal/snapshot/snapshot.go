@@ -12,9 +12,9 @@
 //	header:  magic "VCAT" | uint32 format version | uint32 section count
 //	section: uint32 kind | uint64 payload length | payload | uint32 CRC32(payload)
 //
-// Section kinds: 1 = catalog metadata (sample lineage + provenance),
-// 2 = one table, 3 = one table's tombstone set (v2+), 4 = one table's
-// R-tree indexes (v3+). Payloads are encoded with internal/binio (the same
+// Section kinds: 1 = catalog metadata (sample lineage + provenance +
+// save epoch), 2 = one table, 3 = one table's tombstone set, 4 = one
+// table's R-tree indexes. Payloads are encoded with internal/binio (the same
 // codec the dataset files use). Every section carries its own IEEE
 // CRC32, so a flipped bit anywhere is detected before any of the
 // section's content is trusted; length prefixes are validated against
@@ -64,18 +64,11 @@ func SetFS(f fault.FS) (restore func()) {
 const (
 	// Magic identifies a catalog snapshot file.
 	Magic = "VCAT"
-	// FormatVersion is bumped on any incompatible layout change; the
-	// decoder refuses other versions rather than misparsing them.
-	// v2 added tombstone sections (kind 3); v3 added tree-index sections
-	// (kind 4) for R-tree-backed tables; v4 appended the save epoch to
-	// the catalog section, pairing each snapshot with the tail log
-	// written against it. Every pre-existing section is byte-identical
-	// across versions, so the decoder still accepts v1–v3 files — old
-	// snapshots load with an empty tombstone set, grid indexes only,
-	// and epoch zero (the "unpaired" legacy value).
+	// FormatVersion is the only snapshot layout this build reads or
+	// writes. Bump it on any layout change: Read refuses every other
+	// version with ErrVersionSkew rather than misparsing it, and the
+	// caller rebuilds and re-saves.
 	FormatVersion = 4
-	// minFormatVersion is the oldest version Read still accepts.
-	minFormatVersion = 1
 
 	sectionCatalog   = 1
 	sectionTable     = 2
@@ -121,13 +114,12 @@ type Catalog struct {
 	Samples    []store.SampleMeta
 	Provenance []Provenance
 	// Epoch is the save generation this snapshot captured: incremented
-	// on every full save, stamped into the tail log written against the
-	// saved base. On load, a tail whose epoch predates the snapshot's is
-	// a leftover the save already folded in (the crash window between
-	// writing the snapshot and removing the tail) and must be discarded,
-	// not replayed — replay would duplicate its rows. Zero means a
-	// pre-v4 file with no pairing information; such tails replay
-	// unconditionally, as they always have.
+	// on every full save (so at least 1), stamped into the tail log
+	// written against the saved base. On load, a tail whose epoch
+	// predates the snapshot's is a leftover the save already folded in
+	// (the crash window between writing the snapshot and removing the
+	// tail) and must be discarded, not replayed — replay would duplicate
+	// its rows.
 	Epoch uint64
 }
 
@@ -208,7 +200,6 @@ func Write(w io.Writer, c *Catalog) error {
 			pw.U64(uint64(p.Rows))
 			pw.String(p.Build)
 		}
-		// v4: the save epoch, appended so v1–v3 decoding is unchanged.
 		pw.U64(c.Epoch)
 	})
 	for _, ts := range c.Tables {
@@ -243,10 +234,8 @@ func Write(w io.Writer, c *Catalog) error {
 				pw.Bools(ix.ZNaN)
 			}
 		})
-		// Tree indexes ride in their own section (like tombstones below)
-		// so the table encoding stays byte-identical to v1: a catalog of
-		// grid-backed tables round-trips to the same table bytes it
-		// always has.
+		// Tree indexes and tombstones ride in their own sections, so a
+		// grid-only table with no deletions is one table section.
 		if len(ts.TreeIndexes) > 0 {
 			encodeSection(sectionTree, func(pw *binio.Writer) {
 				pw.String(ts.Name)
@@ -284,10 +273,6 @@ func Write(w io.Writer, c *Catalog) error {
 				}
 			})
 		}
-		// Tombstones ride in their own section (rather than inside the
-		// table payload) so the table encoding stays byte-identical to
-		// v1: a catalog with no pending deletions round-trips to the
-		// same table bytes it always has.
 		if len(ts.Dead) > 0 {
 			encodeSection(sectionTombstone, func(pw *binio.Writer) {
 				pw.String(ts.Name)
@@ -323,9 +308,9 @@ func Read(r io.Reader, size int64) (*Catalog, error) {
 	if err := br.Err(); err != nil {
 		return nil, corrupt("reading header: %v", err)
 	}
-	if version < minFormatVersion || version > FormatVersion {
-		return nil, fmt.Errorf("%w: file is format v%d, this build reads v%d–v%d",
-			ErrVersionSkew, version, minFormatVersion, FormatVersion)
+	if version != FormatVersion {
+		return nil, fmt.Errorf("%w: file is format v%d, this build reads and writes only v%d",
+			ErrVersionSkew, version, FormatVersion)
 	}
 	if nsections < 1 || nsections > maxSections {
 		return nil, corrupt("section count %d out of range [1,%d]", nsections, maxSections)
@@ -363,7 +348,7 @@ func Read(r io.Reader, size int64) (*Catalog, error) {
 				return nil, corrupt("duplicate catalog section")
 			}
 			sawCatalog = true
-			if err := decodeCatalogSection(pr, cat, version); err != nil {
+			if err := decodeCatalogSection(pr, cat); err != nil {
 				return nil, err
 			}
 		case sectionTable:
@@ -373,9 +358,6 @@ func Read(r io.Reader, size int64) (*Catalog, error) {
 			}
 			cat.Tables = append(cat.Tables, ts)
 		case sectionTombstone:
-			if version < 2 {
-				return nil, corrupt("section %d: tombstone section in a v%d file", si, version)
-			}
 			name := pr.String(maxNameLen)
 			dead := pr.I32s()
 			if err := pr.Err(); err != nil {
@@ -386,9 +368,6 @@ func Read(r io.Reader, size int64) (*Catalog, error) {
 			}
 			tombstones[name] = dead
 		case sectionTree:
-			if version < 3 {
-				return nil, corrupt("section %d: tree-index section in a v%d file", si, version)
-			}
 			name, tixs, err := decodeTreeSection(pr, si)
 			if err != nil {
 				return nil, err
@@ -439,16 +418,16 @@ func Read(r io.Reader, size int64) (*Catalog, error) {
 	return cat, nil
 }
 
-// ErrVersionSkew is wrapped by Read when the file's format version is
-// not the one this build encodes — the cue to rebuild and re-save
-// rather than report corruption.
+// ErrVersionSkew is wrapped by Read and LoadTail when a file's format
+// version is not the one this build writes — the cue to rebuild and
+// re-save rather than report corruption.
 var ErrVersionSkew = errors.New("snapshot: format version skew")
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-func decodeCatalogSection(pr *binio.Reader, cat *Catalog, version uint32) error {
+func decodeCatalogSection(pr *binio.Reader, cat *Catalog) error {
 	nsamples := pr.U32()
 	if pr.Err() == nil && nsamples > maxEntries {
 		return corrupt("catalog claims %d samples, limit %d", nsamples, maxEntries)
@@ -491,9 +470,7 @@ func decodeCatalogSection(pr *binio.Reader, cat *Catalog, version uint32) error 
 		p.Rows = int64(rows)
 		cat.Provenance = append(cat.Provenance, p)
 	}
-	if version >= 4 {
-		cat.Epoch = pr.U64()
-	}
+	cat.Epoch = pr.U64()
 	if err := pr.Err(); err != nil {
 		return corrupt("catalog section: %v", err)
 	}

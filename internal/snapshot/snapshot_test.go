@@ -15,11 +15,10 @@ import (
 	"repro/internal/store"
 )
 
-// downgrade re-stamps a freshly written snapshot as an older format
-// version: it patches the header version and strips the v4 epoch field
-// from the end of the catalog section (the first section Write emits),
-// recomputing the section's length and CRC, so the bytes are exactly
-// what an older build would have produced.
+// downgrade re-encodes a freshly written snapshot as an older build
+// would have written it: it patches the header version and strips the
+// v4 epoch field from the end of the catalog section (the first section
+// Write emits), recomputing the section's length and CRC.
 func downgrade(t *testing.T, data []byte, version byte) []byte {
 	t.Helper()
 	out := append([]byte(nil), data...)
@@ -313,7 +312,7 @@ func validSnapshotBytes(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	// Tombstones put a Dead section in the file, so the corruption
-	// sweeps and the fuzzer exercise the v2 tombstone decode path too.
+	// sweeps and the fuzzer exercise the tombstone decode path too.
 	if _, err := tb.DeleteWhere([]store.Pred{{Column: "v", Min: 40, Max: 60}}); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +327,7 @@ func validSnapshotBytes(t testing.TB) []byte {
 }
 
 // validTreeSnapshotBytes is validSnapshotBytes with the base table
-// forced onto the R-tree backend, so the file carries a v3 tree-index
+// forced onto the R-tree backend, so the file carries a tree-index
 // section. Returns the bytes and the store they encode.
 func validTreeSnapshotBytes(t testing.TB) ([]byte, *store.Store) {
 	t.Helper()
@@ -373,10 +372,10 @@ func validTreeSnapshotBytes(t testing.TB) ([]byte, *store.Store) {
 	return buf.Bytes(), st
 }
 
-// TestFormatV3TreeCompat pins the version gate for tree-index sections:
-// a v3 file with a tree-backed table round-trips (same scans, same kNN
-// answers, backend preserved), a grid-only catalog stamped v2 still
-// loads, and a tree section stamped v2 is corruption, not data.
+// TestFormatV3TreeCompat pins the tree-index section: a file with a
+// tree-backed table round-trips (same scans, same kNN answers, backend
+// preserved), and the same file as a v2 build would have written it is
+// refused as version skew rather than misparsed.
 func TestFormatV3TreeCompat(t *testing.T) {
 	t.Run("tree round trip", func(t *testing.T) {
 		data, orig := validTreeSnapshotBytes(t)
@@ -437,38 +436,28 @@ func TestFormatV3TreeCompat(t *testing.T) {
 			}
 		}
 	})
-	t.Run("grid-only catalog stamped v2 loads", func(t *testing.T) {
-		st := store.New()
-		tb, err := st.CreateTable("a_tbl", "x", "y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.BulkLoad([]float64{1, 2, 3}, []float64{4, 5, 6}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.IndexOn("x", "y"); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, snapshotStore(t, st, nil)); err != nil {
-			t.Fatal(err)
-		}
-		data := downgrade(t, buf.Bytes(), 2)
-		if _, err := Read(bytes.NewReader(data), int64(len(data))); err != nil {
-			t.Fatalf("v2 grid snapshot rejected: %v", err)
-		}
-	})
 	t.Run("tree section in v2 rejected", func(t *testing.T) {
 		data, _ := validTreeSnapshotBytes(t)
 		data = downgrade(t, data, 2)
-		if _, err := Read(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("tree-bearing v2 file loaded: err %v, want ErrCorrupt", err)
+		if _, err := Read(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("tree-bearing v2 file loaded: err %v, want ErrVersionSkew", err)
+		}
+	})
+}
+
+// TestFormatV1Compat: a tombstone-bearing file re-encoded as a v1 build
+// would have written it is refused as version skew, never loaded.
+func TestFormatV1Compat(t *testing.T) {
+	t.Run("tombstone section in v1 rejected", func(t *testing.T) {
+		data := downgrade(t, validSnapshotBytes(t), 1) // has tombstones
+		if _, err := Read(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("tombstone-bearing v1 file loaded: err %v, want ErrVersionSkew", err)
 		}
 	})
 }
 
 // TestDecodeRejectsTreeCorruption repeats the corruption treatment on a
-// tree-bearing v3 file: truncations at every boundary region and
+// tree-bearing file: truncations at every boundary region and
 // single-bit flips anywhere must error — never panic, never publish.
 func TestDecodeRejectsTreeCorruption(t *testing.T) {
 	valid, _ := validTreeSnapshotBytes(t)
@@ -557,45 +546,6 @@ func TestDecodeRejectsTreeCorruption(t *testing.T) {
 	})
 }
 
-// TestFormatV1Compat: a v1 file is a v2 file without tombstone
-// sections. Write always emits the current version, so both directions
-// are pinned by patching the (unchecksummed) header version byte.
-func TestFormatV1Compat(t *testing.T) {
-	t.Run("v1 without tombstones loads", func(t *testing.T) {
-		st := store.New()
-		tb, err := st.CreateTable("a_tbl", "x", "y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.BulkLoad([]float64{1, 2, 3}, []float64{4, 5, 6}); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, snapshotStore(t, st, nil)); err != nil {
-			t.Fatal(err)
-		}
-		data := downgrade(t, buf.Bytes(), 1)
-		cat, err := Read(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("v1 snapshot rejected: %v", err)
-		}
-		fresh := restoreStore(t, cat)
-		ft, err := fresh.Table("a_tbl")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ft.NumRows() != 3 || ft.LiveRows() != 3 {
-			t.Fatalf("restored v1 table has %d/%d rows", ft.NumRows(), ft.LiveRows())
-		}
-	})
-	t.Run("tombstone section in v1 rejected", func(t *testing.T) {
-		data := downgrade(t, validSnapshotBytes(t), 1) // has tombstones
-		if _, err := Read(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("tombstone-bearing v1 file loaded: err %v, want ErrCorrupt", err)
-		}
-	})
-}
-
 // TestSnapshotTombstoneRoundTrip is the pinned (non-property) case: a
 // deleted slice stays deleted across Save→Load, and the restored table
 // serves exactly the survivors.
@@ -663,11 +613,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
-		data := append([]byte(nil), valid...)
-		data[4] = 99 // version field, little-endian low byte
-		_, err := Read(bytes.NewReader(data), int64(len(data)))
-		if !errors.Is(err, ErrVersionSkew) {
-			t.Fatalf("err = %v, want ErrVersionSkew", err)
+		// Older and newer versions alike: the decoder reads only the
+		// version this build writes.
+		for _, v := range []byte{1, 2, 3, FormatVersion + 1} {
+			data := append([]byte(nil), valid...)
+			data[4] = v // version field, little-endian low byte
+			_, err := Read(bytes.NewReader(data), int64(len(data)))
+			if !errors.Is(err, ErrVersionSkew) {
+				t.Fatalf("v%d: err = %v, want ErrVersionSkew", v, err)
+			}
 		}
 	})
 	t.Run("empty file", func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/binio"
 )
@@ -25,19 +24,13 @@ import (
 //
 // Layout (little-endian), append-only:
 //
-//	header: magic "VTLG" | uint32 format version | uint64 base epoch (v3+)
+//	header: magic "VTLG" | uint32 format version | uint64 base epoch
 //	record: uint64 payload length | payload | uint32 CRC32(payload)
-//	v2+ payload: uint32 kind | body
+//	payload: uint32 kind | body
 //	  kind 0 (append): table name | uint32 ncols | uint64 rows | ncols × F64s
 //	  kind 1 (delete): table name | uint32 npreds | npreds × (col | F64 min | F64 max)
 //
-// v1 payloads are kind-0 bodies without the kind prefix (the format
-// predates deletes); v2 added the kind prefix but no epoch. LoadTail
-// still reads both, and the first append to a legacy log rewrites it in
-// place at the current version (temp + rename) before the new record
-// lands, so one file never mixes frame layouts.
-//
-// The v3 base epoch pairs the log with the snapshot it extends: a full
+// The base epoch pairs the log with the snapshot it extends: a full
 // save stamps the snapshot with a fresh epoch and then deletes the tail
 // it folded in. If the process dies between those two steps, the
 // leftover tail's epoch is older than the snapshot's, and the loader
@@ -60,18 +53,15 @@ import (
 const (
 	// TailMagic identifies a snapshot tail log.
 	TailMagic = "VTLG"
-	// TailFormatVersion is bumped on incompatible record layout changes.
-	// v2 prefixed every payload with a record kind to make room for
-	// delete records; v3 added the base epoch to the header.
+	// TailFormatVersion is the only tail layout this build reads or
+	// writes; a log of any other version fails with ErrVersionSkew, and
+	// the caller rebuilds and re-saves. Bump it on any layout change.
 	TailFormatVersion = 3
-	// minTailFormatVersion is the oldest version LoadTail still reads.
-	minTailFormatVersion = 1
 
-	tailHeaderLen   = 8  // magic + version (v1/v2)
-	tailHeaderLenV3 = 16 // magic + version + base epoch
-	tailFrameLen    = 12
+	tailHeaderLen = 16 // magic + version + base epoch
+	tailFrameLen  = 12
 
-	// Record kinds (v2 payload prefix).
+	// Record kinds (payload prefix).
 	tailKindAppend = 0
 	tailKindDelete = 1
 )
@@ -98,10 +88,10 @@ type TailRecord struct {
 
 // AppendTail appends one batch record to the tail log at path, creating
 // the log (with its header, stamped with the catalog's save epoch) when
-// absent and upgrading a legacy log in place. Columns must be non-empty
-// and of equal length. The whole record is issued as a single write on
-// an O_APPEND descriptor, so concurrent readers of the file never
-// observe a frame boundary inside it.
+// absent. Columns must be non-empty and of equal length. The whole
+// record is issued as a single write on an O_APPEND descriptor, so
+// concurrent readers of the file never observe a frame boundary inside
+// it.
 func AppendTail(path, table string, cols [][]float64, epoch uint64) error {
 	if table == "" {
 		return errors.New("snapshot: tail append: empty table name")
@@ -174,12 +164,11 @@ func encodeTailAppend(table string, cols [][]float64) ([]byte, error) {
 }
 
 // appendTailPayload frames payload and appends it to the log, writing
-// the header first when the log is new (or its header write was torn)
-// and promoting a legacy v1/v2 log to the current version before
-// anything lands in it. A v3 log whose epoch differs from the
-// catalog's was written against a different base — its records are
-// either already folded into the snapshot we serve or unreachable from
-// it — so it is truncated and restarted rather than appended to.
+// the header first when the log is new (or its header write was torn).
+// A log whose epoch differs from the catalog's was written against a
+// different base — its records are either already folded into the
+// snapshot we serve or unreachable from it — so it is truncated and
+// restarted rather than appended to.
 func appendTailPayload(path string, payload []byte, epoch uint64) error {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -191,62 +180,25 @@ func appendTailPayload(path string, payload []byte, epoch uint64) error {
 		return fmt.Errorf("snapshot: tail append: %w", err)
 	}
 	size := st.Size()
-	if size >= tailHeaderLen {
-		var hdr [tailHeaderLenV3]byte
-		if _, err := f.ReadAt(hdr[:min(size, tailHeaderLenV3)], 0); err != nil {
-			return fmt.Errorf("snapshot: tail append: %w", err)
-		}
-		if string(hdr[:4]) != TailMagic {
-			return corrupt("tail log: bad magic %q", hdr[:4])
-		}
-		switch v := binary.LittleEndian.Uint32(hdr[4:8]); v {
-		case TailFormatVersion:
-			switch {
-			case size < tailHeaderLenV3:
-				// A torn header write: the epoch never landed, so nothing
-				// after it can be valid. Start over.
-				if err := f.Truncate(0); err != nil {
-					return fmt.Errorf("snapshot: tail append: %w", err)
-				}
-				size = 0
-			case binary.LittleEndian.Uint64(hdr[8:16]) != epoch:
-				// A stale log from another save generation (e.g. the crash
-				// window between writing a snapshot and removing the tail it
-				// folded in). Its records must never replay against the
-				// current base; restart the log for this epoch.
-				if err := f.Truncate(0); err != nil {
-					return fmt.Errorf("snapshot: tail append: %w", err)
-				}
-				size = 0
-			}
-		case 1, 2:
-			// A log written by an older build: re-frame it at the current
-			// version in place (temp + rename, same crash guarantee as
-			// Save) and append to the promoted file.
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("snapshot: tail append: %w", err)
-			}
-			if err := promoteTail(path, epoch); err != nil {
-				return fmt.Errorf("snapshot: tail append: promote v%d log: %w", v, err)
-			}
-			if f, err = fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-				return fmt.Errorf("snapshot: tail append: %w", err)
-			}
-			if st, err = f.Stat(); err != nil {
-				return fmt.Errorf("snapshot: tail append: %w", err)
-			}
-			size = st.Size()
-		default:
-			return fmt.Errorf("%w: tail log is format v%d, this build writes v%d", ErrVersionSkew, v, TailFormatVersion)
-		}
-	} else if size > 0 {
-		// A torn header write; nothing after it can be valid. Start over.
+	hdr := make([]byte, min(size, tailHeaderLen))
+	if _, err := f.ReadAt(hdr, 0); err != nil {
+		return fmt.Errorf("snapshot: tail append: %w", err)
+	}
+	if err := checkTailHeader(hdr); err != nil {
+		return err
+	}
+	// A torn header write (the epoch never landed, so nothing after it
+	// can be valid) or a stale log from another save generation (e.g. the
+	// crash window between writing a snapshot and removing the tail it
+	// folded in), whose records must never replay against the current
+	// base: restart the log for this epoch.
+	if size > 0 && (size < tailHeaderLen || binary.LittleEndian.Uint64(hdr[8:]) != epoch) {
 		if err := f.Truncate(0); err != nil {
 			return fmt.Errorf("snapshot: tail append: %w", err)
 		}
 		size = 0
 	}
-	buf := make([]byte, 0, tailHeaderLenV3+tailFrameLen+len(payload))
+	buf := make([]byte, 0, tailHeaderLen+tailFrameLen+len(payload))
 	if size == 0 {
 		buf = append(buf, TailMagic...)
 		buf = binary.LittleEndian.AppendUint32(buf, TailFormatVersion)
@@ -271,78 +223,31 @@ func appendTailPayload(path string, payload []byte, epoch uint64) error {
 	return f.Close()
 }
 
-// promoteTail rewrites the legacy v1/v2 log at path at the current
-// version with the given base epoch, atomically.
-func promoteTail(path string, epoch uint64) error {
-	recs, _, err := LoadTail(path)
-	if err != nil {
-		return err
+// checkTailHeader validates the magic and format version in a log's
+// leading bytes. Fewer than the 8 bytes of magic + version is a torn
+// first write, which is the caller's to handle, not an error.
+func checkTailHeader(hdr []byte) error {
+	if len(hdr) < 8 {
+		return nil
 	}
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, ".tail-*.tmp")
-	if err != nil {
-		return err
+	if string(hdr[:4]) != TailMagic {
+		return corrupt("tail log: bad magic %q", hdr[:4])
 	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		fsys.Remove(tmp)
-	}
-	buf := make([]byte, 0, tailHeaderLenV3)
-	buf = append(buf, TailMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, TailFormatVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	if _, err := f.Write(buf); err != nil {
-		cleanup()
-		return err
-	}
-	for _, rec := range recs {
-		var payload []byte
-		if rec.Delete {
-			payload, err = encodeTailDelete(rec.Table, rec.Preds)
-		} else {
-			payload, err = encodeTailAppend(rec.Table, rec.Cols)
-		}
-		if err != nil {
-			cleanup()
-			return err
-		}
-		frame := make([]byte, 0, tailFrameLen+len(payload))
-		frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
-		frame = append(frame, payload...)
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-		if _, err := f.Write(frame); err != nil {
-			cleanup()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Chmod(tmp, 0o644); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != TailFormatVersion {
+		return fmt.Errorf("%w: tail log is format v%d, this build reads and writes only v%d",
+			ErrVersionSkew, v, TailFormatVersion)
 	}
 	return nil
 }
 
 // LoadTail reads every complete record of the tail log at path and the
-// base epoch the log was written against (zero for legacy v1/v2 logs).
-// A missing file is an empty tail (nil, 0, nil). An incomplete final
-// record — the expected remnant of a crash mid-append — is dropped
-// silently; checksum mismatches, bad framing, and version skew return
-// an error (ErrCorrupt / ErrVersionSkew) so the caller can fall back to
-// a full rebuild instead of serving a half-trusted tail. v1 logs (all
-// records are appends) load transparently.
+// base epoch the log was written against. A missing file, or one too
+// short to hold the header (a torn first write), is an empty tail
+// (nil, 0, nil). An incomplete final record — the expected remnant of a
+// crash mid-append — is dropped silently; checksum mismatches, bad
+// framing, and version skew return an error (ErrCorrupt /
+// ErrVersionSkew) so the caller can fall back to a full rebuild instead
+// of serving a half-trusted tail.
 func LoadTail(path string) ([]TailRecord, uint64, error) {
 	raw, err := fsys.ReadFile(path)
 	if err != nil {
@@ -351,29 +256,14 @@ func LoadTail(path string) ([]TailRecord, uint64, error) {
 		}
 		return nil, 0, err
 	}
+	if err := checkTailHeader(raw); err != nil {
+		return nil, 0, err
+	}
 	if len(raw) < tailHeaderLen {
-		// Too short to even hold the header: a torn first write.
 		return nil, 0, nil
 	}
-	if string(raw[:4]) != TailMagic {
-		return nil, 0, corrupt("tail log: bad magic %q", raw[:4])
-	}
-	version := binary.LittleEndian.Uint32(raw[4:8])
-	if version < minTailFormatVersion || version > TailFormatVersion {
-		return nil, 0, fmt.Errorf("%w: tail log is format v%d, this build reads v%d–v%d",
-			ErrVersionSkew, version, minTailFormatVersion, TailFormatVersion)
-	}
-	var epoch uint64
+	epoch := binary.LittleEndian.Uint64(raw[8:16])
 	off := tailHeaderLen
-	if version >= 3 {
-		if len(raw) < tailHeaderLenV3 {
-			// The epoch half of the header never landed: a torn first
-			// write, nothing after it can be valid.
-			return nil, 0, nil
-		}
-		epoch = binary.LittleEndian.Uint64(raw[8:16])
-		off = tailHeaderLenV3
-	}
 	var recs []TailRecord
 	for ri := 0; off < len(raw); ri++ {
 		if len(raw)-off < 8 {
@@ -388,7 +278,7 @@ func LoadTail(path string) ([]TailRecord, uint64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return nil, 0, corrupt("tail log record %d checksum mismatch", ri)
 		}
-		rec, err := decodeTailRecord(payload, ri, version)
+		rec, err := decodeTailRecord(payload, ri)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -398,14 +288,10 @@ func LoadTail(path string) ([]TailRecord, uint64, error) {
 	return recs, epoch, nil
 }
 
-func decodeTailRecord(payload []byte, ri int, version uint32) (TailRecord, error) {
+func decodeTailRecord(payload []byte, ri int) (TailRecord, error) {
 	var rec TailRecord
 	pr := binio.NewReader(bytes.NewReader(payload), int64(len(payload)))
-	kind := uint32(tailKindAppend)
-	if version >= 2 {
-		kind = pr.U32()
-	}
-	switch kind {
+	switch kind := pr.U32(); kind {
 	case tailKindAppend:
 		rec.Table = pr.String(maxNameLen)
 		ncols := pr.U32()

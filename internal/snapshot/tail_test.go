@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -9,9 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/binio"
-	"repro/internal/fault"
 )
 
 func TestTailRoundTrip(t *testing.T) {
@@ -110,7 +106,7 @@ func TestTailCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte (inside the record, past header + frame len).
-	raw[tailHeaderLenV3+8+4] ^= 0x40
+	raw[tailHeaderLen+8+4] ^= 0x40
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -119,22 +115,31 @@ func TestTailCorruptionRejected(t *testing.T) {
 	}
 }
 
+// TestTailVersionSkewRejected: a log stamped with any version but the
+// one this build writes — older or newer — is refused by both the
+// loader and the appender, never read or extended.
 func TestTailVersionSkewRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "catalog.tail")
 	if err := AppendTail(path, "gps", [][]float64{{1}, {2}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	valid, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[4:8], TailFormatVersion+1)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadTail(path); !errors.Is(err, ErrVersionSkew) {
-		t.Fatalf("version-skewed tail loaded: err %v, want ErrVersionSkew", err)
+	for _, v := range []uint32{1, 2, 4} {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(raw[4:8], v)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadTail(path); !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("v%d tail loaded: err %v, want ErrVersionSkew", v, err)
+		}
+		if err := AppendTail(path, "gps", [][]float64{{3}, {4}}, 0); !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("v%d tail appended to: err %v, want ErrVersionSkew", v, err)
+		}
 	}
 }
 
@@ -152,33 +157,6 @@ func TestRemoveTail(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("tail still present after RemoveTail")
-	}
-}
-
-// writeV1Tail fabricates a pre-delete (v1) tail log byte-for-byte: the
-// same framing, but payloads carry no record-kind prefix.
-func writeV1Tail(t *testing.T, path string, batches []TailRecord) {
-	t.Helper()
-	buf := []byte(TailMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, 1)
-	for _, b := range batches {
-		var payload bytes.Buffer
-		pw := binio.NewWriter(&payload)
-		pw.String(b.Table)
-		pw.U32(uint32(len(b.Cols)))
-		pw.U64(uint64(len(b.Cols[0])))
-		for _, c := range b.Cols {
-			pw.F64s(c)
-		}
-		if err := pw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(payload.Len()))
-		buf = append(buf, payload.Bytes()...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload.Bytes()))
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -231,63 +209,7 @@ func TestTailDeleteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTailV1PromotedOnAppend: the first append (row batch or delete) to
-// a v1 log rewrites it as v2 with every old record intact, so one file
-// never mixes payload layouts.
-func TestTailV1PromotedOnAppend(t *testing.T) {
-	for _, mode := range []string{"append", "delete"} {
-		t.Run(mode, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "catalog.tail")
-			writeV1Tail(t, path, []TailRecord{
-				{Table: "gps", Cols: [][]float64{{1, 2}, {3, 4}}},
-				{Table: "gps", Cols: [][]float64{{math.NaN()}, {5}}},
-			})
-			// Sanity: the v1 bytes load as-is.
-			if recs, _, err := LoadTail(path); err != nil || len(recs) != 2 {
-				t.Fatalf("v1 load: %d records, err %v", len(recs), err)
-			}
-			var err error
-			if mode == "append" {
-				err = AppendTail(path, "gps", [][]float64{{7}, {8}}, 0)
-			} else {
-				err = AppendTailDelete(path, "gps", []TailPred{{Col: "x", Min: 0, Max: 1}}, 0)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v := binary.LittleEndian.Uint32(raw[4:8]); v != TailFormatVersion {
-				t.Fatalf("log is still v%d after promotion", v)
-			}
-			recs, _, err := LoadTail(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != 3 {
-				t.Fatalf("loaded %d records after promotion, want 3", len(recs))
-			}
-			if recs[0].Cols[0][0] != 1 || !math.IsNaN(recs[1].Cols[0][0]) {
-				t.Fatal("v1 records mangled by promotion")
-			}
-			if (recs[2].Delete) != (mode == "delete") {
-				t.Fatalf("new record Delete = %t in mode %s", recs[2].Delete, mode)
-			}
-			// No temp file left behind.
-			entries, err := os.ReadDir(filepath.Dir(path))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != 1 {
-				t.Fatalf("directory holds %d entries after promotion", len(entries))
-			}
-		})
-	}
-}
-
-// TestTailUnknownKindRejected: a well-framed v2 record with a kind this
+// TestTailUnknownKindRejected: a well-framed record with a kind this
 // build does not know is corruption, not a silent skip — replay order
 // matters, so an unreplayable mutation poisons the log.
 func TestTailUnknownKindRejected(t *testing.T) {
@@ -341,79 +263,6 @@ func TestTailTornDeleteDropped(t *testing.T) {
 		}
 		if len(recs) != 1 || recs[0].Delete {
 			t.Fatalf("cut at %d: got %d records, want the 1 intact append", cut, len(recs))
-		}
-	}
-}
-
-// TestTailPromotionCrashRecovery crashes the legacy v1→v3 promotion at
-// every mutating file-op site (satellite of the ISSUE 10 torture
-// suite): promotion is temp-write + rename, so whatever site the crash
-// hits, LoadTail afterwards must see either the intact legacy records
-// or the fully promoted log (with the triggering append optionally
-// landed) — never a torn mix, never an error.
-func TestTailPromotionCrashRecovery(t *testing.T) {
-	legacy := []TailRecord{
-		{Table: "gps", Cols: [][]float64{{1, 2}, {3, 4}}},
-		{Table: "gps", Cols: [][]float64{{5}, {6}}},
-	}
-	newCols := [][]float64{{7}, {8}}
-	write := func(path string) { writeV1Tail(t, path, legacy) }
-
-	// Recording pass: count the mutating ops of promote-then-append.
-	recPath := filepath.Join(t.TempDir(), "catalog.tail")
-	write(recPath)
-	rec := fault.NewInjector(nil)
-	restore := SetFS(rec)
-	if err := AppendTail(recPath, "gps", newCols, 9); err != nil {
-		restore()
-		t.Fatal(err)
-	}
-	restore()
-	sites := rec.Log()
-	if len(sites) == 0 {
-		t.Fatal("promotion performed no mutating ops")
-	}
-
-	for k, site := range sites {
-		for _, torn := range []bool{false, true} {
-			if torn && site.Op != fault.OpWrite {
-				continue
-			}
-			dir := t.TempDir()
-			path := filepath.Join(dir, "catalog.tail")
-			write(path)
-			inj := fault.NewInjector(nil)
-			inj.CrashAt(k, torn)
-			restore := SetFS(inj)
-			if err := AppendTail(path, "gps", newCols, 9); err == nil {
-				restore()
-				t.Fatalf("site %d: crash-armed append succeeded", k)
-			}
-			restore()
-			recs, _, err := LoadTail(path)
-			if err != nil {
-				t.Fatalf("site %d (%s, torn=%t): post-crash load: %v", k, site.Op, torn, err)
-			}
-			if len(recs) != 2 && len(recs) != 3 {
-				t.Fatalf("site %d (%s, torn=%t): %d records after crash, want 2 or 3", k, site.Op, torn, len(recs))
-			}
-			for i, want := range legacy {
-				got := recs[i]
-				if got.Table != want.Table || len(got.Cols) != len(want.Cols) {
-					t.Fatalf("site %d: legacy record %d mangled: %+v", k, i, got)
-				}
-				for c := range want.Cols {
-					for r := range want.Cols[c] {
-						if got.Cols[c][r] != want.Cols[c][r] {
-							t.Fatalf("site %d: legacy record %d col %d row %d: %v != %v",
-								k, i, c, r, got.Cols[c][r], want.Cols[c][r])
-						}
-					}
-				}
-			}
-			if len(recs) == 3 && recs[2].Cols[0][0] != 7 {
-				t.Fatalf("site %d: appended record mangled: %+v", k, recs[2])
-			}
 		}
 	}
 }

@@ -62,17 +62,6 @@ func (t *Table) SetIndexBackend(mode string) error {
 	return nil
 }
 
-// IndexBackend returns the table's current backend policy string.
-func (t *Table) IndexBackend() string {
-	switch t.backendMode.Load() {
-	case backendGrid:
-		return BackendGrid
-	case backendRTree:
-		return BackendRTree
-	}
-	return BackendAuto
-}
-
 func parseBackendMode(mode string) (int32, error) {
 	switch mode {
 	case BackendAuto, "":

@@ -1,12 +1,12 @@
 package store
 
-// Skew and kNN benchmarks for the pluggable-backend work (ISSUE 9
-// acceptance): the same clustered 1M-row table served by the grid and
-// the STR R-tree under a 1% filtered viewport that clips the dense
-// region — the shape the grid degrades on, because its fixed cells
-// force a row-by-row sweep of the cluster — plus kNN latency through
-// the tree's best-first descent vs the brute-force sweep grid-backed
-// tables fall back to. `make bench` records these in BENCH_PR9.json.
+// Skew and kNN microbenchmarks for the index backends: the same
+// clustered 1M-row table served by the grid and the STR R-tree under a
+// 1% filtered viewport that clips the dense region — the shape the grid
+// degrades on, because its fixed cells force a row-by-row sweep of the
+// cluster — plus kNN latency through the tree's best-first descent vs
+// the brute-force sweep grid-backed tables fall back to. `make
+// bench-smoke` runs them once each.
 
 import (
 	"math/rand"

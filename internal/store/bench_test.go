@@ -1,10 +1,11 @@
 package store
 
-// Serving benchmarks for the read-path refactor (ISSUE 2 acceptance):
-// viewport queries as index probes vs the pre-index linear baseline, the
-// parallel sharded scan the exact path falls back to, and the
-// zero-row-id-allocation full-extent projection. `make bench` runs these
-// and writes BENCH_PR2.json.
+// Serving microbenchmarks for the read path: viewport queries as index
+// probes vs the pre-index linear baseline, the parallel sharded scan the
+// exact path falls back to, and the zero-row-id-allocation full-extent
+// projection. They are developer tools (go test -bench); `make
+// bench-smoke` keeps them compiling and running, and end-to-end claims
+// go through bench/ (bash bench/run.sh).
 
 import (
 	"math"

@@ -448,6 +448,8 @@ func TestScanRectsUnion(t *testing.T) {
 	}
 }
 
+// TestRowSetSubtract pins the tombstone refine pass, subtractBitmap,
+// against a brute-force difference over every RowSet representation.
 func TestRowSetSubtract(t *testing.T) {
 	mk := func(ids ...int) RowSet { return rowSetFromSorted(ids) }
 	brute := func(s, d RowSet) []int {
@@ -461,7 +463,7 @@ func TestRowSetSubtract(t *testing.T) {
 	}
 	check := func(s, d RowSet, label string) {
 		t.Helper()
-		got := s.Subtract(d).Indices()
+		got := s.subtractBitmap(bitmapFromSorted(d.Indices())).Indices()
 		want := brute(s, d)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
@@ -473,15 +475,16 @@ func TestRowSetSubtract(t *testing.T) {
 		}
 	}
 
-	// Sentinel algebra.
-	if !mk(1, 2, 3).Subtract(All).IsEmpty() {
-		t.Error("s - All should be empty")
+	// Sentinels: no dead set leaves s as it is, and an empty s stays
+	// empty.
+	if got := mk(1, 2, 3).subtractBitmap(nil); got.Len() != 3 {
+		t.Errorf("s - nil = %d rows, want 3", got.Len())
 	}
-	if !All.Subtract(RowSet{}).IsAll() {
-		t.Error("All - empty should stay All")
+	if !All.subtractBitmap(bitmapFromSorted([]int{1})).IsAll() {
+		t.Error("All - dead should stay All (operators resolve All first)")
 	}
-	if !(RowSet{}).Subtract(mk(1)).IsEmpty() {
-		t.Error("empty - s should stay empty")
+	if !(RowSet{}).subtractBitmap(bitmapFromSorted([]int{1})).IsEmpty() {
+		t.Error("empty - dead should stay empty")
 	}
 
 	check(RowRange(10, 50), RowRange(20, 30), "range minus middle range")
@@ -491,6 +494,7 @@ func TestRowSetSubtract(t *testing.T) {
 	check(mk(1, 5, 9, 64, 65, 200), mk(5, 65), "ids minus ids")
 	check(mk(1, 5, 9), mk(100, 200), "ids minus disjoint ids")
 	check(RowRange(0, 300), mk(0, 64, 128, 299), "range minus sparse ids")
+	check(RowSet{bm: bitmapFromSorted([]int{0, 3, 64, 65, 130}), end: -1}, mk(3, 65, 200), "bitmap minus ids")
 
 	rng := rand.New(rand.NewSource(5))
 	randSet := func() RowSet {

@@ -11,7 +11,7 @@ import (
 
 // TestFilteredScanHammer hammers one table with concurrent Append
 // (absorbed into delta buckets), IndexOn rebuilds, background-style
-// Compact calls, store-level DropTable/CreateTable churn, and filtered
+// Compact calls, store-level table replacement churn, and filtered
 // ScanRectWhere readers. It extends the PR 1 scan-vs-reload pattern to
 // the predicate-pushdown and delta-compaction paths and asserts, under
 // -race, snapshot consistency: a reader can never panic, never sees a
@@ -165,18 +165,19 @@ func TestFilteredScanHammer(t *testing.T) {
 		}
 	}()
 
-	// Catalog churn: drop and recreate the table name in the store, the
-	// way sample replacement does. Readers keep their handle to the
-	// original table, which stays fully usable after the drop.
+	// Catalog churn: replace the table name in the store with a fresh
+	// table, the way a snapshot load does. Readers keep their handle to
+	// the original table, which stays fully usable after it is replaced.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for time.Now().Before(deadline) {
-			if err := st.DropTable("h"); err != nil {
+			fresh, err := NewTable("h", "x", "y", "m")
+			if err != nil {
 				report(err)
 				return
 			}
-			if _, err := st.CreateTable("h", "x", "y", "m"); err != nil {
+			if err := st.PublishCatalog([]*Table{fresh}, nil); err != nil {
 				report(err)
 				return
 			}

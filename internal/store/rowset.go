@@ -234,50 +234,6 @@ func (s RowSet) Intersect(t RowSet) RowSet {
 	return rowSetFromSorted(ids)
 }
 
-// Subtract returns the set of rows in s but not in t — the
-// intersect-with-complement the tombstone read path is built on. Two
-// word-aligned representations subtract word-wise (AND-NOT); a dense
-// range minus a range splits into at most two runs; everything else
-// falls back to iterating s and probing t. All absorbs on the right
-// (s − All = ∅). All on the left is returned unchanged when t is
-// empty; operators resolve All against their own snapshot before any
-// subtraction, so a non-empty t never meets an unresolved All here.
-func (s RowSet) Subtract(t RowSet) RowSet {
-	if t.all {
-		return RowSet{}
-	}
-	if s.all || s.IsEmpty() || t.IsEmpty() {
-		return s
-	}
-	if t.bm != nil {
-		return s.subtractBitmap(t.bm)
-	}
-	if ts, te, ok := t.AsRange(); ok {
-		sMin, _ := s.Min()
-		sMax, _ := s.Max()
-		if te <= sMin || ts > sMax {
-			return s
-		}
-		lo := s.Intersect(RowRange(sMin, ts))
-		hi := s.Intersect(RowRange(te, sMax+1))
-		return lo.Union(hi)
-	}
-	// t is an explicit id list. When its span is bitmap-friendly, route
-	// through the word-wise path; otherwise probe per row.
-	tMin, _ := t.Min()
-	tMax, _ := t.Max()
-	if tMax-tMin+1 <= len(t.ids)*64 {
-		return s.subtractBitmap(bitmapFromSorted(t.ids))
-	}
-	ids := make([]int, 0, s.Len())
-	s.ForEach(func(r int) {
-		if !t.Contains(r) {
-			ids = append(ids, r)
-		}
-	})
-	return rowSetFromSorted(ids)
-}
-
 // subtractBitmap removes the rows set in dead from s. It is the
 // tombstone refine pass: dense ranges and bitmaps subtract word-wise,
 // id lists compact through filterDeadInts on a copy. A nil or empty

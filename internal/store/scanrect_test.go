@@ -703,14 +703,18 @@ func TestIndexStats(t *testing.T) {
 	if got.Probes != 1 || got.Fallbacks != 1 {
 		t.Errorf("probes=%d fallbacks=%d, want 1 and 1", got.Probes, got.Fallbacks)
 	}
-	// Dropping the table must not decrease the usage totals: they are
-	// exported as Prometheus counters, and a sample replacement drops and
-	// recreates tables routinely.
-	if err := s.DropTable("base"); err != nil {
+	// Replacing the table must not decrease the usage totals: they are
+	// exported as Prometheus counters, and sample rebuilds and snapshot
+	// loads replace tables routinely.
+	fresh, err := NewTable("base", "x", "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PublishCatalog([]*Table{fresh}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got = s.IndexStats()
 	if got.Probes != 1 || got.Fallbacks != 1 {
-		t.Errorf("post-drop probes=%d fallbacks=%d, want counters to survive the drop", got.Probes, got.Fallbacks)
+		t.Errorf("post-replace probes=%d fallbacks=%d, want counters to survive the replacement", got.Probes, got.Fallbacks)
 	}
 }

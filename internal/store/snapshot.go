@@ -106,13 +106,11 @@ type TableSnapshot struct {
 	Cols    [][]float64
 	NumRows int
 	Indexes []IndexSnapshot
-	// TreeIndexes holds the R-tree-backed indexes (snapshot format v3;
-	// empty in files written before the tree backend existed).
+	// TreeIndexes holds the R-tree-backed indexes.
 	TreeIndexes []TreeIndexSnapshot
 	// Dead holds the ascending, duplicate-free ids of tombstoned rows —
 	// deleted but not yet physically reclaimed at capture time. Empty
-	// for snapshots from before the retention layer (and after every
-	// reclaiming compaction).
+	// after every reclaiming compaction.
 	Dead []int32
 }
 
@@ -613,24 +611,6 @@ func (s *Store) SnapshotCatalog() ([]TableSnapshot, []SampleMeta) {
 		}
 	}
 	return tables, metas
-}
-
-// PublishIndexedTable registers a fully materialized table — built with
-// BulkLoad/IndexOn or restored by TableFromSnapshot — as a base table,
-// atomically replacing any existing table of the same name (and that
-// table's sample registrations) in the same critical section.
-func (s *Store) PublishIndexedTable(t *Table) error {
-	if t == nil {
-		return errors.New("store: publish: nil table")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.tables[t.name]; ok && existing == t {
-		return fmt.Errorf("store: publish: table %q is already registered", t.name)
-	}
-	s.dropLocked(t.name)
-	s.tables[t.name] = t
-	return nil
 }
 
 // PublishCatalog atomically installs a set of fully materialized tables

@@ -205,31 +205,6 @@ func TestTableFromSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestPublishIndexedTableReplaces(t *testing.T) {
-	s := New()
-	t1 := buildSnapshotTable(t, 500, 3)
-	if err := s.PublishIndexedTable(t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PublishIndexedTable(t1); err == nil {
-		t.Fatal("re-publishing the same table pointer should fail")
-	}
-	t2, err := TableFromSnapshot(t1.SnapshotGeneration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PublishIndexedTable(t2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Table("snaptest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != t2 {
-		t.Fatal("publish did not replace the previous table")
-	}
-}
-
 func TestPublishCatalogAtomicity(t *testing.T) {
 	s := New()
 	// Pre-existing content that a failed publish must not disturb.

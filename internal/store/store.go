@@ -103,10 +103,11 @@ const (
 )
 
 // tableCounters is a table's read-path usage block, for /metrics. It is
-// allocated separately from the Table so a Store can retain it past
-// DropTable: increments from scans still in flight on the dropped table
-// keep landing in the retained block, which keeps the store aggregates
-// monotonic (they are exported as Prometheus _total series).
+// allocated separately from the Table so a Store can retain it after
+// the table is replaced (PublishSample, PublishCatalog): increments
+// from scans still in flight on the replaced table keep landing in the
+// retained block, which keeps the store aggregates monotonic (they are
+// exported as Prometheus _total series).
 type tableCounters struct {
 	indexProbes   atomic.Int64 // ScanRect answered from a spatial index
 	scanFallbacks atomic.Int64 // ScanRect fell back to a linear scan
@@ -1103,21 +1104,9 @@ func (s *Store) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table and any sample metadata pointing at it. The
+// dropLocked removes a table and every catalog reference to it. The
 // table's read-path counter block is retained so the aggregate stats
-// stay monotonic.
-func (s *Store) DropTable(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tables[name]; !ok {
-		return fmt.Errorf("store: table %q: %w", name, ErrNotFound)
-	}
-	s.dropLocked(name)
-	return nil
-}
-
-// dropLocked removes a table and every catalog reference to it. Caller
-// holds s.mu.
+// stay monotonic. Caller holds s.mu.
 func (s *Store) dropLocked(name string) {
 	t, ok := s.tables[name]
 	if !ok {

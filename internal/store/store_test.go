@@ -228,32 +228,6 @@ func TestStoreCatalog(t *testing.T) {
 	}
 }
 
-func TestDropTable(t *testing.T) {
-	s := New()
-	s.CreateTable("base", "x", "y")
-	s.CreateTable("samp", "x", "y")
-	s.RegisterSample(SampleMeta{Table: "samp", Source: "base", Method: "vas", Size: 10})
-	// Dropping the sample table removes its catalog entry.
-	if err := s.DropTable("samp"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SamplesOf("base"); len(got) != 0 {
-		t.Errorf("sample meta survived drop: %+v", got)
-	}
-	if err := s.DropTable("samp"); err == nil {
-		t.Error("double drop: want error")
-	}
-	// Dropping the source removes its sample list.
-	s.CreateTable("samp2", "x", "y")
-	s.RegisterSample(SampleMeta{Table: "samp2", Source: "base", Method: "vas", Size: 10})
-	if err := s.DropTable("base"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SamplesOf("base"); len(got) != 0 {
-		t.Error("source drop left sample metadata")
-	}
-}
-
 func TestPublishSampleReplacesAtomically(t *testing.T) {
 	s := New()
 	base, _ := s.CreateTable("base", "x", "y")

@@ -241,18 +241,6 @@ func (c *Cache) InvalidateTable(table string) int {
 	return n
 }
 
-// InvalidateAll empties the cache.
-func (c *Cache) InvalidateAll() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, e := range s.entries {
-			s.remove(e)
-		}
-		s.mu.Unlock()
-	}
-}
-
 // Stats is a point-in-time cache counter snapshot.
 type Stats struct {
 	// Hits counts lookups served from the cache.

@@ -216,10 +216,6 @@ func TestInvalidateTable(t *testing.T) {
 			t.Fatalf("unrelated tile %d was invalidated", i)
 		}
 	}
-	c.InvalidateAll()
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("InvalidateAll left %+v", st)
-	}
 }
 
 func TestConcurrentMixedUse(t *testing.T) {

@@ -37,21 +37,10 @@ func (w *WeightedSample) TotalCount() int64 {
 	return t
 }
 
-// MaxCount returns the largest per-point count, used to normalize visual
-// encodings.
-func (w *WeightedSample) MaxCount() int64 {
-	var m int64
-	for _, c := range w.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
 // DensityPass performs the §V second pass: for every dataset point it finds
-// the nearest sample point with a k-d tree (O(log K) per point, O(N log K)
-// total) and increments that sample point's counter.
+// the nearest sample point through a packed STR tree over the sample
+// (strtree.Build; O(log K) per point, O(N log K) total) and increments
+// that sample point's counter.
 //
 // sample and ids must be parallel slices as returned by Interchange.Sample
 // and Interchange.SampleIDs; ids may be nil when the caller does not track
@@ -80,53 +69,4 @@ func DensityPass(sample []geom.Point, ids []int, data []geom.Point) (*WeightedSa
 		ws.IDs = append([]int(nil), ids...)
 	}
 	return ws, nil
-}
-
-// DensityPassStream is DensityPass for callers that cannot materialize the
-// dataset: it returns an accumulator with an Add method and a Finish method
-// producing the WeightedSample. This mirrors how the paper describes the
-// pass — "while scanning the dataset once more" — and is what cmd/vasgen
-// uses for CSV streams.
-type DensityAccumulator struct {
-	tree   *strtree.Tree
-	sample []geom.Point
-	ids    []int
-	counts []int64
-	n      int64
-}
-
-// NewDensityAccumulator prepares a streaming density pass over the sample.
-func NewDensityAccumulator(sample []geom.Point, ids []int) (*DensityAccumulator, error) {
-	if len(sample) == 0 {
-		return nil, errors.New("vas: density pass needs a non-empty sample")
-	}
-	if ids != nil && len(ids) != len(sample) {
-		return nil, fmt.Errorf("vas: ids length %d != sample length %d", len(ids), len(sample))
-	}
-	return &DensityAccumulator{
-		tree:   strtree.Build(sample, nil),
-		sample: append([]geom.Point(nil), sample...),
-		ids:    append([]int(nil), ids...),
-		counts: make([]int64, len(sample)),
-	}, nil
-}
-
-// Add routes one dataset point to its nearest sample point.
-func (d *DensityAccumulator) Add(p geom.Point) {
-	i, _, _, _ := d.tree.Nearest(p)
-	d.counts[i]++
-	d.n++
-}
-
-// Seen returns how many dataset points have been added.
-func (d *DensityAccumulator) Seen() int64 { return d.n }
-
-// Finish returns the weighted sample. The accumulator remains usable; the
-// returned counts are a snapshot.
-func (d *DensityAccumulator) Finish() *WeightedSample {
-	return &WeightedSample{
-		Points: append([]geom.Point(nil), d.sample...),
-		IDs:    append([]int(nil), d.ids...),
-		Counts: append([]int64(nil), d.counts...),
-	}
 }

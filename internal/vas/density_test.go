@@ -24,9 +24,6 @@ func TestDensityPassCountsSumToN(t *testing.T) {
 	if ws.Len() != 50 {
 		t.Errorf("weighted sample has %d points", ws.Len())
 	}
-	if ws.MaxCount() <= 0 {
-		t.Error("max count should be positive")
-	}
 }
 
 func TestDensityPassNearestAssignment(t *testing.T) {
@@ -85,45 +82,6 @@ func TestDensityPassErrors(t *testing.T) {
 	}
 	if _, err := DensityPass(clusteredPoints(3, 4), []int{1}, nil); err == nil {
 		t.Error("ids length mismatch: want error")
-	}
-}
-
-func TestDensityAccumulatorMatchesBatch(t *testing.T) {
-	data := clusteredPoints(2000, 5)
-	sample := clusteredPoints(30, 6)
-	batch, err := DensityPass(sample, nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := NewDensityAccumulator(sample, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range data {
-		acc.Add(p)
-	}
-	if acc.Seen() != int64(len(data)) {
-		t.Errorf("Seen = %d", acc.Seen())
-	}
-	stream := acc.Finish()
-	for i := range batch.Counts {
-		if batch.Counts[i] != stream.Counts[i] {
-			t.Fatalf("counts[%d]: batch %d, stream %d", i, batch.Counts[i], stream.Counts[i])
-		}
-	}
-	// Finish returns a snapshot: further Adds must not mutate it.
-	acc.Add(data[0])
-	if stream.Counts[0] != batch.Counts[0] {
-		t.Error("Finish did not snapshot counts")
-	}
-}
-
-func TestDensityAccumulatorErrors(t *testing.T) {
-	if _, err := NewDensityAccumulator(nil, nil); err == nil {
-		t.Error("empty sample: want error")
-	}
-	if _, err := NewDensityAccumulator(clusteredPoints(3, 7), []int{1, 2}); err == nil {
-		t.Error("ids mismatch: want error")
 	}
 }
 

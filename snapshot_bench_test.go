@@ -1,11 +1,11 @@
 package vas_test
 
-// Cold-start benchmarks (ISSUE 4 acceptance): the cost of bringing a
-// 1M-row serving catalog up from nothing — the offline path vasserve
-// pays on every start without persistence — against the cost of
-// restoring the identical catalog from a snapshot file. The two numbers
-// land in BENCH_PR4.json via `make bench`; the snapshot path must be at
-// least 10x faster.
+// Cold-start microbenchmarks: the cost of bringing a 1M-row serving
+// catalog up from nothing — the offline path vasserve pays on every
+// start without persistence — against the cost of restoring the
+// identical catalog from a snapshot file; the snapshot path should be
+// at least 10x faster. `make bench-smoke` runs them once each; the
+// end-to-end restart cost is bench/'s restart_ms on cold_build.
 
 import (
 	"os"

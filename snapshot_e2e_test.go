@@ -212,6 +212,25 @@ func TestLoadSnapshotRejectsCorruptionAndKeepsServing(t *testing.T) {
 		}
 	}
 
+	// A file stamped with an older format version is version skew — the
+	// typed cue vasserve rebuilds on — not data, and the live catalog
+	// keeps serving what it had.
+	old := append([]byte(nil), data...)
+	old[4] = 3 // format version field, little-endian low byte
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.LoadSnapshot(dir); !errors.Is(err, snapshot.ErrVersionSkew) {
+		t.Fatalf("v3-stamped snapshot: err %v, want ErrVersionSkew", err)
+	}
+	after, err := cat.Query("gps", vas.Rect{}, 0)
+	if err != nil {
+		t.Fatalf("v3-stamped snapshot: live catalog stopped serving: %v", err)
+	}
+	if len(after.Points) != len(before.Points) || after.SampleSize != before.SampleSize {
+		t.Fatal("v3-stamped snapshot: live catalog changed after a failed load")
+	}
+
 	// A missing snapshot directory is a plain error, not a panic.
 	if err := vas.NewCatalog().LoadSnapshot(filepath.Join(dir, "nope")); err == nil {
 		t.Fatal("missing snapshot dir was accepted")

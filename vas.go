@@ -1107,17 +1107,13 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 	// a LATER epoch than the base can only mean the base file was
 	// swapped or rolled back underneath the log — replaying it against
 	// the wrong base would publish rows that were never acknowledged
-	// together, so reject the load. Epoch zero on either side means a
-	// pre-epoch (v≤3 snapshot / v≤2 tail) file: replay unconditionally,
-	// as those formats always did.
-	if tailEpoch != 0 && cat.Epoch != 0 {
-		switch {
-		case tailEpoch < cat.Epoch:
-			tail = nil
-		case tailEpoch > cat.Epoch:
-			return fmt.Errorf("vas: snapshot tail %s: %w: tail epoch %d is newer than snapshot epoch %d",
-				filepath.Join(dir, TailFile), snapshot.ErrCorrupt, tailEpoch, cat.Epoch)
-		}
+	// together, so reject the load.
+	switch {
+	case tailEpoch < cat.Epoch:
+		tail = nil
+	case tailEpoch > cat.Epoch:
+		return fmt.Errorf("vas: snapshot tail %s: %w: tail epoch %d is newer than snapshot epoch %d",
+			filepath.Join(dir, TailFile), snapshot.ErrCorrupt, tailEpoch, cat.Epoch)
 	}
 	frac := c.compactFrac
 	mode := c.indexBackend
