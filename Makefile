@@ -21,8 +21,10 @@ SERVING_BENCH ?= QueryViewport|ExactScanParallel|QueryFullExtentProjection|ScanR
 # The cold-start benchmarks (root package): bringing a 1M-row catalog
 # up by full offline rebuild vs restoring it from a snapshot file —
 # plus the parallel HTTP query path, which guards the observability
-# middleware (tracing must stay free when nobody is watching).
-SNAPSHOT_BENCH ?= ColdStart|ServerQueryParallel
+# middleware (tracing must stay free when nobody is watching), and the
+# sample-tree path: the §V density pass and the loss evaluator, both
+# on internal/strtree's search.
+SNAPSHOT_BENCH ?= ColdStart|ServerQueryParallel|DensityPass|LossEvaluation
 
 .PHONY: all build test race bench-smoke fmt vet fuzz-smoke obs-smoke torture-smoke
 

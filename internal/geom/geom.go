@@ -150,17 +150,6 @@ func (r Rect) UnionPoint(p Point) Rect {
 	return r.Union(Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
 }
 
-// DistToPoint returns the minimum Euclidean distance from p to r; zero when
-// p is inside r. Used to prune k-nearest-neighbour searches.
-func (r Rect) DistToPoint(p Point) float64 {
-	if r.IsEmpty() {
-		return math.Inf(1)
-	}
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g]x[%g,%g]", r.MinX, r.MaxX, r.MinY, r.MaxY)

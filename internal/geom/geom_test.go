@@ -163,22 +163,6 @@ func TestUnionPointAndBounds(t *testing.T) {
 	}
 }
 
-func TestDistToPoint(t *testing.T) {
-	r := Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}
-	if d := r.DistToPoint(Pt(1, 1)); d != 0 {
-		t.Errorf("inside dist = %v", d)
-	}
-	if d := r.DistToPoint(Pt(5, 1)); d != 3 {
-		t.Errorf("right dist = %v, want 3", d)
-	}
-	if d := r.DistToPoint(Pt(5, 6)); math.Abs(d-5) > 1e-12 {
-		t.Errorf("corner dist = %v, want 5", d)
-	}
-	if d := EmptyRect().DistToPoint(Pt(0, 0)); !math.IsInf(d, 1) {
-		t.Errorf("empty rect dist = %v, want +Inf", d)
-	}
-}
-
 func TestRectAround(t *testing.T) {
 	r := RectAround(Pt(1, 2), 0.5)
 	want := Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5}

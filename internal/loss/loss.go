@@ -125,7 +125,8 @@ func (e *Evaluator) Evaluate(sample []geom.Point) (Result, error) {
 	}
 	// Index the sample: for each probe we need Σ κ(x, si). With the
 	// Gaussian's 6ε support, only neighbours within support contribute
-	// above double-precision noise, so query the k-d tree for the ball.
+	// above double-precision noise, so range-query the sample's packed
+	// STR tree for the support square.
 	tree := strtree.Build(sample, nil)
 	support := e.kern.Support()
 	logLosses := make([]float64, len(e.probes)) // log10 of point-loss
@@ -146,9 +147,8 @@ func (e *Evaluator) Evaluate(sample []geom.Point) (Result, error) {
 		// The probe is unseen by every sampled point at double precision.
 		// Reconstruct the loss in the log domain from the single nearest
 		// sample point: Σκ ≈ κ(nearest), log10 loss = d²/(2ε²)·log10(e).
-		_, p, d, _ := tree.Nearest(x)
+		_, _, d, _ := tree.Nearest(x)
 		logLosses[i] = d * d / (2 * e.kern.Bandwidth() * e.kern.Bandwidth()) * math.Log10E
-		_ = p
 	}
 	med := stats.Median(logLosses)
 	return Result{

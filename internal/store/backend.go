@@ -14,7 +14,7 @@ import (
 // for dense uniform scatter — O(1) cell addressing, contiguous runs,
 // trivially parallel probes — but degrades badly under skew: when most
 // rows land in a few cells, a small viewport still sweeps those giant
-// cells row by row. The packed STR R-tree (strtree.go) adapts its leaf
+// cells row by row. The packed STR R-tree (treeindex.go) adapts its leaf
 // extents to the data instead, so a clustered table probes in
 // O(result + log n) regardless of how the mass is distributed.
 //

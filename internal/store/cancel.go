@@ -5,9 +5,9 @@ import "context"
 // cancelCheckMask gates how often a canceler actually polls its
 // context: once per (mask+1) work-unit ticks. A work unit is one
 // kernel block (scanBatchRows rows), one touched grid row, one tree
-// node/leaf pop, or one delta bucket — so at the default a poll
-// happens at most every ~64K rows of scan progress, cheap enough that
-// the zero-alloc hot path is unaffected and frequent enough that a
+// node pop, one kNN leaf visit, or one delta bucket — so at the default
+// a poll happens at most every ~64K rows of scan progress, cheap enough
+// that the zero-alloc hot path is unaffected and frequent enough that a
 // canceled 1M-row scan unwinds within a few milliseconds.
 const cancelCheckMask = 15
 

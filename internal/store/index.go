@@ -30,9 +30,10 @@ const (
 // zone-map pruning and bulk emission, a delta for post-build appends, and
 // the identity/stats accessors the generation machinery and /metrics
 // consume. Two implementations exist: rectIndex (the uniform CSR grid)
-// and treeIndex (the packed STR R-tree, strtree.go). Implementations are
-// immutable after construction except for their delta side structure,
-// matching the generation-publish model.
+// and treeIndex (the packed STR R-tree, treeindex.go, on
+// internal/strtree's layout). Implementations are immutable after
+// construction except for their delta side structure, matching the
+// generation-publish model.
 type spatialIndex interface {
 	// pair returns the (x, y) column ordinals the index is built over.
 	pair() (xi, yi int)

@@ -5,20 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
-	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/strtree"
 )
 
 // kNN: Table.Nearest answers "the k live rows nearest (x, y)" — the
-// workload the R-tree backend unlocks. Over a treeIndex it is a
-// best-first branch-and-bound descent ordered by squared mindist to the
-// node/leaf MBRs; over the grid or an unindexed pair it degrades to the
-// exact same answer by brute force. Either way the appended tail, the
-// non-finite extras, tombstones, and residual predicates are handled
-// identically, so the answer is always exactly the sort-by-distance
-// order of the visible rows (ties broken by ascending row id).
+// workload the R-tree backend unlocks. Over a treeIndex it is
+// internal/strtree's best-first descent (Layout.Search) with a leaf
+// visitor that applies the store's zone maps, tombstones and predicates;
+// over the grid or an unindexed pair it degrades to the exact same answer
+// by brute force. Either way every candidate lands in one strtree.KNN
+// result heap, and the appended tail, the non-finite extras, tombstones,
+// and residual predicates are handled identically, so the answer is
+// always exactly the sort-by-distance order of the visible rows (ties
+// broken by ascending row id).
 
 // Neighbor is one kNN result row.
 type Neighbor struct {
@@ -79,13 +80,24 @@ func (t *Table) nearest(tr *obs.Trace, cn *canceler, xCol, yCol string, x, y flo
 	preds = normalizePreds(preds)
 	d := t.snapshot()
 	t.counters.nearestQueries.Add(1)
-	h := knnHeap{k: k}
+	h := strtree.NewKNN(k)
 	xs, ys := d.cols[xi], d.cols[yi]
+	offer := func(row int) {
+		st.RowsExamined++
+		if d.dead != nil && d.dead.contains(row) {
+			return
+		}
+		if !matchPreds(d.cols, pi, preds, row) {
+			return
+		}
+		dx, dy := xs[row]-x, ys[row]-y
+		h.Push(dx*dx+dy*dy, row)
+	}
 	sp := tr.StartSpan(obs.StageProbe)
 	covered := 0
 	if tix, isTree := d.indexFor(xi, yi).(*treeIndex); isTree && tix.n > 0 {
 		st.IndexProbe = true
-		tix.nearestInto(d.cols, x, y, &h, preds, pi, d.dead, &st, cn)
+		tix.nearestInto(x, y, &h, preds, pi, &st, cn, offer)
 		covered = tix.n
 	}
 	// Everything the tree did not cover — the whole table on the grid /
@@ -97,15 +109,7 @@ func (t *Table) nearest(tr *obs.Trace, cn *canceler, xCol, yCol string, x, y flo
 		if row&(scanBatchRows-1) == 0 && cn.stop() {
 			break
 		}
-		st.RowsExamined++
-		if d.dead != nil && d.dead.contains(row) {
-			continue
-		}
-		if !matchPreds(d.cols, pi, preds, row) {
-			continue
-		}
-		dx, dy := xs[row]-x, ys[row]-y
-		h.push(dx*dx+dy*dy, row)
+		offer(row)
 	}
 	sp.End()
 	// A canceled search has an incomplete heap — not the k nearest, just
@@ -114,243 +118,41 @@ func (t *Table) nearest(tr *obs.Trace, cn *canceler, xCol, yCol string, x, y flo
 	if err := cn.cause(); err != nil {
 		return nil, st, err
 	}
-	out := h.sorted()
-	for i := range out {
-		out[i].X = xs[out[i].Row]
-		out[i].Y = ys[out[i].Row]
+	d2s, rows := h.Sorted()
+	out := make([]Neighbor, len(rows))
+	for i, row := range rows {
+		out[i] = Neighbor{Row: row, X: xs[row], Y: ys[row], Dist: math.Sqrt(d2s[i])}
 	}
 	t.counters.batchedRows.Add(int64(st.BatchedRows))
 	return out, st, nil
 }
 
-// knnHeap is a bounded max-heap of the k best candidates seen so far,
-// keyed worst-first by (squared distance desc, row desc): the root is
-// the candidate to beat. NaN distances are rejected at push.
-type knnHeap struct {
-	k  int
-	d2 []float64
-	id []int
-}
-
-func (h *knnHeap) full() bool { return len(h.d2) == h.k }
-
-// worst returns the current k-th best squared distance, or +Inf while
-// the heap is not yet full (everything is welcome).
-func (h *knnHeap) worst() float64 {
-	if len(h.d2) < h.k {
-		return math.Inf(1)
-	}
-	return h.d2[0]
-}
-
-// worse reports whether candidate a is strictly worse than b under the
-// (distance, row id) order.
-func worse(d2a float64, ida int, d2b float64, idb int) bool {
-	return d2a > d2b || (d2a == d2b && ida > idb)
-}
-
-func (h *knnHeap) push(d2 float64, row int) {
-	if d2 != d2 { // NaN distance: the row never matches.
-		return
-	}
-	if len(h.d2) < h.k {
-		h.d2 = append(h.d2, d2)
-		h.id = append(h.id, row)
-		// Sift up.
-		i := len(h.d2) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !worse(h.d2[i], h.id[i], h.d2[p], h.id[p]) {
-				break
-			}
-			h.d2[i], h.d2[p] = h.d2[p], h.d2[i]
-			h.id[i], h.id[p] = h.id[p], h.id[i]
-			i = p
+// nearestInto runs strtree's best-first descent over the packed tree,
+// offering every row of each leaf it reaches. Leaf zone maps rule out a
+// leaf no row of which can satisfy the predicates before any row is
+// touched, and one counter-gated poll per leaf stops a canceled descent
+// (nearest() then returns the context error, never the incomplete heap).
+// Non-finite extras are offered linearly — they have no MBR to bound.
+func (ix *treeIndex) nearestInto(x, y float64, h *strtree.KNN, preds []Pred, pi []int, st *ScanStats, cn *canceler, offer func(row int)) {
+	numLeaves := len(ix.LeafMBR)
+	ix.Search(x, y, h, func(leaf int32) bool {
+		if cn.stop() {
+			return false
 		}
-		return
-	}
-	if !worse(h.d2[0], h.id[0], d2, row) {
-		return // not better than the current worst
-	}
-	h.d2[0], h.id[0] = d2, row
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		w := i
-		if l < len(h.d2) && worse(h.d2[l], h.id[l], h.d2[w], h.id[w]) {
-			w = l
-		}
-		if r < len(h.d2) && worse(h.d2[r], h.id[r], h.d2[w], h.id[w]) {
-			w = r
-		}
-		if w == i {
-			return
-		}
-		h.d2[i], h.d2[w] = h.d2[w], h.d2[i]
-		h.id[i], h.id[w] = h.id[w], h.id[i]
-		i = w
-	}
-}
-
-// sorted drains the heap into Neighbors ascending by (distance, row).
-func (h *knnHeap) sorted() []Neighbor {
-	out := make([]Neighbor, len(h.d2))
-	for i := range out {
-		out[i] = Neighbor{Row: h.id[i], Dist: math.Sqrt(h.d2[i])}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Row < out[b].Row
-	})
-	return out
-}
-
-// mindist2 returns the squared Euclidean distance from (x, y) to the
-// nearest point of r — 0 inside, the axis shortfalls squared outside.
-func mindist2(r geom.Rect, x, y float64) float64 {
-	var dx, dy float64
-	if x < r.MinX {
-		dx = r.MinX - x
-	} else if x > r.MaxX {
-		dx = x - r.MaxX
-	}
-	if y < r.MinY {
-		dy = r.MinY - y
-	} else if y > r.MaxY {
-		dy = y - r.MaxY
-	}
-	return dx*dx + dy*dy
-}
-
-// knnEntry is one best-first frontier element: a packed node or a leaf,
-// ordered by the squared mindist of its MBR.
-type knnEntry struct {
-	d2   float64
-	idx  int32
-	leaf bool
-}
-
-// nearestInto runs the best-first branch-and-bound descent over the
-// packed hierarchy, pushing every live, predicate-matching row it must
-// examine into h. Subtrees whose mindist exceeds the current k-th best
-// distance are pruned (descended on equality, so ties are never lost);
-// leaf zone maps additionally prune leaves no row of which can satisfy
-// the predicates. Non-finite extras are swept linearly — they have no
-// MBR to bound.
-func (ix *treeIndex) nearestInto(cols [][]float64, x, y float64, h *knnHeap, preds []Pred, pi []int, dead *rowBitmap, st *ScanStats, cn *canceler) {
-	xs, ys := cols[ix.xi], cols[ix.yi]
-	numLeaves := len(ix.leafMBR)
-	if numLeaves > 0 {
-		// frontier is a min-heap on d2 (manual, index-keyed).
-		frontier := make([]knnEntry, 0, 64)
-		push := func(e knnEntry) {
-			frontier = append(frontier, e)
-			i := len(frontier) - 1
-			for i > 0 {
-				p := (i - 1) / 2
-				if frontier[i].d2 >= frontier[p].d2 {
-					break
-				}
-				frontier[i], frontier[p] = frontier[p], frontier[i]
-				i = p
-			}
-		}
-		pop := func() knnEntry {
-			e := frontier[0]
-			last := len(frontier) - 1
-			frontier[0] = frontier[last]
-			frontier = frontier[:last]
-			i := 0
-			for {
-				l, r := 2*i+1, 2*i+2
-				s := i
-				if l < last && frontier[l].d2 < frontier[s].d2 {
-					s = l
-				}
-				if r < last && frontier[r].d2 < frontier[s].d2 {
-					s = r
-				}
-				if s == i {
-					break
-				}
-				frontier[i], frontier[s] = frontier[s], frontier[i]
-				i = s
-			}
-			return e
-		}
-		root := int32(len(ix.nodes) - 1)
-		push(knnEntry{d2: mindist2(ix.nodes[root].mbr, x, y), idx: root})
-		for len(frontier) > 0 {
-			// One counter-gated poll per frontier pop; a canceled descent
-			// leaves the heap incomplete, and nearest() returns the
-			// context error instead of its contents.
-			if cn.stop() {
-				return
-			}
-			e := pop()
-			if h.full() && e.d2 > h.worst() {
-				break // every remaining frontier entry is at least this far
-			}
-			if !e.leaf {
-				nd := &ix.nodes[e.idx]
-				for c := nd.lo; c < nd.hi; c++ {
-					var mbr geom.Rect
-					if nd.leafKids {
-						mbr = ix.leafMBR[c]
-					} else {
-						mbr = ix.nodes[c].mbr
-					}
-					d2 := mindist2(mbr, x, y)
-					if h.full() && d2 > h.worst() {
-						continue
-					}
-					push(knnEntry{d2: d2, idx: c, leaf: nd.leafKids})
-				}
-				continue
-			}
-			// Leaf: zone maps can rule the whole run out before any row
-			// is touched.
-			st.CellsTouched++
-			leafPruned := false
-			for k := range preds {
-				p := preds[k]
-				zi := pi[k]*numLeaves + int(e.idx)
-				if !ix.znan[zi] && (ix.zmax[zi] < p.Min || ix.zmin[zi] > p.Max) {
-					leafPruned = true
-					break
-				}
-			}
-			if leafPruned {
+		st.CellsTouched++
+		for k, p := range preds {
+			zi := pi[k]*numLeaves + int(leaf)
+			if !ix.znan[zi] && (ix.zmax[zi] < p.Min || ix.zmin[zi] > p.Max) {
 				st.CellsPruned++
-				continue
-			}
-			for _, id := range ix.rowID[ix.leafOff[e.idx]:ix.leafOff[e.idx+1]] {
-				row := int(id)
-				st.RowsExamined++
-				if dead != nil && dead.contains(row) {
-					continue
-				}
-				if !matchPreds(cols, pi, preds, row) {
-					continue
-				}
-				dx, dy := xs[row]-x, ys[row]-y
-				h.push(dx*dx+dy*dy, row)
+				return true
 			}
 		}
-	}
+		for _, id := range ix.Ord[ix.LeafOff[leaf]:ix.LeafOff[leaf+1]] {
+			offer(int(id))
+		}
+		return true
+	})
 	for _, id := range ix.extra {
-		row := int(id)
-		st.RowsExamined++
-		if dead != nil && dead.contains(row) {
-			continue
-		}
-		if !matchPreds(cols, pi, preds, row) {
-			continue
-		}
-		dx, dy := xs[row]-x, ys[row]-y
-		h.push(dx*dx+dy*dy, row)
+		offer(int(id))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/strtree"
 )
 
 // This file is the store side of catalog persistence (internal/snapshot
@@ -123,8 +124,14 @@ func flattenRects(rs []geom.Rect) []float64 {
 	return out
 }
 
-func unflattenRect(q []float64) geom.Rect {
-	return geom.Rect{MinX: q[0], MinY: q[1], MaxX: q[2], MaxY: q[3]}
+// unflattenRects unpacks (MinX, MinY, MaxX, MaxY) quads; len(q) must be
+// a multiple of 4.
+func unflattenRects(q []float64) []geom.Rect {
+	out := make([]geom.Rect, len(q)/4)
+	for i := range out {
+		out[i] = geom.Rect{MinX: q[4*i], MinY: q[4*i+1], MaxX: q[4*i+2], MaxY: q[4*i+3]}
+	}
+	return out
 }
 
 // SnapshotGeneration exports the table's current generation. The
@@ -165,27 +172,27 @@ func (t *Table) SnapshotGeneration() TableSnapshot {
 				Bounds: ix.bounds,
 				NX:     ix.nx, NY: ix.ny,
 				CellW: ix.cellW, CellH: ix.cellH,
-				RowID:   ix.rowID,
-				LeafOff: ix.leafOff,
-				LeafMBR: flattenRects(ix.leafMBR),
+				RowID:   ix.Ord,
+				LeafOff: ix.LeafOff,
+				LeafMBR: flattenRects(ix.LeafMBR),
 				Extra:   ix.extra,
 				NumRows: ix.n,
 				ZMin:    ix.zmin, ZMax: ix.zmax, ZNaN: ix.znan,
 				NZMin: ix.nzmin, NZMax: ix.nzmax, NZNaN: ix.nznan,
 				OccP99: ix.occP99, Skew: ix.occSkew,
 			}
-			if nn := len(ix.nodes); nn > 0 {
+			if nn := len(ix.Nodes); nn > 0 {
 				tis.NodeMBR = make([]float64, 0, 4*nn)
 				tis.NodeLo = make([]int32, nn)
 				tis.NodeHi = make([]int32, nn)
 				tis.NodeLeafLo = make([]int32, nn)
 				tis.NodeLeafHi = make([]int32, nn)
 				tis.NodeLeafKids = make([]bool, nn)
-				for i, nd := range ix.nodes {
-					tis.NodeMBR = append(tis.NodeMBR, nd.mbr.MinX, nd.mbr.MinY, nd.mbr.MaxX, nd.mbr.MaxY)
-					tis.NodeLo[i], tis.NodeHi[i] = nd.lo, nd.hi
-					tis.NodeLeafLo[i], tis.NodeLeafHi[i] = nd.llo, nd.lhi
-					tis.NodeLeafKids[i] = nd.leafKids
+				for i, nd := range ix.Nodes {
+					tis.NodeMBR = append(tis.NodeMBR, nd.MBR.MinX, nd.MBR.MinY, nd.MBR.MaxX, nd.MBR.MaxY)
+					tis.NodeLo[i], tis.NodeHi[i] = nd.Lo, nd.Hi
+					tis.NodeLeafLo[i], tis.NodeLeafHi[i] = nd.LeafLo, nd.LeafHi
+					tis.NodeLeafKids[i] = nd.LeafKids
 				}
 			}
 			ts.TreeIndexes = append(ts.TreeIndexes, tis)
@@ -355,39 +362,8 @@ func indexFromSnapshot(table string, is IndexSnapshot, ncols, tableRows int) (*r
 		return nil, fmt.Errorf("%d binned + %d extra rows for a %d-row index",
 			len(is.RowID), len(is.Extra), is.NumRows)
 	}
-	// Every indexed row must appear exactly once, either binned or in
-	// the extras list, with ids ascending within each cell run (the
-	// probe's sortedness and bounds guarantees both hang off this).
-	seen := make([]bool, is.NumRows)
-	for c := 0; c < cells; c++ {
-		prev := int32(-1)
-		for _, id := range is.RowID[is.CellOff[c]:is.CellOff[c+1]] {
-			if id < 0 || int(id) >= is.NumRows {
-				return nil, fmt.Errorf("row id %d out of range [0,%d)", id, is.NumRows)
-			}
-			if id <= prev {
-				return nil, fmt.Errorf("cell %d row ids not ascending (%d after %d)", c, id, prev)
-			}
-			if seen[id] {
-				return nil, fmt.Errorf("row id %d appears twice", id)
-			}
-			seen[id] = true
-			prev = id
-		}
-	}
-	prev := int32(-1)
-	for _, id := range is.Extra {
-		if id < 0 || int(id) >= is.NumRows {
-			return nil, fmt.Errorf("extra row id %d out of range [0,%d)", id, is.NumRows)
-		}
-		if id <= prev {
-			return nil, fmt.Errorf("extra row ids not ascending (%d after %d)", id, prev)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("row id %d appears twice", id)
-		}
-		seen[id] = true
-		prev = id
+	if err := checkRowRuns("cell", is.CellOff, is.RowID, is.Extra, is.NumRows); err != nil {
+		return nil, err
 	}
 	if len(is.RowID) == 0 {
 		return nil, errors.New("index with no binned rows should not carry a grid")
@@ -404,6 +380,46 @@ func indexFromSnapshot(table string, is IndexSnapshot, ncols, tableRows int) (*r
 	}
 	ix.occP99, ix.occSkew = occFromCounts(counts, len(is.RowID))
 	return ix, nil
+}
+
+// checkRowRuns verifies that each of an index's numRows rows appears
+// exactly once: in one of the runs rowID[off[u]:off[u+1]] with ids
+// ascending within the run, or in the ascending extras list. The
+// probes' sortedness and bounds guarantees all hang off this. off must
+// already be checked monotone and covering rowID.
+func checkRowRuns(unit string, off, rowID, extra []int32, numRows int) error {
+	seen := make([]bool, numRows)
+	for u := 0; u+1 < len(off); u++ {
+		prev := int32(-1)
+		for _, id := range rowID[off[u]:off[u+1]] {
+			if id < 0 || int(id) >= numRows {
+				return fmt.Errorf("row id %d out of range [0,%d)", id, numRows)
+			}
+			if id <= prev {
+				return fmt.Errorf("%s %d row ids not ascending (%d after %d)", unit, u, id, prev)
+			}
+			if seen[id] {
+				return fmt.Errorf("row id %d appears twice", id)
+			}
+			seen[id] = true
+			prev = id
+		}
+	}
+	prev := int32(-1)
+	for _, id := range extra {
+		if id < 0 || int(id) >= numRows {
+			return fmt.Errorf("extra row id %d out of range [0,%d)", id, numRows)
+		}
+		if id <= prev {
+			return fmt.Errorf("extra row ids not ascending (%d after %d)", id, prev)
+		}
+		if seen[id] {
+			return fmt.Errorf("row id %d appears twice", id)
+		}
+		seen[id] = true
+		prev = id
+	}
+	return nil
 }
 
 // treeFromSnapshot validates one R-tree index snapshot and converts it
@@ -426,10 +442,8 @@ func treeFromSnapshot(is TreeIndexSnapshot, ncols, tableRows int) (*treeIndex, e
 			cellW: is.CellW, cellH: is.CellH,
 			n: is.NumRows,
 		},
-		rowID:   is.RowID,
-		leafOff: is.LeafOff,
-		extra:   is.Extra,
-		zmin:    is.ZMin, zmax: is.ZMax, znan: is.ZNaN,
+		extra: is.Extra,
+		zmin:  is.ZMin, zmax: is.ZMax, znan: is.ZNaN,
 		nzmin: is.NZMin, nzmax: is.NZMax, nznan: is.NZNaN,
 		occP99: is.OccP99, occSkew: is.Skew,
 	}
@@ -464,113 +478,40 @@ func treeFromSnapshot(is TreeIndexSnapshot, ncols, tableRows int) (*treeIndex, e
 	if binned == 0 {
 		return nil, errors.New("index with no packed rows should not carry a tree")
 	}
-	numLeaves := len(is.LeafOff) - 1
-	if numLeaves < 1 {
-		return nil, fmt.Errorf("%d leaf offsets cannot delimit any leaf", len(is.LeafOff))
-	}
-	if len(is.LeafMBR) != 4*numLeaves {
-		return nil, fmt.Errorf("%d MBR scalars for %d leaves", len(is.LeafMBR), numLeaves)
-	}
-	if is.LeafOff[0] != 0 {
-		return nil, fmt.Errorf("leaf offsets start at %d, not 0", is.LeafOff[0])
-	}
-	for l := 1; l <= numLeaves; l++ {
-		// Strictly increasing: the builder never emits an empty leaf.
-		if is.LeafOff[l] <= is.LeafOff[l-1] {
-			return nil, fmt.Errorf("leaf offsets not increasing at leaf %d", l)
-		}
-	}
-	if int(is.LeafOff[numLeaves]) != binned {
-		return nil, fmt.Errorf("leaf offsets cover %d rows, row-id packing has %d", is.LeafOff[numLeaves], binned)
-	}
-	// Every indexed row appears exactly once, packed (ascending within
-	// its leaf) or extra.
-	seen := make([]bool, is.NumRows)
-	for l := 0; l < numLeaves; l++ {
-		prev := int32(-1)
-		for _, id := range is.RowID[is.LeafOff[l]:is.LeafOff[l+1]] {
-			if id < 0 || int(id) >= is.NumRows {
-				return nil, fmt.Errorf("row id %d out of range [0,%d)", id, is.NumRows)
-			}
-			if id <= prev {
-				return nil, fmt.Errorf("leaf %d row ids not ascending (%d after %d)", l, id, prev)
-			}
-			if seen[id] {
-				return nil, fmt.Errorf("row id %d appears twice", id)
-			}
-			seen[id] = true
-			prev = id
-		}
-	}
-	prev := int32(-1)
-	for _, id := range is.Extra {
-		if id < 0 || int(id) >= is.NumRows {
-			return nil, fmt.Errorf("extra row id %d out of range [0,%d)", id, is.NumRows)
-		}
-		if id <= prev {
-			return nil, fmt.Errorf("extra row ids not ascending (%d after %d)", id, prev)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("row id %d appears twice", id)
-		}
-		seen[id] = true
-		prev = id
-	}
-	// Node hierarchy: the parallel arrays must agree, children must sit
-	// at strictly lower indices (descent termination), child spans must
-	// contiguously partition their parent's, and the root (last node)
-	// must cover every leaf.
+	// The packed layout: the parallel node arrays must agree and every
+	// rectangle be a whole quad; strtree's Validate then checks the
+	// structure every descent and run slice indexes by.
 	numNodes := len(is.NodeLo)
-	if numNodes < 1 {
-		return nil, errors.New("tree has no nodes")
-	}
 	if len(is.NodeHi) != numNodes || len(is.NodeLeafLo) != numNodes ||
 		len(is.NodeLeafHi) != numNodes || len(is.NodeLeafKids) != numNodes {
 		return nil, fmt.Errorf("node arrays sized %d/%d/%d/%d for %d nodes",
 			len(is.NodeHi), len(is.NodeLeafLo), len(is.NodeLeafHi), len(is.NodeLeafKids), numNodes)
 	}
-	if len(is.NodeMBR) != 4*numNodes {
-		return nil, fmt.Errorf("%d MBR scalars for %d nodes", len(is.NodeMBR), numNodes)
+	if len(is.LeafMBR)%4 != 0 || len(is.NodeMBR) != 4*numNodes {
+		return nil, fmt.Errorf("%d leaf and %d node MBR scalars for %d nodes",
+			len(is.LeafMBR), len(is.NodeMBR), numNodes)
 	}
-	ix.leafMBR = make([]geom.Rect, numLeaves)
-	for l := range ix.leafMBR {
-		ix.leafMBR[l] = unflattenRect(is.LeafMBR[4*l : 4*l+4])
+	ix.Layout = strtree.Layout{
+		Ord:     is.RowID,
+		LeafOff: is.LeafOff,
+		LeafMBR: unflattenRects(is.LeafMBR),
+		Nodes:   make([]strtree.Node, numNodes),
 	}
-	ix.nodes = make([]treeNode, numNodes)
-	for ni := 0; ni < numNodes; ni++ {
-		nd := treeNode{
-			mbr: unflattenRect(is.NodeMBR[4*ni : 4*ni+4]),
-			lo:  is.NodeLo[ni], hi: is.NodeHi[ni],
-			llo: is.NodeLeafLo[ni], lhi: is.NodeLeafHi[ni],
-			leafKids: is.NodeLeafKids[ni],
+	for ni, mbr := range unflattenRects(is.NodeMBR) {
+		ix.Nodes[ni] = strtree.Node{
+			MBR: mbr,
+			Lo:  is.NodeLo[ni], Hi: is.NodeHi[ni],
+			LeafLo: is.NodeLeafLo[ni], LeafHi: is.NodeLeafHi[ni],
+			LeafKids: is.NodeLeafKids[ni],
 		}
-		if nd.leafKids {
-			if nd.lo < 0 || nd.lo >= nd.hi || int(nd.hi) > numLeaves {
-				return nil, fmt.Errorf("node %d leaf children [%d,%d) out of range [0,%d)", ni, nd.lo, nd.hi, numLeaves)
-			}
-			if nd.llo != nd.lo || nd.lhi != nd.hi {
-				return nil, fmt.Errorf("node %d leaf span [%d,%d) disagrees with children [%d,%d)",
-					ni, nd.llo, nd.lhi, nd.lo, nd.hi)
-			}
-		} else {
-			if nd.lo < 0 || nd.lo >= nd.hi || int(nd.hi) > ni {
-				return nil, fmt.Errorf("node %d children [%d,%d) not strictly below it", ni, nd.lo, nd.hi)
-			}
-			if nd.llo != ix.nodes[nd.lo].llo || nd.lhi != ix.nodes[nd.hi-1].lhi {
-				return nil, fmt.Errorf("node %d leaf span [%d,%d) disagrees with its children's", ni, nd.llo, nd.lhi)
-			}
-			for c := int(nd.lo); c < int(nd.hi)-1; c++ {
-				if ix.nodes[c].lhi != ix.nodes[c+1].llo {
-					return nil, fmt.Errorf("node %d children do not partition its span contiguously at child %d", ni, c)
-				}
-			}
-		}
-		ix.nodes[ni] = nd
 	}
-	root := ix.nodes[numNodes-1]
-	if root.llo != 0 || int(root.lhi) != numLeaves {
-		return nil, fmt.Errorf("root spans leaves [%d,%d), want [0,%d)", root.llo, root.lhi, numLeaves)
+	if err := ix.Validate(); err != nil {
+		return nil, err
 	}
+	if err := checkRowRuns("leaf", is.LeafOff, is.RowID, is.Extra, is.NumRows); err != nil {
+		return nil, err
+	}
+	numLeaves := len(ix.LeafMBR)
 	if len(is.ZMin) != ncols*numLeaves || len(is.ZMax) != ncols*numLeaves || len(is.ZNaN) != ncols*numLeaves {
 		return nil, fmt.Errorf("leaf zone maps sized %d/%d/%d for %d columns x %d leaves",
 			len(is.ZMin), len(is.ZMax), len(is.ZNaN), ncols, numLeaves)

@@ -3,9 +3,9 @@ package store
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/strtree"
 )
 
 // treeIndex is the packed STR R-tree backend: an immutable bulk-loaded
@@ -17,30 +17,26 @@ import (
 // leaves instead of sweeping the handful of giant grid cells the mass
 // collapsed into.
 //
-// Layout mirrors the grid's CSR idiom: rowID packs every finite row in
-// leaf order (ascending within each leaf, so the selection-vector
-// kernels see the same shape as a grid cell run), leafOff delimits leaf
-// runs, and per-leaf zone maps prune or bulk-pass residual predicates
-// exactly like per-cell ones. On top of that the packed node hierarchy
-// adds what the grid cannot offer: per-NODE MBRs and zone maps, so a
-// whole subtree — a contiguous rowID run, thanks to the leaf-ordered
-// packing — can be pruned or bulk-emitted in one step, and best-first
-// kNN descent (nearest.go) has mindist bounds to order by.
+// The packed layout — STR order, leaves, MBRs, node hierarchy — and the
+// best-first kNN descent are internal/strtree's; this type adds what is
+// the store's own. It mirrors the grid's CSR idiom: Ord packs every
+// finite row in leaf order, re-sorted ascending within each leaf so the
+// selection-vector kernels see the same shape as a grid cell run, and
+// per-leaf zone maps prune or bulk-pass residual predicates exactly like
+// per-cell ones. On top of that the node hierarchy adds what the grid
+// cannot offer: per-NODE MBRs and zone maps, so a whole subtree — a
+// contiguous Ord run, thanks to the leaf-ordered packing — can be pruned
+// or bulk-emitted in one step, and kNN (nearest.go) has mindist bounds to
+// order by.
 //
 // The embedded gridGeom is NOT probe geometry — it exists so the delta
 // index (delta.go) buckets appended rows identically under either
 // backend, keeping ingest behavior backend-independent.
 type treeIndex struct {
 	gridGeom
-	// rowID packs the finite rows in leaf order; leaf l's run is
-	// rowID[leafOff[l]:leafOff[l+1]], ascending within the run.
-	rowID   []int32
-	leafOff []int32
-	leafMBR []geom.Rect
-	// nodes is the packed hierarchy, bottom-up with the root LAST; a
-	// node's children (lower nodes, or leaves at level 0) sit at
-	// strictly lower indices, so iterative descent terminates.
-	nodes []treeNode
+	// Layout is the packed tree over the finite rows: leaf l's run is
+	// Ord[LeafOff[l]:LeafOff[l+1]], ascending within the run.
+	strtree.Layout
 	// extra holds rows (ascending) with a non-finite coordinate,
 	// filtered per probe exactly like the grid's extras.
 	extra []int32
@@ -63,25 +59,10 @@ type treeIndex struct {
 	delta *deltaIndex
 }
 
-// treeNode is one packed internal node. Children are nodes[lo:hi], or
-// leaves [lo,hi) when leafKids. llo/lhi give the contiguous leaf span
-// the subtree covers: its rows are exactly
-// rowID[leafOff[llo]:leafOff[lhi]] — one run, bulk-emittable.
-type treeNode struct {
-	mbr      geom.Rect
-	lo, hi   int32
-	llo, lhi int32
-	leafKids bool
-}
-
-const (
-	// treeLeafSize is the tree's leaf capacity: 64 rows matches the
-	// grid's per-cell target, so zone maps have comparable granularity
-	// under either backend and a leaf run clears kernelMinRows.
-	treeLeafSize = 64
-	// treeFanout is the packed internal-node fanout.
-	treeFanout = 16
-)
+// treeLeafSize is the tree's leaf capacity: 64 rows matches the grid's
+// per-cell target, so zone maps have comparable granularity under either
+// backend and a leaf run clears kernelMinRows.
+const treeLeafSize = 64
 
 // buildTreeIndex builds the STR R-tree backend over the n-row (xi, yi)
 // pair of cols, with zone maps over every column. Nil conditions match
@@ -115,76 +96,26 @@ func buildTreeIndex(xi, yi int, cols [][]float64, n int) *treeIndex {
 	ix.sizeGrid(n)
 	binned := n - len(ix.extra)
 	counts := make([]int32, ix.nx*ix.ny)
+	ord := make([]int32, 0, binned)
 	for i := 0; i < n; i++ {
 		x, y := xs[i], ys[i]
 		if !isFinite(x) || !isFinite(y) {
 			continue
 		}
 		counts[ix.cellIndex(x, y)]++
+		ord = append(ord, int32(i))
 	}
 	ix.occP99, ix.occSkew = occFromCounts(counts, binned)
 
-	// STR packing: sort finite rows by x (ties y, then id for
-	// determinism), slice into ceil(sqrt(numLeaves)) vertical strips of
-	// whole leaves, sort each strip by y (ties x, then id); chunking the
-	// result into runs of treeLeafSize yields spatially tight leaves for
-	// any distribution.
-	ord := make([]int32, 0, binned)
-	for i := 0; i < n; i++ {
-		if isFinite(xs[i]) && isFinite(ys[i]) {
-			ord = append(ord, int32(i))
-		}
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if xs[ia] != xs[ib] {
-			return xs[ia] < xs[ib]
-		}
-		if ys[ia] != ys[ib] {
-			return ys[ia] < ys[ib]
-		}
-		return ia < ib
-	})
-	numLeaves := (binned + treeLeafSize - 1) / treeLeafSize
-	strips := int(math.Ceil(math.Sqrt(float64(numLeaves))))
-	if strips < 1 {
-		strips = 1
-	}
-	stripRows := ((numLeaves + strips - 1) / strips) * treeLeafSize
-	for lo := 0; lo < binned; lo += stripRows {
-		hi := min(lo+stripRows, binned)
-		strip := ord[lo:hi]
-		sort.Slice(strip, func(a, b int) bool {
-			ia, ib := strip[a], strip[b]
-			if ys[ia] != ys[ib] {
-				return ys[ia] < ys[ib]
-			}
-			if xs[ia] != xs[ib] {
-				return xs[ia] < xs[ib]
-			}
-			return ia < ib
-		})
-	}
-	// Chunk into leaves. Within a leaf the run is re-sorted ascending by
-	// row id — leaf membership is what carries the spatial locality, and
-	// ascending runs give the kernels (and the snapshot validator) the
-	// same shape as grid cell runs.
-	ix.rowID = ord
-	ix.leafOff = make([]int32, numLeaves+1)
-	ix.leafMBR = make([]geom.Rect, numLeaves)
+	ix.Layout = strtree.Pack(xs, ys, ord, treeLeafSize)
+	// Within a leaf the run is re-sorted ascending by row id — leaf
+	// membership is what carries the spatial locality, and ascending runs
+	// give the kernels (and the snapshot validator) the same shape as grid
+	// cell runs.
+	numLeaves := len(ix.LeafMBR)
 	for l := 0; l < numLeaves; l++ {
-		lo := l * treeLeafSize
-		hi := min(lo+treeLeafSize, binned)
-		ix.leafOff[l] = int32(lo)
-		run := ix.rowID[lo:hi]
-		slices.Sort(run)
-		mbr := geom.EmptyRect()
-		for _, id := range run {
-			mbr = mbr.UnionPoint(geom.Pt(xs[id], ys[id]))
-		}
-		ix.leafMBR[l] = mbr
+		slices.Sort(ix.Ord[ix.LeafOff[l]:ix.LeafOff[l+1]])
 	}
-	ix.leafOff[numLeaves] = int32(binned)
 
 	// Per-leaf zone maps over every column of the generation.
 	ncols := len(cols)
@@ -199,7 +130,7 @@ func buildTreeIndex(xi, yi int, cols [][]float64, n int) *treeIndex {
 		zbase := ci * numLeaves
 		for l := 0; l < numLeaves; l++ {
 			zi := zbase + l
-			for _, id := range ix.rowID[ix.leafOff[l]:ix.leafOff[l+1]] {
+			for _, id := range ix.Ord[ix.LeafOff[l]:ix.LeafOff[l+1]] {
 				v := col[id]
 				if math.IsNaN(v) {
 					ix.znan[zi] = true
@@ -214,59 +145,27 @@ func buildTreeIndex(xi, yi int, cols [][]float64, n int) *treeIndex {
 			}
 		}
 	}
-
-	ix.packNodes(ncols)
+	ix.aggregateNodeZones(ncols)
 	return ix
 }
 
-// packNodes builds the internal hierarchy bottom-up — level 0 groups
-// runs of treeFanout leaves, each later level groups the previous
-// level's nodes, until one root remains (stored last) — and aggregates
-// the per-node zone maps from the level below in the same passes.
-func (ix *treeIndex) packNodes(ncols int) {
-	numLeaves := len(ix.leafMBR)
-	for l := 0; l < numLeaves; l += treeFanout {
-		hi := min(l+treeFanout, numLeaves)
-		mbr := geom.EmptyRect()
-		for _, m := range ix.leafMBR[l:hi] {
-			mbr = mbr.Union(m)
-		}
-		ix.nodes = append(ix.nodes, treeNode{
-			mbr: mbr, lo: int32(l), hi: int32(hi),
-			llo: int32(l), lhi: int32(hi), leafKids: true,
-		})
-	}
-	levelLo := 0
-	for len(ix.nodes)-levelLo > 1 {
-		levelHi := len(ix.nodes)
-		for l := levelLo; l < levelHi; l += treeFanout {
-			hi := min(l+treeFanout, levelHi)
-			mbr := geom.EmptyRect()
-			for _, c := range ix.nodes[l:hi] {
-				mbr = mbr.Union(c.mbr)
-			}
-			ix.nodes = append(ix.nodes, treeNode{
-				mbr: mbr, lo: int32(l), hi: int32(hi),
-				llo: ix.nodes[l].llo, lhi: ix.nodes[hi-1].lhi,
-			})
-		}
-		levelLo = levelHi
-	}
-	numNodes := len(ix.nodes)
+// aggregateNodeZones derives the per-node zone maps bottom-up from the
+// leaf maps: children sit at lower indices than their parent, so one
+// ascending pass sees every child before its parent.
+func (ix *treeIndex) aggregateNodeZones(ncols int) {
+	numLeaves, numNodes := len(ix.LeafMBR), len(ix.Nodes)
 	ix.nzmin = make([]float64, ncols*numNodes)
 	ix.nzmax = make([]float64, ncols*numNodes)
 	ix.nznan = make([]bool, ncols*numNodes)
 	for ci := 0; ci < ncols; ci++ {
 		nbase := ci * numNodes
 		lbase := ci * numLeaves
-		for ni := 0; ni < numNodes; ni++ {
-			nd := &ix.nodes[ni]
-			lo, hi := int(nd.lo), int(nd.hi)
+		for ni, nd := range ix.Nodes {
 			zmin, zmax, znan := math.Inf(1), math.Inf(-1), false
-			for c := lo; c < hi; c++ {
+			for c := int(nd.Lo); c < int(nd.Hi); c++ {
 				var cmin, cmax float64
 				var cnan bool
-				if nd.leafKids {
+				if nd.LeafKids {
 					cmin, cmax, cnan = ix.zmin[lbase+c], ix.zmax[lbase+c], ix.znan[lbase+c]
 				} else {
 					cmin, cmax, cnan = ix.nzmin[nbase+c], ix.nzmax[nbase+c], ix.nznan[nbase+c]
@@ -295,7 +194,7 @@ func (ix *treeIndex) deltaIdx() *deltaIndex   { return ix.delta }
 
 // cells reports the pruning granularity — the leaf count — for the
 // /metrics cell gauge.
-func (ix *treeIndex) cells() int { return len(ix.leafMBR) }
+func (ix *treeIndex) cells() int { return len(ix.LeafMBR) }
 
 // coversAll matches the grid's fast-path contract: every indexed row is
 // trivially inside r. Leaf MBRs are exact bounds of their member
@@ -340,14 +239,14 @@ func (ix *treeIndex) collect(cols [][]float64, r geom.Rect, preds []Pred, pi []i
 // strictly lower indices than their parent). At every node the MBR and
 // the node zone maps can prune the whole subtree or — when r contains
 // the MBR and every predicate zone-settles as all-pass — bulk-emit its
-// entire contiguous rowID run. Leaves that survive are processed
+// entire contiguous Ord run. Leaves that survive are processed
 // exactly like grid cells: zone prune / all-pass per leaf, then the
 // selection-vector kernels over the run.
 func (ix *treeIndex) collectTree(cols [][]float64, r geom.Rect, preds []Pred, pi []int, skip []bool, tally *zoneTally, st *ScanStats, cn *canceler) []int {
 	st.ProbeShards++
 	xs, ys := cols[ix.xi], cols[ix.yi]
-	numLeaves := len(ix.leafMBR)
-	numNodes := len(ix.nodes)
+	numLeaves := len(ix.LeafMBR)
+	numNodes := len(ix.Nodes)
 	var ids []int
 	residual := make([]Pred, 0, len(preds))
 	residualCols := make([]int, 0, len(preds))
@@ -362,8 +261,8 @@ func (ix *treeIndex) collectTree(cols [][]float64, r geom.Rect, preds []Pred, pi
 		}
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nd := &ix.nodes[ni]
-		if !nd.mbr.Intersects(r) {
+		nd := &ix.Nodes[ni]
+		if !nd.MBR.Intersects(r) {
 			continue
 		}
 		// Node-level zone consult: one lookup can prune or settle the
@@ -392,26 +291,26 @@ func (ix *treeIndex) collectTree(cols [][]float64, r geom.Rect, preds []Pred, pi
 		if pruned {
 			// Touched-then-pruned, mirroring the grid's accounting where
 			// every candidate cell counts as touched.
-			st.CellsTouched += int(nd.lhi - nd.llo)
-			st.CellsPruned += int(nd.lhi - nd.llo)
+			st.CellsTouched += int(nd.LeafHi - nd.LeafLo)
+			st.CellsPruned += int(nd.LeafHi - nd.LeafLo)
 			continue
 		}
-		if settled && r.ContainsRect(nd.mbr) {
+		if settled && r.ContainsRect(nd.MBR) {
 			// Whole subtree passes: its rows are one contiguous run.
-			lo, hi := ix.leafOff[nd.llo], ix.leafOff[nd.lhi]
-			st.CellsTouched += int(nd.lhi - nd.llo)
-			st.CellsBulk += int(nd.lhi - nd.llo)
-			ids = appendSel(ids, ix.rowID[lo:hi])
+			lo, hi := ix.LeafOff[nd.LeafLo], ix.LeafOff[nd.LeafHi]
+			st.CellsTouched += int(nd.LeafHi - nd.LeafLo)
+			st.CellsBulk += int(nd.LeafHi - nd.LeafLo)
+			ids = appendSel(ids, ix.Ord[lo:hi])
 			continue
 		}
-		if !nd.leafKids {
-			for c := nd.lo; c < nd.hi; c++ {
+		if !nd.LeafKids {
+			for c := nd.Lo; c < nd.Hi; c++ {
 				stack = append(stack, c)
 			}
 			continue
 		}
-		for c := nd.lo; c < nd.hi; c++ {
-			mbr := ix.leafMBR[c]
+		for c := nd.Lo; c < nd.Hi; c++ {
+			mbr := ix.LeafMBR[c]
 			if !mbr.Intersects(r) {
 				continue
 			}
@@ -445,7 +344,7 @@ func (ix *treeIndex) collectTree(cols [][]float64, r geom.Rect, preds []Pred, pi
 				continue
 			}
 			needRect := !r.ContainsRect(mbr)
-			run := ix.rowID[ix.leafOff[c]:ix.leafOff[c+1]]
+			run := ix.Ord[ix.LeafOff[c]:ix.LeafOff[c+1]]
 			if !needRect && len(residual) == 0 {
 				st.CellsBulk++
 				ids = appendSel(ids, run)

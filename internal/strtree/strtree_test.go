@@ -1,6 +1,7 @@
 package strtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -40,6 +41,22 @@ func TestPackedNearestMatchesBruteForce(t *testing.T) {
 		if !pts[id].Equal(p) {
 			t.Fatal("returned point does not match returned id")
 		}
+	}
+}
+
+func TestMindist2(t *testing.T) {
+	r := geom.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}
+	if d := mindist2(r, 1, 1); d != 0 {
+		t.Errorf("inside d² = %v", d)
+	}
+	if d := mindist2(r, 5, 1); d != 9 {
+		t.Errorf("right d² = %v, want 9", d)
+	}
+	if d := mindist2(r, 5, 6); d != 25 {
+		t.Errorf("corner d² = %v, want 25", d)
+	}
+	if d := mindist2(geom.EmptyRect(), 0, 0); !math.IsInf(d, 1) {
+		t.Errorf("empty rect d² = %v, want +Inf", d)
 	}
 }
 
@@ -163,6 +180,50 @@ func TestPackedDuplicateCoordinates(t *testing.T) {
 	if len(got) != 64 {
 		t.Errorf("InRange found %d duplicates, want 64", len(got))
 	}
+	// Exact-distance ties go to the lowest payload id, the store's order.
+	// The probe below the duplicates ties all 64 of them.
+	if id, _, _, _ := tr.Nearest(geom.Pt(1, 0)); id != 0 {
+		t.Errorf("tied Nearest returned id %d, want 0", id)
+	}
+	all := tr.KNearest(geom.Pt(1, 0), len(pts))
+	for i, nb := range all {
+		if nb.ID != i {
+			t.Fatalf("tied KNearest rank %d has id %d, want %d", i, nb.ID, i)
+		}
+	}
+	// A tie straddling two distinct points keeps id order too.
+	tr = Build([]geom.Point{geom.Pt(1, 0), geom.Pt(-1, 0), geom.Pt(0, 1)}, nil)
+	if nbs := tr.KNearest(geom.Pt(0, 0), 2); nbs[0].ID != 0 || nbs[1].ID != 1 {
+		t.Errorf("tied KNearest ids %d, %d, want 0, 1", nbs[0].ID, nbs[1].ID)
+	}
+	if id, _, _, _ := tr.Nearest(geom.Pt(0, 0)); id != 0 {
+		t.Errorf("tied Nearest returned id %d, want 0", id)
+	}
+	// Payload ids, not input positions, decide ties.
+	tr = Build([]geom.Point{geom.Pt(1, 0), geom.Pt(-1, 0), geom.Pt(0, 1), geom.Pt(0, -1)}, []int{30, 7, 20, 9})
+	if id, p, _, _ := tr.Nearest(geom.Pt(0, 0)); id != 7 || !p.Equal(geom.Pt(-1, 0)) {
+		t.Errorf("tied Nearest returned id %d at %v, want 7 at (-1, 0)", id, p)
+	}
+	for i, nb := range tr.KNearest(geom.Pt(0, 0), 4) {
+		if want := []int{7, 9, 20, 30}[i]; nb.ID != want {
+			t.Errorf("tied KNearest rank %d has id %d, want %d", i, nb.ID, want)
+		}
+	}
+}
+
+// TestPackedNearestAllocs: the density pass calls Nearest once per data
+// point, so it must stay off the heap.
+func TestPackedNearestAllocs(t *testing.T) {
+	pts := normPoints(5000, 10)
+	tr := Build(pts, nil)
+	rng := rand.New(rand.NewSource(11))
+	probes := normPoints(64, 12)
+	allocs := testing.AllocsPerRun(200, func() {
+		tr.Nearest(probes[rng.Intn(len(probes))])
+	})
+	if allocs > 2 {
+		t.Errorf("Nearest makes %.1f allocations per call, want <= 2", allocs)
+	}
 }
 
 func TestPackedTreeIsImmutableCopy(t *testing.T) {
@@ -179,15 +240,30 @@ func TestPackedTreeIsImmutableCopy(t *testing.T) {
 
 // TestPackedScalesAcrossLeafBoundaries drives sizes around the leaf and
 // fanout boundaries so single-leaf, single-node, and multi-level trees
-// all get the brute-force treatment.
+// all get the brute-force treatment, and Validate must accept what Pack
+// builds there, at the sample trees' leaf size and the store's (64).
 func TestPackedScalesAcrossLeafBoundaries(t *testing.T) {
-	sizes := []int{1, 2, packedLeafSize - 1, packedLeafSize, packedLeafSize + 1,
-		packedLeafSize * packedFanout, packedLeafSize*packedFanout + 1, 5000}
+	sizes := []int{1, 2, sampleLeafSize - 1, sampleLeafSize, sampleLeafSize + 1,
+		sampleLeafSize*fanout - 1, sampleLeafSize * fanout, sampleLeafSize*fanout + 1,
+		sampleLeafSize*fanout*fanout + 1, 5000}
 	for _, n := range sizes {
 		pts := normPoints(n, int64(n))
 		tr := Build(pts, nil)
 		if tr.Len() != n {
 			t.Fatalf("n=%d: Len=%d", n, tr.Len())
+		}
+		if err := tr.lay.Validate(); err != nil {
+			t.Fatalf("n=%d: Validate rejects the tree's layout: %v", n, err)
+		}
+		for _, leafSize := range []int{sampleLeafSize, 64} {
+			ord := make([]int32, n)
+			for i := range ord {
+				ord[i] = int32(i)
+			}
+			l := Pack(tr.xs, tr.ys, ord, leafSize)
+			if err := l.Validate(); err != nil {
+				t.Fatalf("n=%d leafSize=%d: Validate rejects Pack's output: %v", n, leafSize, err)
+			}
 		}
 		probe := geom.Pt(1, -2)
 		_, _, d, ok := tr.Nearest(probe)

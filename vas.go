@@ -20,7 +20,7 @@
 // latency-bound serving layer (Catalog) mirroring the paper's Fig. 3
 // architecture. Internal packages contain the substrates: the Interchange
 // algorithm and exact solver (internal/vas), spatial indexes
-// (internal/rtree, internal/kdtree, internal/grid), the loss evaluator
+// (internal/strtree, internal/grid), the loss evaluator
 // (internal/loss), dataset generators (internal/dataset), rendering
 // (internal/render), the store/query engine (internal/store,
 // internal/query) and the full experiment harness (internal/experiments).
