@@ -74,14 +74,12 @@ type Response struct {
 	// fallback, zone-map pruning for filtered queries, and how many
 	// rows came out of delta buckets (appended but not yet compacted).
 	Scan store.ScanStats
-	// ServedRows is the LIVE row count of the table the answer was
+	// ServedRows is the live row count of the generation the answer was
 	// scanned from (the chosen sample, or the base table for an exact
-	// scan) — under live ingest, how current the served data is.
-	// Tombstoned rows are excluded: after a delete the count drops with
-	// the visible data, whether or not compaction has physically
-	// reclaimed the rows yet. It is read just before the scan, so under
-	// a concurrent append it can trail the scanned snapshot by a batch;
-	// it never overstates currency.
+	// scan) — under live ingest, how current the served data is. It
+	// comes from the same view as the scan, so it is exact: tombstoned
+	// rows are excluded whether or not compaction has reclaimed them,
+	// and rows appended after the scan's view are not counted.
 	ServedRows int
 }
 
@@ -118,76 +116,52 @@ func (pl *Planner) PlanCtx(ctx context.Context, req Request) (*Response, error) 
 	}
 	tr.SetTable(req.Table)
 
-	if req.Exact {
-		sp := tr.StartSpan(obs.StagePlan)
-		base, err := pl.st.Table(req.Table)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		// Before the scan: a count taken after could exceed the scanned
-		// snapshot under concurrent appends and overstate currency.
-		servedRows := base.LiveRows()
-		sp.End()
-		rows, scanStats, err := pl.viewportRows(ctx, base, req.XCol, req.YCol, req.Viewport, req.Rects, req.Filters)
-		if err != nil {
-			return nil, err
-		}
-		sp = tr.StartSpan(obs.StageGather)
-		pts, err := base.Points(req.XCol, req.YCol, rows)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		return &Response{
-			Points:        pts,
-			ExactScan:     true,
-			PredictedTime: pl.model.Time(len(pts)),
-			PlanTime:      time.Since(start),
-			Scan:          scanStats,
-			ServedRows:    servedRows,
-		}, nil
-	}
-
-	// Choose is the single home of budget defaulting and sample
-	// selection, so /v1/query and the tile cache keying (which calls
-	// Choose directly) can never disagree about which sample a budget
-	// resolves to. A sample replacement (LoadSample drops and recreates
-	// the table) can race between selection and lookup; re-resolving
-	// against the updated catalog absorbs it instead of surfacing a
-	// spurious not-found for a table that exists.
+	// The plan span resolves the served table: the base table for an
+	// exact plan, else the sample Choose picks. Choose is the single home
+	// of budget defaulting and sample selection, so /v1/query and the
+	// tile cache keying (which calls Choose directly) can never disagree
+	// about which sample a budget resolves to. A sample replacement
+	// (LoadSample drops and recreates the table) can race between
+	// selection and lookup; re-resolving against the updated catalog
+	// absorbs it instead of surfacing a spurious not-found for a table
+	// that exists.
 	sp := tr.StartSpan(obs.StagePlan)
 	var (
 		chosen store.SampleMeta
-		st     *store.Table
+		t      *store.Table
 		err    error
 	)
-	for attempt := 0; ; attempt++ {
-		chosen, err = pl.Choose(req)
-		if err != nil {
-			sp.End()
-			return nil, err
+	if req.Exact {
+		t, err = pl.st.Table(req.Table)
+	} else {
+		for attempt := 0; ; attempt++ {
+			if chosen, err = pl.Choose(req); err != nil {
+				break
+			}
+			t, err = pl.st.Table(chosen.Table)
+			if err == nil || attempt == 2 || !errors.Is(err, store.ErrNotFound) {
+				break
+			}
 		}
-		st, err = pl.st.Table(chosen.Table)
 		if err == nil {
-			break
-		}
-		if attempt == 2 || !errors.Is(err, store.ErrNotFound) {
-			sp.End()
-			return nil, err
+			tr.Annotate("sample", chosen.Table)
 		}
 	}
-	tr.Annotate("sample", chosen.Table)
-	// One index probe (or fallback scan) serves both the point projection
-	// and the density gather; this is the serving hot path.
-	servedRows := st.LiveRows()
 	sp.End()
-	rows, scanStats, err := pl.viewportRows(ctx, st, chosen.XCol, chosen.YCol, req.Viewport, req.Rects, req.Filters)
+	if err != nil {
+		return nil, err
+	}
+	// One view serves the scan, the point projection, the density
+	// gather and the served-row count: they all describe one
+	// generation of the table, whatever is published meanwhile. A
+	// chosen sample is on the request's column pair (chooseSample).
+	v := t.View()
+	rows, scanStats, err := pl.viewportRows(ctx, v, req.XCol, req.YCol, req.Viewport, req.Rects, req.Filters)
 	if err != nil {
 		return nil, err
 	}
 	sp = tr.StartSpan(obs.StageGather)
-	pts, err := st.Points(chosen.XCol, chosen.YCol, rows)
+	pts, err := v.Points(req.XCol, req.YCol, rows)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -195,27 +169,21 @@ func (pl *Planner) PlanCtx(ctx context.Context, req Request) (*Response, error) 
 	resp := &Response{
 		Points:        pts,
 		Sample:        chosen,
+		ExactScan:     req.Exact,
 		PredictedTime: pl.model.Time(len(pts)),
 		PlanTime:      time.Since(start),
 		Scan:          scanStats,
-		ServedRows:    servedRows,
+		ServedRows:    v.LiveRows(),
 	}
 	if chosen.HasDensity {
 		// A sample registered with HasDensity whose density column cannot
 		// be gathered is broken data, not a cue to silently degrade to
 		// unweighted output.
 		sp = tr.StartSpan(obs.StageGather)
-		vals, err := st.Gather("density", rows)
+		vals, err := v.Gather("density", rows)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("query: sample %q density gather: %w", chosen.Table, err)
-		}
-		// Points and Gather each read their own snapshot; a reload of the
-		// sample table between the two can desynchronize them (the All
-		// sentinel in particular adapts to whatever size it finds).
-		// Misaligned weights corrupt the rendering, so fail instead.
-		if len(vals) != len(pts) {
-			return nil, fmt.Errorf("query: sample %q reloaded mid-plan: %d density values for %d points", chosen.Table, len(vals), len(pts))
 		}
 		resp.Values = vals
 	}
@@ -249,7 +217,7 @@ type NearestResponse struct {
 	// Scan reports how the candidate set was narrowed (tree descent
 	// leaves touched/pruned vs brute-force rows examined).
 	Scan store.ScanStats
-	// ServedRows is the base table's live row count before the search.
+	// ServedRows is the live row count of the generation searched.
 	ServedRows int
 }
 
@@ -272,8 +240,8 @@ func (pl *Planner) NearestCtx(ctx context.Context, req NearestRequest) (*Nearest
 	if err != nil {
 		return nil, err
 	}
-	servedRows := base.LiveRows()
-	ns, scanStats, err := base.NearestCtx(ctx, req.XCol, req.YCol, req.X, req.Y, req.K, req.Filters)
+	v := base.View()
+	ns, scanStats, err := v.Nearest(ctx, req.XCol, req.YCol, req.X, req.Y, req.K, req.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +249,7 @@ func (pl *Planner) NearestCtx(ctx context.Context, req NearestRequest) (*Nearest
 		Neighbors:  ns,
 		PlanTime:   time.Since(start),
 		Scan:       scanStats,
-		ServedRows: servedRows,
+		ServedRows: v.LiveRows(),
 	}, nil
 }
 
@@ -330,31 +298,21 @@ func (pl *Planner) chooseSample(req Request, maxTuples int) (store.SampleMeta, e
 	return best, nil
 }
 
-func (pl *Planner) viewportRows(ctx context.Context, t *store.Table, xCol, yCol string, vp geom.Rect, rects []geom.Rect, filters []store.Pred) (store.RowSet, store.ScanStats, error) {
-	// A multi-viewport request probes each rectangle and unions the row
-	// sets inside the store (one snapshot discipline per probe, stats
-	// summed across probes).
-	if len(rects) > 0 {
-		return t.ScanRectsCtx(ctx, xCol, yCol, rects, filters)
+// viewportRows scans v for a request's viewport spelling: Rects as a
+// union, an unset Viewport (the zero value, or any empty rectangle) as
+// the full extent, else the one Viewport. Filters ride down into the
+// same probe, where zone maps prune cells no matching row lives in.
+func (pl *Planner) viewportRows(ctx context.Context, v store.View, xCol, yCol string, vp geom.Rect, rects []geom.Rect, filters []store.Pred) (store.RowSet, store.ScanStats, error) {
+	if len(rects) == 0 && vp != (geom.Rect{}) && !vp.IsEmpty() {
+		rects = []geom.Rect{vp}
 	}
-	// Both the zero value (the natural "unset" spelling for callers) and
-	// a properly empty rectangle mean "no viewport restriction". With no
-	// filters either, the full extent is the store.All sentinel:
+	// The full extent with no filters is the store.All sentinel:
 	// projections walk the columns directly and no row ids are ever
 	// materialized (the zero-allocation fast path).
-	if vp == (geom.Rect{}) || vp.IsEmpty() {
-		if len(filters) == 0 {
-			return store.All, store.ScanStats{}, nil
-		}
-		// Filters without a viewport: the store's zero-Rect convention
-		// is the same "no restriction", so the probe walks the whole
-		// grid with zone maps pruning non-matching cells.
-		vp = geom.Rect{}
+	if len(rects) == 0 && len(filters) == 0 {
+		return store.All, store.ScanStats{}, nil
 	}
-	// An index probe when the sample's column pair is indexed (every
-	// table published through LoadSample or the vas façade is), a
-	// sharded linear scan otherwise. Filters ride down into the probe.
-	return t.ScanRectWhereCtx(ctx, xCol, yCol, vp, filters)
+	return v.ScanRects(ctx, xCol, yCol, rects, filters)
 }
 
 // LoadSample materializes a sample as a store table named name with

@@ -261,7 +261,7 @@ func TestZeroRectViewportConvention(t *testing.T) {
 	// what an unset viewport means (they used to: the store once read
 	// the zero Rect as a literal point query at the origin).
 	base, _ = st.Table("base")
-	rows, err := base.ScanRect("x", "y", geom.Rect{})
+	rows, _, err := base.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +341,9 @@ func TestViewportRowsFullExtentAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := base.View()
 	allocs := testing.AllocsPerRun(50, func() {
-		rows, _, err := pl.viewportRows(context.Background(), base, "x", "y", geom.Rect{}, nil, nil)
+		rows, _, err := pl.viewportRows(context.Background(), v, "x", "y", geom.Rect{}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

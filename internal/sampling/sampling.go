@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 )
 
 // Sampler consumes a stream of points and can produce the current sample.
@@ -106,7 +105,7 @@ func (r *Reservoir) SampleIDs() []int {
 type Stratified struct {
 	k       int
 	rng     *rand.Rand
-	g       *grid.Grid
+	g       binGrid
 	bins    []*binReservoir
 	seen    int
 	binning string
@@ -124,14 +123,58 @@ func NewStratified(k int, bounds geom.Rect, cols, rows int, seed int64) *Stratif
 	if k <= 0 {
 		panic(fmt.Sprintf("sampling: stratified size must be positive, got %d", k))
 	}
-	g := grid.New(bounds, cols, rows)
 	return &Stratified{
 		k:       k,
 		rng:     rand.New(rand.NewSource(seed)),
-		g:       g,
+		g:       newBinGrid(bounds, cols, rows),
 		bins:    make([]*binReservoir, cols*rows),
 		binning: fmt.Sprintf("%dx%d", cols, rows),
 	}
+}
+
+// binGrid divides a bounding rectangle into cols × rows equal bins: the
+// strata of the stratified sampler (the paper uses a 316×316 grid for
+// Fig. 1 and 100 bins for the user study). Points outside the bounds
+// are clamped into the border bins, which matches how stratified
+// sampling treats boundary tuples.
+type binGrid struct {
+	minX, minY   float64
+	cellW, cellH float64
+	cols, rows   int
+}
+
+// newBinGrid panics when cols or rows is not positive or when bounds is
+// empty, since a degenerate grid would silently put every point in one
+// bin.
+func newBinGrid(bounds geom.Rect, cols, rows int) binGrid {
+	if cols <= 0 || rows <= 0 {
+		panic(fmt.Sprintf("sampling: resolution must be positive, got %dx%d", cols, rows))
+	}
+	if bounds.IsEmpty() {
+		panic("sampling: empty bounds")
+	}
+	g := binGrid{
+		minX: bounds.MinX, minY: bounds.MinY,
+		cellW: bounds.Width() / float64(cols), cellH: bounds.Height() / float64(rows),
+		cols: cols, rows: rows,
+	}
+	// Degenerate axes (all points on a line) still need a positive step
+	// so cellIndex stays well-defined.
+	if g.cellW == 0 {
+		g.cellW = 1
+	}
+	if g.cellH == 0 {
+		g.cellH = 1
+	}
+	return g
+}
+
+// cellIndex returns the flat index row*cols + col of the bin containing
+// p, clamped to the grid.
+func (g binGrid) cellIndex(p geom.Point) int {
+	c := min(max(int((p.X-g.minX)/g.cellW), 0), g.cols-1)
+	r := min(max(int((p.Y-g.minY)/g.cellH), 0), g.rows-1)
+	return r*g.cols + c
 }
 
 // NewStratifiedSquare returns a stratified sampler with bins^2 cells, the
@@ -149,7 +192,7 @@ func (s *Stratified) perBinCap() int { return s.k }
 // Add implements Sampler.
 func (s *Stratified) Add(p geom.Point, id int) {
 	s.seen++
-	i := s.g.CellIndex(p)
+	i := s.g.cellIndex(p)
 	b := s.bins[i]
 	if b == nil {
 		b = &binReservoir{}

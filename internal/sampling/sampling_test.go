@@ -236,6 +236,66 @@ func TestStratifiedBinStats(t *testing.T) {
 	if left != 7 || right != 3 {
 		t.Errorf("per-bin sample counts = [%d %d], want [7 3]", left, right)
 	}
+
+	// The bin grid: boundaries and out-of-bounds points clamp into the
+	// border bins.
+	bounds10 := geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
+	t.Run("CellOfClamping", func(t *testing.T) {
+		g := newBinGrid(bounds10, 5, 5)
+		for _, tc := range []struct {
+			p    geom.Point
+			c, r int
+		}{
+			{geom.Pt(0, 0), 0, 0},
+			{geom.Pt(9.99, 9.99), 4, 4},
+			{geom.Pt(10, 10), 4, 4}, // max boundary clamps into last bin
+			{geom.Pt(-5, 3), 0, 1},  // outside left clamps
+			{geom.Pt(15, 20), 4, 4}, // outside top-right clamps
+			{geom.Pt(4.999, 5.0), 2, 2},
+		} {
+			if i := g.cellIndex(tc.p); i != tc.r*5+tc.c {
+				t.Errorf("cellIndex(%v) = %d, want (%d,%d)", tc.p, i, tc.c, tc.r)
+			}
+		}
+	})
+	// The centre of every bin of a non-square grid maps back to it.
+	t.Run("CellRectTilesBounds", func(t *testing.T) {
+		g := newBinGrid(bounds10, 4, 3)
+		for row := 0; row < 3; row++ {
+			for col := 0; col < 4; col++ {
+				c := geom.Pt((float64(col)+0.5)*10/4, (float64(row)+0.5)*10/3)
+				if i := g.cellIndex(c); i != row*4+col {
+					t.Errorf("bin (%d,%d) centre %v maps to %d", col, row, c, i)
+				}
+			}
+		}
+	})
+	// All points on a vertical line: the grid still bins them by Y.
+	t.Run("DegenerateBounds", func(t *testing.T) {
+		g := newBinGrid(geom.Rect{MinX: 5, MinY: 0, MaxX: 5, MaxY: 10}, 4, 4)
+		if i := g.cellIndex(geom.Pt(5, 2)); i != 0 {
+			t.Errorf("cellIndex(5,2) on degenerate bounds = %d, want 0", i)
+		}
+		if i := g.cellIndex(geom.Pt(5, 9)); i != 3*4 {
+			t.Errorf("cellIndex(5,9) on degenerate bounds = %d, want 12", i)
+		}
+	})
+	t.Run("NewPanics", func(t *testing.T) {
+		for name, f := range map[string]func(){
+			"zero cols":     func() { NewStratified(10, bounds10, 0, 5, 1) },
+			"negative rows": func() { NewStratified(10, bounds10, 5, -1, 1) },
+			"empty bounds":  func() { NewStratified(10, geom.EmptyRect(), 5, 5, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: want panic", name)
+					}
+				}()
+				f()
+			}()
+		}
+	})
 }
 
 func TestParseMethod(t *testing.T) {

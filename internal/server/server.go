@@ -392,8 +392,11 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue // dropped concurrently
 		}
-		info := TableInfo{Name: n, Rows: t.NumRows(), LiveRows: t.LiveRows(), Samples: []SampleInfo{}}
-		if b, err := s.tableBounds(n); err == nil && !b.IsEmpty() {
+		// One view: the counts and a freshly computed extent describe
+		// the same generation, so liveRows never exceeds rows.
+		v := t.View()
+		info := TableInfo{Name: n, Rows: v.NumRows(), LiveRows: v.LiveRows(), Samples: []SampleInfo{}}
+		if b, err := s.tableBounds(n, v); err == nil && !b.IsEmpty() {
 			info.Bounds = &RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}
 		}
 		for _, m := range samplesOf[n] {
@@ -407,8 +410,8 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 }
 
 // tableBounds returns the cached data extent of a base table, computing
-// it on first use.
-func (s *Server) tableBounds(table string) (geom.Rect, error) {
+// it from v, the caller's view of that table, on first use.
+func (s *Server) tableBounds(table string, v store.View) (geom.Rect, error) {
 	s.boundsMu.RLock()
 	b, ok := s.boundsCache[table]
 	epoch := s.epochs[table]
@@ -416,11 +419,7 @@ func (s *Server) tableBounds(table string) (geom.Rect, error) {
 	if ok {
 		return b, nil
 	}
-	t, err := s.st.Table(table)
-	if err != nil {
-		return geom.Rect{}, err
-	}
-	b, err = t.Bounds(s.cfg.XCol, s.cfg.YCol)
+	b, err := v.Bounds(s.cfg.XCol, s.cfg.YCol)
 	if err != nil {
 		return geom.Rect{}, err
 	}
@@ -454,9 +453,10 @@ type QueryResponse struct {
 	// SampleSize is the size of the served sample (0 for an exact scan).
 	SampleSize int  `json:"sampleSize"`
 	Exact      bool `json:"exact"`
-	// ServedRows is the live row count of the table the answer was
-	// scanned from — under live ingest, how current the served data is.
-	// Tombstoned (deleted but not yet reclaimed) rows are excluded.
+	// ServedRows is the exact live row count of the table generation the
+	// answer was scanned from — under live ingest, how current the served
+	// data is. Tombstoned (deleted but not yet reclaimed) rows are
+	// excluded.
 	ServedRows int `json:"servedRows"`
 	// PredictedMillis is the latency-model estimate for rendering Points.
 	PredictedMillis float64 `json:"predictedMillis"`
@@ -710,7 +710,7 @@ type NearestResponse struct {
 	Table     string         `json:"table"`
 	K         int            `json:"k"`
 	Neighbors []NeighborJSON `json:"neighbors"`
-	// ServedRows is the live row count of the base table at query time.
+	// ServedRows is the exact live row count of the generation searched.
 	ServedRows int `json:"servedRows"`
 	// PlanMillis is the engine-side plan+search time.
 	PlanMillis float64 `json:"planMillis"`
@@ -840,7 +840,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, AppendResponse{Appended: 0, Rows: t.LiveRows()})
+		writeJSON(w, http.StatusOK, AppendResponse{Appended: 0, Rows: t.View().LiveRows()})
 		return
 	}
 	if len(req.Points) > 0 && len(req.Rows) > 0 {
@@ -911,7 +911,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := 0
 	if t, err := s.st.Table(table); err == nil {
-		rows = t.LiveRows()
+		rows = t.View().LiveRows()
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{Appended: n, Rows: rows})
 }
@@ -1020,7 +1020,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := 0
 	if t, err := s.st.Table(table); err == nil {
-		rows = t.LiveRows()
+		rows = t.View().LiveRows()
 	}
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: n, Rows: rows})
 }
@@ -1087,7 +1087,15 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	// against stale geometry or data, and the stale epoch quarantines
 	// that result under a key no post-invalidation request asks for.
 	epoch := s.tableEpoch(table)
-	bounds, err := s.tableBounds(table)
+	t, err := s.st.Table(table)
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	// The base table's one view: it addresses the tile on a bounds-cache
+	// miss and is what an exact tile renders.
+	base := t.View()
+	bounds, err := s.tableBounds(table, base)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -1145,7 +1153,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		csp := tr.StartSpan(obs.StageCache)
 		png, metaAny, hit, err = s.cache.GetOrRender(key, func() ([]byte, any, error) {
 			csp.End()
-			b, tm, err := s.renderTile(ctx, table, meta, tileRect, size, exact, filters)
+			b, tm, err := s.renderTile(ctx, base, meta, tileRect, size, exact, filters)
 			csp = tr.StartSpan(obs.StageCache)
 			return b, tm, err
 		})
@@ -1197,38 +1205,39 @@ func (tm tileMeta) setHeaders(h http.Header) {
 	h.Set("X-Vas-Served-Rows", strconv.Itoa(tm.ServedRows))
 }
 
-// renderTile scans exactly the given sample table (or the base table for
-// exact) within the tile rectangle, pushing any filters into the same
-// probe, and encodes the raster as PNG. It deliberately does not re-run
-// sample selection: the caller already resolved the sample into the
-// cache key, and re-planning here could pick a different (newly
-// registered) sample and poison the cache. Density-embedded samples
-// render with the §V weighted-dot encoding.
-func (s *Server) renderTile(ctx context.Context, table string, meta store.SampleMeta, tileRect geom.Rect, size int, exact bool, filters []store.Pred) ([]byte, tileMeta, error) {
+// renderTile scans exactly the given sample table (or, for exact, the
+// base view the tile was addressed with) within the tile rectangle,
+// pushing any filters into the same probe, and encodes the raster as
+// PNG. It deliberately does not re-run sample selection: the caller
+// already resolved the sample into the cache key, and re-planning here
+// could pick a different (newly registered) sample and poison the
+// cache. Density-embedded samples render with the §V weighted-dot
+// encoding.
+func (s *Server) renderTile(ctx context.Context, base store.View, meta store.SampleMeta, tileRect geom.Rect, size int, exact bool, filters []store.Pred) ([]byte, tileMeta, error) {
 	var tm tileMeta
-	name, xCol, yCol := meta.Table, meta.XCol, meta.YCol
-	if exact {
-		name, xCol, yCol = table, s.cfg.XCol, s.cfg.YCol
+	v, xCol, yCol := base, s.cfg.XCol, s.cfg.YCol
+	if !exact {
+		t, err := s.st.Table(meta.Table)
+		if err != nil {
+			return nil, tm, err
+		}
+		v, xCol, yCol = t.View(), meta.XCol, meta.YCol
 	}
-	t, err := s.st.Table(name)
-	if err != nil {
-		return nil, tm, err
-	}
-	// Before the scan, like /v1/query: a count taken after could exceed
-	// the scanned snapshot under concurrent appends. Live rows, not
-	// physical: tombstoned rows are invisible to the scan below.
-	tm.ServedRows = t.LiveRows()
 	// Index probe: sample and base tables published through the catalog
-	// carry a grid index over their (x, y) pair, so a tile-cache miss
+	// carry a spatial index over their (x, y) pair, so a tile-cache miss
 	// reads only the cells its rectangle overlaps instead of scanning
-	// the table — and zone maps prune cells the filters rule out.
-	rows, st, err := t.ScanRectWhereCtx(ctx, xCol, yCol, tileRect, filters)
+	// the table — and zone maps prune cells the filters rule out. The
+	// scan, the projection, the density gather and the served-row count
+	// all read the one view, so ServedRows is the exact live count of
+	// the generation the pixels came from.
+	rows, st, err := v.ScanRects(ctx, xCol, yCol, []geom.Rect{tileRect}, filters)
 	if err != nil {
 		return nil, tm, err
 	}
 	tm.Scan = st
+	tm.ServedRows = v.LiveRows()
 	sp := obs.StartSpan(ctx, obs.StageGather)
-	pts, err := t.Points(xCol, yCol, rows)
+	pts, err := v.Points(xCol, yCol, rows)
 	sp.End()
 	if err != nil {
 		return nil, tm, err
@@ -1239,14 +1248,14 @@ func (s *Server) renderTile(ctx context.Context, table string, meta store.Sample
 		// broken data; surface it rather than silently rendering (and
 		// caching) an unweighted tile.
 		sp = obs.StartSpan(ctx, obs.StageGather)
-		vals, err := t.Gather("density", rows)
+		vals, err := v.Gather("density", rows)
 		sp.End()
 		if err != nil {
-			return nil, tm, fmt.Errorf("sample %q density gather: %w", name, err)
+			return nil, tm, fmt.Errorf("sample %q density gather: %w", meta.Table, err)
 		}
 		weights := make([]int64, len(vals))
-		for i, v := range vals {
-			weights[i] = int64(v)
+		for i, val := range vals {
+			weights[i] = int64(val)
 		}
 		sp = obs.StartSpan(ctx, obs.StageRender)
 		_, err = ras.PlotWeighted(pts, weights, 0)

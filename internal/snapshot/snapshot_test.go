@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -221,11 +222,11 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 						Min:    rng.NormFloat64() * 20, Max: rng.NormFloat64() * 20,
 					})
 				}
-				want, wantSt, err := ot.ScanRectWhere("x", "y", r, preds)
+				want, wantSt, err := ot.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotSt, err := ft.ScanRectWhere("x", "y", r, preds)
+				got, gotSt, err := ft.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -403,11 +404,11 @@ func TestFormatV3TreeCompat(t *testing.T) {
 			if probe%2 == 1 {
 				preds = append(preds, store.Pred{Column: "v", Min: 10, Max: 70})
 			}
-			want, wantSt, err := ot.ScanRectWhere("x", "y", r, preds)
+			want, wantSt, err := ot.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSt, err := ft.ScanRectWhere("x", "y", r, preds)
+			got, gotSt, err := ft.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -418,11 +419,11 @@ func TestFormatV3TreeCompat(t *testing.T) {
 		// kNN must answer identically at the same query points.
 		for probe := 0; probe < 20; probe++ {
 			x, y := rng.NormFloat64()*10, rng.NormFloat64()*10
-			wn, _, err := ot.Nearest("x", "y", x, y, 7, nil)
+			wn, _, err := ot.View().Nearest(context.Background(), "x", "y", x, y, 7, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gn, _, err := ft.Nearest("x", "y", x, y, 7, nil)
+			gn, _, err := ft.View().Nearest(context.Background(), "x", "y", x, y, 7, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -535,10 +536,10 @@ func TestDecodeRejectsTreeCorruption(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if _, _, err := tb.ScanRectWhere("x", "y", geom.Rect{MinX: -5, MinY: -5, MaxX: 5, MaxY: 5}, nil); err != nil {
+				if _, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{MinX: -5, MinY: -5, MaxX: 5, MaxY: 5}}, nil); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := tb.Nearest("x", "y", 0, 0, 3, nil); err != nil {
+				if _, _, err := tb.View().Nearest(context.Background(), "x", "y", 0, 0, 3, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

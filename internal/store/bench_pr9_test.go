@@ -9,6 +9,7 @@ package store
 // bench-smoke` runs them once each.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,7 @@ func benchSkewedViewport(b *testing.B, backend string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := tb.ScanRectWhere("x", "y", benchSkewViewport, benchSkewPreds)
+		rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchSkewViewport}, benchSkewPreds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func benchNearest(b *testing.B, backend string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ns, _, err := tb.Nearest("x", "y", 500.3, 500.3, 10, nil)
+		ns, _, err := tb.View().Nearest(context.Background(), "x", "y", 500.3, 500.3, 10, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

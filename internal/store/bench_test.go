@@ -8,6 +8,7 @@ package store
 // go through bench/ (bash bench/run.sh).
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -60,7 +61,7 @@ func BenchmarkQueryViewportIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := tb.ScanRect("x", "y", benchViewport)
+		rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchViewport}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func BenchmarkScanRectFiltered(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, st, err := tb.ScanRectWhere("x", "y", benchViewport, preds)
+				rows, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchViewport}, preds)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -284,7 +285,7 @@ func benchResidualShapes(b *testing.B, tb *Table) {
 				// the uncorrelated columns earn a zone skip after the
 				// first probes, and steady state is what serving sees.
 				for i := 0; i < 2; i++ {
-					if _, _, err := tb.ScanRectWhere("x", "y", shape.rect, benchResidualPreds); err != nil {
+					if _, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{shape.rect}, benchResidualPreds); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -292,7 +293,7 @@ func benchResidualShapes(b *testing.B, tb *Table) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rows, st, err := tb.ScanRectWhere("x", "y", shape.rect, benchResidualPreds)
+					rows, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{shape.rect}, benchResidualPreds)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -318,7 +319,7 @@ func benchResidualShapes(b *testing.B, tb *Table) {
 					forceScalarKernels = true
 					start := time.Now()
 					for i := 0; i < iters; i++ {
-						if _, _, err := tb.ScanRectWhere("x", "y", shape.rect, benchResidualPreds); err != nil {
+						if _, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{shape.rect}, benchResidualPreds); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -348,7 +349,7 @@ func BenchmarkProbeParallelSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, st, err := tb.ScanRectWhere("x", "y", benchResidualViewport, benchResidualPreds)
+				rows, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchResidualViewport}, benchResidualPreds)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -449,7 +450,7 @@ func BenchmarkScanAfterAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, _, err := tb.ScanRectWhere("x", "y", benchViewport, benchIngestPred)
+				rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchViewport}, benchIngestPred)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -472,7 +473,7 @@ func BenchmarkScanAfterAppendLinearTail(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, _, err := tb.ScanRectWhere("x", "y", benchViewport, benchIngestPred)
+				rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchViewport}, benchIngestPred)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -599,7 +600,7 @@ func benchFilteredProbe(b *testing.B, tb *Table) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := tb.ScanRectWhere("x", "y", benchViewport, preds)
+		rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchViewport}, preds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -646,7 +647,7 @@ func BenchmarkScanRectsUnion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := tb.ScanRects("x", "y", rects, nil)
+		rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", rects, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

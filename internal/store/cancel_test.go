@@ -145,10 +145,10 @@ func TestBackgroundContextUnchanged(t *testing.T) {
 	tb := newCancelTable(t)
 	// Warm lazily-built zone maps so both measured scans see the same
 	// pruning state.
-	if _, _, err := tb.ScanRectWhere("x", "y", cancelZoomout, cancelPreds); err != nil {
+	if _, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{cancelZoomout}, cancelPreds); err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := tb.ScanRectWhere("x", "y", cancelZoomout, cancelPreds)
+	want, wantSt, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{cancelZoomout}, cancelPreds)
 	if err != nil {
 		t.Fatal(err)
 	}

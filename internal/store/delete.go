@@ -28,7 +28,7 @@ var timeNow = time.Now
 const deleteMaxRetries = 16
 
 // DeleteRect tombstones every row whose (xCol, yCol) projection lies
-// inside r, following ScanRectWhere's rectangle conventions — the zero
+// inside r, following View.ScanRects' rectangle conventions — the zero
 // Rect means "no restriction" and therefore deletes every row; NaN
 // bounds fold to ±Inf; rows with NaN coordinates match every bound. It
 // returns the number of rows newly deleted (rows already tombstoned

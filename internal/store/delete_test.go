@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,7 +100,7 @@ func TestDeleteRect(t *testing.T) {
 	} {
 		assertScanRectEquiv(t, tb, probe, "after DeleteRect")
 	}
-	rs, err := tb.ScanRect("x", "y", r)
+	rs, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +336,11 @@ func TestCompactReclaimEquivalence(t *testing.T) {
 		lo := rng.Float64() * 80
 		r := geom.Rect{MinX: lo, MinY: lo, MaxX: lo + 25, MaxY: lo + 25}
 		preds := []Pred{{Column: "m", Min: 30, Max: 70}}
-		gotRS, _, err := tb.ScanRectWhere("x", "y", r, preds)
+		gotRS, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRS, _, err := ref.ScanRectWhere("x", "y", r, preds)
+		wantRS, _, err := ref.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,14 +370,14 @@ func TestScanRectsUnion(t *testing.T) {
 
 	assertUnion := func(rects []geom.Rect, preds []Pred, label string) {
 		t.Helper()
-		got, stats, err := tb.ScanRects("x", "y", rects, preds)
+		got, stats, err := tb.View().ScanRects(context.Background(), "x", "y", rects, preds)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		want := RowSet{}
 		shards := 0
 		for _, r := range rects {
-			rs, st, err := tb.ScanRectWhere("x", "y", r, preds)
+			rs, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatalf("%s: single-rect probe: %v", label, err)
 			}
@@ -416,9 +417,9 @@ func TestScanRectsUnion(t *testing.T) {
 	assertUnion(overlapping, []Pred{{Column: "x", Min: 20, Max: 60}}, "overlapping+filter")
 
 	// Disjoint-union row count is the sum of the parts.
-	rs1, _, _ := tb.ScanRectWhere("x", "y", disjoint[0], nil)
-	rs2, _, _ := tb.ScanRectWhere("x", "y", disjoint[1], nil)
-	u, _, err := tb.ScanRects("x", "y", disjoint, nil)
+	rs1, _, _ := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{disjoint[0]}, nil)
+	rs2, _, _ := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{disjoint[1]}, nil)
+	u, _, err := tb.View().ScanRects(context.Background(), "x", "y", disjoint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,20 +431,20 @@ func TestScanRectsUnion(t *testing.T) {
 	if _, err := tb.DeleteRect("x", "y", disjoint[0]); err != nil {
 		t.Fatal(err)
 	}
-	u, _, _ = tb.ScanRects("x", "y", disjoint, nil)
+	u, _, _ = tb.View().ScanRects(context.Background(), "x", "y", disjoint, nil)
 	if u.Len() != rs2.Len() {
 		t.Errorf("union after deleting rect 0 = %d rows, want %d", u.Len(), rs2.Len())
 	}
 
 	// No rectangles means the full extent.
-	all, _, err := tb.ScanRects("x", "y", nil, nil)
+	all, _, err := tb.View().ScanRects(context.Background(), "x", "y", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if all.Len() != tb.LiveRows() {
 		t.Errorf("empty rects = %d rows, want all %d live", all.Len(), tb.LiveRows())
 	}
-	if _, _, err := tb.ScanRects("x", "ghost", disjoint, nil); err == nil {
+	if _, _, err := tb.View().ScanRects(context.Background(), "x", "ghost", disjoint, nil); err == nil {
 		t.Error("unknown column: want error")
 	}
 }
@@ -721,7 +722,7 @@ func TestDeleteEquivalenceProperty(t *testing.T) {
 			if probe%2 == 1 {
 				preds = []Pred{{Column: "m", Min: 5, Max: 35}}
 			}
-			gotRS, _, err := tb.ScanRectWhere("x", "y", r, preds)
+			gotRS, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -731,7 +732,7 @@ func TestDeleteEquivalenceProperty(t *testing.T) {
 			}
 			var want []geom.Point
 			if len(sx) > 0 {
-				wantRS, _, err := ref.ScanRectWhere("x", "y", r, preds)
+				wantRS, _, err := ref.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,11 +129,11 @@ func TestDeltaProbeMatchesRebuild(t *testing.T) {
 			}
 			for _, r := range deltaRects(rng) {
 				for _, preds := range predSets {
-					got, _, err := live.ScanRectWhere("x", "y", r, preds)
+					got, _, err := live.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, _, err := rebuilt.ScanRectWhere("x", "y", r, preds)
+					want, _, err := rebuilt.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -183,7 +184,7 @@ func TestCompactAbsorbsDelta(t *testing.T) {
 		t.Fatalf("pre-compaction gauges: tail %d delta %d, want 700/700", st.TailRows, st.DeltaRows)
 	}
 	r := geom.Rect{MinX: 10, MinY: 10, MaxX: 70, MaxY: 70}
-	before, _, err := tb.ScanRectWhere("x", "y", r, nil)
+	before, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestCompactAbsorbsDelta(t *testing.T) {
 	if st.Compactions != 1 || st.CompactionSeconds <= 0 {
 		t.Fatalf("compaction counters: %d compactions, %g seconds", st.Compactions, st.CompactionSeconds)
 	}
-	after, _, err := tb.ScanRectWhere("x", "y", r, nil)
+	after, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestZoneSkipAdapts(t *testing.T) {
 	uncorr := []Pred{{Column: "u", Min: 20, Max: 80}}
 	var st ScanStats
 	for i := 0; i < 60; i++ {
-		if _, st, err = tb.ScanRectWhere("x", "y", geom.Rect{}, uncorr); err != nil {
+		if _, st, err = tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{}}, uncorr); err != nil {
 			t.Fatal(err)
 		}
 		if st.ZonesSkipped > 0 {
@@ -302,7 +303,7 @@ func TestZoneSkipAdapts(t *testing.T) {
 	// A viewport keeps the probe (geometry still prunes) while the
 	// skipped predicate is evaluated per row.
 	vp := geom.Rect{MinX: 40, MinY: 40, MaxX: 60, MaxY: 60}
-	_, st2, err := tb.ScanRectWhere("x", "y", vp, uncorr)
+	_, st2, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{vp}, uncorr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestZoneSkipAdapts(t *testing.T) {
 	}
 	assertFilteredEquiv(t, tb, vp, uncorr, "zone-skip-probe")
 	// The correlated column must still be pruning.
-	_, st3, err := tb.ScanRectWhere("x", "y", vp, []Pred{{Column: "m", Min: 95, Max: 100}})
+	_, st3, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{vp}, []Pred{{Column: "m", Min: 95, Max: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestDeltaServesOutOfBoundsAppends(t *testing.T) {
 	if err := tb.Append(500, 500); err != nil { // far outside [0,100]²
 		t.Fatal(err)
 	}
-	rows, st, err := tb.ScanRectWhere("x", "y", geom.Rect{MinX: 400, MinY: 400, MaxX: 600, MaxY: 600}, nil)
+	rows, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{MinX: 400, MinY: 400, MaxX: 600, MaxY: 600}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

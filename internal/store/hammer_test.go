@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -125,7 +126,7 @@ func TestFilteredScanHammer(t *testing.T) {
 		rng := rand.New(rand.NewSource(55))
 		for time.Now().Before(deadline) {
 			preds := []Pred{{Column: "m", Min: 20, Max: 80}}
-			ns, _, err := tb.Nearest("x", "y", rng.Float64()*100, rng.Float64()*100, 12, preds)
+			ns, _, err := tb.View().Nearest(context.Background(), "x", "y", rng.Float64()*100, rng.Float64()*100, 12, preds)
 			if err != nil {
 				report(err)
 				return
@@ -199,7 +200,7 @@ func TestFilteredScanHammer(t *testing.T) {
 					vp = geom.Rect{} // pure attribute filter over the grid
 				}
 				nBefore := tb.NumRows()
-				rows, _, err := tb.ScanRectWhere("x", "y", vp, preds)
+				rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{vp}, preds)
 				if err != nil {
 					report(err)
 					return
@@ -384,7 +385,7 @@ func TestDeleteHammer(t *testing.T) {
 				} else {
 					rects = []geom.Rect{vp}
 				}
-				rows, _, err := tb.ScanRects("x", "y", rects, []Pred{{Column: "m", Min: 10, Max: 90}})
+				rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", rects, []Pred{{Column: "m", Min: 10, Max: 90}})
 				if err != nil {
 					report(err)
 					return

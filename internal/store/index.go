@@ -9,12 +9,11 @@ import (
 	"repro/internal/geom"
 )
 
-// The spatial index is a uniform grid (adapted from internal/grid, which
-// keeps per-cell point slices; here the layout is a compact CSR packing
-// of row ids) binned over one (x, y) column pair. It is immutable: built
-// against one generation of column storage and published atomically with
-// it, so a reader's snapshot always pairs columns with the index that was
-// built from exactly those columns.
+// The spatial index is a uniform grid, a compact CSR packing of row ids
+// per cell, binned over one (x, y) column pair. It is immutable: built
+// against one generation of column storage and published atomically
+// with it, so a reader's view always pairs columns with the index that
+// was built from exactly those columns.
 const (
 	// indexTargetRowsPerCell sizes the grid so an average cell holds
 	// about this many rows: fine enough that a 1% viewport touches a
@@ -88,7 +87,7 @@ func (g *gridGeom) extent() geom.Rect { return g.bounds }
 // sizeGrid stretches the uniform grid over bounds for n rows: dim² cells
 // targeting indexTargetRowsPerCell rows each, with degenerate axes (all
 // rows on a line) given a positive step so cell arithmetic stays
-// well-defined; same convention as grid.New.
+// well-defined.
 func (g *gridGeom) sizeGrid(n int) {
 	dim := int(math.Sqrt(float64(n) / indexTargetRowsPerCell))
 	if dim < 1 {
@@ -253,10 +252,10 @@ func buildRectIndex(xi, yi int, cols [][]float64, n int) *rectIndex {
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // cellCoords returns the (col, row) cell of (x, y), clamped into the
-// grid like grid.CellOf. Clamping happens in the float domain BEFORE
-// the int conversion: a coordinate far outside the bounds (query
-// viewports arrive from the network; 1e300 or ±Inf are representable)
-// would overflow the conversion — float→int of an out-of-range value
+// grid. Clamping happens in the float domain BEFORE the int
+// conversion: a coordinate far outside the bounds (query viewports
+// arrive from the network; 1e300 or ±Inf are representable) would
+// overflow the conversion — float→int of an out-of-range value
 // yields MinInt64 on amd64 — and clamp to the wrong edge, inverting
 // cell ranges.
 func (g *gridGeom) cellCoords(x, y float64) (int, int) {
@@ -341,7 +340,7 @@ func (ix *rectIndex) collect(cols [][]float64, r geom.Rect, preds []Pred, pi []i
 		}
 	}
 	// Runs are ascending within a cell but interleave across cells (and
-	// with extras); one sort restores global row order (ScanRect's
+	// with extras); one sort restores global row order (ScanRects'
 	// contract, and what the ScanRect ≡ Scan property test checks).
 	slices.Sort(ids)
 	return ids

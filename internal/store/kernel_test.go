@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -241,12 +242,12 @@ func TestScanBatchedMatchesScalarEndToEnd(t *testing.T) {
 	}
 	for _, r := range rects {
 		for _, preds := range predSets {
-			batch, _, err := tb.ScanRectWhere("x", "y", r, preds)
+			batch, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			forceScalarKernels = true
-			scalar, _, err := tb.ScanRectWhere("x", "y", r, preds)
+			scalar, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			forceScalarKernels = false
 			if err != nil {
 				t.Fatal(err)
@@ -294,7 +295,7 @@ func TestParallelProbeMatchesSerial(t *testing.T) {
 	}
 	r := geom.Rect{MinX: 10, MinY: 10, MaxX: 990, MaxY: 990}
 	preds := []Pred{{Column: "m", Min: 100, Max: 900}}
-	par, pst, err := tb.ScanRectWhere("x", "y", r, preds)
+	par, pst, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestParallelProbeMatchesSerial(t *testing.T) {
 		t.Fatalf("ProbeShards = %d, want > 1 under GOMAXPROCS=4 with %d bounded rows", pst.ProbeShards, n)
 	}
 	runtime.GOMAXPROCS(1)
-	ser, sst, err := tb.ScanRectWhere("x", "y", r, preds)
+	ser, sst, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 	if err != nil {
 		t.Fatal(err)
 	}

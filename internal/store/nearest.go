@@ -10,7 +10,7 @@ import (
 	"repro/internal/strtree"
 )
 
-// kNN: Table.Nearest answers "the k live rows nearest (x, y)" — the
+// kNN: View.Nearest answers "the k live rows nearest (x, y)" — the
 // workload the R-tree backend unlocks. Over a treeIndex it is
 // internal/strtree's best-first descent (Layout.Search) with a leaf
 // visitor that applies the store's zone maps, tombstones and predicates;
@@ -23,7 +23,7 @@ import (
 
 // Neighbor is one kNN result row.
 type Neighbor struct {
-	// Row is the row id in the generation the query ran against.
+	// Row is the row id in the view the query ran against.
 	Row int
 	// X, Y are the row's indexed-pair coordinates.
 	X, Y float64
@@ -34,26 +34,20 @@ type Neighbor struct {
 // ErrBadNearest reports an invalid kNN request.
 var ErrBadNearest = errors.New("store: invalid nearest query")
 
-// Nearest returns the k live rows nearest to (x, y) in the (xCol, yCol)
-// plane that satisfy every predicate, ascending by distance (ties by
-// row id), along with scan statistics. Fewer than k rows come back when
-// fewer match. Rows whose distance is NaN (a NaN coordinate) never
-// match; ±Inf coordinates are comparable and can match at distance
-// +Inf. The query point itself must be NaN-free.
-func (t *Table) Nearest(xCol, yCol string, x, y float64, k int, preds []Pred) ([]Neighbor, ScanStats, error) {
-	return t.nearest(nil, nil, xCol, yCol, x, y, k, preds)
-}
-
-// NearestCtx is Nearest with stage timing and cooperative cancellation:
-// when ctx carries an obs.Trace the index descent (or brute-force
+// Nearest returns the k live rows of the view nearest to (x, y) in the
+// (xCol, yCol) plane that satisfy every predicate, ascending by distance
+// (ties by row id), along with scan statistics. Fewer than k rows come
+// back when fewer match. Rows whose distance is NaN (a NaN coordinate)
+// never match; ±Inf coordinates are comparable and can match at
+// distance +Inf. The query point itself must be NaN-free.
+//
+// When ctx carries an obs.Trace the index descent (or brute-force
 // sweep) is recorded as a probe span, and when ctx can be canceled the
 // search polls it at frontier-pop and sweep-block boundaries and
 // unwinds with ctx.Err().
-func (t *Table) NearestCtx(ctx context.Context, xCol, yCol string, x, y float64, k int, preds []Pred) ([]Neighbor, ScanStats, error) {
-	return t.nearest(obs.FromContext(ctx), newCanceler(ctx), xCol, yCol, x, y, k, preds)
-}
-
-func (t *Table) nearest(tr *obs.Trace, cn *canceler, xCol, yCol string, x, y float64, k int, preds []Pred) ([]Neighbor, ScanStats, error) {
+func (v View) Nearest(ctx context.Context, xCol, yCol string, x, y float64, k int, preds []Pred) ([]Neighbor, ScanStats, error) {
+	tr, cn := obs.FromContext(ctx), newCanceler(ctx)
+	t, d := v.t, v.d
 	var st ScanStats
 	if k <= 0 {
 		return nil, st, fmt.Errorf("%w: k = %d", ErrBadNearest, k)
@@ -78,7 +72,6 @@ func (t *Table) nearest(tr *obs.Trace, cn *canceler, xCol, yCol string, x, y flo
 		pi[i] = ci
 	}
 	preds = normalizePreds(preds)
-	d := t.snapshot()
 	t.counters.nearestQueries.Add(1)
 	h := strtree.NewKNN(k)
 	xs, ys := d.cols[xi], d.cols[yi]
@@ -131,7 +124,7 @@ func (t *Table) nearest(tr *obs.Trace, cn *canceler, xCol, yCol string, x, y flo
 // offering every row of each leaf it reaches. Leaf zone maps rule out a
 // leaf no row of which can satisfy the predicates before any row is
 // touched, and one counter-gated poll per leaf stops a canceled descent
-// (nearest() then returns the context error, never the incomplete heap).
+// (Nearest then returns the context error, never the incomplete heap).
 // Non-finite extras are offered linearly — they have no MBR to bound.
 func (ix *treeIndex) nearestInto(x, y float64, h *strtree.KNN, preds []Pred, pi []int, st *ScanStats, cn *canceler, offer func(row int)) {
 	numLeaves := len(ix.LeafMBR)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -115,7 +116,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		for _, q := range queries {
 			for _, preds := range predSets {
 				for _, k := range ks {
-					got, st, err := tb.Nearest("x", "y", q.x, q.y, k, preds)
+					got, st, err := tb.View().Nearest(context.Background(), "x", "y", q.x, q.y, k, preds)
 					if err != nil {
 						t.Fatalf("trial %d backend %q: %v", trial, backend, err)
 					}
@@ -146,27 +147,27 @@ func TestNearestValidation(t *testing.T) {
 	if err := tb.BulkLoad([]float64{1, 2}, []float64{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.Nearest("x", "y", 0, 0, 0, nil); !errors.Is(err, ErrBadNearest) {
+	if _, _, err := tb.View().Nearest(context.Background(), "x", "y", 0, 0, 0, nil); !errors.Is(err, ErrBadNearest) {
 		t.Fatalf("k=0: err %v, want ErrBadNearest", err)
 	}
-	if _, _, err := tb.Nearest("x", "y", 0, 0, -3, nil); !errors.Is(err, ErrBadNearest) {
+	if _, _, err := tb.View().Nearest(context.Background(), "x", "y", 0, 0, -3, nil); !errors.Is(err, ErrBadNearest) {
 		t.Fatalf("k<0: err %v, want ErrBadNearest", err)
 	}
-	if _, _, err := tb.Nearest("x", "y", math.NaN(), 0, 1, nil); !errors.Is(err, ErrBadNearest) {
+	if _, _, err := tb.View().Nearest(context.Background(), "x", "y", math.NaN(), 0, 1, nil); !errors.Is(err, ErrBadNearest) {
 		t.Fatalf("NaN x: err %v, want ErrBadNearest", err)
 	}
-	if _, _, err := tb.Nearest("x", "y", 0, math.NaN(), 1, nil); !errors.Is(err, ErrBadNearest) {
+	if _, _, err := tb.View().Nearest(context.Background(), "x", "y", 0, math.NaN(), 1, nil); !errors.Is(err, ErrBadNearest) {
 		t.Fatalf("NaN y: err %v, want ErrBadNearest", err)
 	}
-	if _, _, err := tb.Nearest("z", "y", 0, 0, 1, nil); !errors.Is(err, ErrNotFound) {
+	if _, _, err := tb.View().Nearest(context.Background(), "z", "y", 0, 0, 1, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown x column: err %v, want ErrNotFound", err)
 	}
-	if _, _, err := tb.Nearest("x", "y", 0, 0, 1, []Pred{{Column: "q"}}); !errors.Is(err, ErrNotFound) {
+	if _, _, err := tb.View().Nearest(context.Background(), "x", "y", 0, 0, 1, []Pred{{Column: "q"}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown pred column: err %v, want ErrNotFound", err)
 	}
 	// kNN is exact over ±Inf rows: at an infinite query point the finite
 	// rows sit at distance +Inf, which is still comparable.
-	if ns, _, err := tb.Nearest("x", "y", math.Inf(1), 0, 1, nil); err != nil || len(ns) != 1 {
+	if ns, _, err := tb.View().Nearest(context.Background(), "x", "y", math.Inf(1), 0, 1, nil); err != nil || len(ns) != 1 {
 		t.Fatalf("Inf query point: %v, %d results", err, len(ns))
 	}
 }
@@ -241,15 +242,15 @@ func TestBackendEquivalenceOnSkew(t *testing.T) {
 			if probe%2 == 1 {
 				preds = []Pred{{Column: "m", Min: rng.Float64() * 600, Max: 400 + rng.Float64()*600}}
 			}
-			tr, _, err := tree.ScanRectWhere("x", "y", r, preds)
+			tr, _, err := tree.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gr, _, err := grid.ScanRectWhere("x", "y", r, preds)
+			gr, _, err := grid.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lr, _, err := linear.ScanRectWhere("x", "y", r, preds)
+			lr, _, err := linear.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +357,7 @@ func TestIndexOnFlipsBackend(t *testing.T) {
 		if mode == BackendGrid && got != BackendGrid {
 			t.Fatalf("after SetIndexBackend(grid)+IndexOn: backend %q", got)
 		}
-		ns, _, err := tb.Nearest("x", "y", 50, 50, 9, nil)
+		ns, _, err := tb.View().Nearest(context.Background(), "x", "y", 50, 50, 9, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

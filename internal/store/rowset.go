@@ -3,8 +3,8 @@ package store
 import "sort"
 
 // RowSet is an immutable set of row indices produced by the scan side of
-// the read path (Scan, ScanRect, ScanRectWhere) and consumed by the
-// projection side (Points, Gather). It has three representations, and
+// the read path (Scan, View.ScanRects) and consumed by the projection
+// side (View.Points, View.Gather). It has three representations, and
 // the scan layer picks the cheapest one per result:
 //
 //   - a dense range [start, end), the zero-allocation spelling of "every
@@ -34,13 +34,10 @@ type RowSet struct {
 	all bool
 }
 
-// All selects every row of whatever table snapshot the consuming
-// operator (Points, Gather) reads — the zero-allocation spelling of "no
-// restriction". Unlike a dense range built from an earlier NumRows
-// call, All stays exact when a reload lands between the calls: each
-// operator resolves it against its own snapshot, so a full-extent read
-// can never go out of range. All has no standalone extent; Len and
-// AsRange report the empty set until a table operator resolves it.
+// All selects every live row of the view the consuming operator
+// (View.Points, View.Gather) reads — the zero-allocation spelling of
+// "no restriction". All has no standalone extent; Len and AsRange
+// report the empty set until a view operator resolves it.
 var All = RowSet{all: true}
 
 // IsAll reports whether the set is the All sentinel.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // means "no restriction", agreeing with Scan's empty predicate list.
 func assertScanRectEquiv(t *testing.T, tb *Table, r geom.Rect, label string) {
 	t.Helper()
-	got, err := tb.ScanRect("x", "y", r)
+	got, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, nil)
 	if err != nil {
 		t.Fatalf("%s: ScanRect: %v", label, err)
 	}
@@ -184,7 +185,7 @@ func TestScanRectMatchesLinearScan(t *testing.T) {
 // that iteration order, length, and membership agree across all three.
 func assertFilteredEquiv(t *testing.T, tb *Table, r geom.Rect, preds []Pred, label string) {
 	t.Helper()
-	got, st, err := tb.ScanRectWhere("x", "y", r, preds)
+	got, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 	if err != nil {
 		t.Fatalf("%s: ScanRectWhere: %v", label, err)
 	}
@@ -360,7 +361,7 @@ func TestScanRectFilteredMatchesLinearScan(t *testing.T) {
 			}
 		}
 		// Unknown filter column errors.
-		if _, _, err := tb.ScanRectWhere("x", "y", geom.Rect{MaxX: 1, MaxY: 1}, []Pred{{Column: "zzz"}}); err == nil {
+		if _, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{MaxX: 1, MaxY: 1}}, []Pred{{Column: "zzz"}}); err == nil {
 			t.Fatal("unknown filter column: want error")
 		}
 	}
@@ -389,8 +390,7 @@ func TestZoneMapsPrune(t *testing.T) {
 	}
 	// m in [0, 50] selects the lower-left triangle; cells in the upper
 	// right half must be pruned without a row test.
-	rows, st, err := tb.ScanRectWhere("x", "y", geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
-		[]Pred{{Column: "m", Min: 0, Max: 50}})
+	rows, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}}, []Pred{{Column: "m", Min: 0, Max: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +411,7 @@ func TestZoneMapsPrune(t *testing.T) {
 	if err := tb2.BulkLoad(xs, ys, ms); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := tb2.ScanRectWhere("x", "y", geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
-		[]Pred{{Column: "m", Min: 0, Max: 50}})
+	want, _, err := tb2.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}}, []Pred{{Column: "m", Min: 0, Max: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +445,7 @@ func TestAllRowsConventionWithAppendedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rect, err := tb.ScanRect("x", "y", geom.Rect{})
+	rect, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +457,7 @@ func TestAllRowsConventionWithAppendedTail(t *testing.T) {
 	}
 	// The filtered spelling agrees too: zero Rect + no preds from
 	// ScanRectWhere is the same fast path.
-	where, _, err := tb.ScanRectWhere("x", "y", geom.Rect{}, nil)
+	where, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +479,7 @@ func TestScanRectFullExtentIsDenseRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tb.ScanRect("x", "y", b)
+	rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +505,7 @@ func TestIndexOnRebuildAbsorbsAppends(t *testing.T) {
 		}
 	}
 	big := geom.Rect{MinX: -1, MinY: -1, MaxX: 100, MaxY: 100}
-	rows, err := tb.ScanRect("x", "y", big)
+	rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{big}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +518,7 @@ func TestIndexOnRebuildAbsorbsAppends(t *testing.T) {
 	if err := tb.IndexOn("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err = tb.ScanRect("x", "y", big)
+	rows, _, err = tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{big}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +554,7 @@ func TestScanRectNonFiniteCoordinates(t *testing.T) {
 	// against every bound, so range predicates never exclude it), and
 	// dirty rows must not cost the finite bulk its index: the probe
 	// counter, not the fallback counter, moves.
-	rows, err := tb.ScanRect("x", "y", geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 2.5, MaxY: 2.5})
+	rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{MinX: 0.5, MinY: 0.5, MaxX: 2.5, MaxY: 2.5}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +612,7 @@ func TestBoundsUnchangedByIndexing(t *testing.T) {
 
 func TestScanRectUnknownColumn(t *testing.T) {
 	tb, _ := NewTable("t", "x", "y")
-	if _, err := tb.ScanRect("x", "zzz", geom.Rect{MaxX: 1, MaxY: 1}); err == nil {
+	if _, _, err := tb.View().ScanRects(context.Background(), "x", "zzz", []geom.Rect{{MaxX: 1, MaxY: 1}}, nil); err == nil {
 		t.Error("unknown column: want error")
 	}
 }
@@ -627,8 +626,9 @@ func TestFullExtentProjectionAllocations(t *testing.T) {
 	if err := tb.BulkLoad(xs, ys); err != nil {
 		t.Fatal(err)
 	}
+	v := tb.View()
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := tb.Points("x", "y", All); err != nil {
+		if _, err := v.Points("x", "y", All); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -689,11 +689,11 @@ func TestIndexStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	if _, err := tb.ScanRect("x", "y", probe); err != nil {
+	if _, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{probe}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// An unindexed pair falls back and is counted as such.
-	if _, err := tb.ScanRect("y", "x", probe); err != nil {
+	if _, _, err := tb.View().ScanRects(context.Background(), "y", "x", []geom.Rect{probe}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := s.IndexStats()

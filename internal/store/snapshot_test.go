@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -77,11 +78,11 @@ func TestTableSnapshotRoundTrip(t *testing.T) {
 	}
 	for _, r := range rects {
 		for _, preds := range predSets {
-			want, wantSt, err := orig.ScanRectWhere("x", "y", r, preds)
+			want, wantSt, err := orig.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSt, err := restored.ScanRectWhere("x", "y", r, preds)
+			got, gotSt, err := restored.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,7 @@
 // same RDBMS", §II-B). It supports typed float64 columns, append and bulk
 // load, predicate scans over column ranges, grid-binned spatial indexes
 // over (x, y) column pairs answering viewport queries as index probes
-// (ScanRect), and a catalog that records sample lineage (source table,
+// (View.ScanRects), and a catalog that records sample lineage (source table,
 // method, size) so the query layer can pick the right sample for a latency
 // budget. Scans produce RowSets — dense ranges or sorted index lists —
 // that the projection operators (Points, Gather) consume without ever
@@ -12,7 +12,6 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -23,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 // ErrNotFound is returned when a table or column does not exist.
@@ -33,21 +31,14 @@ var ErrNotFound = errors.New("store: not found")
 // carrying grid spatial indexes over (x, y) column pairs (IndexOn).
 //
 // A Table is safe for concurrent use. All state a reader touches —
-// column storage, row count, and spatial indexes — lives in one
-// immutable generation struct published under the write lock, so every
-// read operates on a consistent snapshot: an index can never be paired
-// with columns it was not built from. BulkLoad installs freshly
-// allocated column storage and freshly built indexes rather than reusing
-// the old backing arrays, so each individual call observes either the
-// old contents or the new — never a mix. Consistency is per call, not
-// per call sequence: row indices returned by Scan refer to the
-// generation they were computed against, and a Points or Gather call
-// issued after an intervening BulkLoad resolves them against the new
-// generation — a shrink surfaces as out-of-range errors, while a
-// same-size reload silently projects new rows. Callers that reload
-// tables while serving reads must not carry row indices across the
-// reload; the serving layer invalidates cached artifacts on reload
-// instead.
+// column storage, row count, spatial indexes and tombstones — lives in
+// one immutable generation published under the write lock, so an index
+// is never paired with columns it was not built from. Reads go through
+// a View (Table.View), which pins one generation: a request that scans,
+// then projects the selected rows and counts the table, takes one View
+// and gets answers that all describe the same rows, however many
+// appends, deletes, reloads or reclaiming compactions publish in
+// between.
 type Table struct {
 	name    string
 	colName []string
@@ -109,10 +100,10 @@ const (
 // retained block, which keeps the store aggregates monotonic (they are
 // exported as Prometheus _total series).
 type tableCounters struct {
-	indexProbes   atomic.Int64 // ScanRect answered from a spatial index
-	scanFallbacks atomic.Int64 // ScanRect fell back to a linear scan
+	indexProbes   atomic.Int64 // rectangle probes answered from a spatial index
+	scanFallbacks atomic.Int64 // rectangle probes that fell back to a linear scan
 
-	// Zone-map counters, accumulated by ScanRectWhere calls that carried
+	// Zone-map counters, accumulated by rectangle probes that carried
 	// at least one residual predicate.
 	filteredProbes   atomic.Int64 // filtered probes answered from an index
 	zoneCellsTouched atomic.Int64 // cells considered by filtered probes
@@ -214,20 +205,6 @@ func (t *Table) Name() string { return t.name }
 
 // Columns returns the column names in declaration order.
 func (t *Table) Columns() []string { return append([]string(nil), t.colName...) }
-
-// NumRows returns the row count, tombstoned rows included — the
-// high-water mark row ids are addressed against. Use LiveRows for the
-// count a scan can actually return.
-func (t *Table) NumRows() int {
-	return t.snapshot().n
-}
-
-// LiveRows returns the number of rows visible to reads: the row count
-// minus the tombstoned set of the same snapshot.
-func (t *Table) LiveRows() int {
-	d := t.snapshot()
-	return d.n - d.deadCount()
-}
 
 // snapshot returns the current generation. The returned struct and
 // everything it references are immutable: writers publish fresh
@@ -455,10 +432,11 @@ func (t *Table) Scan(preds []Pred) (RowSet, error) {
 	return rowSetFromSorted(filterDeadInts(scanShards(cols, preds, d.n, nil), d.dead)), nil
 }
 
-// ScanStats describes how one ScanRect/ScanRectWhere call was answered,
-// for the query layer's pruning report and the /metrics counters. Cell
-// counts are zero on the fallback (linear) path and on the all-rows and
-// full-extent fast paths, which never touch cells at all.
+// ScanStats describes how one View.ScanRects or View.Nearest call was
+// answered, for the query layer's pruning report and the /metrics
+// counters. Cell counts are zero on the fallback (linear) path and on
+// the all-rows and full-extent fast paths, which never touch cells at
+// all.
 type ScanStats struct {
 	// IndexProbe is true when a grid spatial index answered the call.
 	IndexProbe bool
@@ -496,279 +474,6 @@ type ScanStats struct {
 var unboundedRect = geom.Rect{
 	MinX: math.Inf(-1), MinY: math.Inf(-1),
 	MaxX: math.Inf(1), MaxY: math.Inf(1),
-}
-
-// ScanRect returns the rows whose (xCol, yCol) projection lies inside r
-// (boundary inclusive, like Scan's range predicates). It is
-// ScanRectWhere with no residual predicates; see there for the rectangle
-// conventions.
-func (t *Table) ScanRect(xCol, yCol string, r geom.Rect) (RowSet, error) {
-	rows, _, err := t.ScanRectWhere(xCol, yCol, r, nil)
-	return rows, err
-}
-
-// ScanRectWhere returns the rows whose (xCol, yCol) projection lies
-// inside r (boundary inclusive) AND that satisfy every residual
-// predicate, evaluated against one consistent snapshot. When the pair
-// has a spatial index the answer is an index probe: per-cell zone maps
-// prune cells no row of which can match and bulk-emit cells every row of
-// which must match, so residual predicates are evaluated per row only on
-// boundary cells, zone-inconclusive cells, non-finite extras, and the
-// appended tail. Without an index it degrades to the sharded linear
-// scan with the rectangle folded into the predicate list.
-//
-// Rectangle conventions, shared with Scan:
-//
-//   - The zero Rect means "no viewport restriction" — the same all-rows
-//     answer (a dense range over the snapshot, appended tail included)
-//     that Scan returns for an empty predicate list. A degenerate point
-//     query at the origin is spelled {MinX: 0, MinY: 0, MaxX: 0, MaxY:
-//     math.Copysign(0, -1)} — any rectangle with at least one non-zero
-//     bit — or more naturally via Scan predicates.
-//   - NaN bounds (in r or in a predicate) never exclude anything: every
-//     comparison against NaN is false, exactly how Scan's predicates
-//     treat it, so they fold to the matching infinity.
-//   - Rows with NaN coordinates or NaN predicate-column values compare
-//     false against every bound and therefore match, exactly as in
-//     Scan. ScanRectWhere is row-for-row equivalent to Scan with the
-//     corresponding range predicates.
-func (t *Table) ScanRectWhere(xCol, yCol string, r geom.Rect, preds []Pred) (RowSet, ScanStats, error) {
-	return t.scanRectWhere(nil, nil, xCol, yCol, r, preds)
-}
-
-// ScanRectWhereCtx is ScanRectWhere with stage timing and cooperative
-// cancellation: when ctx carries an obs.Trace, the index/delta probe
-// and the per-row residual work are recorded as probe and residual
-// spans, and when ctx can be canceled the scan polls it at kernel-block
-// and probe-shard boundaries (counter-gated, see canceler) and unwinds
-// with ctx.Err(). With neither a trace nor a cancelable context it is
-// byte-for-byte ScanRectWhere — the nil-trace, nil-canceler paths
-// neither allocate nor read the clock.
-func (t *Table) ScanRectWhereCtx(ctx context.Context, xCol, yCol string, r geom.Rect, preds []Pred) (RowSet, ScanStats, error) {
-	return t.scanRectWhere(obs.FromContext(ctx), newCanceler(ctx), xCol, yCol, r, preds)
-}
-
-// ScanRects is the OR-of-viewports query mode: it returns the rows
-// whose (xCol, yCol) projection lies inside ANY of the rectangles and
-// that satisfy every residual predicate — the RowSet.Union of the
-// per-rect probes. Each rectangle follows ScanRectWhere's conventions
-// (zero Rect = no restriction, NaN bounds fold to ±Inf), so one zero
-// rectangle absorbs the whole union. An empty rects slice degenerates
-// to the single unrestricted viewport. Stats are summed across probes.
-//
-// Each probe reads its own snapshot: under concurrent ingest the union
-// may straddle generations, exactly like two back-to-back ScanRectWhere
-// calls would. Rows landing in several rectangles are returned once.
-func (t *Table) ScanRects(xCol, yCol string, rects []geom.Rect, preds []Pred) (RowSet, ScanStats, error) {
-	return t.scanRects(nil, nil, xCol, yCol, rects, preds)
-}
-
-// ScanRectsCtx is ScanRects with stage timing and cooperative
-// cancellation, like ScanRectWhereCtx; cancellation is additionally
-// checked between rectangles.
-func (t *Table) ScanRectsCtx(ctx context.Context, xCol, yCol string, rects []geom.Rect, preds []Pred) (RowSet, ScanStats, error) {
-	return t.scanRects(obs.FromContext(ctx), newCanceler(ctx), xCol, yCol, rects, preds)
-}
-
-func (t *Table) scanRects(tr *obs.Trace, cn *canceler, xCol, yCol string, rects []geom.Rect, preds []Pred) (RowSet, ScanStats, error) {
-	if len(rects) == 0 {
-		return t.scanRectWhere(tr, cn, xCol, yCol, geom.Rect{}, preds)
-	}
-	var union RowSet
-	var total ScanStats
-	for i, r := range rects {
-		// Per-rect boundary: an unconditional poll — rect counts are
-		// small, and each rect below can be an entire probe.
-		if err := cn.cause(); err != nil {
-			return RowSet{}, total, err
-		}
-		rows, st, err := t.scanRectWhere(tr, cn, xCol, yCol, r, preds)
-		if err != nil {
-			return RowSet{}, total, err
-		}
-		total.IndexProbe = total.IndexProbe || st.IndexProbe
-		total.CellsTouched += st.CellsTouched
-		total.CellsPruned += st.CellsPruned
-		total.CellsBulk += st.CellsBulk
-		total.RowsExamined += st.RowsExamined
-		total.DeltaRows += st.DeltaRows
-		total.ZonesSkipped += st.ZonesSkipped
-		total.BatchedRows += st.BatchedRows
-		total.ProbeShards += st.ProbeShards
-		if i == 0 {
-			union = rows
-		} else {
-			union = union.Union(rows)
-		}
-	}
-	return union, total, nil
-}
-
-func (t *Table) scanRectWhere(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Rect, preds []Pred) (RowSet, ScanStats, error) {
-	var st ScanStats
-	xi, ok := t.colIdx[xCol]
-	if !ok {
-		return RowSet{}, st, fmt.Errorf("store: table %q column %q: %w", t.name, xCol, ErrNotFound)
-	}
-	yi, ok := t.colIdx[yCol]
-	if !ok {
-		return RowSet{}, st, fmt.Errorf("store: table %q column %q: %w", t.name, yCol, ErrNotFound)
-	}
-	pi := make([]int, len(preds))
-	for i, p := range preds {
-		ci, ok := t.colIdx[p.Column]
-		if !ok {
-			return RowSet{}, st, fmt.Errorf("store: table %q column %q: %w", t.name, p.Column, ErrNotFound)
-		}
-		pi[i] = ci
-	}
-	// The zero Rect selects everything (see the conventions above).
-	if r == (geom.Rect{}) {
-		r = unboundedRect
-	}
-	// Fold NaN bounds to the matching infinity so the geometric
-	// machinery (Intersects, cell clamping, zone comparisons) sees the
-	// same "unbounded" meaning the predicate comparisons give them.
-	if math.IsNaN(r.MinX) {
-		r.MinX = math.Inf(-1)
-	}
-	if math.IsNaN(r.MinY) {
-		r.MinY = math.Inf(-1)
-	}
-	if math.IsNaN(r.MaxX) {
-		r.MaxX = math.Inf(1)
-	}
-	if math.IsNaN(r.MaxY) {
-		r.MaxY = math.Inf(1)
-	}
-	preds = normalizePreds(preds)
-	d := t.snapshot()
-	// All-rows fast path: an unbounded rectangle with no predicates
-	// matches every live row — NaN/±Inf coordinates and the appended
-	// tail included — as a dense range (minus the tombstone set),
-	// agreeing with Scan(nil).
-	if len(preds) == 0 && r == unboundedRect {
-		return rangeMinusBitmap(0, d.n, d.dead), st, nil
-	}
-	ix := d.indexFor(xi, yi)
-	// Adaptive zone planning: columns whose zone maps have consulted
-	// thousands of cells without ever pruning or settling one (an
-	// uncorrelated filter column) stop paying the zone checks.
-	var skip []bool
-	if ix != nil && len(preds) > 0 {
-		skip = t.zoneSkipFor(pi)
-		if skip != nil {
-			for _, s := range skip {
-				if s {
-					st.ZonesSkipped++
-				}
-			}
-			t.counters.zoneSkips.Add(int64(st.ZonesSkipped))
-		}
-	}
-	// With no viewport restriction and every predicate's zones useless,
-	// the probe would walk the entire grid cell by cell only to evaluate
-	// the predicates per row — the sharded linear scan does the same
-	// work with none of the cell overhead.
-	if ix == nil || (r == unboundedRect && st.ZonesSkipped == len(preds) && len(preds) > 0) {
-		t.counters.scanFallbacks.Add(1)
-		cols := make([][]float64, 0, 2+len(preds))
-		all := make([]Pred, 0, 2+len(preds))
-		// An unbounded axis is a vacuous predicate (±Inf bounds match
-		// every value, NaN included) — dropping it saves the scan a full
-		// column pass.
-		if r.MinX != math.Inf(-1) || r.MaxX != math.Inf(1) {
-			cols = append(cols, d.cols[xi])
-			all = append(all, Pred{Column: xCol, Min: r.MinX, Max: r.MaxX})
-		}
-		if r.MinY != math.Inf(-1) || r.MaxY != math.Inf(1) {
-			cols = append(cols, d.cols[yi])
-			all = append(all, Pred{Column: yCol, Min: r.MinY, Max: r.MaxY})
-		}
-		for i, p := range preds {
-			cols = append(cols, d.cols[pi[i]])
-			all = append(all, p)
-		}
-		sp := tr.StartSpan(obs.StageResidual)
-		rs := rowSetFromSorted(filterDeadInts(scanShards(cols, all, d.n, cn), d.dead))
-		sp.End()
-		if err := cn.cause(); err != nil {
-			return RowSet{}, st, err
-		}
-		if !forceScalarKernels && d.n >= kernelMinRows {
-			st.BatchedRows = d.n
-			t.counters.batchedRows.Add(int64(d.n))
-		}
-		return rs, st, nil
-	}
-	st.IndexProbe = true
-	t.counters.indexProbes.Add(1)
-	if len(preds) == 0 && ix.rows() == d.n && ix.coversAll(r) {
-		return rangeMinusBitmap(0, d.n, d.dead), st, nil
-	}
-	var tally zoneTally
-	if len(preds) > 0 {
-		tally.eval = make([]int64, len(preds))
-		tally.decisive = make([]int64, len(preds))
-	}
-	sp := tr.StartSpan(obs.StageProbe)
-	ids := ix.collect(d.cols, r, preds, pi, skip, &tally, &st, cn)
-	// Rows appended after the index was built: the delta holds them
-	// binned under the same grid, so the probe reaches them through
-	// cells (zone-pruned like base cells) instead of walking the tail.
-	// All delta ids exceed every base id, so the result stays sorted.
-	covered := ix.rows()
-	if dx := ix.deltaIdx(); dx != nil {
-		ids, covered = dx.collect(d.cols, r, preds, pi, skip, d.n, &st, ids, cn)
-	}
-	sp.End()
-	// A canceled probe returned a partial id set; discard it and unwind
-	// with the context's error before any more work is attributed.
-	if err := cn.cause(); err != nil {
-		return RowSet{}, st, err
-	}
-	// Anything past the delta watermark (pre-delta generations, id
-	// overflow) is filtered linearly with the full predicate list.
-	sp = tr.StartSpan(obs.StageResidual)
-	xs, ys := d.cols[xi], d.cols[yi]
-	canceled := false
-	for row := covered; row < d.n; row++ {
-		if row&(scanBatchRows-1) == 0 && cn.stop() {
-			canceled = true
-			break
-		}
-		st.RowsExamined++
-		if inRect(xs[row], ys[row], r) && matchPreds(d.cols, pi, preds, row) {
-			ids = append(ids, row)
-		}
-	}
-	sp.End()
-	if canceled {
-		return RowSet{}, st, cn.cause()
-	}
-	t.counters.batchedRows.Add(int64(st.BatchedRows))
-	t.counters.probeShards.Add(int64(st.ProbeShards))
-	if len(preds) > 0 {
-		t.counters.filteredProbes.Add(1)
-		t.counters.zoneCellsTouched.Add(int64(st.CellsTouched))
-		t.counters.zoneCellsPruned.Add(int64(st.CellsPruned))
-		for k := range preds {
-			if skip != nil && skip[k] {
-				continue
-			}
-			t.zoneStat[pi[k]].evaluated.Add(tally.eval[k])
-			t.zoneStat[pi[k]].decisive.Add(tally.decisive[k])
-		}
-	}
-	// Materializing the RowSet is O(result); attribute it to the probe
-	// that produced the ids. The tombstone refine pass runs once here
-	// over the final id list — base cells, delta buckets, and linear
-	// tail all flow through it, so the batch kernels above never test
-	// liveness per row.
-	sp = tr.StartSpan(obs.StageProbe)
-	rs := rowSetFromSorted(filterDeadInts(ids, d.dead))
-	sp.End()
-	return rs, st, nil
 }
 
 // zoneSkipFor returns, per predicate, whether its column's zone checks
@@ -906,136 +611,6 @@ func scanRange(cols [][]float64, preds []Pred, lo, hi int, out []int, cn *cancel
 		out = appendSel(out, src[:k])
 	}
 	return out
-}
-
-// Points projects two columns into geometry points for the given row
-// set, reading one consistent snapshot. A dense RowSet walks the column
-// arrays directly — the full-extent path never materializes row ids.
-func (t *Table) Points(xCol, yCol string, rows RowSet) ([]geom.Point, error) {
-	xi, ok := t.colIdx[xCol]
-	if !ok {
-		return nil, fmt.Errorf("store: table %q column %q: %w", t.name, xCol, ErrNotFound)
-	}
-	yi, ok := t.colIdx[yCol]
-	if !ok {
-		return nil, fmt.Errorf("store: table %q column %q: %w", t.name, yCol, ErrNotFound)
-	}
-	d := t.snapshot()
-	xs, ys := d.cols[xi], d.cols[yi]
-	if rows.all {
-		rows = RowRange(0, d.n)
-	}
-	// Tombstoned rows are invisible to projections too: subtract this
-	// snapshot's dead set (a no-op without deletions). Idempotent for
-	// row sets a scan already filtered.
-	rows = rows.subtractBitmap(d.dead)
-	if start, end, ok := rows.AsRange(); ok {
-		if end > d.n {
-			return nil, fmt.Errorf("store: table %q: row range [%d,%d) out of range [0,%d)", t.name, start, end, d.n)
-		}
-		pts := make([]geom.Point, end-start)
-		gatherPointsDense(pts, xs[start:end], ys[start:end])
-		return pts, nil
-	}
-	if err := checkRowBounds(t.name, rows, d.n); err != nil {
-		return nil, err
-	}
-	if rows.bm != nil {
-		pts := make([]geom.Point, 0, rows.Len())
-		rows.bm.forEach(func(r int) { pts = append(pts, geom.Pt(xs[r], ys[r])) })
-		return pts, nil
-	}
-	pts := make([]geom.Point, len(rows.ids))
-	gatherPoints(pts, rows.ids, xs, ys)
-	return pts, nil
-}
-
-// Gather returns the values of one column at the given rows, reading
-// one consistent snapshot (columns and tombstones together).
-func (t *Table) Gather(col string, rows RowSet) ([]float64, error) {
-	i, ok := t.colIdx[col]
-	if !ok {
-		return nil, fmt.Errorf("store: table %q column %q: %w", t.name, col, ErrNotFound)
-	}
-	d := t.snapshot()
-	c := d.cols[i][:d.n]
-	if rows.all {
-		rows = RowRange(0, len(c))
-	}
-	rows = rows.subtractBitmap(d.dead)
-	if start, end, ok := rows.AsRange(); ok {
-		if end > len(c) {
-			return nil, fmt.Errorf("store: table %q: row range [%d,%d) out of range [0,%d)", t.name, start, end, len(c))
-		}
-		out := make([]float64, end-start)
-		copy(out, c[start:end])
-		return out, nil
-	}
-	if err := checkRowBounds(t.name, rows, len(c)); err != nil {
-		return nil, err
-	}
-	if rows.bm != nil {
-		out := make([]float64, 0, rows.Len())
-		rows.bm.forEach(func(r int) { out = append(out, c[r]) })
-		return out, nil
-	}
-	out := make([]float64, len(rows.ids))
-	gatherVals(out, rows.ids, c)
-	return out, nil
-}
-
-// checkRowBounds validates an explicit RowSet against a row count in
-// O(1): the ids are sorted, so checking the extremes covers every row.
-func checkRowBounds(table string, rows RowSet, n int) error {
-	lo, ok := rows.Min()
-	if !ok {
-		return nil
-	}
-	hi, _ := rows.Max()
-	if lo < 0 || hi >= n {
-		return fmt.Errorf("store: table %q: row %d out of range [0,%d)", table, pickOutOfRange(lo, hi, n), n)
-	}
-	return nil
-}
-
-func pickOutOfRange(lo, hi, n int) int {
-	if lo < 0 {
-		return lo
-	}
-	return hi
-}
-
-// Bounds returns the bounding rectangle of the (xCol, yCol) projection of
-// the whole table, computed over one consistent snapshot. When the pair
-// is indexed and the index covers every row, the answer is the index's
-// precomputed extent (O(1)). It is empty for a table with no rows.
-func (t *Table) Bounds(xCol, yCol string) (geom.Rect, error) {
-	xi, ok := t.colIdx[xCol]
-	if !ok {
-		return geom.Rect{}, fmt.Errorf("store: table %q column %q: %w", t.name, xCol, ErrNotFound)
-	}
-	yi, ok := t.colIdx[yCol]
-	if !ok {
-		return geom.Rect{}, fmt.Errorf("store: table %q column %q: %w", t.name, yCol, ErrNotFound)
-	}
-	d := t.snapshot()
-	// The index extent excludes non-finite rows (they are unbinnable)
-	// and includes tombstoned rows, so the fast path only applies when
-	// there are neither — the linear path below folds ±Inf coordinates
-	// into the extent like UnionPoint always has, and skips dead rows
-	// so a delete can shrink the served extent.
-	if ix := d.indexFor(xi, yi); ix != nil && ix.rows() == d.n && ix.extraCount() == 0 && d.deadCount() == 0 {
-		return ix.extent(), nil
-	}
-	xs, ys := d.cols[xi], d.cols[yi]
-	b := geom.EmptyRect()
-	for i := 0; i < d.n; i++ {
-		if d.dead != nil && d.dead.contains(i) {
-			continue
-		}
-		b = b.UnionPoint(geom.Pt(xs[i], ys[i]))
-	}
-	return b, nil
 }
 
 // SampleMeta records the lineage of a sample table in the catalog.
@@ -1213,10 +788,10 @@ type IndexStats struct {
 	IndexedRows int64
 	// Cells sums the grid cells across all indexes.
 	Cells int64
-	// Probes counts ScanRect calls answered from a spatial index,
+	// Probes counts rectangle probes answered from a spatial index,
 	// including by since-dropped tables (monotonic).
 	Probes int64
-	// Fallbacks counts ScanRect calls that fell back to a linear scan,
+	// Fallbacks counts rectangle probes that fell back to a linear scan,
 	// including by since-dropped tables (monotonic).
 	Fallbacks int64
 	// FilteredProbes counts index probes that carried at least one
@@ -1263,7 +838,7 @@ type IndexStats struct {
 	// their pending tombstones with them).
 	DeletedRows   int64
 	ReclaimedRows int64
-	// NearestQueries counts Table.Nearest calls served, any backend
+	// NearestQueries counts View.Nearest calls served, any backend
 	// (monotonic, survives drops).
 	NearestQueries int64
 	// PerTable breaks the ingest gauges down by live table, name-sorted,

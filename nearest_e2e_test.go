@@ -6,6 +6,8 @@ package vas_test
 // through LoadTable, LoadSnapshot, and /metrics.
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -114,6 +116,27 @@ func TestNearestServesByteIdenticalAcrossSnapshotRestart(t *testing.T) {
 				t.Errorf("GET %s: %s answer did not use an index probe: %s", u, side, body)
 			}
 		}
+		// k neighbors, nearest first, each inside the filter.
+		var out struct {
+			K         int `json:"k"`
+			Neighbors []struct {
+				X, Dist float64
+			} `json:"neighbors"`
+		}
+		if err := json.Unmarshal([]byte(loadedBody), &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Neighbors) != out.K {
+			t.Errorf("GET %s: %d neighbors, want %d", u, len(out.Neighbors), out.K)
+		}
+		for i, nb := range out.Neighbors {
+			if i > 0 && nb.Dist < out.Neighbors[i-1].Dist {
+				t.Errorf("GET %s: neighbors not nearest-first: %+v", u, out.Neighbors)
+			}
+			if strings.Contains(u, "filter=x:116.3:") && nb.X < 116.3 {
+				t.Errorf("GET %s: neighbor x %v escapes the filter", u, nb.X)
+			}
+		}
 	}
 
 	// Both catalogs report the forced backend on /metrics.
@@ -122,8 +145,8 @@ func TestNearestServesByteIdenticalAcrossSnapshotRestart(t *testing.T) {
 		if !strings.Contains(body, `vasserve_store_index_backend{table="gps",backend="rtree"} 1`) {
 			t.Errorf("%s /metrics does not report the rtree backend for gps", name)
 		}
-		if name == "restored" && !strings.Contains(body, "vasserve_nearest_requests_total") {
-			t.Errorf("%s /metrics missing the nearest counter", name)
+		if want := fmt.Sprintf("vasserve_nearest_requests_total %d", len(urls)); !strings.Contains(body, want) {
+			t.Errorf("%s /metrics lacks %q", name, want)
 		}
 	}
 

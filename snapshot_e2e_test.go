@@ -9,12 +9,15 @@ package vas_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -144,6 +147,97 @@ func TestSnapshotServesByteIdentical(t *testing.T) {
 				path, len(a), len(b))
 		}
 	}
+	// So are /v1/query bodies, but for the wall-clock planMillis.
+	planMillis := regexp.MustCompile(`"planMillis":[^,]*,`)
+	for _, path := range []string{
+		"/v1/query?table=gps&budget=30s",
+		"/v1/query?table=gps&exact=true&filter=x:116.3:",
+	} {
+		a := planMillis.ReplaceAll(fetchBytes(t, origSrv.URL+path), nil)
+		b := planMillis.ReplaceAll(fetchBytes(t, loadedSrv.URL+path), nil)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s differs between rebuilt and snapshot-loaded catalogs:\n%s\n%s", path, a, b)
+		}
+	}
+
+	// Live ingest between save and restart lands in the tail log; each
+	// restart replays it, deletes included, with no rebuild.
+	body := postBytes(t, origSrv.URL+"/v1/append/gps", `{"points": [[500,500],[501,501],[502,502]]}`)
+	if !bytes.Contains(body, []byte(`"appended":3`)) {
+		t.Fatalf("append answered %s", body)
+	}
+	metrics := string(fetchBytes(t, origSrv.URL+"/metrics"))
+	for _, want := range []string{
+		"vasserve_ingest_rows_total 3",
+		`vasserve_job_duration_seconds_count{job="snapshot_save"}`,
+		`vasserve_job_duration_seconds_count{job="tail_write"}`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics after append lack %q", want)
+		}
+	}
+	n := len(d.Points)
+	restart := func() *httptest.Server {
+		t.Helper()
+		cat := vas.NewCatalog()
+		if err := cat.LoadSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(cat.Handler())
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	rowsOf := func(srv *httptest.Server) (rows, live int) {
+		t.Helper()
+		var out struct {
+			Tables []struct {
+				Name     string `json:"name"`
+				Rows     int    `json:"rows"`
+				LiveRows int    `json:"liveRows"`
+			} `json:"tables"`
+		}
+		if err := json.Unmarshal(fetchBytes(t, srv.URL+"/v1/tables"), &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, ti := range out.Tables {
+			if ti.Name == "gps" {
+				return ti.Rows, ti.LiveRows
+			}
+		}
+		t.Fatal("gps missing from /v1/tables")
+		return 0, 0
+	}
+	second := restart()
+	if rows, live := rowsOf(second); rows != n+3 || live != n+3 {
+		t.Fatalf("after restart: rows %d, live %d; want %d appended rows replayed", rows, live, n+3)
+	}
+	if m := string(fetchBytes(t, second.URL+"/metrics")); !strings.Contains(m, `vasserve_store_table_tail_rows{table="gps"} 3`) {
+		t.Error("replayed tail is not reported as 3 tail rows")
+	}
+	body = postBytes(t, second.URL+"/v1/delete/gps", `{"rect": {"minX": 500.5, "minY": 500.5, "maxX": 501.5, "maxY": 501.5}}`)
+	if want := fmt.Sprintf(`{"deleted":1,"rows":%d}`, n+2); strings.TrimSpace(string(body)) != want {
+		t.Fatalf("delete answered %s, want %s", body, want)
+	}
+	if rows, live := rowsOf(restart()); rows != n+3 || live != n+2 {
+		t.Fatalf("after second restart: rows %d, live %d; want %d, %d", rows, live, n+3, n+2)
+	}
+}
+
+func postBytes(t *testing.T, url, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d: %s", url, resp.StatusCode, out)
+	}
+	return out
 }
 
 func fetchBytes(t *testing.T, url string) []byte {

@@ -19,8 +19,8 @@
 // metric the samples optimize (EvaluateLoss), PNG rendering, and a small
 // latency-bound serving layer (Catalog) mirroring the paper's Fig. 3
 // architecture. Internal packages contain the substrates: the Interchange
-// algorithm and exact solver (internal/vas), spatial indexes
-// (internal/strtree, internal/grid), the loss evaluator
+// algorithm and exact solver (internal/vas), the packed STR tree
+// (internal/strtree), the loss evaluator
 // (internal/loss), dataset generators (internal/dataset), rendering
 // (internal/render), the store/query engine (internal/store,
 // internal/query) and the full experiment harness (internal/experiments).
