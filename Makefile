@@ -4,19 +4,21 @@
 # bench/README.md).
 
 GO ?= go
-# The serving benchmarks of the read path (internal/store): index probe
-# vs linear baseline, parallel fallback scan, full-extent
-# zero-row-id-allocation projection, the predicate-pushdown probe
-# (zone-map pruning) vs the filtered linear baseline, the live-ingest
-# scans (delta-index probe vs seed-state linear tail) plus append
-# throughput, the batch-vs-scalar kernel comparison inside
+# The serving benchmarks of the read path (internal/store). Every index
+# probe below runs its units — grid cells, tree leaves, delta buckets —
+# through the one run filter (probe.run), so together they cover it
+# under each walk: the grid probe vs the linear baseline, the parallel
+# fallback scan, the full-extent zero-row-id-allocation projection, the
+# filtered grid probe (zone-map pruning) vs the filtered linear
+# baseline, the delta walk (appended rows vs the seed-state linear
+# tail) plus append throughput, batch vs scalar kernels inside
 # ScanRectFiltered (residual shapes report kernel_speedup), the
-# probe parallelism sweep, the retention path: the filtered probe
-# with 10% of rows tombstoned (vs clean baseline and post-compaction)
-# plus the two-viewport union scan — and the index-backend A/B: the
-# same clustered 1M-row table under a cluster-clipping 1% filtered
-# viewport served by the grid vs the STR R-tree, plus kNN latency
-# through the tree descent vs the brute-force fallback.
+# row-sharded grid probe across GOMAXPROCS (ProbeParallelSweep), the
+# filtered probe with 10% of rows tombstoned (vs clean baseline and
+# post-compaction), the two-viewport union scan, and the backend A/B:
+# one clustered 1M-row table under a cluster-clipping 1% filtered
+# viewport served by the grid walk vs the tree walk, plus kNN through
+# the tree descent vs the brute-force fallback.
 SERVING_BENCH ?= QueryViewport|ExactScanParallel|QueryFullExtentProjection|ScanRectFiltered|ScanLinearFiltered|ScanAfterAppend|AppendThroughput|ProbeParallelSweep|ScanAfterDelete|ScanRectsUnion|SkewedViewport|Nearest
 # The cold-start benchmarks (root package): bringing a 1M-row catalog
 # up by full offline rebuild vs restoring it from a snapshot file —
@@ -63,7 +65,8 @@ obs-smoke:
 # fuzz-smoke gives the RowSet algebra, snapshot decoder, and kernel
 # equivalence fuzzers a short budget against their checked-in corpora
 # (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
-# zero-allocation contract of the selection kernels.
+# zero-allocation contract of the selection kernels and the allocation
+# ceiling of one filtered probe on the grid, the tree and a delta.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRowSetAlgebra -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/store
@@ -71,7 +74,7 @@ fuzz-smoke:
 
 .PHONY: kernel-alloc
 kernel-alloc:
-	$(GO) test -count=1 -run TestKernelZeroAlloc ./internal/store
+	$(GO) test -count=1 -run 'TestKernelZeroAlloc|TestProbeAllocs' ./internal/store
 
 # torture-smoke runs the resilience suite under -race: the
 # crash-recovery torture test (a crash injected at every file-op site

@@ -204,7 +204,7 @@ func (m *metrics) write(w io.Writer, cache cacheStats, idx store.IndexStats, col
 	fmt.Fprintf(w, "vasserve_store_spatial_indexes %d\n", idx.Indexes)
 	ew.Head("vasserve_store_indexed_rows", "gauge", "Rows covered by spatial indexes.")
 	fmt.Fprintf(w, "vasserve_store_indexed_rows %d\n", idx.IndexedRows)
-	ew.Head("vasserve_store_index_cells", "gauge", "Grid cells across all spatial indexes.")
+	ew.Head("vasserve_store_index_cells", "gauge", "Pruning units across all spatial indexes: grid cells, or leaves for rtree indexes.")
 	fmt.Fprintf(w, "vasserve_store_index_cells %d\n", idx.Cells)
 	ew.Head("vasserve_store_index_probes_total", "counter", "Viewport scans answered by an index probe.")
 	fmt.Fprintf(w, "vasserve_store_index_probes_total %d\n", idx.Probes)

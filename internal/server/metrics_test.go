@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"math"
+	"net/http/httptest"
+	"os"
 	"regexp"
 	"sort"
 	"strconv"
@@ -366,6 +368,78 @@ func checkExposition(t *testing.T, body string) {
 			if !g.sum {
 				t.Errorf("histogram %s{%s}: missing _sum", fam, key)
 			}
+		}
+	}
+}
+
+// TestMetricsDocMatchesExposition keeps docs/METRICS.md and /metrics in
+// step: a handler is brought into every state that makes a conditional
+// series appear — a tail-status source (what a catalog bound to a
+// snapshot directory wires in), a background job run, a recorded cold
+// start, an indexed
+// table, and one request on every route — and every vasserve_* or go_*
+// family the scrape emits must be named in the doc, and every family
+// the doc names must be emitted.
+func TestMetricsDocMatchesExposition(t *testing.T) {
+	s := newTestServerWithConfig(t, Config{
+		TailStatus: func() []TailStatus { return []TailStatus{{Table: "base"}} },
+	})
+	s.SetColdStart("snapshot", time.Second)
+	base, err := s.st.Table("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.IndexOn("x", "y"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ method, url, body string }{
+		{"GET", "/v1/tables", ""},
+		{"GET", "/v1/query?table=base&exact=true", ""},
+		{"GET", "/v1/nearest?table=base&x=100&y=100&k=5", ""},
+		{"GET", "/v1/tile/base/0/0/0", ""},
+		{"POST", "/v1/append/base", `{"points": [[500, 500], [501, 501]]}`},
+		{"POST", "/v1/delete/base", `{"rect": {"minX": 0, "minY": 0, "maxX": 9, "maxY": 9}}`},
+		{"GET", "/healthz", ""},
+		{"GET", "/metrics", ""},
+		{"GET", "/debug/slow", ""},
+		{"GET", "/no-such-route", ""},
+	} {
+		var rec *httptest.ResponseRecorder
+		if c.method == "POST" {
+			rec = postJSON(t, s, c.url, c.body)
+		} else {
+			rec = get(t, s, c.url)
+		}
+		if rec.Code >= 500 {
+			t.Fatalf("%s %s = %d: %s", c.method, c.url, rec.Code, rec.Body)
+		}
+	}
+	// The appended rows sit in the delta; compacting them runs the
+	// store's background job, which the job series report.
+	base.Compact()
+
+	emitted := map[string]bool{}
+	for _, line := range strings.Split(get(t, s, "/metrics").Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			emitted[f[2]] = true
+		}
+	}
+	doc, err := os.ReadFile("../../docs/METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`\b(?:vasserve|go)_[a-z0-9_]+`).FindAllString(string(doc), -1) {
+		documented[name] = true
+	}
+	for name := range emitted {
+		if !documented[name] {
+			t.Errorf("/metrics emits %s, which docs/METRICS.md does not list", name)
+		}
+	}
+	for name := range documented {
+		if !emitted[name] {
+			t.Errorf("docs/METRICS.md lists %s, which /metrics does not emit", name)
 		}
 	}
 }

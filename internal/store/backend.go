@@ -2,10 +2,7 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"slices"
-
-	"repro/internal/geom"
 )
 
 // Backend selection: every index-build point (BulkLoad, IndexOn,
@@ -88,63 +85,19 @@ func backendSatisfies(mode int32, backend string) bool {
 }
 
 // buildSpatialIndex builds the backend the policy selects over the
-// (xi, yi) pair. In auto mode the choice comes from a grid-occupancy
-// counting pass over the data. It returns nil (a true nil interface,
-// never a typed-nil pointer) when the pair is unindexable — too many
-// rows for int32 ids, or nothing finite to bin.
+// (xi, yi) pair; in auto mode the choice comes from the occupancy
+// statistics of binIndex's grid binning. It returns nil (a true nil
+// interface, never a typed-nil pointer) when the pair is unindexable —
+// too many rows for int32 ids, or nothing finite to bin.
 func buildSpatialIndex(xi, yi int, cols [][]float64, n int, mode int32) spatialIndex {
-	m := mode
-	if m == backendAuto {
-		m = backendGrid
-		if _, skew, ok := occupancyStats(xi, yi, cols, n); ok && skew >= treeSkewThreshold {
-			m = backendRTree
-		}
-	}
-	if m == backendRTree {
-		if tix := buildTreeIndex(xi, yi, cols, n); tix != nil {
-			return tix
-		}
+	b, cellOf, counts, ok := binIndex(xi, yi, cols, n)
+	if !ok {
 		return nil
 	}
-	if ix := buildRectIndex(xi, yi, cols, n); ix != nil {
-		return ix
+	if mode == backendRTree || (mode == backendAuto && b.occSkew >= treeSkewThreshold) {
+		return buildTreeIndex(b, cols, cellOf)
 	}
-	return nil
-}
-
-// occupancyStats measures the grid-cell occupancy distribution the
-// uniform grid would have over the (xi, yi) pair: one bounds pass, one
-// counting pass over the same grid sizing buildRectIndex uses. ok is
-// false when there is nothing finite to measure.
-func occupancyStats(xi, yi int, cols [][]float64, n int) (p99, skew float64, ok bool) {
-	if n == 0 || n > math.MaxInt32 {
-		return 0, 0, false
-	}
-	xs, ys := cols[xi], cols[yi]
-	g := gridGeom{bounds: geom.EmptyRect()}
-	binned := 0
-	for i := 0; i < n; i++ {
-		x, y := xs[i], ys[i]
-		if !isFinite(x) || !isFinite(y) {
-			continue
-		}
-		g.bounds = g.bounds.UnionPoint(geom.Pt(x, y))
-		binned++
-	}
-	if binned == 0 || g.bounds.IsEmpty() {
-		return 0, 0, false
-	}
-	g.sizeGrid(n)
-	counts := make([]int32, g.nx*g.ny)
-	for i := 0; i < n; i++ {
-		x, y := xs[i], ys[i]
-		if !isFinite(x) || !isFinite(y) {
-			continue
-		}
-		counts[g.cellIndex(x, y)]++
-	}
-	p99, skew = occFromCounts(counts, binned)
-	return p99, skew, true
+	return buildRectIndex(b, cols, cellOf, counts)
 }
 
 // occFromCounts reduces a per-cell population histogram to the planner's

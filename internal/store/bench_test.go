@@ -337,7 +337,7 @@ func benchResidualShapes(b *testing.B, tb *Table) {
 
 // BenchmarkProbeParallelSweep sweeps GOMAXPROCS over the residual-heavy
 // probe: the touched cells bound well past parallelScanMinRows, so
-// collectCells fans out when workers allow. probe_shards records the
+// rectIndex.collect fans out when workers allow. probe_shards records the
 // average shard count actually run.
 func BenchmarkProbeParallelSweep(b *testing.B) {
 	tb := benchResidualTable(b)

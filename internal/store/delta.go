@@ -2,12 +2,10 @@ package store
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
@@ -16,21 +14,23 @@ import (
 // background compaction that periodically folds the delta back into a
 // fresh immutable generation.
 //
-// The base CSR index (index.go) is immutable by design — it is built
-// against one generation of column storage and published atomically
-// with it. Before deltas, every Append therefore landed in an unindexed
-// linear tail that each probe re-walked until the next full rebuild:
-// under steady ingest the read path degraded back toward the linear
-// baseline. The delta index closes that gap without giving up the
+// The base index — the CSR grid (index.go) or the packed tree
+// (treeindex.go) — is immutable by design: it is built against one
+// generation of column storage and published atomically with it.
+// Before deltas, every Append therefore landed in an unindexed linear
+// tail that each probe re-walked until the next full rebuild: under
+// steady ingest the read path degraded back toward the linear baseline.
+// The delta index closes that gap without giving up the
 // immutable-generation read model:
 //
-//   - geometry is shared with the base index (same bounds, same grid),
-//     so a probe's cell range addresses base cells and delta buckets
-//     with one computation;
+//   - geometry is the base's uniform grid (same bounds, same cells,
+//     under either backend), walked by the same gridGeom.walkCells the
+//     grid backend probes with;
 //   - appended rows are binned into per-cell append-only buckets, with
-//     running per-(column, cell) zone maps maintained in the same
-//     critical section, so filtered probes prune delta cells exactly
-//     like base cells;
+//     running per-(column, cell) zoneMaps maintained in the same
+//     critical section, and every bucket goes through the one run
+//     filter (probe.run), so filtered probes prune delta buckets
+//     exactly like base cells and leaves;
 //   - readers never lock the table: they take the delta's read lock,
 //     and snapshot consistency falls out of row-id monotonicity — a
 //     reader holding a generation with n rows ignores every delta row
@@ -79,11 +79,9 @@ type deltaIndex struct {
 	// extra holds rows with a non-finite coordinate (and every row when
 	// there is no grid), ascending; filtered per probe like base extras.
 	extra []int32
-	// Running zone maps over the delta, laid out like the base's:
-	// [col·cells + cell]. Only meaningful for cells with a non-empty
-	// bucket.
-	zmin, zmax []float64
-	znan       []bool
+	// Running per-(column, cell) zone maps over the delta. Only
+	// meaningful for cells with a non-empty bucket.
+	zones zoneMaps
 }
 
 func newDeltaIndex(base *gridGeom, ncols int) *deltaIndex {
@@ -123,194 +121,63 @@ func (dx *deltaIndex) absorbRange(cols [][]float64, lo, hi int) {
 		}
 		if dx.buckets == nil {
 			dx.buckets = make([][]int32, cells)
-			dx.zmin = make([]float64, dx.ncols*cells)
-			dx.zmax = make([]float64, dx.ncols*cells)
-			dx.znan = make([]bool, dx.ncols*cells)
-			for zi := range dx.zmin {
-				dx.zmin[zi] = math.Inf(1)
-				dx.zmax[zi] = math.Inf(-1)
-			}
+			dx.zones = newZoneMaps(dx.ncols, cells)
 		}
 		c := dx.base.cellIndex(x, y)
 		dx.buckets[c] = append(dx.buckets[c], int32(row))
-		for ci := 0; ci < dx.ncols; ci++ {
-			v := cols[ci][row]
-			zi := ci*cells + int(c)
-			if math.IsNaN(v) {
-				dx.znan[zi] = true
-				continue
-			}
-			if v < dx.zmin[zi] {
-				dx.zmin[zi] = v
-			}
-			if v > dx.zmax[zi] {
-				dx.zmax[zi] = v
-			}
-		}
+		dx.zones.add(cols, int(c), row)
 		dx.rows++
 	}
 }
 
-// collect appends to ids the delta rows inside r that satisfy every
-// predicate (skip[k] marks predicates whose zone checks the adaptive
-// planner disabled), bounded by the caller's snapshot row count snapN:
-// rows absorbed after the caller's snapshot are ignored. It returns the
-// extended ids — the delta segment sorted ascending, so appending it
-// after the (sorted, all-smaller) base ids keeps the whole result
-// sorted — and the watermark up to which appended rows are covered;
-// rows in [watermark, snapN) are the caller's to filter linearly.
-func (dx *deltaIndex) collect(cols [][]float64, r geom.Rect, preds []Pred, pi []int, skip []bool, snapN int, st *ScanStats, ids []int, cn *canceler) ([]int, int) {
+// collect runs the delta rows through p, bounded by the caller's
+// snapshot row count snapN: rows absorbed after the caller's snapshot
+// are ignored. It returns the watermark up to which appended rows are
+// covered; rows in [watermark, snapN) are the caller's to filter
+// linearly.
+func (dx *deltaIndex) collect(p *probe, snapN int) int {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
-	covered := dx.base.n + dx.rows
-	if covered > snapN {
-		covered = snapN
-	}
+	covered := min(dx.base.n+dx.rows, snapN)
 	if dx.rows == 0 || covered <= dx.base.n {
-		return ids, covered
+		return covered
 	}
 	limit := int32(covered)
-	start := len(ids)
-	xs, ys := cols[dx.base.xi], cols[dx.base.yi]
+	// below cuts an ascending id list to the caller's snapshot.
+	below := func(ids []int32) []int32 {
+		if len(ids) == 0 || ids[len(ids)-1] < limit {
+			return ids
+		}
+		return ids[:sort.Search(len(ids), func(i int) bool { return ids[i] >= limit })]
+	}
+	p.delta = true
 	if dx.buckets != nil {
-		// The same clamped cell range the base probe uses. No bounds-
+		// The same clamped cell range the base grid uses. No bounds-
 		// intersection gate here: delta rows outside the base bounds
 		// clamp into edge cells, and so do out-of-range rectangles, so
 		// the clamped range always covers them.
-		c0, r0 := dx.base.cellCoords(r.MinX, r.MinY)
-		c1, r1 := dx.base.cellCoords(r.MaxX, r.MaxY)
-		cells := dx.base.nx * dx.base.ny
+		s := dx.base.span(p.r)
 		// Upper-bound the delta contribution in one cheap pass so
-		// appending to the caller's (exactly base-bound-sized) buffer
-		// cannot force a reallocation that copies the whole base result.
-		var bound int
-		for row := r0; row <= r1; row++ {
-			base := row * dx.base.nx
-			for c := c0; c <= c1; c++ {
-				bound += len(dx.buckets[base+c])
+		// appending to the base ids cannot force more than one
+		// reallocation that copies the whole base result.
+		bound := len(dx.extra)
+		for row := s.r0; row <= s.r1; row++ {
+			for _, b := range dx.buckets[row*dx.base.nx+s.c0 : row*dx.base.nx+s.c1+1] {
+				bound += len(b)
 			}
 		}
-		ids = slices.Grow(ids, bound+len(dx.extra))
-		residual := make([]Pred, 0, len(preds))
-		residualCols := make([]int, 0, len(preds))
-		var sel []int32
-		for row := r0; row <= r1; row++ {
-			// One counter-gated poll per touched cell row, like the base
-			// probe; partial ids are discarded by the entry point.
-			if cn.stop() {
-				return ids, covered
-			}
-			base := row * dx.base.nx
-			// Geometric coverage, exactly as the base probe computes it:
-			// cells strictly interior to the touched range whose combined
-			// rectangle is contained in r skip the per-row rectangle
-			// test. Strict interiority also keeps grid-edge cells out —
-			// the only cells that can hold rows clamped in from outside
-			// the bounds, which must always be tested per row.
-			spanCovered := false
-			if row > r0 && row < r1 && c0+1 <= c1-1 {
-				span := geom.Rect{
-					MinX: dx.base.bounds.MinX + float64(c0+1)*dx.base.cellW,
-					MinY: dx.base.bounds.MinY + float64(row)*dx.base.cellH,
-					MaxX: dx.base.bounds.MinX + float64(c1)*dx.base.cellW,
-					MaxY: dx.base.bounds.MinY + float64(row+1)*dx.base.cellH,
-				}
-				spanCovered = r.ContainsRect(span)
-			}
-			for c := c0; c <= c1; c++ {
-				b := dx.buckets[base+c]
-				if len(b) == 0 || b[0] >= limit {
-					continue
-				}
-				// Ids are ascending; cut the bucket to the caller's
-				// snapshot once instead of re-checking the watermark on
-				// every row.
-				if b[len(b)-1] >= limit {
-					b = b[:sort.Search(len(b), func(i int) bool { return b[i] >= limit })]
-				}
-				st.CellsTouched++
-				pruned := false
-				residual = residual[:0]
-				residualCols = residualCols[:0]
-				for k := range preds {
-					if skip != nil && skip[k] {
-						residual = append(residual, preds[k])
-						residualCols = append(residualCols, pi[k])
-						continue
-					}
-					p := preds[k]
-					zi := pi[k]*cells + base + c
-					if !dx.znan[zi] && (dx.zmax[zi] < p.Min || dx.zmin[zi] > p.Max) {
-						pruned = true
-						break
-					}
-					if !(dx.zmin[zi] >= p.Min && dx.zmax[zi] <= p.Max) {
-						residual = append(residual, p)
-						residualCols = append(residualCols, pi[k])
-					}
-				}
-				if pruned {
-					st.CellsPruned++
-					continue
-				}
-				needRect := !(spanCovered && c > c0 && c < c1)
-				if !needRect && len(residual) == 0 {
-					st.CellsBulk++
-					st.DeltaRows += len(b)
-					ids = appendSel(ids, b)
-					continue
-				}
-				if len(b) >= kernelMinRows && !forceScalarKernels {
-					// Batched bucket: same kernel sequence as a base
-					// cell, gathering from the shared column arena.
-					if cap(sel) < len(b) {
-						sel = make([]int32, len(b))
-					}
-					s := sel[:len(b)]
-					var k int
-					ri := 0
-					if needRect {
-						k = selRectGather(s, b, xs, ys, r)
-					} else {
-						k = selGather(s, b, cols[residualCols[0]], residual[0].Min, residual[0].Max)
-						ri = 1
-					}
-					for ; ri < len(residual) && k > 0; ri++ {
-						k = selRefine(s[:k], cols[residualCols[ri]], residual[ri].Min, residual[ri].Max)
-					}
-					st.RowsExamined += len(b)
-					st.DeltaRows += len(b)
-					st.BatchedRows += len(b)
-					ids = appendSel(ids, s[:k])
-					continue
-				}
-				for _, id := range b {
-					st.RowsExamined++
-					st.DeltaRows++
-					if needRect && !inRect(xs[id], ys[id], r) {
-						continue
-					}
-					if matchPreds(cols, residualCols, residual, int(id)) {
-						ids = append(ids, int(id))
-					}
-				}
-			}
+		if cap(p.ids)-len(p.ids) < bound {
+			p.ids = append(make([]int, 0, len(p.ids)+bound), p.ids...)
 		}
+		dx.base.walkCells(p, s, s.r0, s.r1, func(cell int, needRect bool) {
+			if b := dx.buckets[cell]; len(b) > 0 && b[0] < limit {
+				p.st.CellsTouched++
+				p.run(below(b), &dx.zones, cell, needRect)
+			}
+		})
 	}
-	for _, id := range dx.extra {
-		if id >= limit {
-			break
-		}
-		st.RowsExamined++
-		st.DeltaRows++
-		if inRect(xs[id], ys[id], r) && matchPreds(cols, pi, preds, int(id)) {
-			ids = append(ids, int(id))
-		}
-	}
-	// Bucket runs are ascending but interleave across cells (and with
-	// extras); sort just the delta segment — every base id is smaller.
-	slices.Sort(ids[start:])
-	return ids, covered
+	p.extras(below(dx.extra))
+	return covered
 }
 
 // ---- background compaction ----

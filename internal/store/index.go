@@ -3,7 +3,6 @@ package store
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -25,14 +24,14 @@ const (
 )
 
 // spatialIndex is what the read path needs from a spatial index backend:
-// a rect probe that emits row ids through the selection-vector kernels,
-// zone-map pruning and bulk emission, a delta for post-build appends, and
-// the identity/stats accessors the generation machinery and /metrics
-// consume. Two implementations exist: rectIndex (the uniform CSR grid)
-// and treeIndex (the packed STR R-tree, treeindex.go, on
-// internal/strtree's layout). Implementations are immutable after
-// construction except for their delta side structure, matching the
-// generation-publish model.
+// a walk that hands the units a rectangle reaches to the one run filter
+// (probe.run), a delta for post-build appends, and the identity/stats
+// accessors the generation machinery and /metrics consume. Two
+// implementations exist: rectIndex (the uniform CSR grid, whose units
+// are cells) and treeIndex (the packed STR R-tree, treeindex.go, on
+// internal/strtree's layout, whose units are leaves). Both embed
+// indexBase. Implementations are immutable after construction except
+// for their delta side structure, matching the generation-publish model.
 type spatialIndex interface {
 	// pair returns the (x, y) column ordinals the index is built over.
 	pair() (xi, yi int)
@@ -42,9 +41,9 @@ type spatialIndex interface {
 	// extent returns the finite bounding rectangle of the binned rows
 	// (empty when nothing was binnable).
 	extent() geom.Rect
-	// extraCount returns how many indexed rows have a non-finite
-	// coordinate (they are filtered per probe, outside the structure).
-	extraCount() int
+	// extras returns the ascending ids of indexed rows with a non-finite
+	// coordinate; they belong to no unit and are filtered per probe.
+	extras() []int32
 	// cells returns the pruning granularity — grid cells or tree leaves —
 	// for the /metrics cell gauge.
 	cells() int
@@ -57,21 +56,21 @@ type spatialIndex interface {
 	// coversAll reports whether r trivially contains every indexed row,
 	// enabling the dense-range fast path.
 	coversAll(r geom.Rect) bool
-	// collect returns the sorted ids of indexed rows inside r that
-	// satisfy every residual predicate; see rectIndex.collect for the
-	// exact contract. cn (nil = never canceled) is polled at cell-row /
-	// leaf boundaries; a canceled collect returns early with a partial
-	// id set, which the caller discards once it sees the context error.
-	collect(cols [][]float64, r geom.Rect, preds []Pred, pi []int, skip []bool, tally *zoneTally, st *ScanStats, cn *canceler) []int
+	// collect walks the units p.r reaches and hands each to p.run,
+	// which fills p.ids (empty on entry, sized here once) unsorted.
+	// Extras are the caller's. p.cn is polled at grid-row / node
+	// boundaries; a canceled walk stops early with a partial id set,
+	// which the caller discards once it sees the context error.
+	collect(p *probe)
 	// deltaIdx returns the mutable delta absorbing post-build appends.
 	deltaIdx() *deltaIndex
 }
 
-// gridGeom is the shared grid geometry both backends carry: the identity
-// of the indexed pair, the covered row count, and the uniform binning
-// the delta index uses to bucket appended rows. For the grid backend it
-// is also the probe geometry; for the tree backend it exists purely so
-// deltas (and their zone maps) work identically under either backend.
+// gridGeom is the uniform grid geometry both backends carry: the
+// identity of the indexed pair, the covered row count, and the binning
+// the delta index buckets appended rows by. For the grid backend it is
+// also the probe geometry; for the tree backend it exists so deltas (and
+// their zone maps) work identically under either backend.
 type gridGeom struct {
 	xi, yi       int
 	bounds       geom.Rect
@@ -83,6 +82,85 @@ type gridGeom struct {
 func (g *gridGeom) pair() (int, int)  { return g.xi, g.yi }
 func (g *gridGeom) rows() int         { return g.n }
 func (g *gridGeom) extent() geom.Rect { return g.bounds }
+
+// indexBase is what both backends share beyond the geometry: rows with
+// a non-finite coordinate, the build-time occupancy statistics, and the
+// delta.
+type indexBase struct {
+	gridGeom
+	// extra holds rows (ascending) with a non-finite coordinate: NaN
+	// compares false against every bound and so matches every range
+	// predicate, and ±Inf defeats the cell arithmetic and the MBRs, so
+	// such rows cannot be binned — they are filtered per probe.
+	// Keeping them out of the structure preserves the index for the
+	// finite bulk of a dirty dataset instead of refusing to index it.
+	extra []int32
+	// occP99 and occSkew are the build-time occupancy statistics the
+	// backend planner consulted (p99 cell population, and its ratio to
+	// the mean); exported through IndexStats.PerTable.
+	occP99, occSkew float64
+	// delta accumulates rows appended after the index was built (see
+	// delta.go): a mutable, independently locked side structure sharing
+	// the grid geometry, set once at construction.
+	delta *deltaIndex
+}
+
+func (b *indexBase) extras() []int32         { return b.extra }
+func (b *indexBase) occ() (float64, float64) { return b.occP99, b.occSkew }
+func (b *indexBase) deltaIdx() *deltaIndex   { return b.delta }
+
+// coversAll reports whether r contains every indexed row trivially — the
+// full-extent fast path: the caller can answer with a dense range and
+// never touch per-row data. The bounds are exact over the finite rows;
+// non-finite rows sit outside them, so their presence disables the
+// shortcut.
+func (b *indexBase) coversAll(r geom.Rect) bool {
+	return b.n > 0 && len(b.extra) == 0 && r.ContainsRect(b.bounds)
+}
+
+// binIndex is the build prologue both backends share. It records the
+// rows of the n-row (xi, yi) pair with a non-finite coordinate as
+// extras, stretches the grid over the finite extent, bins every finite
+// row, and takes the occupancy statistics from the bins. cellOf holds
+// each row's cell (-1 for an extra) and counts each cell's population.
+// ok is false when the pair cannot be indexed: too many rows for the
+// int32 ids, or nothing finite to bin. n == 0 yields an empty base with
+// no grid, so later appends still take the tail path.
+func binIndex(xi, yi int, cols [][]float64, n int) (b indexBase, cellOf, counts []int32, ok bool) {
+	b.gridGeom = gridGeom{xi: xi, yi: yi, n: n, bounds: geom.EmptyRect()}
+	if n > math.MaxInt32 {
+		return b, nil, nil, false
+	}
+	if n == 0 {
+		return b, nil, nil, true
+	}
+	xs, ys := cols[xi], cols[yi]
+	for i := 0; i < n; i++ {
+		if x, y := xs[i], ys[i]; isFinite(x) && isFinite(y) {
+			b.bounds = b.bounds.UnionPoint(geom.Pt(x, y))
+		} else {
+			b.extra = append(b.extra, int32(i))
+		}
+	}
+	if len(b.extra) == n || b.bounds.IsEmpty() {
+		// Nothing finite to bin; every probe would be an extras filter,
+		// which is just a slower linear scan.
+		return b, nil, nil, false
+	}
+	b.sizeGrid(n)
+	cellOf = make([]int32, n)
+	counts = make([]int32, b.nx*b.ny)
+	for i := 0; i < n; i++ {
+		if x, y := xs[i], ys[i]; isFinite(x) && isFinite(y) {
+			cellOf[i] = b.cellIndex(x, y)
+			counts[cellOf[i]]++
+		} else {
+			cellOf[i] = -1
+		}
+	}
+	b.occP99, b.occSkew = occFromCounts(counts, n-len(b.extra))
+	return b, cellOf, counts, true
+}
 
 // sizeGrid stretches the uniform grid over bounds for n rows: dim² cells
 // targeting indexTargetRowsPerCell rows each, with degenerate axes (all
@@ -111,140 +189,43 @@ func (g *gridGeom) sizeGrid(n int) {
 // of one table generation. rowID packs the row ids of all cells in
 // row-major cell order; cellOff[c] .. cellOff[c+1] delimit cell c's run,
 // and ids are ascending within each run (the build is a stable counting
-// sort over ascending rows).
+// sort over ascending rows). zones holds a zone map per (column, cell)
+// over every column of the generation, built in the same pass and
+// published in the same generation as the CSR packing, so residual
+// predicates on any column — not just the indexed pair — can prune.
 type rectIndex struct {
-	gridGeom
+	indexBase
 	cellOff []int32
 	rowID   []int32
-	// extra holds rows (ascending) with a non-finite coordinate: NaN
-	// compares false against every bound and so matches every range
-	// predicate, and ±Inf defeats the cell arithmetic, so such rows
-	// cannot be binned — they are filtered per probe like boundary
-	// cells. Keeping them out of the grid preserves the index for the
-	// finite bulk of a dirty dataset instead of refusing to index it.
-	extra []int32
-
-	// occP99 and occSkew are the build-time occupancy statistics the
-	// backend planner consulted (p99 cell population, and its ratio to
-	// the mean); exported through IndexStats.PerTable.
-	occP99, occSkew float64
-
-	// Zone maps: per (column, cell) min/max over the binned rows, laid
-	// out flat as [col·cells + cell], built in the same pass (and
-	// published in the same generation) as the CSR packing. They let a
-	// probe with residual predicates prune whole cells (every row
-	// provably fails) or bulk-emit them (every row provably passes)
-	// without touching per-row data. znan records cells holding a NaN in
-	// that column: NaN matches every range predicate, so such cells can
-	// never be pruned by it — though they can still be bulk-emitted,
-	// since the NaN rows pass trivially and the min/max (which exclude
-	// NaN) bound every other row.
-	zmin, zmax []float64
-	znan       []bool
-
-	// delta accumulates rows appended after this index was built (see
-	// delta.go): a mutable, independently locked side structure sharing
-	// the grid geometry. The rectIndex itself stays immutable; the delta
-	// pointer is set once at construction.
-	delta *deltaIndex
+	zones   zoneMaps
 }
 
-// buildRectIndex indexes the n-row (xi, yi) pair of cols, building zone
-// maps over every column of the generation in the same pass. It returns
-// a valid, empty-probing index for n == 0 (so later appends still take
-// the tail path), and nil when the table is too large for the int32 row
-// ids.
-func buildRectIndex(xi, yi int, cols [][]float64, n int) *rectIndex {
-	if n > math.MaxInt32 {
-		return nil
-	}
-	xs, ys := cols[xi], cols[yi]
-	ix := &rectIndex{gridGeom: gridGeom{xi: xi, yi: yi, n: n, bounds: geom.EmptyRect()}}
+// buildRectIndex packs the rows binIndex binned into the CSR grid.
+func buildRectIndex(b indexBase, cols [][]float64, cellOf, counts []int32) *rectIndex {
+	ix := &rectIndex{indexBase: b}
 	ix.delta = newDeltaIndex(&ix.gridGeom, len(cols))
-	if n == 0 {
+	if ix.n == 0 {
 		return ix
 	}
-	for i := 0; i < n; i++ {
-		x, y := xs[i], ys[i]
-		if !isFinite(x) || !isFinite(y) {
-			ix.extra = append(ix.extra, int32(i))
-			continue
-		}
-		ix.bounds = ix.bounds.UnionPoint(geom.Pt(x, y))
+	// Counting sort rows into cells: prefix-sum, place. Iterating rows
+	// ascending keeps each cell's run ascending.
+	cells := len(counts)
+	ix.cellOff = make([]int32, cells+1)
+	for c, k := range counts {
+		ix.cellOff[c+1] = ix.cellOff[c] + k
 	}
-	if len(ix.extra) == n {
-		// Nothing finite to bin; every probe is an extras filter, which
-		// is just a slower linear scan.
-		return nil
-	}
-	if ix.bounds.IsEmpty() {
-		// Unreachable (some row was finite), but a grid over an empty
-		// extent must never be built.
-		return nil
-	}
-	ix.sizeGrid(n)
-	// Counting sort rows into cells: count, prefix-sum, place. Iterating
-	// rows ascending keeps each cell's run ascending. Non-finite rows
-	// (already collected into extra) are skipped.
-	cells := ix.nx * ix.ny
-	counts := make([]int32, cells+1)
-	cellOf := make([]int32, n)
-	for i := 0; i < n; i++ {
-		x, y := xs[i], ys[i]
-		if !isFinite(x) || !isFinite(y) {
-			cellOf[i] = -1
-			continue
-		}
-		c := ix.cellIndex(x, y)
-		cellOf[i] = c
-		counts[c+1]++
-	}
-	ix.occP99, ix.occSkew = occFromCounts(counts[1:], n-len(ix.extra))
-	for c := 1; c <= cells; c++ {
-		counts[c] += counts[c-1]
-	}
-	ix.cellOff = counts
-	ix.rowID = make([]int32, n-len(ix.extra))
-	cursor := make([]int32, cells)
-	copy(cursor, counts[:cells])
-	for i := 0; i < n; i++ {
-		c := cellOf[i]
+	ix.rowID = make([]int32, ix.n-len(ix.extra))
+	cursor := append([]int32(nil), ix.cellOff[:cells]...)
+	// Memory is ncols·cells·17 bytes ≈ 0.27·ncols bytes per row at the
+	// 64-rows/cell target.
+	ix.zones = newZoneMaps(len(cols), cells)
+	for i, c := range cellOf {
 		if c < 0 {
 			continue
 		}
 		ix.rowID[cursor[c]] = int32(i)
 		cursor[c]++
-	}
-	// Zone maps for every column, so residual predicates on any column —
-	// not just the indexed pair — can prune. Memory is ncols·cells·17
-	// bytes ≈ 0.27·ncols bytes per row at the 64-rows/cell target.
-	ncols := len(cols)
-	ix.zmin = make([]float64, ncols*cells)
-	ix.zmax = make([]float64, ncols*cells)
-	ix.znan = make([]bool, ncols*cells)
-	for zi := range ix.zmin {
-		ix.zmin[zi] = math.Inf(1)
-		ix.zmax[zi] = math.Inf(-1)
-	}
-	for ci, col := range cols {
-		zbase := ci * cells
-		for i := 0; i < n; i++ {
-			c := cellOf[i]
-			if c < 0 {
-				continue
-			}
-			v := col[i]
-			if math.IsNaN(v) {
-				ix.znan[zbase+int(c)] = true
-				continue
-			}
-			if v < ix.zmin[zbase+int(c)] {
-				ix.zmin[zbase+int(c)] = v
-			}
-			if v > ix.zmax[zbase+int(c)] {
-				ix.zmax[zbase+int(c)] = v
-			}
-		}
+		ix.zones.add(cols, int(c), i)
 	}
 	return ix
 }
@@ -290,62 +271,6 @@ func inRect(x, y float64, r geom.Rect) bool {
 	return !(x < r.MinX || x > r.MaxX || y < r.MinY || y > r.MaxY)
 }
 
-// zoneTally is the per-predicate zone-consult record one probe
-// accumulates for the adaptive planner: eval counts cells where the
-// predicate's zone was consulted, decisive the consults that pruned the
-// cell or settled the predicate as all-pass. Slices are indexed by
-// predicate position, nil when the probe carries no predicates.
-type zoneTally struct {
-	eval, decisive []int64
-}
-
-// collect returns the sorted ids of indexed rows inside r that satisfy
-// every residual predicate (preds[k] over column pi[k], bounds already
-// NaN-normalized; skip[k] marks predicates whose zone checks the
-// adaptive planner disabled). Cells of one grid row are contiguous in
-// the CSR packing, so cells that are both geometrically covered
-// (strictly inside the touched range, with the combined row span
-// contained in r) and zone-covered (every predicate's zone proves all
-// rows pass) are emitted as bulk runs with no per-point tests; the
-// boundary ring and cells whose zones are inconclusive are filtered per
-// point, evaluating only the predicates the zone could not settle.
-// Cells whose zone proves no row can match are pruned without reading a
-// single row. The strictly-interior requirement (on top of the
-// geometric containment check) leaves a one-cell margin that absorbs
-// the float rounding slack between a point's binned cell and its true
-// coordinates, keeping collect equivalent to the linear predicate scan.
-func (ix *rectIndex) collect(cols [][]float64, r geom.Rect, preds []Pred, pi []int, skip []bool, tally *zoneTally, st *ScanStats, cn *canceler) []int {
-	if ix.n == 0 {
-		return nil
-	}
-	var ids []int
-	if r.Intersects(ix.bounds) {
-		ids = ix.collectCells(cols, r, preds, pi, skip, tally, st, cn)
-	}
-	// A canceled probe's partial ids are discarded by the caller; skip
-	// the extras pass and the sort, which alone can outlast the
-	// cancellation bound on a million-row result.
-	if cn.cause() != nil {
-		return nil
-	}
-	// Non-finite rows live outside the grid; filter them with the same
-	// predicate form the linear scan uses (NaN matches everything, ±Inf
-	// matches nothing finite). Zone maps do not cover them, so every
-	// predicate is evaluated.
-	xs, ys := cols[ix.xi], cols[ix.yi]
-	for _, id := range ix.extra {
-		st.RowsExamined++
-		if inRect(xs[id], ys[id], r) && matchPreds(cols, pi, preds, int(id)) {
-			ids = append(ids, int(id))
-		}
-	}
-	// Runs are ascending within a cell but interleave across cells (and
-	// with extras); one sort restores global row order (ScanRects'
-	// contract, and what the ScanRect ≡ Scan property test checks).
-	slices.Sort(ids)
-	return ids
-}
-
 // matchPreds reports whether row passes every predicate (preds[k] over
 // column pi[k]), with the linear scan's exact comparison form: a NaN
 // value compares false on both sides and therefore matches.
@@ -359,251 +284,114 @@ func matchPreds(cols [][]float64, pi []int, preds []Pred, row int) bool {
 	return true
 }
 
-// collectCells gathers the grid-binned rows inside r passing preds
-// (unsorted across cells), accumulating zone-map statistics into st and
-// per-predicate consult tallies into tally. Probes whose touched cells
-// bound at least parallelScanMinRows rows are sharded across CPUs by
-// grid row (cells of one grid row are contiguous in the CSR packing, so
-// shards are disjoint contiguous id runs); per-shard buffers are
-// concatenated in cell order and per-shard stats merged, which keeps the
-// parallel probe bit-identical to the serial one.
-func (ix *rectIndex) collectCells(cols [][]float64, r geom.Rect, preds []Pred, pi []int, skip []bool, tally *zoneTally, st *ScanStats, cn *canceler) []int {
-	c0, r0 := ix.cellCoords(r.MinX, r.MinY)
-	c1, r1 := ix.cellCoords(r.MaxX, r.MaxY)
-	// Upper-bound the result size in one pass over the touched cell rows
-	// so the ids buffer is allocated at most once per shard.
+// cellSpan is the clamped range of cells c0..c1 × r0..r1 a rectangle
+// touches.
+type cellSpan struct{ c0, r0, c1, r1 int }
+
+func (g *gridGeom) span(r geom.Rect) cellSpan {
+	c0, r0 := g.cellCoords(r.MinX, r.MinY)
+	c1, r1 := g.cellCoords(r.MaxX, r.MaxY)
+	return cellSpan{c0, r0, c1, r1}
+}
+
+// walkCells calls visit for every cell of grid rows rlo..rhi within s,
+// the span of p.r, in CSR order, with whether the cell's rows need the
+// per-row rectangle test. A cell skips it only when it is strictly
+// interior to s and its grid row's interior span is contained in p.r:
+// the one-cell margin absorbs the float rounding slack between a row's
+// binned cell and its true coordinates, keeping probes equivalent to
+// the linear scan, and keeps the grid-edge cells — the only ones that
+// can hold rows clamped in from outside the bounds — always tested.
+// p's canceler is polled once per grid row; a canceled walk stops.
+func (g *gridGeom) walkCells(p *probe, s cellSpan, rlo, rhi int, visit func(cell int, needRect bool)) {
+	for row := rlo; row <= rhi; row++ {
+		if p.cn.stop() {
+			return
+		}
+		covered := row > s.r0 && row < s.r1 && s.c0+1 <= s.c1-1 && p.r.ContainsRect(geom.Rect{
+			MinX: g.bounds.MinX + float64(s.c0+1)*g.cellW,
+			MinY: g.bounds.MinY + float64(row)*g.cellH,
+			MaxX: g.bounds.MinX + float64(s.c1)*g.cellW,
+			MaxY: g.bounds.MinY + float64(row+1)*g.cellH,
+		})
+		for c := s.c0; c <= s.c1; c++ {
+			visit(row*g.nx+c, !(covered && c > s.c0 && c < s.c1))
+		}
+	}
+}
+
+// collect hands every non-empty cell p.r touches to p.run. Probes whose
+// touched cells bound at least parallelScanMinRows rows are sharded
+// across CPUs by grid row (cells of one grid row are contiguous in the
+// CSR packing, so shards are disjoint contiguous id runs), each on a
+// forked probe; shards merge in cell order, which keeps the parallel
+// probe bit-identical to the serial one.
+func (ix *rectIndex) collect(p *probe) {
+	s := ix.span(p.r)
+	rowBound := func(row int) int32 {
+		return ix.cellOff[row*ix.nx+s.c1+1] - ix.cellOff[row*ix.nx+s.c0]
+	}
+	// Upper-bound the result in one pass over the touched grid rows so
+	// each shard's ids buffer is allocated once.
 	var bound int32
-	for row := r0; row <= r1; row++ {
-		base := row * ix.nx
-		bound += ix.cellOff[base+c1+1] - ix.cellOff[base+c0]
+	for row := s.r0; row <= s.r1; row++ {
+		bound += rowBound(row)
 	}
-	st.CellsTouched += (r1 - r0 + 1) * (c1 - c0 + 1)
+	p.st.CellsTouched += (s.r1 - s.r0 + 1) * (s.c1 - s.c0 + 1)
 	if bound == 0 {
-		return nil
+		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if rows := r1 - r0 + 1; workers > rows {
-		workers = rows
-	}
+	workers := min(runtime.GOMAXPROCS(0), s.r1-s.r0+1)
 	if int(bound) < parallelScanMinRows || workers <= 1 {
-		st.ProbeShards++
-		ids := make([]int, 0, bound)
-		return ix.collectRows(cols, r, preds, pi, skip, r0, r1, c0, c1, r0, r1, tally, st, ids, cn)
+		p.st.ProbeShards++
+		p.ids = make([]int, 0, bound)
+		ix.collectRows(p, s, s.r0, s.r1)
+		return
 	}
 	// Partition the touched grid rows into contiguous shards balanced by
 	// their bounded row counts (cell population is skewed, so equal row
 	// ranges would not give equal work).
 	type shard struct {
 		rlo, rhi int
-		bound    int32
-		ids      []int
-		st       ScanStats
-		tally    zoneTally
+		p        *probe
 	}
 	shards := make([]shard, 0, workers)
 	var acc int32
-	rlo := r0
-	for row := r0; row <= r1; row++ {
-		base := row * ix.nx
-		acc += ix.cellOff[base+c1+1] - ix.cellOff[base+c0]
-		remainingRows := r1 - row
-		if (acc >= bound/int32(workers) && len(shards) < workers-1 && remainingRows > 0) || row == r1 {
-			shards = append(shards, shard{rlo: rlo, rhi: row, bound: acc})
-			rlo = row + 1
-			acc = 0
+	rlo := s.r0
+	for row := s.r0; row <= s.r1; row++ {
+		acc += rowBound(row)
+		if (acc >= bound/int32(workers) && len(shards) < workers-1 && row < s.r1) || row == s.r1 {
+			shards = append(shards, shard{rlo, row, p.fork(int(acc))})
+			rlo, acc = row+1, 0
 		}
 	}
 	var wg sync.WaitGroup
-	for i := range shards {
-		s := &shards[i]
-		if len(preds) > 0 {
-			s.tally.eval = make([]int64, len(preds))
-			s.tally.decisive = make([]int64, len(preds))
-		}
+	for _, sh := range shards {
 		wg.Add(1)
-		// Probe-shard boundary: each shard forks the canceler (its tick
-		// counter is unsynchronized) and polls it per grid row.
-		go func(cn *canceler) {
+		go func() {
 			defer wg.Done()
-			ids := make([]int, 0, s.bound)
-			s.ids = ix.collectRows(cols, r, preds, pi, skip, s.rlo, s.rhi, c0, c1, r0, r1, &s.tally, &s.st, ids, cn)
-		}(cn.fork())
+			ix.collectRows(sh.p, s, sh.rlo, sh.rhi)
+		}()
 	}
 	wg.Wait()
 	total := 0
-	for i := range shards {
-		s := &shards[i]
-		total += len(s.ids)
-		st.CellsPruned += s.st.CellsPruned
-		st.CellsBulk += s.st.CellsBulk
-		st.RowsExamined += s.st.RowsExamined
-		st.BatchedRows += s.st.BatchedRows
-		st.ProbeShards++
-		for k := range preds {
-			tally.eval[k] += s.tally.eval[k]
-			tally.decisive[k] += s.tally.decisive[k]
-		}
+	for _, sh := range shards {
+		total += len(sh.p.ids)
 	}
-	ids := make([]int, 0, total)
-	for i := range shards {
-		ids = append(ids, shards[i].ids...)
+	p.ids = make([]int, 0, total)
+	for _, sh := range shards {
+		p.merge(sh.p)
 	}
-	return ids
 }
 
-// collectRows is the per-shard body of collectCells: it gathers grid
-// rows rlo..rhi of the touched cell range, where r0/r1/c0/c1 describe
-// the full touched range (the strict-interior test for geometric span
-// coverage is relative to the whole probe, not the shard).
-func (ix *rectIndex) collectRows(cols [][]float64, r geom.Rect, preds []Pred, pi []int, skip []bool, rlo, rhi, c0, c1, r0, r1 int, tally *zoneTally, st *ScanStats, ids []int, cn *canceler) []int {
-	xs, ys := cols[ix.xi], cols[ix.yi]
-	cells := ix.nx * ix.ny
-	// residual collects, per cell, the predicates the zone map could not
-	// settle; the buffers (and the selection vector) are reused across
-	// cells.
-	residual := make([]Pred, 0, len(preds))
-	residualCols := make([]int, 0, len(preds))
-	var sel []int32
-	for row := rlo; row <= rhi; row++ {
-		// One counter-gated poll per touched grid row; a canceled probe
-		// returns partial ids the entry point will discard.
-		if cn.stop() {
-			return ids
+// collectRows runs the cells of grid rows rlo..rhi of span s through p.
+func (ix *rectIndex) collectRows(p *probe, s cellSpan, rlo, rhi int) {
+	ix.walkCells(p, s, rlo, rhi, func(cell int, needRect bool) {
+		if lo, hi := ix.cellOff[cell], ix.cellOff[cell+1]; lo < hi {
+			p.run(ix.rowID[lo:hi], &ix.zones, cell, needRect)
 		}
-		base := row * ix.nx
-		// Geometric coverage of this grid row's strict interior: cells
-		// c0+1..c1-1 emitted without the per-point rectangle test when
-		// their combined rectangle is contained in r.
-		spanCovered := false
-		if row > r0 && row < r1 && c0+1 <= c1-1 {
-			span := geom.Rect{
-				MinX: ix.bounds.MinX + float64(c0+1)*ix.cellW,
-				MinY: ix.bounds.MinY + float64(row)*ix.cellH,
-				MaxX: ix.bounds.MinX + float64(c1)*ix.cellW,
-				MaxY: ix.bounds.MinY + float64(row+1)*ix.cellH,
-			}
-			spanCovered = r.ContainsRect(span)
-		}
-		for c := c0; c <= c1; c++ {
-			lo, hi := ix.cellOff[base+c], ix.cellOff[base+c+1]
-			if lo == hi {
-				continue
-			}
-			pruned := false
-			residual = residual[:0]
-			residualCols = residualCols[:0]
-			for k := range preds {
-				p := preds[k]
-				// The adaptive planner proved this column's zones
-				// useless here; evaluate the predicate per row without
-				// loading its zone entries.
-				if skip != nil && skip[k] {
-					residual = append(residual, p)
-					residualCols = append(residualCols, pi[k])
-					continue
-				}
-				zi := pi[k]*cells + base + c
-				tally.eval[k]++
-				// Prune: every non-NaN row is outside [Min, Max], and no
-				// NaN row (which would match anything) is present.
-				if !ix.znan[zi] && (ix.zmax[zi] < p.Min || ix.zmin[zi] > p.Max) {
-					tally.decisive[k]++
-					pruned = true
-					break
-				}
-				// All-pass: the cell's whole value range sits inside
-				// [Min, Max] (NaN rows pass any range predicate, so they
-				// do not disturb this). Anything else is inconclusive
-				// and must be tested per row.
-				if !(ix.zmin[zi] >= p.Min && ix.zmax[zi] <= p.Max) {
-					residual = append(residual, p)
-					residualCols = append(residualCols, pi[k])
-				} else {
-					tally.decisive[k]++
-				}
-			}
-			if pruned {
-				st.CellsPruned++
-				continue
-			}
-			needRect := !(spanCovered && c > c0 && c < c1)
-			run := ix.rowID[lo:hi]
-			if !needRect && len(residual) == 0 {
-				st.CellsBulk++
-				ids = appendSel(ids, run)
-				continue
-			}
-			if len(run) >= kernelMinRows && !forceScalarKernels {
-				// Batched cell: seed a selection from the run — fused
-				// rectangle test for the boundary ring, first residual
-				// predicate for zone-inconclusive interior cells — then
-				// refine in place with the remaining predicates.
-				if cap(sel) < len(run) {
-					sel = make([]int32, len(run))
-				}
-				s := sel[:len(run)]
-				var k int
-				ri := 0
-				if needRect {
-					k = selRectGather(s, run, xs, ys, r)
-				} else {
-					k = selGather(s, run, cols[residualCols[0]], residual[0].Min, residual[0].Max)
-					ri = 1
-				}
-				for ; ri < len(residual) && k > 0; ri++ {
-					k = selRefine(s[:k], cols[residualCols[ri]], residual[ri].Min, residual[ri].Max)
-				}
-				st.RowsExamined += len(run)
-				st.BatchedRows += len(run)
-				ids = appendSel(ids, s[:k])
-				continue
-			}
-			if len(residual) == 1 {
-				// The dominant filtered-probe case (one zone-
-				// inconclusive predicate): hoist the column and bounds
-				// out of the per-row loop.
-				rc := cols[residualCols[0]]
-				pmin, pmax := residual[0].Min, residual[0].Max
-				for _, id := range ix.rowID[lo:hi] {
-					st.RowsExamined++
-					if needRect && !inRect(xs[id], ys[id], r) {
-						continue
-					}
-					if v := rc[id]; v < pmin || v > pmax {
-						continue
-					}
-					ids = append(ids, int(id))
-				}
-				continue
-			}
-			for _, id := range ix.rowID[lo:hi] {
-				st.RowsExamined++
-				if needRect && !inRect(xs[id], ys[id], r) {
-					continue
-				}
-				if matchPreds(cols, residualCols, residual, int(id)) {
-					ids = append(ids, int(id))
-				}
-			}
-		}
-	}
-	return ids
+	})
 }
 
-// coversAll reports whether r contains every indexed row trivially — the
-// full-extent fast path: the caller can answer with a dense range and
-// never touch per-row data. Non-finite rows sit outside the bounds, so
-// their presence disables the shortcut.
-func (ix *rectIndex) coversAll(r geom.Rect) bool {
-	return ix.n > 0 && len(ix.extra) == 0 && r.ContainsRect(ix.bounds)
-}
-
-// stats accumulation for /metrics.
-func (ix *rectIndex) cells() int {
-	return ix.nx * ix.ny
-}
-
-func (ix *rectIndex) extraCount() int         { return len(ix.extra) }
-func (ix *rectIndex) backend() string         { return BackendGrid }
-func (ix *rectIndex) occ() (float64, float64) { return ix.occP99, ix.occSkew }
-func (ix *rectIndex) deltaIdx() *deltaIndex   { return ix.delta }
+func (ix *rectIndex) cells() int      { return ix.nx * ix.ny }
+func (ix *rectIndex) backend() string { return BackendGrid }

@@ -127,15 +127,13 @@ func (v View) Nearest(ctx context.Context, xCol, yCol string, x, y float64, k in
 // (Nearest then returns the context error, never the incomplete heap).
 // Non-finite extras are offered linearly — they have no MBR to bound.
 func (ix *treeIndex) nearestInto(x, y float64, h *strtree.KNN, preds []Pred, pi []int, st *ScanStats, cn *canceler, offer func(row int)) {
-	numLeaves := len(ix.LeafMBR)
 	ix.Search(x, y, h, func(leaf int32) bool {
 		if cn.stop() {
 			return false
 		}
 		st.CellsTouched++
 		for k, p := range preds {
-			zi := pi[k]*numLeaves + int(leaf)
-			if !ix.znan[zi] && (ix.zmax[zi] < p.Min || ix.zmin[zi] > p.Max) {
+			if ix.zones.verdict(pi[k], int(leaf), p) == zonePrune {
 				st.CellsPruned++
 				return true
 			}

@@ -1,0 +1,218 @@
+package store
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+)
+
+// probeGoldenHash pins what the probe machinery answers and reports on
+// the schedule of TestProbeGolden: row ids, every ScanStats field, and
+// the per-column adaptive zone counters after each call. It was recorded
+// before the grid, tree and delta walks shared one run filter.
+const probeGoldenHash uint64 = 0x2131e50e215e346d
+
+// probeGoldenTable builds a 12 000-row table on the given backend: a
+// dense cluster over uniform background, a spatially correlated column
+// m, an uncorrelated column u (the zone maps' worst case, which earns a
+// zone skip), a striped category c, and NaN / ±Inf coordinates (the
+// extras). Then 3 000 rows are appended past the build (into the delta),
+// some far outside the bounds and some non-finite, and one rectangle is
+// deleted (tombstones).
+func probeGoldenTable(t testing.TB, backend string) *Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(32))
+	gen := func(n int, spread float64) [][]float64 {
+		cols := make([][]float64, 5)
+		for i := range cols {
+			cols[i] = make([]float64, n)
+		}
+		for i := 0; i < n; i++ {
+			var x, y float64
+			if rng.Intn(3) == 0 {
+				x, y = 600+rng.NormFloat64()*40, 400+rng.NormFloat64()*40
+			} else {
+				x, y = rng.Float64()*spread-(spread-1000)/2, rng.Float64()*spread-(spread-1000)/2
+			}
+			switch rng.Intn(60) {
+			case 0:
+				x = math.NaN()
+			case 1:
+				y = math.Inf(1)
+			case 2:
+				x = math.Inf(-1)
+			}
+			cols[0][i], cols[1][i] = x, y
+			cols[2][i] = (x+y)/2 + rng.NormFloat64()*10
+			cols[3][i] = rng.Float64() * 1000
+			cols[4][i] = float64(int(math.Abs(cols[2][i])/100) % 10)
+		}
+		return cols
+	}
+	tb, err := NewTable("golden", "x", "y", "m", "u", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.SetIndexBackend(backend); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.BulkLoad(gen(12_000, 1000)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.IndexOn("x", "y"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AppendRows(gen(3_000, 1400)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.DeleteRect("x", "y", geom.Rect{MinX: 100, MinY: 120, MaxX: 280, MaxY: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.snapshot().indexFor(0, 1).backend(); got != backend {
+		t.Fatalf("backend %q, want %q", got, backend)
+	}
+	return tb
+}
+
+// TestProbeGolden runs a fixed probe schedule — both backends, both the
+// batch-kernel and the scalar path, zero, one and two rectangles, zero,
+// one and three predicates, and a filtered Nearest — and hashes every
+// answer, every ScanStats field and the adaptive zone counters. Any
+// change to what a probe returns, how it accounts for the work, or what
+// evidence it feeds the zone-skip planner changes the hash.
+func TestProbeGolden(t *testing.T) {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	b2 := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	putStats := func(st ScanStats) {
+		for _, v := range []int64{b2(st.IndexProbe), int64(st.CellsTouched), int64(st.CellsPruned),
+			int64(st.CellsBulk), int64(st.RowsExamined), int64(st.DeltaRows), int64(st.ZonesSkipped),
+			int64(st.BatchedRows), int64(st.ProbeShards)} {
+			put(v)
+		}
+	}
+	rectSets := [][]geom.Rect{
+		nil,
+		{{MinX: 200, MinY: 150, MaxX: 700, MaxY: 650}},
+		{{MinX: -300, MinY: -300, MaxX: 60, MaxY: 1300}, {MinX: 350, MinY: 300, MaxX: 980, MaxY: 900}},
+	}
+	predSets := [][]Pred{
+		nil,
+		{{Column: "m", Min: 300, Max: 600}},
+		{{Column: "u", Min: 100, Max: 800}, {Column: "m", Min: 250, Max: 700}, {Column: "c", Min: math.NaN(), Max: 6}},
+	}
+	ctx := context.Background()
+	for _, backend := range []string{BackendGrid, BackendRTree} {
+		for _, scalar := range []bool{false, true} {
+			forceScalarKernels = scalar
+			tb := probeGoldenTable(t, backend)
+			skipped := false
+			for round := 0; round < 16; round++ {
+				for _, rects := range rectSets {
+					for _, preds := range predSets {
+						rows, st, err := tb.View().ScanRects(ctx, "x", "y", rects, preds)
+						if err != nil {
+							t.Fatal(err)
+						}
+						put(int64(rows.Len()))
+						rows.ForEach(func(r int) { put(int64(r)) })
+						putStats(st)
+						skipped = skipped || st.ZonesSkipped > 0
+						for i := range tb.zoneStat {
+							put(tb.zoneStat[i].evaluated.Load())
+							put(tb.zoneStat[i].decisive.Load())
+						}
+					}
+				}
+			}
+			ns, st, err := tb.View().Nearest(ctx, "x", "y", 520, 430, 25, predSets[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range ns {
+				put(int64(n.Row))
+				put(int64(math.Float64bits(n.Dist)))
+			}
+			putStats(st)
+			forceScalarKernels = false
+			if !skipped {
+				t.Fatalf("%s scalar=%v: the schedule never earned a zone skip", backend, scalar)
+			}
+		}
+	}
+	if got := h.Sum64(); got != probeGoldenHash {
+		t.Errorf("probe hash %#x, want %#x", got, probeGoldenHash)
+	}
+}
+
+// TestProbeAllocs pins what one filtered viewport probe allocates on a
+// small grid table, a small tree table, and a grid table with 2 000
+// rows in its delta: the probe value, the predicate ordinals and the id
+// buffer, with the tally, residual and selection scratch inside the
+// probe and the ids upper-bounded before any walk appends to them.
+func TestProbeAllocs(t *testing.T) {
+	mk := func(backend string, tail int) *Table {
+		rng := rand.New(rand.NewSource(5))
+		gen := func(n int) (xs, ys, ms []float64) {
+			xs, ys, ms = make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range xs {
+				xs[i], ys[i] = rng.Float64()*1000, rng.Float64()*1000
+				ms[i] = (xs[i]+ys[i])/2 + rng.NormFloat64()*5
+			}
+			return xs, ys, ms
+		}
+		tb, err := NewTable("a", "x", "y", "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.SetIndexBackend(backend); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.BulkLoad(gen(20_000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.IndexOn("x", "y"); err != nil {
+			t.Fatal(err)
+		}
+		if tail > 0 {
+			if err := tb.AppendRows(gen(tail)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	rects := []geom.Rect{{MinX: 300, MinY: 300, MaxX: 500, MaxY: 500}}
+	preds := []Pred{{Column: "m", Min: 380, Max: 420}}
+	for _, c := range []struct {
+		name    string
+		tb      *Table
+		ceiling float64
+	}{
+		{"grid", mk(BackendGrid, 0), 3},
+		{"rtree", mk(BackendRTree, 0), 3},
+		{"delta", mk(BackendGrid, 2_000), 3},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := c.tb.View().ScanRects(context.Background(), "x", "y", rects, preds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.ceiling {
+			t.Errorf("%s: %.0f allocs per filtered probe, ceiling %.0f", c.name, allocs, c.ceiling)
+		}
+	}
+}

@@ -164,7 +164,7 @@ func (t *Table) SnapshotGeneration() TableSnapshot {
 				RowID:   ix.rowID,
 				Extra:   ix.extra,
 				NumRows: ix.n,
-				ZMin:    ix.zmin, ZMax: ix.zmax, ZNaN: ix.znan,
+				ZMin:    ix.zones.min, ZMax: ix.zones.max, ZNaN: ix.zones.nan,
 			})
 		case *treeIndex:
 			tis := TreeIndexSnapshot{
@@ -177,8 +177,8 @@ func (t *Table) SnapshotGeneration() TableSnapshot {
 				LeafMBR: flattenRects(ix.LeafMBR),
 				Extra:   ix.extra,
 				NumRows: ix.n,
-				ZMin:    ix.zmin, ZMax: ix.zmax, ZNaN: ix.znan,
-				NZMin: ix.nzmin, NZMax: ix.nzmax, NZNaN: ix.nznan,
+				ZMin:    ix.zones.min, ZMax: ix.zones.max, ZNaN: ix.zones.nan,
+				NZMin: ix.nodeZones.min, NZMax: ix.nodeZones.max, NZNaN: ix.nodeZones.nan,
 				OccP99: ix.occP99, Skew: ix.occSkew,
 			}
 			if nn := len(ix.Nodes); nn > 0 {
@@ -301,47 +301,52 @@ func TableFromSnapshot(snap TableSnapshot) (*Table, error) {
 	return t, nil
 }
 
+// baseFromSnapshot admits what both index kinds share: the column pair,
+// the covered row count and, for a non-empty index, the grid geometry.
+// The caller attaches the delta once the base is embedded.
+func baseFromSnapshot(g gridGeom, extra []int32, ncols, tableRows int) (indexBase, error) {
+	b := indexBase{gridGeom: g, extra: extra}
+	if g.xi < 0 || g.xi >= ncols || g.yi < 0 || g.yi >= ncols {
+		return b, fmt.Errorf("column pair (%d,%d) out of range for %d columns", g.xi, g.yi, ncols)
+	}
+	if g.n < 0 || g.n > tableRows {
+		return b, fmt.Errorf("covers %d rows of a %d-row table", g.n, tableRows)
+	}
+	if g.n == 0 {
+		return b, nil
+	}
+	if g.nx < 1 || g.ny < 1 || g.nx > maxSnapshotGridDim || g.ny > maxSnapshotGridDim {
+		return b, fmt.Errorf("grid %dx%d out of range [1,%d]", g.nx, g.ny, maxSnapshotGridDim)
+	}
+	if !(g.cellW > 0) || !(g.cellH > 0) || math.IsInf(g.cellW, 0) || math.IsInf(g.cellH, 0) {
+		return b, fmt.Errorf("cell extent %gx%g is not positive finite", g.cellW, g.cellH)
+	}
+	if !isFinite(g.bounds.MinX) || !isFinite(g.bounds.MinY) ||
+		!isFinite(g.bounds.MaxX) || !isFinite(g.bounds.MaxY) || g.bounds.IsEmpty() {
+		return b, fmt.Errorf("bounds %v are not a finite non-empty rectangle", g.bounds)
+	}
+	return b, nil
+}
+
 // indexFromSnapshot validates one index snapshot against its table's
 // column count and row count and converts it to a rectIndex.
 func indexFromSnapshot(table string, is IndexSnapshot, ncols, tableRows int) (*rectIndex, error) {
-	if is.XCol < 0 || is.XCol >= ncols || is.YCol < 0 || is.YCol >= ncols {
-		return nil, fmt.Errorf("column pair (%d,%d) out of range for %d columns", is.XCol, is.YCol, ncols)
+	b, err := baseFromSnapshot(gridGeom{xi: is.XCol, yi: is.YCol, bounds: is.Bounds, nx: is.NX, ny: is.NY,
+		cellW: is.CellW, cellH: is.CellH, n: is.NumRows}, is.Extra, ncols, tableRows)
+	if err != nil {
+		return nil, err
 	}
-	if is.NumRows < 0 || is.NumRows > tableRows {
-		return nil, fmt.Errorf("covers %d rows of a %d-row table", is.NumRows, tableRows)
-	}
-	ix := &rectIndex{
-		gridGeom: gridGeom{
-			xi: is.XCol, yi: is.YCol,
-			bounds: is.Bounds,
-			nx:     is.NX, ny: is.NY,
-			cellW: is.CellW, cellH: is.CellH,
-			n: is.NumRows,
-		},
-		cellOff: is.CellOff,
-		rowID:   is.RowID,
-		extra:   is.Extra,
-		zmin:    is.ZMin, zmax: is.ZMax, znan: is.ZNaN,
-	}
+	ix := &rectIndex{indexBase: b, cellOff: is.CellOff, rowID: is.RowID,
+		zones: zoneMaps{min: is.ZMin, max: is.ZMax, nan: is.ZNaN}}
 	ix.delta = newDeltaIndex(&ix.gridGeom, ncols)
 	if is.NumRows == 0 {
-		// An empty index has no grid at all (buildRectIndex returns
-		// before sizing one); any grid payload here is corruption.
+		// An empty index has no grid at all (binIndex returns before
+		// sizing one); any grid payload here is corruption.
 		if is.NX != 0 || is.NY != 0 || len(is.CellOff) != 0 || len(is.RowID) != 0 ||
 			len(is.Extra) != 0 || len(is.ZMin) != 0 || len(is.ZMax) != 0 || len(is.ZNaN) != 0 {
 			return nil, errors.New("empty index carries grid data")
 		}
 		return ix, nil
-	}
-	if is.NX < 1 || is.NY < 1 || is.NX > maxSnapshotGridDim || is.NY > maxSnapshotGridDim {
-		return nil, fmt.Errorf("grid %dx%d out of range [1,%d]", is.NX, is.NY, maxSnapshotGridDim)
-	}
-	if !(is.CellW > 0) || !(is.CellH > 0) || math.IsInf(is.CellW, 0) || math.IsInf(is.CellH, 0) {
-		return nil, fmt.Errorf("cell extent %gx%g is not positive finite", is.CellW, is.CellH)
-	}
-	if !isFinite(is.Bounds.MinX) || !isFinite(is.Bounds.MinY) ||
-		!isFinite(is.Bounds.MaxX) || !isFinite(is.Bounds.MaxY) || is.Bounds.IsEmpty() {
-		return nil, fmt.Errorf("bounds %v are not a finite non-empty rectangle", is.Bounds)
 	}
 	cells := is.NX * is.NY
 	if len(is.CellOff) != cells+1 {
@@ -368,9 +373,9 @@ func indexFromSnapshot(table string, is IndexSnapshot, ncols, tableRows int) (*r
 	if len(is.RowID) == 0 {
 		return nil, errors.New("index with no binned rows should not carry a grid")
 	}
-	if len(is.ZMin) != ncols*cells || len(is.ZMax) != ncols*cells || len(is.ZNaN) != ncols*cells {
-		return nil, fmt.Errorf("zone maps sized %d/%d/%d for %d columns x %d cells",
-			len(is.ZMin), len(is.ZMax), len(is.ZNaN), ncols, cells)
+	ix.zones.units = cells
+	if err := ix.zones.sized(ncols, "cell"); err != nil {
+		return nil, err
 	}
 	// The snapshot format predates the occupancy statistics; the CSR
 	// offsets are the per-cell histogram, so rederive them exactly.
@@ -428,29 +433,20 @@ func checkRowRuns(unit string, off, rowID, extra []int32, numRows int) error {
 // values (MBR extents, zone-map contents, occupancy statistics) are
 // trusted exactly as the grid's are.
 func treeFromSnapshot(is TreeIndexSnapshot, ncols, tableRows int) (*treeIndex, error) {
-	if is.XCol < 0 || is.XCol >= ncols || is.YCol < 0 || is.YCol >= ncols {
-		return nil, fmt.Errorf("column pair (%d,%d) out of range for %d columns", is.XCol, is.YCol, ncols)
+	b, err := baseFromSnapshot(gridGeom{xi: is.XCol, yi: is.YCol, bounds: is.Bounds, nx: is.NX, ny: is.NY,
+		cellW: is.CellW, cellH: is.CellH, n: is.NumRows}, is.Extra, ncols, tableRows)
+	if err != nil {
+		return nil, err
 	}
-	if is.NumRows < 0 || is.NumRows > tableRows {
-		return nil, fmt.Errorf("covers %d rows of a %d-row table", is.NumRows, tableRows)
-	}
-	ix := &treeIndex{
-		gridGeom: gridGeom{
-			xi: is.XCol, yi: is.YCol,
-			bounds: is.Bounds,
-			nx:     is.NX, ny: is.NY,
-			cellW: is.CellW, cellH: is.CellH,
-			n: is.NumRows,
-		},
-		extra: is.Extra,
-		zmin:  is.ZMin, zmax: is.ZMax, znan: is.ZNaN,
-		nzmin: is.NZMin, nzmax: is.NZMax, nznan: is.NZNaN,
-		occP99: is.OccP99, occSkew: is.Skew,
+	b.occP99, b.occSkew = is.OccP99, is.Skew
+	ix := &treeIndex{indexBase: b,
+		zones:     zoneMaps{min: is.ZMin, max: is.ZMax, nan: is.ZNaN},
+		nodeZones: zoneMaps{min: is.NZMin, max: is.NZMax, nan: is.NZNaN},
 	}
 	ix.delta = newDeltaIndex(&ix.gridGeom, ncols)
 	if is.NumRows == 0 {
-		// An empty index has no payload at all (buildTreeIndex returns
-		// before packing anything); anything here is corruption.
+		// An empty index has no payload at all (binIndex returns before
+		// sizing a grid); anything here is corruption.
 		if is.NX != 0 || is.NY != 0 || len(is.RowID) != 0 || len(is.LeafOff) != 0 ||
 			len(is.LeafMBR) != 0 || len(is.Extra) != 0 || len(is.NodeMBR) != 0 ||
 			len(is.ZMin) != 0 || len(is.ZMax) != 0 || len(is.ZNaN) != 0 ||
@@ -458,17 +454,6 @@ func treeFromSnapshot(is TreeIndexSnapshot, ncols, tableRows int) (*treeIndex, e
 			return nil, errors.New("empty index carries tree data")
 		}
 		return ix, nil
-	}
-	// Delta grid geometry: same admission rules as the grid backend's.
-	if is.NX < 1 || is.NY < 1 || is.NX > maxSnapshotGridDim || is.NY > maxSnapshotGridDim {
-		return nil, fmt.Errorf("delta grid %dx%d out of range [1,%d]", is.NX, is.NY, maxSnapshotGridDim)
-	}
-	if !(is.CellW > 0) || !(is.CellH > 0) || math.IsInf(is.CellW, 0) || math.IsInf(is.CellH, 0) {
-		return nil, fmt.Errorf("cell extent %gx%g is not positive finite", is.CellW, is.CellH)
-	}
-	if !isFinite(is.Bounds.MinX) || !isFinite(is.Bounds.MinY) ||
-		!isFinite(is.Bounds.MaxX) || !isFinite(is.Bounds.MaxY) || is.Bounds.IsEmpty() {
-		return nil, fmt.Errorf("bounds %v are not a finite non-empty rectangle", is.Bounds)
 	}
 	binned := len(is.RowID)
 	if binned+len(is.Extra) != is.NumRows {
@@ -511,14 +496,12 @@ func treeFromSnapshot(is TreeIndexSnapshot, ncols, tableRows int) (*treeIndex, e
 	if err := checkRowRuns("leaf", is.LeafOff, is.RowID, is.Extra, is.NumRows); err != nil {
 		return nil, err
 	}
-	numLeaves := len(ix.LeafMBR)
-	if len(is.ZMin) != ncols*numLeaves || len(is.ZMax) != ncols*numLeaves || len(is.ZNaN) != ncols*numLeaves {
-		return nil, fmt.Errorf("leaf zone maps sized %d/%d/%d for %d columns x %d leaves",
-			len(is.ZMin), len(is.ZMax), len(is.ZNaN), ncols, numLeaves)
+	ix.zones.units, ix.nodeZones.units = len(ix.LeafMBR), numNodes
+	if err := ix.zones.sized(ncols, "leaf"); err != nil {
+		return nil, err
 	}
-	if len(is.NZMin) != ncols*numNodes || len(is.NZMax) != ncols*numNodes || len(is.NZNaN) != ncols*numNodes {
-		return nil, fmt.Errorf("node zone maps sized %d/%d/%d for %d columns x %d nodes",
-			len(is.NZMin), len(is.NZMax), len(is.NZNaN), ncols, numNodes)
+	if err := ix.nodeZones.sized(ncols, "node"); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }

@@ -434,27 +434,32 @@ func (t *Table) Scan(preds []Pred) (RowSet, error) {
 
 // ScanStats describes how one View.ScanRects or View.Nearest call was
 // answered, for the query layer's pruning report and the /metrics
-// counters. Cell counts are zero on the fallback (linear) path and on
-// the all-rows and full-extent fast paths, which never touch cells at
-// all.
+// counters. A probe's units are the grid cells, tree leaves and delta
+// buckets it reaches; every one is decided by the one run filter
+// (probe.run) from its zone maps (zoneMaps). Cell counts are zero on the
+// fallback (linear) path and on the all-rows and full-extent fast
+// paths, which never touch a unit at all.
 type ScanStats struct {
-	// IndexProbe is true when a grid spatial index answered the call.
+	// IndexProbe is true when a spatial index (grid or tree) answered
+	// the call.
 	IndexProbe bool
-	// CellsTouched counts grid cells the rectangle overlapped.
+	// CellsTouched counts the units the rectangle reached: grid cells
+	// (empty ones included), tree leaves (a pruned or bulk-emitted
+	// subtree counts all its leaves), and non-empty delta buckets.
 	CellsTouched int
-	// CellsPruned counts cells discarded wholesale because a zone map
-	// proved no row in them can satisfy the residual predicates.
+	// CellsPruned counts units discarded wholesale because their zone
+	// maps proved no row can satisfy the residual predicates.
 	CellsPruned int
-	// CellsBulk counts cells whose rows were emitted without any
-	// per-row test (geometrically covered and zone-covered).
+	// CellsBulk counts units whose rows were emitted without any
+	// per-row test (geometrically covered and zone-settled).
 	CellsBulk int
-	// RowsExamined counts rows tested individually (boundary ring,
-	// zone-inconclusive cells, extras, delta buckets, and any appended
-	// tail the delta does not cover).
+	// RowsExamined counts rows tested individually (boundary units,
+	// zone-inconclusive units, extras, and any appended tail the delta
+	// does not cover).
 	RowsExamined int
-	// DeltaRows counts the rows examined out of delta buckets — the
-	// appended-but-not-yet-compacted set the probe reached through the
-	// grid instead of a linear tail walk.
+	// DeltaRows counts the rows the probe took out of delta buckets and
+	// delta extras — the appended-but-not-yet-compacted set it reached
+	// through the delta instead of a linear tail walk.
 	DeltaRows int
 	// ZonesSkipped counts predicates whose zone checks the adaptive
 	// planner skipped because that column's zones had proven useless.
@@ -464,9 +469,23 @@ type ScanStats struct {
 	// kernels rather than the scalar per-row loops.
 	BatchedRows int
 	// ProbeShards counts the index-probe shards this scan ran: 1 for a
-	// serial probe, more when the touched cell range was large enough
-	// for collectCells to fan out across CPUs. Zero off the probe path.
+	// serial probe, more when the touched grid cells bounded enough rows
+	// for rectIndex.collect to fan out across CPUs. Zero off the probe
+	// path.
 	ProbeShards int
+}
+
+// add accumulates o into s: counts sum, IndexProbe ors.
+func (s *ScanStats) add(o ScanStats) {
+	s.IndexProbe = s.IndexProbe || o.IndexProbe
+	s.CellsTouched += o.CellsTouched
+	s.CellsPruned += o.CellsPruned
+	s.CellsBulk += o.CellsBulk
+	s.RowsExamined += o.RowsExamined
+	s.DeltaRows += o.DeltaRows
+	s.ZonesSkipped += o.ZonesSkipped
+	s.BatchedRows += o.BatchedRows
+	s.ProbeShards += o.ProbeShards
 }
 
 // unboundedRect matches every row: each comparison against ±Inf bounds
@@ -786,7 +805,8 @@ type IndexStats struct {
 	Indexes int
 	// IndexedRows sums the rows covered by those indexes.
 	IndexedRows int64
-	// Cells sums the grid cells across all indexes.
+	// Cells sums the pruning units across all indexes: grid cells for
+	// grid indexes, leaves for tree indexes.
 	Cells int64
 	// Probes counts rectangle probes answered from a spatial index,
 	// including by since-dropped tables (monotonic).
@@ -811,9 +831,9 @@ type IndexStats struct {
 	// drops); against RowsExamined-style totals it gives the batched
 	// fraction of the read path.
 	BatchedRows int64
-	// ProbeShards counts the shards collectCells fanned index probes
-	// out to (one per serial probe; >1 per probe when the touched cell
-	// rows crossed the parallel threshold). Monotonic, survives drops.
+	// ProbeShards counts the shards index probes ran on (one per serial
+	// probe; >1 per grid probe when the touched cell rows crossed the
+	// parallel threshold). Monotonic, survives drops.
 	ProbeShards int64
 	// DeltaRows and TailRows are point-in-time gauges summed over every
 	// live table: rows absorbed into delta indexes since the last

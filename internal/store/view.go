@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -129,15 +130,7 @@ func (v View) ScanRects(ctx context.Context, xCol, yCol string, rects []geom.Rec
 		if err != nil {
 			return RowSet{}, total, err
 		}
-		total.IndexProbe = total.IndexProbe || st.IndexProbe
-		total.CellsTouched += st.CellsTouched
-		total.CellsPruned += st.CellsPruned
-		total.CellsBulk += st.CellsBulk
-		total.RowsExamined += st.RowsExamined
-		total.DeltaRows += st.DeltaRows
-		total.ZonesSkipped += st.ZonesSkipped
-		total.BatchedRows += st.BatchedRows
-		total.ProbeShards += st.ProbeShards
+		total.add(st)
 		if i == 0 {
 			union = rows
 		} else {
@@ -250,67 +243,67 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 	if len(preds) == 0 && ix.rows() == d.n && ix.coversAll(r) {
 		return rangeMinusBitmap(0, d.n, d.dead), st, nil
 	}
-	var tally zoneTally
-	if len(preds) > 0 {
-		tally.eval = make([]int64, len(preds))
-		tally.decisive = make([]int64, len(preds))
-	}
+	p := newProbe(d.cols, d.cols[xi], d.cols[yi], r, preds, pi, skip, cn)
+	p.st = st
 	sp := tr.StartSpan(obs.StageProbe)
-	ids := ix.collect(d.cols, r, preds, pi, skip, &tally, &st, cn)
-	// Rows appended after the index was built: the delta holds them
-	// binned under the same grid, so the probe reaches them through
-	// cells (zone-pruned like base cells) instead of walking the tail.
-	// All delta ids exceed every base id, so the result stays sorted.
-	covered := ix.rows()
-	if dx := ix.deltaIdx(); dx != nil {
-		ids, covered = dx.collect(d.cols, r, preds, pi, skip, d.n, &st, ids, cn)
+	if r.Intersects(ix.extent()) {
+		ix.collect(p)
 	}
-	sp.End()
 	// A canceled probe returned a partial id set; discard it and unwind
 	// with the context's error before any more work is attributed.
 	if err := cn.cause(); err != nil {
-		return RowSet{}, st, err
+		sp.End()
+		return RowSet{}, p.st, err
+	}
+	p.extras(ix.extras())
+	// Rows appended after the index was built: the delta holds them
+	// binned under the same grid, so the probe reaches them through
+	// buckets (zone-pruned like base cells) instead of walking the tail.
+	covered := ix.rows()
+	if dx := ix.deltaIdx(); dx != nil {
+		covered = dx.collect(p, d.n)
+	}
+	sp.End()
+	if err := cn.cause(); err != nil {
+		return RowSet{}, p.st, err
 	}
 	// Anything past the delta watermark (pre-delta generations, id
 	// overflow) is filtered linearly with the full predicate list.
 	sp = tr.StartSpan(obs.StageResidual)
-	xs, ys := d.cols[xi], d.cols[yi]
-	canceled := false
 	for row := covered; row < d.n; row++ {
 		if row&(scanBatchRows-1) == 0 && cn.stop() {
-			canceled = true
-			break
+			sp.End()
+			return RowSet{}, p.st, cn.cause()
 		}
-		st.RowsExamined++
-		if inRect(xs[row], ys[row], r) && matchPreds(d.cols, pi, preds, row) {
-			ids = append(ids, row)
+		p.st.RowsExamined++
+		if inRect(p.xs[row], p.ys[row], r) && matchPreds(d.cols, pi, preds, row) {
+			p.ids = append(p.ids, row)
 		}
 	}
 	sp.End()
-	if canceled {
-		return RowSet{}, st, cn.cause()
-	}
+	st = p.st
 	t.counters.batchedRows.Add(int64(st.BatchedRows))
 	t.counters.probeShards.Add(int64(st.ProbeShards))
 	if len(preds) > 0 {
 		t.counters.filteredProbes.Add(1)
 		t.counters.zoneCellsTouched.Add(int64(st.CellsTouched))
 		t.counters.zoneCellsPruned.Add(int64(st.CellsPruned))
-		for k := range preds {
-			if skip != nil && skip[k] {
-				continue
+		for k, c := range p.tally {
+			if skip == nil || !skip[k] {
+				t.zoneStat[pi[k]].evaluated.Add(c.eval)
+				t.zoneStat[pi[k]].decisive.Add(c.decisive)
 			}
-			t.zoneStat[pi[k]].evaluated.Add(tally.eval[k])
-			t.zoneStat[pi[k]].decisive.Add(tally.decisive[k])
 		}
 	}
-	// Materializing the RowSet is O(result); attribute it to the probe
-	// that produced the ids. The tombstone refine pass runs once here
-	// over the final id list — base cells, delta buckets, and linear
-	// tail all flow through it, so the batch kernels above never test
-	// liveness per row.
+	// Cells, leaves, buckets and extras emit out of row order; one sort
+	// restores it (the contract, and what the ScanRect ≡ Scan property
+	// test checks). Sorting and materializing the RowSet is O(result);
+	// attribute it to the probe that produced the ids. The tombstone
+	// refine pass runs once here over the final id list, so the batch
+	// kernels above never test liveness per row.
 	sp = tr.StartSpan(obs.StageProbe)
-	rs := rowSetFromSorted(filterDeadInts(ids, d.dead))
+	slices.Sort(p.ids)
+	rs := rowSetFromSorted(filterDeadInts(p.ids, d.dead))
 	sp.End()
 	return rs, st, nil
 }
@@ -433,7 +426,7 @@ func (v View) Bounds(xCol, yCol string) (geom.Rect, error) {
 	// there are neither — the linear path below folds ±Inf coordinates
 	// into the extent like UnionPoint always has, and skips dead rows
 	// so a delete can shrink the served extent.
-	if ix := d.indexFor(xi, yi); ix != nil && ix.rows() == d.n && ix.extraCount() == 0 && d.deadCount() == 0 {
+	if ix := d.indexFor(xi, yi); ix != nil && ix.rows() == d.n && len(ix.extras()) == 0 && d.deadCount() == 0 {
 		return ix.extent(), nil
 	}
 	xs, ys := d.cols[xi], d.cols[yi]
