@@ -65,8 +65,9 @@ obs-smoke:
 # fuzz-smoke gives the RowSet algebra, snapshot decoder, and kernel
 # equivalence fuzzers a short budget against their checked-in corpora
 # (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
-# zero-allocation contract of the selection kernels and the allocation
-# ceiling of one filtered probe on the grid, the tree and a delta.
+# zero-allocation contract of the selection kernels and of an
+# Interchange offer, and the allocation ceiling of one filtered probe on
+# the grid, the tree and a delta.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRowSetAlgebra -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/store
@@ -75,6 +76,7 @@ fuzz-smoke:
 .PHONY: kernel-alloc
 kernel-alloc:
 	$(GO) test -count=1 -run 'TestKernelZeroAlloc|TestProbeAllocs' ./internal/store
+	$(GO) test -count=1 -run 'TestInterchangeAddZeroAlloc' ./internal/vas
 
 # torture-smoke runs the resilience suite under -race: the
 # crash-recovery torture test (a crash injected at every file-op site

@@ -56,7 +56,7 @@ func runAblationEps(sc Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(mult, eps, ic.RecomputeObjective(), loss.LogLossRatio(sLoss, dLoss))
+		r.AddRow(mult, eps, ic.Objective(), loss.LogLossRatio(sLoss, dLoss))
 	}
 	r.Notes = append(r.Notes,
 		"expectation: quality is flat within ~2x of the heuristic and degrades at the extremes (too small = no repulsion signal; too large = structure below bandwidth is invisible)",
@@ -117,7 +117,7 @@ func runAblationPasses(sc Scale) (*Report, error) {
 		start := time.Now()
 		ran := vas.Converge(ic, d.Points, passes)
 		elapsed := time.Since(start)
-		r.AddRow(fmt.Sprintf("%d (ran %d)", passes, ran), ic.RecomputeObjective(), ic.PassSwaps(), elapsed)
+		r.AddRow(fmt.Sprintf("%d (ran %d)", passes, ran), ic.Objective(), ic.PassSwaps(), elapsed)
 	}
 	r.Notes = append(r.Notes,
 		"expectation: the first pass captures most of the improvement (the paper's Fig. 9 observation); later passes polish toward the Theorem 3 fixed point",

@@ -129,22 +129,24 @@ func (f Func) EvalDist2(d2 float64) float64 {
 	case Gaussian:
 		return math.Exp(-d2 * f.inv2e2)
 	case Epanechnikov:
-		u2 := d2 / (f.support * f.support)
-		if u2 >= 1 {
-			return 0
-		}
-		return 1 - u2
+		return f.epanechnikov(d2)
 	case Tricube:
-		u := math.Sqrt(d2) / f.support
-		if u >= 1 {
-			return 0
-		}
-		c := 1 - u*u*u
-		return c * c * c
+		return f.tricube(d2)
 	default:
 		panic("kernel: invalid Func (use proximity.New)")
 	}
 }
+
+func (f Func) epanechnikov(d2 float64) float64 { return max(0, 1-d2/(f.support*f.support)) }
+
+func (f Func) tricube(d2 float64) float64 {
+	u := math.Sqrt(d2) / f.support
+	c := max(0, 1-u*u*u)
+	return c * c * c
+}
+
+// gaussianPair is κ̃: bandwidth √2ε doubles ε², halving the exponent.
+func (f Func) gaussianPair(d2 float64) float64 { return math.Exp(-d2 * f.inv2e2 / 2) }
 
 // Pair returns κ̃(si, sj), the pairwise objective term. For the Gaussian the
 // paper derives κ̃(si,sj) = exp(-‖si-sj‖²/(2·(√2ε)²)) up to constants; since
@@ -156,10 +158,31 @@ func (f Func) Pair(p, q geom.Point) float64 { return f.PairDist2(p.Dist2(q)) }
 // PairDist2 is Pair for an already-computed squared distance.
 func (f Func) PairDist2(d2 float64) float64 {
 	if f.kind == Gaussian {
-		// Bandwidth √2ε doubles ε², i.e. halves the exponent scale.
-		return math.Exp(-d2 * f.inv2e2 / 2)
+		return f.gaussianPair(d2)
 	}
 	return f.EvalDist2(d2)
+}
+
+// PairRow replaces each squared distance in row by its PairDist2, bit for
+// bit, switching on the kind once per row instead of once per pair. +Inf
+// maps to 0 for every kind, so a caller marks a pair that must not count.
+func (f Func) PairRow(row []float64) {
+	switch f.kind {
+	case Epanechnikov:
+		for i, d2 := range row {
+			row[i] = f.epanechnikov(d2)
+		}
+	case Tricube:
+		for i, d2 := range row {
+			row[i] = f.tricube(d2)
+		}
+	default:
+		for i, d2 := range row {
+			if row[i] = 0; !math.IsInf(d2, 1) { // 0 is math.Exp(-Inf), without the call
+				row[i] = f.gaussianPair(d2)
+			}
+		}
+	}
 }
 
 // PairSupport returns the truncation radius for Pair: the ES+Loc variant

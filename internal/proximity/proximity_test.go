@@ -92,6 +92,34 @@ func TestPairIsWiderGaussian(t *testing.T) {
 	}
 }
 
+// TestPairRowBitIdentical: the row form returns exactly PairDist2's bits
+// for every kind, including 0, the support radius and beyond, and maps
+// +Inf (the row's "does not count" mark) to 0.
+func TestPairRowBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, kind := range []Kind{Gaussian, Epanechnikov, Tricube} {
+		k := New(kind, 0.7)
+		s := k.PairSupport()
+		row := []float64{0, s * s, math.Nextafter(s*s, 0), math.Nextafter(s*s, math.Inf(1)), math.Inf(1)}
+		for range 200 {
+			row = append(row, rng.Float64()*2*s*s)
+		}
+		want := make([]float64, len(row))
+		for i, d2 := range row {
+			want[i] = k.PairDist2(d2)
+		}
+		k.PairRow(row)
+		for i := range row {
+			if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: row[%d] = %v, PairDist2 = %v", kind, i, row[i], want[i])
+			}
+		}
+		if row[4] != 0 {
+			t.Errorf("%v: PairRow(+Inf) = %v, want 0", kind, row[4])
+		}
+	}
+}
+
 func TestPairSymmetricProperty(t *testing.T) {
 	k := NewGaussian(1.7)
 	f := func(ax, ay, bx, by float64) bool {

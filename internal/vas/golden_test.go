@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/geom"
 	"repro/internal/proximity"
 )
 
@@ -70,5 +73,63 @@ func TestInterchangeGolden(t *testing.T) {
 				t.Errorf("objective = %.17g, want %.17g", obj, g.objective)
 			}
 		})
+	}
+}
+
+// TestInterchangeKernelEquivalence: the goldens only exercise the
+// Gaussian, but the row kernel has one loop per kind. For every kind, ES
+// (decide from one row) and NoES (recompute each slot from scratch) make
+// the same swaps to the same sample points, and for the compact kernels,
+// whose pair support is their support, ES+Loc equals ES exactly: ids,
+// slot order and swaps.
+//
+// The stream is integers on a line with many exact duplicates
+// (responsibility ties), streamed twice (in-sample ids re-offered). Every
+// κ̃ is exact in float64, and so is every sum: the compact kernels' ε = 2
+// makes their support 8, and the Gaussian's ε = 1/64 makes every pair at
+// distance ≥ 1 underflow to 0. On rounded sums ES's incremental
+// responsibilities and NoES's fresh ones may break an exact tie
+// differently. And NoES puts a newcomer in the evicted slot, ES in the
+// spare one, so of coincident members tied for eviction each evicts a
+// different id: hence points, not ids.
+func TestInterchangeKernelEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	pts := make([]geom.Point, 400)
+	for i := range pts {
+		pts[i] = geom.Pt(float64(rng.Intn(48)), 0)
+	}
+	xs := func(ic *Interchange) []int {
+		var out []int
+		for _, p := range ic.Sample() {
+			out = append(out, int(p.X))
+		}
+		sort.Ints(out)
+		return out
+	}
+	for _, kern := range []proximity.Func{
+		proximity.New(proximity.Gaussian, 1.0/64),
+		proximity.New(proximity.Epanechnikov, 2),
+		proximity.New(proximity.Tricube, 2),
+	} {
+		run := func(v Variant) *Interchange {
+			ic := NewInterchange(Options{K: 15, Kernel: kern, Variant: v})
+			Converge(ic, pts, 2)
+			return ic
+		}
+		es, noes := run(ES), run(NoES)
+		if es.Replacements() == 0 {
+			t.Fatalf("%v: no swaps, the stream tests nothing", kern)
+		}
+		if !equalInts(xs(noes), xs(es)) || noes.Replacements() != es.Replacements() {
+			t.Errorf("%v: no-es points %v (%d swaps), es points %v (%d swaps)",
+				kern, xs(noes), noes.Replacements(), xs(es), es.Replacements())
+		}
+		if kern.Kind() == proximity.Gaussian {
+			continue
+		}
+		if loc := run(ESLoc); !equalInts(loc.SampleIDs(), es.SampleIDs()) || loc.Replacements() != es.Replacements() {
+			t.Errorf("%v: es+loc ids %v (%d swaps), es ids %v (%d swaps)",
+				kern, loc.SampleIDs(), loc.Replacements(), es.SampleIDs(), es.Replacements())
+		}
 	}
 }

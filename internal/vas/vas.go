@@ -4,13 +4,16 @@
 // the naive replacement test (NoES), the Expand/Shrink procedure (ES,
 // Algorithm 1), and Expand/Shrink with the locality speed-up (ES+Loc).
 //
+// ES and ES+Loc decide each offer from the newcomer's row of κ̃ and write
+// only when the swap is taken, so a rejected offer costs K kernel values.
+//
 // ES+Loc is ES with pair-support truncation: a pair farther apart than
 // proximity.Func.PairSupport contributes zero to the responsibilities. The
-// paper skips those pairs through a spatial index; here the same loop
+// paper skips those pairs through a spatial index; here the row fill
 // tests the squared distance it already computes, which selects the same
 // sample. On the skewed GPS data of the experiments about half of all
 // newcomer–slot pairs fall inside the 6ε support, so the cutoff skips
-// little and ES+Loc runs at the speed of ES rather than beating it.
+// little and ES+Loc does not beat ES.
 //
 // VAS selects a K-subset S of the dataset minimizing the pairwise objective
 //
@@ -108,15 +111,16 @@ type Interchange struct {
 	// objective is Σ_{i<j} κ̃ over active slots, maintained incrementally.
 	objective float64
 
-	// cutoff2 is the squared pair distance beyond which activate and
-	// deactivate count κ̃ as zero: PairSupport² for ESLoc, +Inf otherwise.
+	// cutoff2 is the squared pair distance beyond which fillRow counts
+	// κ̃ as zero: PairSupport² for ESLoc, +Inf otherwise.
 	cutoff2 float64
+	row     []float64 // fillRow's scratch, one κ̃ per slot
 
-	// inSample tracks the dataset ids currently selected, so re-streamed
-	// passes skip points already in the sample (a self-replacement is
-	// never a strict improvement, and floating-point drift could
-	// otherwise turn it into a perpetual no-op swap).
-	inSample map[int]struct{}
+	// inSample is a bitset over the dataset ids currently selected, so
+	// re-streamed passes skip points already in the sample (a
+	// self-replacement is never a strict improvement, and floating-point
+	// drift could otherwise turn it into a perpetual no-op swap).
+	inSample []uint64
 
 	seen         int // points offered
 	replacements int // successful swaps since construction
@@ -134,11 +138,11 @@ func NewInterchange(opt Options) *Interchange {
 		panic("vas: Options.Kernel is unset (use proximity.New or proximity.FromData)")
 	}
 	ic := &Interchange{
-		opt:      opt,
-		entries:  make([]entry, opt.K+1),
-		free:     make([]int, 0, opt.K+1),
-		inSample: make(map[int]struct{}, opt.K),
-		cutoff2:  math.Inf(1),
+		opt:     opt,
+		entries: make([]entry, opt.K+1),
+		free:    make([]int, 0, opt.K+1),
+		row:     make([]float64, opt.K+1),
+		cutoff2: math.Inf(1),
 	}
 	for i := opt.K; i >= 0; i-- {
 		ic.free = append(ic.free, i)
@@ -174,15 +178,21 @@ func (ic *Interchange) PassSwaps() int { return ic.passSwaps }
 // RecomputeObjective restores the exact value.
 func (ic *Interchange) Objective() float64 { return ic.objective }
 
-// Add implements sampling.Sampler. It offers one data point to the sampler.
+// Add implements sampling.Sampler. It offers one point; id >= 0 is its index.
 func (ic *Interchange) Add(p geom.Point, id int) {
+	if id < 0 {
+		panic(fmt.Sprintf("vas: Add with negative id %d", id))
+	}
 	ic.seen++
-	if _, dup := ic.inSample[id]; dup {
+	if w := id >> 6; w >= len(ic.inSample) {
+		ic.inSample = append(ic.inSample, make([]uint64, w+1-len(ic.inSample))...)
+	}
+	if ic.inSample[id>>6]&(1<<(id&63)) != 0 {
 		return
 	}
 	if ic.nActive < ic.opt.K {
 		slot := ic.takeSlot()
-		ic.activate(slot, p, id)
+		ic.activate(slot, p, id, ic.fillRow(p, slot))
 		return
 	}
 	switch ic.opt.Variant {
@@ -203,34 +213,35 @@ func (ic *Interchange) takeSlot() int {
 	return slot
 }
 
-// pair returns κ̃ for squared distance d2, or zero beyond the cutoff.
-// The test is d2 > cutoff2 so a pair exactly at the support radius still
-// counts.
-func (ic *Interchange) pair(d2 float64) float64 {
-	if d2 > ic.cutoff2 {
-		return 0
+// fillRow returns κ̃(p, slot s) for each slot s: 0 for inactive slots,
+// skip, and pairs beyond cutoff2 (d2 > cutoff2, so a pair exactly at the
+// support radius still counts), which it marks +Inf for the kernel.
+func (ic *Interchange) fillRow(p geom.Point, skip int) []float64 {
+	entries, row, cutoff2 := ic.entries, ic.row[:len(ic.entries)], ic.cutoff2
+	for s := range entries {
+		d2 := math.Inf(1)
+		if e := &entries[s]; e.active && s != skip {
+			if d2 = p.Dist2(e.p); d2 > cutoff2 {
+				d2 = math.Inf(1)
+			}
+		}
+		row[s] = d2
 	}
-	return ic.opt.Kernel.PairDist2(d2)
+	ic.opt.Kernel.PairRow(row)
+	return row
 }
 
-// activate installs (p, id) into slot, wiring responsibilities and the
-// objective. Cost O(K).
-func (ic *Interchange) activate(slot int, p geom.Point, id int) {
-	e := &ic.entries[slot]
-	e.p, e.id, e.active, e.rsp = p, id, true, 0
-	ic.inSample[id] = struct{}{}
-
+// activate installs (p, id) into slot, where row is fillRow(p, slot):
+// it adds the row into every responsibility and the objective. Cost O(K).
+func (ic *Interchange) activate(slot int, p geom.Point, id int, row []float64) {
 	var rsp float64
-	for s := range ic.entries {
-		o := &ic.entries[s]
-		if !o.active || s == slot {
-			continue
-		}
-		l := ic.pair(p.Dist2(o.p))
-		o.rsp += l
+	for s, l := range row {
+		ic.entries[s].rsp += l
 		rsp += l
 	}
-	e.rsp = rsp
+	e := &ic.entries[slot]
+	e.p, e.id, e.active, e.rsp = p, id, true, rsp
+	ic.inSample[id>>6] |= 1 << (id & 63)
 	ic.objective += rsp
 	ic.nActive++
 }
@@ -238,15 +249,11 @@ func (ic *Interchange) activate(slot int, p geom.Point, id int) {
 // deactivate removes slot from the sample, unwinding what activate did.
 func (ic *Interchange) deactivate(slot int) {
 	e := &ic.entries[slot]
-	for s := range ic.entries {
-		o := &ic.entries[s]
-		if !o.active || s == slot {
-			continue
-		}
-		o.rsp -= ic.pair(e.p.Dist2(o.p))
+	for s, l := range ic.fillRow(e.p, slot) {
+		ic.entries[s].rsp -= l
 	}
 	ic.objective -= e.rsp
-	delete(ic.inSample, e.id)
+	ic.inSample[e.id>>6] &^= 1 << (e.id & 63)
 	e.active = false
 	e.rsp = 0
 	ic.nActive--
@@ -256,28 +263,28 @@ func (ic *Interchange) deactivate(slot int) {
 // addES is Algorithm 1: Expand by inserting t, then Shrink by evicting the
 // max-responsibility element. By Theorem 2 this performs a valid
 // replacement whenever one exists for t, and otherwise leaves S unchanged.
+// It decides from t's row first: in S+{t}, t's responsibility is the
+// row's sum and slot s's is rsp+row[s]; only a taken swap writes.
 func (ic *Interchange) addES(p geom.Point, id int) {
 	slot := ic.takeSlot()
-	ic.activate(slot, p, id) // Expand
-	// Shrink: evict the max-responsibility active slot. Ties go to the
-	// newcomer (Theorem 2: replace only on a strict improvement), so an
-	// equal-responsibility swap cannot cycle forever.
-	worst := slot
-	worstRsp := ic.entries[slot].rsp
-	for s := range ic.entries {
-		e := &ic.entries[s]
-		if !e.active || s == slot {
-			continue
-		}
-		if e.rsp > worstRsp {
-			worst, worstRsp = s, e.rsp
+	row := ic.fillRow(p, slot)
+	// Evict the first slot with the largest; ties go to t (Theorem 2:
+	// replace only on a strict improvement), so no swap cycles forever.
+	rspT, worst, worstRsp := 0.0, -1, math.Inf(-1)
+	for s, l := range row {
+		rspT += l
+		if r := ic.entries[s].rsp + l; r > worstRsp {
+			worst, worstRsp = s, r
 		}
 	}
-	ic.deactivate(worst)
-	if worst != slot {
-		ic.replacements++
-		ic.passSwaps++
+	if worstRsp <= rspT {
+		ic.free = append(ic.free, slot)
+		return
 	}
+	ic.activate(slot, p, id, row) // Expand
+	ic.deactivate(worst)          // Shrink
+	ic.replacements++
+	ic.passSwaps++
 }
 
 // addNoES is the unoptimized baseline of Fig. 10: for every candidate slot
@@ -321,7 +328,7 @@ func (ic *Interchange) addNoES(p geom.Point, id int) {
 		// Valid replacement: evict worst, admit p.
 		ic.deactivate(worst)
 		slot := ic.takeSlot()
-		ic.activate(slot, p, id)
+		ic.activate(slot, p, id, ic.fillRow(p, slot))
 		ic.replacements++
 		ic.passSwaps++
 	}

@@ -37,6 +37,33 @@ func TestNewInterchangePanics(t *testing.T) {
 	if r := catchPanic(func() { NewInterchange(Options{K: 5}) }); r == nil {
 		t.Error("unset kernel: want panic")
 	}
+	ic := NewInterchange(Options{K: 2, Kernel: testKernel()})
+	if r := catchPanic(func() { ic.Add(geom.Pt(0, 0), -1) }); r == nil {
+		t.Error("negative id: want panic")
+	}
+}
+
+// TestInterchangeAddZeroAlloc: once the sample is full and the id bitset
+// covers the stream, an offer allocates nothing, whether it is rejected
+// or swapped in.
+func TestInterchangeAddZeroAlloc(t *testing.T) {
+	pts := clusteredPoints(2000, 13)
+	for _, v := range []Variant{ES, ESLoc} {
+		ic := NewInterchange(Options{K: 50, Kernel: testKernel(), Variant: v})
+		Converge(ic, pts, 1)
+		i := 0
+		before := ic.Replacements()
+		allocs := testing.AllocsPerRun(len(pts), func() {
+			ic.Add(pts[i], i)
+			i = (i + 1) % len(pts)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocs per Add, want 0", v, allocs)
+		}
+		if ic.Replacements() == before {
+			t.Errorf("%v: no swap during the measured offers, the accept path went unmeasured", v)
+		}
+	}
 }
 
 func catchPanic(f func()) (r interface{}) {
@@ -309,8 +336,9 @@ func TestGridIndexVariant(t *testing.T) {
 }
 
 // TestSlotHeap pins Shrink's choice of slot: the max-responsibility member
-// of the expanded set is evicted, and a tie with the newcomer keeps the
-// sample unchanged.
+// of the expanded set is evicted, a tie with the newcomer keeps the
+// sample unchanged, and of members tied for the maximum the one in the
+// first slot goes.
 func TestSlotHeap(t *testing.T) {
 	for _, v := range []Variant{NoES, ES, ESLoc} {
 		ic := NewInterchange(Options{K: 2, Kernel: testKernel(), Variant: v})
@@ -333,6 +361,16 @@ func TestSlotHeap(t *testing.T) {
 		ic.Add(geom.Pt(-0.1, 0), 4)
 		if got := sortedIDs(ic); !equalInts(got, []int{1, 4}) || ic.Replacements() != 1 {
 			t.Fatalf("%v: want id 0 evicted: ids %v, replacements %d", v, got, ic.Replacements())
+		}
+
+		// Two coincident members tie; a far newcomer evicts the one in
+		// slot 0, id 5.
+		ic = NewInterchange(Options{K: 2, Kernel: testKernel(), Variant: v})
+		ic.Add(geom.Pt(0, 0), 5)
+		ic.Add(geom.Pt(0, 0), 6)
+		ic.Add(geom.Pt(50, 0), 7)
+		if got := sortedIDs(ic); !equalInts(got, []int{6, 7}) {
+			t.Fatalf("%v: want slot 0's id 5 evicted: ids %v", v, got)
 		}
 	}
 }

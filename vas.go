@@ -166,7 +166,7 @@ func Build(points []Point, opt Options) (*Sample, error) {
 	return &Sample{
 		Points:    ic.Sample(),
 		IDs:       ic.SampleIDs(),
-		Objective: ic.RecomputeObjective(),
+		Objective: ic.Objective(), // Converge recomputed it after the last pass
 		Passes:    ran,
 		kern:      kern,
 	}, nil

@@ -3,6 +3,7 @@ package vas_test
 import (
 	"bytes"
 	"image/png"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -35,6 +36,33 @@ func TestBuildBasics(t *testing.T) {
 	}
 	if s.Kernel().Bandwidth() <= 0 {
 		t.Error("kernel not exposed")
+	}
+}
+
+// TestBuildObjectivePinned: Sample.Objective is Converge's recomputed
+// objective after the last pass, bit for bit. The values were recorded
+// when Build recomputed it a second time.
+func TestBuildObjectivePinned(t *testing.T) {
+	data := skewedData(5000, 1)
+	for _, c := range []struct {
+		opt    vas.Options
+		passes int
+		bits   uint64
+	}{
+		{vas.Options{K: 200}, 2, 0x40710816b666eacc},
+		{vas.Options{K: 200, Variant: "es+loc", Passes: 3}, 3, 0x407106493176a4c7},
+		{vas.Options{K: 100, Variant: "no-es", Passes: 1}, 1, 0x4041fa7e584818dd},
+		{vas.Options{K: 200, Kernel: "tricube"}, 2, 0x4075c29be3b97da4},
+		{vas.Options{K: 200, Kernel: "epanechnikov", Variant: "es+loc"}, 2, 0x407e71793d4e3828},
+	} {
+		s, err := vas.Build(data, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Passes != c.passes || math.Float64bits(s.Objective) != c.bits {
+			t.Errorf("%+v: passes %d objective %.17g, want passes %d objective %.17g",
+				c.opt, s.Passes, s.Objective, c.passes, math.Float64frombits(c.bits))
+		}
 	}
 }
 
