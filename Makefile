@@ -83,10 +83,11 @@ kernel-alloc:
 # the durability schedule performs, torn-write variants included, each
 # followed by a recovery load that must land on a consistent prefix),
 # the durability fault matrix (ENOSPC / sync / rename failures on the
-# save and tail-append paths), the fault injector's own tests, and the
-# scan cancellation/deadline/shedding tests.
+# save and tail-append paths), the write path's golden tail and
+# snapshot bytes, tail-replay validation, the fault injector's own
+# tests, and the scan cancellation/deadline/shedding tests.
 torture-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashRecoveryTorture|TestDurabilityFaultMatrix' .
+	$(GO) test -race -count=1 -run 'TestCrashRecoveryTorture|TestDurabilityFaultMatrix|TestMutationLogGolden|TestTailReplayValidation' .
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 -run 'TestScanCancellation|TestScanDeadline|TestScanMidFlight' ./internal/store
 	$(GO) test -race -count=1 -run 'TestAdmission|TestRequestTimeoutTaxonomy|TestHTTPErrorTaxonomy' ./internal/server

@@ -63,12 +63,14 @@ type Config struct {
 	// the catalog layer uses it to also patch the rows into its
 	// snapshot tail log. It receives the batch as parallel column
 	// slices in schema order and returns the number of rows appended.
+	// The hook owns tile invalidation (InvalidateTable) for rows it makes
+	// visible, even when a later durability step fails.
 	AppendHook func(table string, cols [][]float64) (int, error)
 	// DeleteHook, when set, handles POST /v1/delete/{table} requests
 	// instead of the server tombstoning straight in the store table —
 	// the catalog layer uses it to also record the delete predicate in
 	// its snapshot tail log. It returns the number of rows newly
-	// deleted.
+	// deleted, and owns their tile invalidation like AppendHook.
 	DeleteHook func(table string, preds []store.Pred) (int, error)
 	// MaxAppendBytes caps the /v1/append request body; 0 means 64 MiB.
 	MaxAppendBytes int64
@@ -810,9 +812,10 @@ type AppendResponse struct {
 
 // handleAppend serves POST /v1/append/{table}: a batch of rows lands in
 // the table (absorbed into the spatial indexes' deltas, so scans keep
-// answering at indexed speed), the table's tile-cache epoch is bumped —
-// tiles rendered from the pre-append contents can never be served again
-// — and the ingest counters on /metrics advance.
+// answering at indexed speed), the writer — AppendHook or the fallback
+// — bumps the table's tile-cache epoch so tiles rendered from the
+// pre-append contents can never be served again, and the ingest
+// counters on /metrics advance.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req AppendRequest
@@ -881,11 +884,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := s.appendCols(table, cols)
 	if n > 0 {
-		// Rows became visible — even when a durability step failed
-		// afterwards — so the epoch must move: no tile rendered from
-		// the pre-append generation may survive as a cache hit, and the
-		// cached extent is recomputed.
-		s.InvalidateTable(table)
 		s.metrics.ingestBatches.Add(1)
 		s.metrics.ingestRows.Add(int64(n))
 	}
@@ -917,7 +915,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // appendCols routes one parsed batch to the configured AppendHook or
-// straight into the store table.
+// straight into the store table, invalidating its tiles itself.
 func (s *Server) appendCols(table string, cols [][]float64) (int, error) {
 	if s.cfg.AppendHook != nil {
 		return s.cfg.AppendHook(table, cols)
@@ -929,6 +927,7 @@ func (s *Server) appendCols(table string, cols [][]float64) (int, error) {
 	if err := t.AppendRows(cols...); err != nil {
 		return 0, err
 	}
+	s.InvalidateTable(table)
 	return len(cols[0]), nil
 }
 
@@ -963,8 +962,7 @@ type DeleteResponse struct {
 // handleDelete serves POST /v1/delete/{table}: the matching rows are
 // tombstoned — atomically invisible to every later query and tile,
 // physically reclaimed by the table's next background compaction — and
-// the tile-cache epoch is bumped so no tile rendered from the
-// pre-delete contents survives as a cache hit.
+// the writer bumps the tile-cache epoch, as for appends.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req DeleteRequest
@@ -999,9 +997,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := s.deletePreds(table, preds)
 	if n > 0 {
-		// Rows became invisible — even when a durability step failed
-		// afterwards — so the epoch must move, exactly as for appends.
-		s.InvalidateTable(table)
 		s.metrics.deleteRequests.Add(1)
 		s.metrics.deleteRows.Add(int64(n))
 	}
@@ -1026,7 +1021,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // deletePreds routes one parsed delete to the configured DeleteHook or
-// straight into the store table.
+// straight into the store table, invalidating its tiles itself.
 func (s *Server) deletePreds(table string, preds []store.Pred) (int, error) {
 	if s.cfg.DeleteHook != nil {
 		return s.cfg.DeleteHook(table, preds)
@@ -1035,7 +1030,11 @@ func (s *Server) deletePreds(table string, preds []store.Pred) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.DeleteWhere(preds)
+	n, err := t.DeleteWhere(preds)
+	if n > 0 {
+		s.InvalidateTable(table)
+	}
+	return n, err
 }
 
 // ---- /v1/tile ----

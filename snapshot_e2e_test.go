@@ -724,6 +724,62 @@ func TestTailReplayValidation(t *testing.T) {
 	if _, err := fresh.Query("gps", vas.Rect{}, 0); err == nil {
 		t.Fatal("partial catalog was published despite the bad tail")
 	}
+
+	// Records only the store can reject: each must fail the whole load,
+	// and a catalog loaded earlier must keep serving its old contents.
+	tailPath := filepath.Join(dir, vas.TailFile)
+	if err := os.Remove(tailPath); err != nil {
+		t.Fatal(err)
+	}
+	loaded := vas.NewCatalog()
+	if err := loaded.LoadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	exactRows := func() int {
+		res, err := loaded.QueryExact("gps", vas.Rect{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Points)
+	}
+	rows := exactRows()
+	base, err := snapshot.Load(filepath.Join(dir, vas.SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknownColumn := func() error {
+		return snapshot.AppendTailDelete(tailPath, "gps", []snapshot.TailPred{{Col: "z", Min: 0, Max: 1}}, base.Epoch)
+	}
+	threeColumns := func() error {
+		return snapshot.AppendTail(tailPath, "gps", [][]float64{{1}, {2}, {3}}, base.Epoch)
+	}
+	goodThenBad := func() error {
+		if err := snapshot.AppendTail(tailPath, "gps", [][]float64{{1000}, {1000}}, base.Epoch); err != nil {
+			return err
+		}
+		return threeColumns()
+	}
+	for _, tc := range []struct {
+		name  string
+		forge func() error
+	}{
+		{"delete on unknown column", unknownColumn},
+		{"append with 3 columns for a 2-column table", threeColumns},
+		{"good record then bad record", goodThenBad},
+	} {
+		if err := os.Remove(tailPath); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if err := tc.forge(); err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.LoadSnapshot(dir); err == nil {
+			t.Errorf("%s: tail was accepted", tc.name)
+		}
+		if got := exactRows(); got != rows {
+			t.Errorf("%s: catalog serves %d rows after the failed load, want %d", tc.name, got, rows)
+		}
+	}
 }
 
 // snapshotAppendTail writes a syntactically valid tail record for an

@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -353,27 +351,27 @@ type Catalog struct {
 	coldDur    time.Duration
 
 	// snapMu serializes everything that must agree about what is on
-	// disk versus in memory: appends (store write + tail-log record are
-	// one critical section), full saves (catalog capture + save + tail
-	// truncation), and loads. snapDir is the snapshot directory the
-	// catalog is bound to ("" = no persistence); tailRows counts, per
-	// table, the rows living only in the tail log since the last full
-	// save (the re-save threshold is per table — a big table's backlog
-	// must not trigger a full-catalog save on a small table's behalf).
+	// disk versus in memory: writes (store write + tail-log record are
+	// one critical section, see apply), full saves (catalog capture +
+	// save + tail truncation), and loads. snapDir is the snapshot
+	// directory the catalog is bound to ("" = no persistence); tailRows
+	// counts, per table, the rows living only in the tail log since the
+	// last full save (the re-save threshold is per table — a big table's
+	// backlog must not trigger a full-catalog save on a small table's
+	// behalf).
 	snapMu   sync.Mutex
 	snapDir  string
 	tailRows map[string]int64
 	resaving atomic.Bool
 	resaveWG sync.WaitGroup
 	// snapErr marks the snapshot persistence as degraded: a tail-log
-	// write or background re-save failed. While set, appends no longer
+	// write or background re-save failed. While set, writes no longer
 	// touch the log (a failed write followed by successful ones would
 	// turn a tolerated torn-final-record into mid-file corruption) and
 	// keep returning the error; a successful SaveSnapshot — retried in
 	// the background with backoff — folds everything and clears it.
-	snapErr     error
-	lastResave  time.Time
-	resaveEvery time.Duration
+	snapErr    error
+	lastResave time.Time
 	// resaveBackoff spaces FAILING background re-save retries with
 	// jittered exponential delays (obs.Backoff); a successful save
 	// resets it so the next backlog-triggered save fires immediately.
@@ -474,16 +472,11 @@ func (c *Catalog) LoadTable(name string, points []Point) error {
 			return err
 		}
 	}
-	xs := make([]float64, len(points))
-	ys := make([]float64, len(points))
-	for i, p := range points {
-		xs[i] = p.X
-		ys[i] = p.Y
-	}
+	cols := columns(points)
 	if err := t.SetIndexBackend(c.indexBackendMode()); err != nil {
 		return err
 	}
-	if err := t.BulkLoad(xs, ys); err != nil {
+	if err := t.BulkLoad(cols...); err != nil {
 		return err
 	}
 	if err := t.IndexOn("x", "y"); err != nil {
@@ -496,16 +489,37 @@ func (c *Catalog) LoadTable(name string, points []Point) error {
 	c.provMu.Lock()
 	c.prov[name] = snapshot.Provenance{
 		Table:      name,
-		SourceHash: snapshot.HashColumns(xs, ys),
+		SourceHash: snapshot.HashColumns(cols...),
 		Rows:       int64(len(points)),
 	}
 	c.provMu.Unlock()
-	c.srvMu.Lock()
-	if c.srv != nil {
-		c.srv.InvalidateTable(name)
-	}
-	c.srvMu.Unlock()
+	c.invalidate(name)
 	return nil
+}
+
+// columns splits points into a base table's x and y columns.
+func columns(points []Point) [][]float64 {
+	xs := make([]float64, len(points))
+	ys := make([]float64, len(points))
+	for i, p := range points {
+		xs[i], ys[i] = p.X, p.Y
+	}
+	return [][]float64{xs, ys}
+}
+
+// invalidate drops the HTTP layer's cached tiles and extents for
+// tables. Every write to the catalog's tables calls it: apply (appends
+// and deletes, façade and HTTP alike), LoadTable, sample registration
+// and LoadSnapshot.
+func (c *Catalog) invalidate(tables ...string) {
+	c.srvMu.Lock()
+	defer c.srvMu.Unlock()
+	if c.srv == nil {
+		return
+	}
+	for _, t := range tables {
+		c.srv.InvalidateTable(t)
+	}
 }
 
 // BuildSamples builds and registers VAS samples of each size for the
@@ -543,11 +557,7 @@ func (c *Catalog) BuildSamples(table string, points []Point, sizes []int, withDe
 	c.provMu.Unlock()
 	// Registering samples changes what tile requests resolve to; drop any
 	// tiles the HTTP layer rendered from the previous sample set.
-	c.srvMu.Lock()
-	if c.srv != nil {
-		c.srv.InvalidateTable(table)
-	}
-	c.srvMu.Unlock()
+	c.invalidate(table)
 	return nil
 }
 
@@ -586,11 +596,7 @@ func (c *Catalog) RegisterSample(table string, s *Sample, counts []int64) error 
 	}
 	c.prov[table] = p
 	c.provMu.Unlock()
-	c.srvMu.Lock()
-	if c.srv != nil {
-		c.srv.InvalidateTable(table)
-	}
-	c.srvMu.Unlock()
+	c.invalidate(table)
 	return nil
 }
 
@@ -610,133 +616,8 @@ func (c *Catalog) RegisterSample(table string, s *Sample, counts []int64) error 
 // were built from until the next BuildSamples. Exact queries and
 // tail-aware probes see appended rows immediately.
 func (c *Catalog) Append(table string, pts []Point) error {
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = p.X
-		ys[i] = p.Y
-	}
-	n, err := c.appendCols(table, [][]float64{xs, ys})
-	if n > 0 {
-		// The table changed: stale tiles must go even when the tail log
-		// write failed afterwards.
-		c.srvMu.Lock()
-		if c.srv != nil {
-			c.srv.InvalidateTable(table)
-		}
-		c.srvMu.Unlock()
-	}
+	_, err := c.apply(mutation{Table: table, Cols: columns(pts)})
 	return err
-}
-
-// tailResaveFraction is how large the tail log may grow, relative to
-// its table's rows, before a background full re-save folds it into the
-// base snapshot file. resaveRetryBase and resaveRetryMax bound how
-// often a FAILING re-save is retried — each attempt encodes the whole
-// catalog under snapMu, so back-to-back retries against a broken
-// directory would stall every append. Retries back off exponentially
-// with jitter (see obs.Backoff) so a fleet of degraded servers does
-// not hammer shared storage in lockstep.
-const (
-	tailResaveFraction = 0.25
-	resaveRetryBase    = 2 * time.Second
-	resaveRetryMax     = 60 * time.Second
-)
-
-// appendCols is the shared append path (Catalog.Append and the HTTP
-// /v1/append hook): one snapMu critical section covers the store write
-// and the tail-log record, so a concurrent SaveSnapshot can never
-// capture the rows into the base file AND leave them in the tail log
-// (which a later load would replay twice). Returns the rows appended —
-// n > 0 with a non-nil error means the rows are live but not durable
-// (see Append). Tile invalidation is the caller's (both callers already
-// bump the epoch).
-func (c *Catalog) appendCols(table string, cols [][]float64) (int, error) {
-	t, err := c.st.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	if len(cols) == 0 || len(cols[0]) == 0 {
-		return 0, nil
-	}
-	n := len(cols[0])
-	c.snapMu.Lock()
-	if err := c.rejectIfReadOnly("append"); err != nil {
-		c.snapMu.Unlock()
-		return 0, err
-	}
-	if err := t.AppendRows(cols...); err != nil {
-		c.snapMu.Unlock()
-		return 0, err
-	}
-	var tailErr error
-	resave := false
-	if c.snapDir != "" {
-		switch {
-		case c.snapErr != nil:
-			// The log is degraded; appending past an earlier failed
-			// write could corrupt it mid-file. Keep surfacing the
-			// degradation and lean on the re-save retry below.
-			tailErr = fmt.Errorf("vas: append not durable (snapshot persistence degraded): %w", c.snapErr)
-			resave = true
-		default:
-			jt := obs.StartJob("tail_write")
-			err := snapshot.AppendTail(filepath.Join(c.snapDir, TailFile), table, cols, c.snapEpoch)
-			jt.End()
-			if err != nil {
-				c.snapErr = err
-				tailErr = fmt.Errorf("vas: append durable tail: %w", err)
-				resave = true
-			} else {
-				if c.tailRows == nil {
-					c.tailRows = make(map[string]int64)
-				}
-				c.tailRows[table] += int64(n)
-				resave = float64(c.tailRows[table]) >= tailResaveFraction*float64(t.NumRows())
-			}
-		}
-		if resave && time.Since(c.lastResave) < c.resaveInterval() {
-			resave = false
-		}
-	}
-	c.snapMu.Unlock()
-	if resave {
-		c.kickResave()
-	}
-	return n, tailErr
-}
-
-// kickResave launches the background full re-save unless one is already
-// in flight. Shared by the append and delete paths.
-func (c *Catalog) kickResave() {
-	if !c.resaving.CompareAndSwap(false, true) {
-		return
-	}
-	c.resaveWG.Add(1)
-	go func() {
-		defer c.resaveWG.Done()
-		defer c.resaving.Store(false)
-		c.snapMu.Lock()
-		dir := c.snapDir
-		c.lastResave = time.Now()
-		c.snapMu.Unlock()
-		if dir != "" {
-			// A full save folds the in-memory state (tail included) into
-			// the base file, truncates the log, and clears any
-			// degradation; losing the race to a concurrent explicit
-			// save is fine — it does the same thing. A failure stays
-			// recorded in snapErr until a retry succeeds.
-			if err := c.SaveSnapshot(dir); err != nil {
-				c.snapMu.Lock()
-				c.snapErr = err
-				// Stretch the gap before the next retry: the whole
-				// catalog is re-encoded per attempt, and the directory
-				// is still broken.
-				c.resaveBackoff.Advance()
-				c.snapMu.Unlock()
-			}
-		}
-	}()
 }
 
 // DeleteRect tombstones every base-table row whose (x, y) lies inside r
@@ -763,81 +644,11 @@ func (c *Catalog) DeleteRect(table string, r Rect) (int, error) {
 // (conjunctive range semantics; an empty list deletes every row). See
 // DeleteRect for visibility, durability, and sample-staleness notes.
 func (c *Catalog) DeleteWhere(table string, preds []Pred) (int, error) {
-	n, err := c.deleteWhere(table, preds)
-	if n > 0 {
-		c.srvMu.Lock()
-		if c.srv != nil {
-			c.srv.InvalidateTable(table)
-		}
-		c.srvMu.Unlock()
+	tp := make([]snapshot.TailPred, len(preds))
+	for i, p := range preds {
+		tp[i] = snapshot.TailPred{Col: p.Column, Min: p.Min, Max: p.Max}
 	}
-	return n, err
-}
-
-// deleteWhere is the shared delete path (Catalog.DeleteWhere and the
-// HTTP /v1/delete hook): one snapMu critical section covers the store
-// tombstone publish and the tail-log record, exactly like appendCols,
-// so a save can never fold the delete into the base file AND leave its
-// log record to be replayed again. The tail record carries the
-// predicate, not the matched row ids — ids shift when compaction
-// reclaims dead rows, but replaying the predicate stream in order
-// reproduces the same visible rows. Tile invalidation is the caller's.
-func (c *Catalog) deleteWhere(table string, preds []Pred) (int, error) {
-	t, err := c.st.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	c.snapMu.Lock()
-	if err := c.rejectIfReadOnly("delete"); err != nil {
-		c.snapMu.Unlock()
-		return 0, err
-	}
-	n, err := t.DeleteWhere(preds)
-	if err != nil {
-		c.snapMu.Unlock()
-		return 0, err
-	}
-	var tailErr error
-	resave := false
-	// A delete that matched nothing changed nothing: logging it would
-	// only grow the replay (replay reproduces the same no-op).
-	if c.snapDir != "" && n > 0 {
-		switch {
-		case c.snapErr != nil:
-			tailErr = fmt.Errorf("vas: delete not durable (snapshot persistence degraded): %w", c.snapErr)
-			resave = true
-		default:
-			tp := make([]snapshot.TailPred, len(preds))
-			for i, p := range preds {
-				tp[i] = snapshot.TailPred{Col: p.Column, Min: p.Min, Max: p.Max}
-			}
-			jt := obs.StartJob("tail_write")
-			err := snapshot.AppendTailDelete(filepath.Join(c.snapDir, TailFile), table, tp, c.snapEpoch)
-			jt.End()
-			if err != nil {
-				c.snapErr = err
-				tailErr = fmt.Errorf("vas: delete durable tail: %w", err)
-				resave = true
-			} else {
-				if c.tailRows == nil {
-					c.tailRows = make(map[string]int64)
-				}
-				// Deleted rows count toward the re-save threshold like
-				// appended ones: both are mutations living only in the
-				// log until the next full save folds them in.
-				c.tailRows[table] += int64(n)
-				resave = float64(c.tailRows[table]) >= tailResaveFraction*float64(t.NumRows())
-			}
-		}
-		if resave && time.Since(c.lastResave) < c.resaveInterval() {
-			resave = false
-		}
-	}
-	c.snapMu.Unlock()
-	if resave {
-		c.kickResave()
-	}
-	return n, tailErr
+	return c.apply(mutation{Table: table, Delete: true, Preds: tp})
 }
 
 // SetTTL installs a sliding-window retention policy on a base table:
@@ -856,61 +667,6 @@ func (c *Catalog) SetTTL(table, col string, maxAge time.Duration) error {
 		return err
 	}
 	return t.SetTTL(col, maxAge)
-}
-
-// WaitBackground blocks until any in-flight background re-save has
-// finished: afterwards no catalog goroutine is still writing to the
-// snapshot directory, and SnapshotErr reflects the outcome of every
-// re-save attempt so far. For orderly shutdown and tests.
-func (c *Catalog) WaitBackground() {
-	c.resaveWG.Wait()
-}
-
-// resaveInterval returns the minimum gap between background re-save
-// attempts: fixed when overridden (tests), otherwise the jittered
-// exponential backoff delay for the current failure streak (zero while
-// healthy — a backlog-triggered save fires immediately). Caller holds
-// snapMu.
-func (c *Catalog) resaveInterval() time.Duration {
-	if c.resaveEvery > 0 {
-		return c.resaveEvery
-	}
-	return c.resaveBackoff.Current()
-}
-
-// rejectIfReadOnly enforces the opt-in read-only degraded mode: when
-// enabled and snapshot persistence is degraded, mutations are rejected
-// up-front with an error wrapping server.ErrDegraded (the HTTP layer
-// maps it to 503 + Retry-After) instead of growing in-memory state that
-// can no longer be made durable. Caller holds snapMu.
-func (c *Catalog) rejectIfReadOnly(op string) error {
-	if c.readOnlyOnDegrade && c.snapErr != nil {
-		return fmt.Errorf("vas: %s rejected (%w: snapshot persistence degraded): %v", op, server.ErrDegraded, c.snapErr)
-	}
-	return nil
-}
-
-// SetReadOnlyOnDegrade controls the explicit read-only degraded mode:
-// when on, a catalog whose snapshot persistence is degraded
-// (SnapshotErr != nil) rejects Append/Delete with an error wrapping
-// server.ErrDegraded rather than accepting rows it cannot persist.
-// Queries keep serving either way. Off by default, preserving the
-// accept-but-report contract (see docs/RESILIENCE.md for the
-// trade-off).
-func (c *Catalog) SetReadOnlyOnDegrade(on bool) {
-	c.snapMu.Lock()
-	c.readOnlyOnDegrade = on
-	c.snapMu.Unlock()
-}
-
-// SnapshotErr reports whether snapshot persistence is degraded: the
-// last tail-log write or background re-save failed and no save has
-// succeeded since. A degraded catalog keeps serving (appended rows stay
-// live in memory) and keeps retrying a full re-save in the background.
-func (c *Catalog) SnapshotErr() error {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	return c.snapErr
 }
 
 // buildSpec canonicalizes the arguments of BuildSamples into the
@@ -960,14 +716,13 @@ func (c *Catalog) Handler() http.Handler {
 	defer c.srvMu.Unlock()
 	if c.srv == nil {
 		c.srv = server.New(c.st, c.planner, server.Config{
-			// Ingest batches route through the catalog so every append
-			// also lands in the snapshot tail log (durable across a
-			// restart); the server bumps the tile epoch itself.
-			AppendHook: c.appendCols,
-			// Deletes likewise route through the catalog so the
-			// predicate lands in the tail log; the server bumps the
-			// tile epoch itself.
-			DeleteHook: c.deleteWhere,
+			// Appends and deletes route through the catalog's one write
+			// path, which also logs them to the snapshot tail (durable
+			// across a restart) and invalidates the table's tiles.
+			AppendHook: func(table string, cols [][]float64) (int, error) {
+				return c.apply(mutation{Table: table, Cols: cols})
+			},
+			DeleteHook: c.DeleteWhere,
 			// Per-table tail-log durability for the
 			// vasserve_tail_log_degraded gauge.
 			TailStatus: c.tailStatus,
@@ -984,235 +739,6 @@ func (c *Catalog) Handler() http.Handler {
 	return c.srv
 }
 
-// tailStatus reports, per base table, whether snapshot-tail durability
-// is degraded, for the /metrics vasserve_tail_log_degraded gauge. It
-// returns nil when the catalog is not bound to a snapshot directory —
-// without persistence there is no tail log to degrade.
-func (c *Catalog) tailStatus() []server.TailStatus {
-	c.snapMu.Lock()
-	dir, degraded := c.snapDir, c.snapErr != nil
-	c.snapMu.Unlock()
-	if dir == "" {
-		return nil
-	}
-	c.provMu.Lock()
-	names := make([]string, 0, len(c.prov))
-	for name := range c.prov {
-		names = append(names, name)
-	}
-	c.provMu.Unlock()
-	sort.Strings(names)
-	out := make([]server.TailStatus, len(names))
-	for i, name := range names {
-		out[i] = server.TailStatus{Table: name, Degraded: degraded}
-	}
-	return out
-}
-
-// SnapshotFile is the file name SaveSnapshot writes (and LoadSnapshot
-// reads) inside the snapshot directory. TailFile is the append-only
-// ingest log that rides next to it: batches appended since the last
-// full save, replayed by LoadSnapshot and folded in (then deleted) by
-// the next SaveSnapshot.
-const (
-	SnapshotFile = "catalog.snap"
-	TailFile     = "catalog.tail"
-)
-
-// SaveSnapshot persists the catalog's entire serving state —
-// every table's columns (appended rows included), CSR grid indexes and
-// zone maps, the sample lineage, and the per-table provenance — to
-// dir/catalog.snap in the versioned, checksummed binary format of
-// internal/snapshot. The write is atomic (temp file + rename), so a
-// crash mid-save leaves the previous snapshot intact. Rows that were
-// living only in the tail log are folded into the base file by the
-// capture, so the log is truncated in the same critical section; the
-// save also binds the catalog to dir, making later Appends durable
-// there. A later LoadSnapshot restores the catalog without re-running
-// BuildSamples or any index build.
-func (c *Catalog) SaveSnapshot(dir string) error {
-	jt := obs.StartJob("snapshot_save")
-	defer jt.End()
-	// snapMu makes capture + save + tail truncation atomic with respect
-	// to appendCols: no append can slip between the capture (which
-	// folds every in-memory row into the base file) and the tail
-	// removal, where its log record would be deleted unfolded.
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	cat := &snapshot.Catalog{}
-	// One critical section for membership + lineage: a BuildSamples
-	// racing the save can never leave a lineage entry in the snapshot
-	// whose sample table is missing from it (which would make the file
-	// unloadable).
-	cat.Tables, cat.Samples = c.st.SnapshotCatalog()
-	c.provMu.Lock()
-	for _, p := range c.prov {
-		cat.Provenance = append(cat.Provenance, p)
-	}
-	c.provMu.Unlock()
-	// Stamp the new base file with the next epoch BEFORE touching the
-	// tail: if the process dies between the rename below and RemoveTail,
-	// the surviving tail carries the previous epoch and LoadSnapshot
-	// discards it instead of replaying rows the capture already folded
-	// into the base.
-	cat.Epoch = c.snapEpoch + 1
-	if err := snapshot.Save(filepath.Join(dir, SnapshotFile), cat); err != nil {
-		return err
-	}
-	c.snapEpoch = cat.Epoch
-	if err := snapshot.RemoveTail(filepath.Join(dir, TailFile)); err != nil {
-		return fmt.Errorf("vas: truncating folded tail log: %w", err)
-	}
-	c.snapDir = dir
-	c.tailRows = nil
-	// Everything in memory is now in the base file: any earlier tail or
-	// re-save failure is healed, and retry pacing starts over.
-	c.snapErr = nil
-	c.resaveBackoff.Reset()
-	return nil
-}
-
-// LoadSnapshot restores a catalog saved by SaveSnapshot from
-// dir/catalog.snap, then replays dir/catalog.tail — the batches
-// appended since that save — through the delta-index append path, so a
-// server restarted mid-ingest comes back with every appended row and
-// never rebuilds a sample or an index. Every table is validated
-// (framing and checksums by the decoder, every structural index
-// invariant by the store) and the tail log fully parsed and
-// shape-checked before anything is published; the whole batch then
-// lands in one critical section under the same tile-invalidation
-// machinery LoadTable uses — a corrupt, truncated, or version-skewed
-// snapshot (or tail log) returns an error and leaves the catalog
-// exactly as it was, never partially loaded.
-//
-// Freshness is the caller's decision: compare SnapshotFresh against the
-// data a rebuild would use, and rebuild (then SaveSnapshot again) when
-// it reports stale. Appended batches do not enter that comparison —
-// provenance describes the loaded base data, and the tail rides on top.
-func (c *Catalog) LoadSnapshot(dir string) error {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	cat, err := snapshot.Load(filepath.Join(dir, SnapshotFile))
-	if err != nil {
-		return err
-	}
-	tail, tailEpoch, err := snapshot.LoadTail(filepath.Join(dir, TailFile))
-	if err != nil {
-		return fmt.Errorf("vas: snapshot tail %s: %w", filepath.Join(dir, TailFile), err)
-	}
-	// Pair the tail with the base file by epoch. A tail from an EARLIER
-	// save is the footprint of a crash between snapshot.Save and
-	// RemoveTail: its records are already folded into the base, and
-	// replaying them would duplicate every row. Discard it. A tail from
-	// a LATER epoch than the base can only mean the base file was
-	// swapped or rolled back underneath the log — replaying it against
-	// the wrong base would publish rows that were never acknowledged
-	// together, so reject the load.
-	switch {
-	case tailEpoch < cat.Epoch:
-		tail = nil
-	case tailEpoch > cat.Epoch:
-		return fmt.Errorf("vas: snapshot tail %s: %w: tail epoch %d is newer than snapshot epoch %d",
-			filepath.Join(dir, TailFile), snapshot.ErrCorrupt, tailEpoch, cat.Epoch)
-	}
-	frac := c.compactFrac
-	mode := c.indexBackend
-	tables := make([]*store.Table, 0, len(cat.Tables))
-	byName := make(map[string]*store.Table, len(cat.Tables))
-	for _, ts := range cat.Tables {
-		t, err := store.TableFromSnapshot(ts)
-		if err != nil {
-			return fmt.Errorf("vas: snapshot %s: %w", filepath.Join(dir, SnapshotFile), err)
-		}
-		t.SetAutoCompact(frac)
-		if err := t.SetIndexBackend(mode); err != nil {
-			return err
-		}
-		// A forced backend rebuilds any restored index that does not
-		// comply; under auto (the default) IndexOn's fast path keeps every
-		// persisted index as-is, so restores stay rebuild-free.
-		if mode != "" && mode != IndexBackendAuto {
-			if err := t.IndexOn("x", "y"); err != nil {
-				return fmt.Errorf("vas: snapshot %s: reindex %q under %q backend: %w",
-					filepath.Join(dir, SnapshotFile), t.Name(), mode, err)
-			}
-		}
-		tables = append(tables, t)
-		byName[t.Name()] = t
-	}
-	// Validate the tail against the decoded tables before publishing
-	// anything: a replay that cannot land (unknown table, wrong column
-	// count) must fail the whole load, not half-apply it.
-	tailRows := make(map[string]int64)
-	for ri, rec := range tail {
-		t, ok := byName[rec.Table]
-		if !ok {
-			return fmt.Errorf("vas: snapshot tail record %d targets unknown table %q", ri, rec.Table)
-		}
-		if rec.Delete {
-			cols := make(map[string]bool, len(t.Columns()))
-			for _, name := range t.Columns() {
-				cols[name] = true
-			}
-			for _, p := range rec.Preds {
-				if !cols[p.Col] {
-					return fmt.Errorf("vas: snapshot tail record %d deletes on unknown column %q of table %q",
-						ri, p.Col, rec.Table)
-				}
-			}
-			continue
-		}
-		if len(rec.Cols) != len(t.Columns()) {
-			return fmt.Errorf("vas: snapshot tail record %d has %d columns for %d-column table %q",
-				ri, len(rec.Cols), len(t.Columns()), rec.Table)
-		}
-		tailRows[rec.Table] += int64(len(rec.Cols[0]))
-	}
-	if err := c.st.PublishCatalog(tables, cat.Samples); err != nil {
-		return fmt.Errorf("vas: snapshot %s: %w", filepath.Join(dir, SnapshotFile), err)
-	}
-	// Replay the tail in order: AppendRows bins every batch into the
-	// restored indexes' deltas, and DeleteWhere re-tombstones by
-	// predicate — both cheap and incremental, and neither can fail after
-	// the shape checks above. Interleaving matters: a delete only covers
-	// the appends before it, exactly as it did in the original process.
-	for _, rec := range tail {
-		t := byName[rec.Table]
-		if rec.Delete {
-			preds := make([]store.Pred, len(rec.Preds))
-			for i, p := range rec.Preds {
-				preds[i] = store.Pred{Column: p.Col, Min: p.Min, Max: p.Max}
-			}
-			n, err := t.DeleteWhere(preds)
-			if err != nil {
-				return fmt.Errorf("vas: snapshot tail delete replay on %q: %w", rec.Table, err)
-			}
-			tailRows[rec.Table] += int64(n)
-			continue
-		}
-		if err := t.AppendRows(rec.Cols...); err != nil {
-			return fmt.Errorf("vas: snapshot tail replay into %q: %w", rec.Table, err)
-		}
-	}
-	c.snapDir = dir
-	c.tailRows = tailRows
-	c.snapEpoch = cat.Epoch
-	c.provMu.Lock()
-	for _, p := range cat.Provenance {
-		c.prov[p.Table] = p
-	}
-	c.provMu.Unlock()
-	// Loaded tables replace whatever the HTTP layer may have cached.
-	c.srvMu.Lock()
-	if c.srv != nil {
-		for _, t := range tables {
-			c.srv.InvalidateTable(t.Name())
-		}
-	}
-	c.srvMu.Unlock()
-	return nil
-}
-
 // SnapshotFresh reports whether the catalog's current provenance for
 // table — typically just restored by LoadSnapshot — matches what
 // LoadTable(points) followed by BuildSamples(sizes, withDensity, opt)
@@ -1220,15 +746,9 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 // options. A fresh snapshot can be served as-is; a stale one should be
 // rebuilt and re-saved.
 func (c *Catalog) SnapshotFresh(table string, points []Point, sizes []int, withDensity bool, opt Options) bool {
-	xs := make([]float64, len(points))
-	ys := make([]float64, len(points))
-	for i, p := range points {
-		xs[i] = p.X
-		ys[i] = p.Y
-	}
 	want := snapshot.Provenance{
 		Table:      table,
-		SourceHash: snapshot.HashColumns(xs, ys),
+		SourceHash: snapshot.HashColumns(columns(points)...),
 		Rows:       int64(len(points)),
 		Build:      buildSpec(sizes, withDensity, opt),
 	}
