@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/obs"
 
 	vas "repro"
 )
@@ -60,7 +59,6 @@ func main() {
 		density = flag.Bool("density", true, "attach the §V density embedding to each sample")
 		passes  = flag.Int("passes", 1, "Interchange passes per sample build")
 		snapDir = flag.String("snapshot", "", "catalog snapshot directory: load when present and fresh, else build then save; appended batches land in its tail log")
-		backend = flag.String("index-backend", "auto", "spatial index backend for every table: auto (per-table choice from occupancy skew), grid, or rtree")
 		compact = flag.Float64("compact", vas.DefaultCompactFraction, "background-compaction threshold: delta/indexed-rows fraction that triggers a merge (<=0 disables)")
 		ttl     = flag.Duration("ttl", 0, "sliding-window retention: rows older than this are dropped by background compaction (0 disables; needs -ttl-col)")
 		ttlCol  = flag.String("ttl-col", "", "column holding each row's timestamp as float64 Unix seconds, for -ttl")
@@ -89,7 +87,7 @@ func main() {
 
 	opt := vas.Options{Passes: *passes}
 	start := time.Now()
-	cat, source := loadOrBuild(*snapDir, d, ks, *density, *compact, *backend, opt)
+	cat, source := loadOrBuild(*snapDir, d, ks, *density, *compact, opt)
 	cold := time.Since(start)
 	cat.RecordColdStart(source, cold)
 	fmt.Printf("catalog ready via %s in %s\n", source, cold.Round(time.Millisecond))
@@ -107,8 +105,9 @@ func main() {
 		fmt.Printf("retention: rows with %s older than %s are dropped by compaction\n", *ttlCol, *ttl)
 	}
 
-	// Resilience knobs must land before Handler() builds the server.
+	// HTTP-layer knobs must land before Handler() builds the server.
 	cat.SetRequestTimeout(*reqTimeout)
+	cat.SetSlowThreshold(*slow)
 	cat.SetAdmissionLimits(*inflight, *queueDepth, *queueWait)
 	cat.SetReadOnlyOnDegrade(*readOnly)
 
@@ -121,15 +120,6 @@ func main() {
 	fmt.Printf("  POST /v1/delete/gps  (JSON {\"rect\": {...}} | {\"filters\": [...]} | {\"all\": true})\n")
 	fmt.Printf("  GET  /healthz | GET /metrics | GET /debug/slow\n")
 	handler := cat.Handler()
-	if *slow != 0 {
-		if s, ok := handler.(interface{ SlowLog() *obs.SlowLog }); ok {
-			d := *slow
-			if d < 0 {
-				d = 0 // keep every trace
-			}
-			s.SlowLog().SetThreshold(d)
-		}
-	}
 	var dbg *http.Server
 	if *debug != "" {
 		// pprof lives on its own listener so profiling endpoints are never
@@ -202,13 +192,10 @@ func main() {
 // the restart — and otherwise rebuilds from scratch (saving the result
 // for the next start when a snapshot directory was given). The returned
 // source is "snapshot" or "rebuild", for the cold-start metric.
-func loadOrBuild(snapDir string, d *dataset.Dataset, ks []int, density bool, compact float64, backend string, opt vas.Options) (*vas.Catalog, string) {
+func loadOrBuild(snapDir string, d *dataset.Dataset, ks []int, density bool, compact float64, opt vas.Options) (*vas.Catalog, string) {
 	if snapDir != "" {
 		cat := vas.NewCatalog()
 		cat.SetCompactFraction(compact)
-		if err := cat.SetIndexBackend(backend); err != nil {
-			fail(err)
-		}
 		err := cat.LoadSnapshot(snapDir)
 		switch {
 		case err == nil && cat.SnapshotFresh("gps", d.Points, ks, density, opt):
@@ -226,9 +213,6 @@ func loadOrBuild(snapDir string, d *dataset.Dataset, ks []int, density bool, com
 	// snapshot can linger next to the new samples.
 	cat := vas.NewCatalog()
 	cat.SetCompactFraction(compact)
-	if err := cat.SetIndexBackend(backend); err != nil {
-		fail(err)
-	}
 	if err := cat.LoadTable("gps", d.Points); err != nil {
 		fail(err)
 	}

@@ -329,7 +329,6 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 			filepath.Join(dir, TailFile), snapshot.ErrCorrupt, tailEpoch, cat.Epoch)
 	}
 	frac := c.compactFrac
-	mode := c.indexBackend
 	tables := make([]*store.Table, 0, len(cat.Tables))
 	names := make([]string, 0, len(cat.Tables))
 	byName := make(map[string]*store.Table, len(cat.Tables))
@@ -339,18 +338,6 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 			return fmt.Errorf("vas: snapshot %s: %w", filepath.Join(dir, SnapshotFile), err)
 		}
 		t.SetAutoCompact(frac)
-		if err := t.SetIndexBackend(mode); err != nil {
-			return err
-		}
-		// A forced backend rebuilds any restored index that does not
-		// comply; under auto (the default) IndexOn's fast path keeps every
-		// persisted index as-is, so restores stay rebuild-free.
-		if mode != "" && mode != IndexBackendAuto {
-			if err := t.IndexOn("x", "y"); err != nil {
-				return fmt.Errorf("vas: snapshot %s: reindex %q under %q backend: %w",
-					filepath.Join(dir, SnapshotFile), t.Name(), mode, err)
-			}
-		}
 		tables = append(tables, t)
 		names = append(names, t.Name())
 		byName[t.Name()] = t

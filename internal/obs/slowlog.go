@@ -3,16 +3,15 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // SlowLog retains the most recent finished traces whose total duration
 // met a configurable threshold, plus the single slowest trace seen and
-// a per-table latency summary. The threshold check is a single atomic
-// load, so traffic below it never contends on the lock.
+// a per-table latency summary. The threshold is fixed at construction,
+// so traffic below it never contends on the lock.
 type SlowLog struct {
-	thresholdNanos atomic.Int64
+	threshold time.Duration
 
 	mu      sync.Mutex
 	ring    []*Trace // most recent kept traces; ring[next] is the oldest slot
@@ -34,28 +33,21 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	l := &SlowLog{
-		ring:    make([]*Trace, 0, capacity),
-		byTable: make(map[string]*tableAgg),
+	return &SlowLog{
+		threshold: threshold,
+		ring:      make([]*Trace, 0, capacity),
+		byTable:   make(map[string]*tableAgg),
 	}
-	l.thresholdNanos.Store(int64(threshold))
-	return l
-}
-
-// SetThreshold changes the minimum total duration a trace must reach
-// to be retained. Safe to call concurrently with Record.
-func (l *SlowLog) SetThreshold(d time.Duration) {
-	l.thresholdNanos.Store(int64(d))
 }
 
 // Record offers a finished trace to the log. Traces under the
-// threshold return after one atomic load without locking. Nil-safe on
-// both receiver and trace.
+// threshold return without locking. Nil-safe on both receiver and
+// trace.
 func (l *SlowLog) Record(tr *Trace) {
 	if l == nil || tr == nil {
 		return
 	}
-	if int64(tr.Total) < l.thresholdNanos.Load() {
+	if tr.Total < l.threshold {
 		return
 	}
 	l.mu.Lock()
@@ -108,7 +100,7 @@ func (l *SlowLog) Report() SlowReport {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	r := SlowReport{
-		ThresholdMillis: float64(l.thresholdNanos.Load()) / float64(time.Millisecond),
+		ThresholdMillis: float64(l.threshold) / float64(time.Millisecond),
 		Kept:            l.kept,
 		Traces:          make([]TraceReport, 0, len(l.ring)),
 		Tables:          make([]TableSummary, 0, len(l.byTable)),

@@ -259,7 +259,7 @@ func (m *metrics) write(w io.Writer, cache cacheStats, idx store.IndexStats, col
 	}
 	// Index-backend identity and the grid-occupancy evidence behind it:
 	// the backend gauge is 1 for the backend the table's primary index
-	// actually uses (grid or rtree), the occupancy pair is what auto mode
+	// actually uses (grid or rtree), the occupancy pair is what the build
 	// decided from (row-weighted p99 cell population and its ratio to the
 	// mean; skew >= 8 flips a build to the R-tree).
 	if len(idx.PerTable) > 0 {
@@ -275,7 +275,7 @@ func (m *metrics) write(w io.Writer, cache cacheStats, idx store.IndexStats, col
 				fmt.Fprintf(w, "vasserve_store_index_occupancy_p99{table=%q} %g\n", ti.Table, ti.CellOccupancyP99)
 			}
 		}
-		ew.Head("vasserve_store_index_skew_ratio", "gauge", "Occupancy p99 over mean cell population, per table (>=8 selects the R-tree in auto mode).")
+		ew.Head("vasserve_store_index_skew_ratio", "gauge", "Occupancy p99 over mean cell population, per table (>=8 selects the R-tree).")
 		for _, ti := range idx.PerTable {
 			if ti.Backend != "" {
 				fmt.Fprintf(w, "vasserve_store_index_skew_ratio{table=%q} %g\n", ti.Table, ti.SkewRatio)

@@ -45,19 +45,25 @@ import (
 
 type cacheStats = tilecache.Stats
 
+// Serving constants no caller tunes.
+const (
+	// tileCacheBytes bounds the encoded-PNG tile cache.
+	tileCacheBytes = tilecache.DefaultMaxBytes
+	// defaultTileSize is the tile edge in pixels when the request does
+	// not specify one; maxTileSize caps the per-request edge.
+	defaultTileSize = 256
+	maxTileSize     = 1024
+	// xCol, yCol name the plotted column pair (the pair the vas.Catalog
+	// façade loads).
+	xCol, yCol = "x", "y"
+	// maxAppendBytes caps the /v1/append and /v1/delete request bodies.
+	maxAppendBytes = 64 << 20
+	// slowLogSize is how many slow traces /debug/slow retains.
+	slowLogSize = 64
+)
+
 // Config tunes a Server. The zero value picks production defaults.
 type Config struct {
-	// TileCacheBytes bounds the encoded-PNG tile cache; 0 means
-	// tilecache.DefaultMaxBytes.
-	TileCacheBytes int64
-	// DefaultTileSize is the tile edge in pixels when the request does
-	// not specify one; 0 means 256.
-	DefaultTileSize int
-	// MaxTileSize caps the per-request tile edge; 0 means 1024.
-	MaxTileSize int
-	// XCol, YCol name the plotted column pair; empty means "x", "y" (the
-	// pair the vas.Catalog façade loads).
-	XCol, YCol string
 	// AppendHook, when set, handles POST /v1/append/{table} batches
 	// instead of the server appending straight into the store table —
 	// the catalog layer uses it to also patch the rows into its
@@ -72,14 +78,10 @@ type Config struct {
 	// its snapshot tail log. It returns the number of rows newly
 	// deleted, and owns their tile invalidation like AppendHook.
 	DeleteHook func(table string, preds []store.Pred) (int, error)
-	// MaxAppendBytes caps the /v1/append request body; 0 means 64 MiB.
-	MaxAppendBytes int64
 	// SlowThreshold is the minimum total duration a request trace must
 	// reach to enter the slow-query log at /debug/slow; 0 means 250ms,
 	// negative means keep every trace.
 	SlowThreshold time.Duration
-	// SlowLogSize is how many slow traces the log retains; 0 means 64.
-	SlowLogSize int
 	// TailStatus, when set, reports per-table snapshot-tail durability
 	// for the vasserve_tail_log_degraded gauge — the catalog layer wires
 	// its sticky SnapshotErr through here.
@@ -108,21 +110,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DefaultTileSize <= 0 {
-		c.DefaultTileSize = 256
-	}
-	if c.MaxTileSize <= 0 {
-		c.MaxTileSize = 1024
-	}
-	if c.XCol == "" {
-		c.XCol = "x"
-	}
-	if c.YCol == "" {
-		c.YCol = "y"
-	}
-	if c.MaxAppendBytes <= 0 {
-		c.MaxAppendBytes = 64 << 20
-	}
 	switch {
 	case c.SlowThreshold == 0:
 		c.SlowThreshold = 250 * time.Millisecond
@@ -185,12 +172,12 @@ func New(st *store.Store, planner *query.Planner, cfg Config) *Server {
 		cfg:         cfg.withDefaults(),
 		st:          st,
 		planner:     planner,
-		cache:       tilecache.New(cfg.TileCacheBytes),
+		cache:       tilecache.New(tileCacheBytes),
 		metrics:     newMetrics("tables", "query", "nearest", "tile", "append", "delete", "healthz", "metrics", "debug"),
 		boundsCache: make(map[string]geom.Rect),
 		epochs:      make(map[string]uint64),
 	}
-	s.slow = obs.NewSlowLog(s.cfg.SlowLogSize, s.cfg.SlowThreshold)
+	s.slow = obs.NewSlowLog(slowLogSize, s.cfg.SlowThreshold)
 	if s.cfg.MaxInFlight > 0 {
 		s.limiters = make(map[string]*limiter, len(heavyRoutes))
 		for route := range heavyRoutes {
@@ -216,10 +203,6 @@ func New(st *store.Store, planner *query.Planner, cfg Config) *Server {
 	s.mux = mux
 	return s
 }
-
-// SlowLog exposes the slow-query log, so the binary can retune the
-// threshold from flags after construction.
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -421,7 +404,7 @@ func (s *Server) tableBounds(table string, v store.View) (geom.Rect, error) {
 	if ok {
 		return b, nil
 	}
-	b, err := v.Bounds(s.cfg.XCol, s.cfg.YCol)
+	b, err := v.Bounds(xCol, yCol)
 	if err != nil {
 		return geom.Rect{}, err
 	}
@@ -668,7 +651,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	exact := r.URL.Query().Get("exact") == "true"
 	resp, err := s.planner.PlanCtx(r.Context(), query.Request{
-		Table: table, XCol: s.cfg.XCol, YCol: s.cfg.YCol,
+		Table: table, XCol: xCol, YCol: yCol,
 		Viewport: vp, Rects: rects, Budget: budget, Exact: exact, Filters: filters,
 	})
 	if err != nil {
@@ -761,7 +744,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.planner.NearestCtx(r.Context(), query.NearestRequest{
-		Table: table, XCol: s.cfg.XCol, YCol: s.cfg.YCol,
+		Table: table, XCol: xCol, YCol: yCol,
 		X: x, Y: y, K: k, Filters: filters,
 	})
 	if err != nil {
@@ -819,14 +802,14 @@ type AppendResponse struct {
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req AppendRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxAppendBytes)
+	body := http.MaxBytesReader(w, r.Body, maxAppendBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			// Distinguish "split the batch and retry" from "payload is
 			// broken".
 			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-				"error": fmt.Sprintf("append body exceeds %d bytes; split the batch", s.cfg.MaxAppendBytes),
+				"error": fmt.Sprintf("append body exceeds %d bytes; split the batch", maxAppendBytes),
 			})
 			return
 		}
@@ -966,7 +949,7 @@ type DeleteResponse struct {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req DeleteRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxAppendBytes)
+	body := http.MaxBytesReader(w, r.Body, maxAppendBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		badRequest(w, "bad delete body: %v", err)
 		return
@@ -978,8 +961,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var preds []store.Pred
 	if req.Rect != nil {
 		preds = append(preds,
-			store.Pred{Column: s.cfg.XCol, Min: req.Rect.MinX, Max: req.Rect.MaxX},
-			store.Pred{Column: s.cfg.YCol, Min: req.Rect.MinY, Max: req.Rect.MaxY})
+			store.Pred{Column: xCol, Min: req.Rect.MinX, Max: req.Rect.MaxX},
+			store.Pred{Column: yCol, Min: req.Rect.MinY, Max: req.Rect.MaxY})
 	}
 	for _, f := range req.Filters {
 		if f.Column == "" {
@@ -1060,11 +1043,11 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "tile address must be integers: /v1/tile/{table}/{z}/{x}/{y}.png")
 		return
 	}
-	size := s.cfg.DefaultTileSize
+	size := defaultTileSize
 	if raw := r.URL.Query().Get("size"); raw != "" {
 		v, err := strconv.Atoi(raw)
-		if err != nil || v < 16 || v > s.cfg.MaxTileSize {
-			badRequest(w, "size must be an integer in [16,%d]", s.cfg.MaxTileSize)
+		if err != nil || v < 16 || v > maxTileSize {
+			badRequest(w, "size must be an integer in [16,%d]", maxTileSize)
 			return
 		}
 		size = v
@@ -1131,7 +1114,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		if !exact {
 			sp := tr.StartSpan(obs.StagePlan)
 			meta, err = s.planner.Choose(query.Request{
-				Table: table, XCol: s.cfg.XCol, YCol: s.cfg.YCol, Budget: budget,
+				Table: table, XCol: xCol, YCol: yCol, Budget: budget,
 			})
 			sp.End()
 			if err != nil {
@@ -1214,13 +1197,13 @@ func (tm tileMeta) setHeaders(h http.Header) {
 // encoding.
 func (s *Server) renderTile(ctx context.Context, base store.View, meta store.SampleMeta, tileRect geom.Rect, size int, exact bool, filters []store.Pred) ([]byte, tileMeta, error) {
 	var tm tileMeta
-	v, xCol, yCol := base, s.cfg.XCol, s.cfg.YCol
+	v, xc, yc := base, xCol, yCol
 	if !exact {
 		t, err := s.st.Table(meta.Table)
 		if err != nil {
 			return nil, tm, err
 		}
-		v, xCol, yCol = t.View(), meta.XCol, meta.YCol
+		v, xc, yc = t.View(), meta.XCol, meta.YCol
 	}
 	// Index probe: sample and base tables published through the catalog
 	// carry a spatial index over their (x, y) pair, so a tile-cache miss
@@ -1229,14 +1212,14 @@ func (s *Server) renderTile(ctx context.Context, base store.View, meta store.Sam
 	// scan, the projection, the density gather and the served-row count
 	// all read the one view, so ServedRows is the exact live count of
 	// the generation the pixels came from.
-	rows, st, err := v.ScanRects(ctx, xCol, yCol, []geom.Rect{tileRect}, filters)
+	rows, st, err := v.ScanRects(ctx, xc, yc, []geom.Rect{tileRect}, filters)
 	if err != nil {
 		return nil, tm, err
 	}
 	tm.Scan = st
 	tm.ServedRows = v.LiveRows()
 	sp := obs.StartSpan(ctx, obs.StageGather)
-	pts, err := v.Points(xCol, yCol, rows)
+	pts, err := v.Points(xc, yc, rows)
 	sp.End()
 	if err != nil {
 		return nil, tm, err

@@ -326,7 +326,7 @@ func TestInvalidationEpochBlocksInFlightStaleTile(t *testing.T) {
 	s := newTestServer(t)
 	staleKey := tilecache.Key{
 		Table: "base", Sample: "__exact__", Epoch: s.tableEpoch("base"),
-		Z: 0, X: 0, Y: 0, Size: s.cfg.DefaultTileSize,
+		Z: 0, X: 0, Y: 0, Size: defaultTileSize,
 	}
 	s.InvalidateTable("base")
 	// The in-flight render finishes now and caches pre-invalidation

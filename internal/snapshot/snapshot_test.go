@@ -56,6 +56,12 @@ func randomStore(t testing.TB, rng *rand.Rand) (*store.Store, []string) {
 			t.Fatal(err)
 		}
 		n := rng.Intn(4000)
+		indexed := ti != 1 // leave one table unindexed when there are several
+		// Half the indexed tables pack 90 % of their (x, y) into one
+		// tight cluster, skewed enough for the occupancy statistics to
+		// pick the R-tree once the table spans a few grid cells: the
+		// tree backend's snapshot path is exercised too.
+		clustered := indexed && rng.Intn(2) == 0
 		data := make([][]float64, ncols)
 		for c := range data {
 			data[c] = make([]float64, n)
@@ -66,20 +72,18 @@ func randomStore(t testing.TB, rng *rand.Rand) (*store.Store, []string) {
 				case 1:
 					data[c][i] = math.Inf(1 - 2*rng.Intn(2))
 				default:
-					data[c][i] = rng.NormFloat64() * 20
+					if clustered && c < 2 && i%10 != 0 {
+						data[c][i] = rng.NormFloat64() * 0.5
+					} else {
+						data[c][i] = rng.NormFloat64() * 20
+					}
 				}
 			}
 		}
 		if err := tb.BulkLoad(data...); err != nil {
 			t.Fatal(err)
 		}
-		if ti != 1 { // leave one table unindexed when there are several
-			if rng.Intn(2) == 0 {
-				// Exercise the R-tree backend's snapshot path too.
-				if err := tb.SetIndexBackend(store.BackendRTree); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if indexed {
 			if err := tb.IndexOn("x", "y"); err != nil {
 				t.Fatal(err)
 			}
@@ -169,9 +173,15 @@ func restoreStore(t testing.TB, cat *Catalog) *store.Store {
 // Scan / ScanRectWhere results and identical index shape.
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	dir := t.TempDir()
+	trees := 0
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		orig, names := randomStore(t, rng)
+		for _, ts := range orig.IndexStats().PerTable {
+			if ts.Backend == store.BackendRTree {
+				trees++
+			}
+		}
 		path := filepath.Join(dir, "cat.snap")
 		if err := Save(path, snapshotStore(t, orig, nil)); err != nil {
 			t.Fatalf("trial %d: save: %v", trial, err)
@@ -254,6 +264,9 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: %d samples after restore, want %d", trial, got, want)
 		}
 	}
+	if trees == 0 {
+		t.Fatal("no trial drew a table the occupancy statistics index as an R-tree")
+	}
 }
 
 func equalInts(a, b []int) bool {
@@ -327,9 +340,10 @@ func validSnapshotBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// validTreeSnapshotBytes is validSnapshotBytes with the base table
-// forced onto the R-tree backend, so the file carries a tree-index
-// section. Returns the bytes and the store they encode.
+// validTreeSnapshotBytes is validSnapshotBytes with a base table
+// clustered enough for the occupancy statistics to pick the R-tree
+// backend, so the file carries a tree-index section. Returns the bytes
+// and the store they encode.
 func validTreeSnapshotBytes(t testing.TB) ([]byte, *store.Store) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
@@ -338,7 +352,7 @@ func validTreeSnapshotBytes(t testing.TB) ([]byte, *store.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 400
+	const n = 2000
 	xs, ys, vs := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range xs {
 		// Heavily clustered so a tree is the natural backend; a few NaN
@@ -354,11 +368,11 @@ func validTreeSnapshotBytes(t testing.TB) ([]byte, *store.Store) {
 	if err := tb.BulkLoad(xs, ys, vs); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.SetIndexBackend(store.BackendRTree); err != nil {
-		t.Fatal(err)
-	}
 	if err := tb.IndexOn("x", "y"); err != nil {
 		t.Fatal(err)
+	}
+	if got := st.IndexStats().PerTable[0].Backend; got != store.BackendRTree {
+		t.Fatalf("clustered table indexed as %q, want rtree", got)
 	}
 	if err := tb.Append(1, 2, 3); err != nil {
 		t.Fatal(err)

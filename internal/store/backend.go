@@ -1,8 +1,8 @@
 package store
 
 import (
-	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // Backend selection: every index-build point (BulkLoad, IndexOn,
@@ -15,86 +15,49 @@ import (
 // extents to the data instead, so a clustered table probes in
 // O(result + log n) regardless of how the mass is distributed.
 //
-// The planner's evidence is the grid-cell occupancy histogram measured
-// at build time: occSkew — the ratio of the row-weighted 99th-percentile
-// cell population to the mean (see occFromCounts) — is ~1 for uniform
+// The evidence is the grid-cell occupancy histogram measured at build
+// time: occSkew — the ratio of the row-weighted 99th-percentile cell
+// population to the mean (see occFromCounts) — is ~1 for uniform
 // scatter and grows without bound as mass concentrates. Above
 // treeSkewThreshold the grid's worst-case cells dominate probe cost and
-// the tree wins; below it the grid's cheaper addressing does.
-// SetIndexBackend overrides the choice per table (the vasserve
-// -index-backend flag sets it fleet-wide).
+// the tree wins; below it the grid's cheaper addressing does. The data
+// alone decides: there is no per-table or fleet-wide override.
 
 // Backend name strings, as exported through IndexStats and /metrics.
 const (
-	BackendAuto  = "auto"
 	BackendGrid  = "grid"
 	BackendRTree = "rtree"
 )
 
-// Internal backend-mode codes held in Table.backendMode.
-const (
-	backendAuto int32 = iota
-	backendGrid
-	backendRTree
-)
-
 // treeSkewThreshold is the occupancy skew (p99 cell population over
-// mean) above which auto mode picks the R-tree backend. At the 64
-// rows/cell grid target, 8× means the busiest percentile of cells holds
-// hundreds of rows each — a viewport clipping one of them examines more
-// rows than an entire uniform probe would.
+// mean) above which buildSpatialIndex picks the R-tree backend. At the
+// 64 rows/cell grid target, 8× means the busiest percentile of cells
+// holds hundreds of rows each — a viewport clipping one of them examines
+// more rows than an entire uniform probe would.
 const treeSkewThreshold = 8.0
 
-// SetIndexBackend sets the table's index backend policy: "auto" (the
-// default — choose per build from the occupancy statistics), "grid", or
-// "rtree". The policy applies to subsequent index builds (BulkLoad,
-// IndexOn, Compact); call IndexOn again to rebuild an existing index
-// under the new policy.
-func (t *Table) SetIndexBackend(mode string) error {
-	m, err := parseBackendMode(mode)
-	if err != nil {
-		return err
-	}
-	t.backendMode.Store(m)
-	return nil
-}
+// forcedBackend is a test seam on the forceScalarKernels pattern: ""
+// (the only value outside tests) lets the occupancy statistics choose,
+// while BackendGrid or BackendRTree pins every later index build in the
+// process to that backend, so the store's tests can run both over
+// identical data. It is atomic because tests flip it while background
+// compactions build indexes.
+var forcedBackend atomic.Pointer[string]
 
-func parseBackendMode(mode string) (int32, error) {
-	switch mode {
-	case BackendAuto, "":
-		return backendAuto, nil
-	case BackendGrid:
-		return backendGrid, nil
-	case BackendRTree:
-		return backendRTree, nil
-	}
-	return 0, fmt.Errorf("store: unknown index backend %q (want auto, grid, or rtree)", mode)
-}
-
-// backendSatisfies reports whether an existing index's backend complies
-// with the table's policy — the IndexOn fast path may only skip a
-// rebuild when it does.
-func backendSatisfies(mode int32, backend string) bool {
-	switch mode {
-	case backendGrid:
-		return backend == BackendGrid
-	case backendRTree:
-		return backend == BackendRTree
-	}
-	return true
-}
-
-// buildSpatialIndex builds the backend the policy selects over the
-// (xi, yi) pair; in auto mode the choice comes from the occupancy
-// statistics of binIndex's grid binning. It returns nil (a true nil
-// interface, never a typed-nil pointer) when the pair is unindexable —
-// too many rows for int32 ids, or nothing finite to bin.
-func buildSpatialIndex(xi, yi int, cols [][]float64, n int, mode int32) spatialIndex {
+// buildSpatialIndex builds the backend the occupancy statistics of
+// binIndex's grid binning select over the (xi, yi) pair. It returns nil
+// (a true nil interface, never a typed-nil pointer) when the pair is
+// unindexable — too many rows for int32 ids, or nothing finite to bin.
+func buildSpatialIndex(xi, yi int, cols [][]float64, n int) spatialIndex {
 	b, cellOf, counts, ok := binIndex(xi, yi, cols, n)
 	if !ok {
 		return nil
 	}
-	if mode == backendRTree || (mode == backendAuto && b.occSkew >= treeSkewThreshold) {
+	tree := b.occSkew >= treeSkewThreshold
+	if f := forcedBackend.Load(); f != nil {
+		tree = *f == BackendRTree
+	}
+	if tree {
 		return buildTreeIndex(b, cols, cellOf)
 	}
 	return buildRectIndex(b, cols, cellOf, counts)

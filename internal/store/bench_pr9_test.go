@@ -37,11 +37,9 @@ func benchSkewTable(b *testing.B, backend string) *Table {
 		}
 		ms[i] = rng.Float64() * 100
 	}
+	useBackend(b, backend)
 	tb, err := NewTable("bench", "x", "y", "m")
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := tb.SetIndexBackend(backend); err != nil {
 		b.Fatal(err)
 	}
 	if err := tb.BulkLoad(xs, ys, ms); err != nil {

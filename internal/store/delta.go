@@ -273,10 +273,9 @@ func (t *Table) Compact() {
 		t.compactReclaim(d, pairs, deadCount, start)
 		return
 	}
-	mode := t.backendMode.Load()
 	built := make(map[[2]int]spatialIndex, len(pairs))
 	for _, p := range pairs {
-		if ix := buildSpatialIndex(p[0], p[1], d.cols, d.n, mode); ix != nil {
+		if ix := buildSpatialIndex(p[0], p[1], d.cols, d.n); ix != nil {
 			built[p] = ix
 		}
 	}
@@ -332,10 +331,9 @@ func (t *Table) compactReclaim(d *tableData, pairs [][2]int, deadCount int, star
 		gatherVals(out, alive, c)
 		newCols[i] = out
 	}
-	mode := t.backendMode.Load()
 	built := make([]spatialIndex, 0, len(pairs))
 	for _, p := range pairs {
-		if ix := buildSpatialIndex(p[0], p[1], newCols, nn, mode); ix != nil {
+		if ix := buildSpatialIndex(p[0], p[1], newCols, nn); ix != nil {
 			built = append(built, ix)
 		}
 	}

@@ -98,18 +98,17 @@ func TestFilteredScanHammer(t *testing.T) {
 		}
 	}()
 
-	// Backend churner: flips the index backend policy under the live
-	// appends, compactions, and scans, forcing grid→tree→auto rebuilds
-	// to publish mid-flight. Readers must stay exact across every flip.
+	// Backend churner: flips the forced-backend seam under the live
+	// appends, compactions, and scans, forcing grid→tree→occupancy
+	// rebuilds to publish mid-flight. Readers must stay exact across
+	// every flip. useBackend restores the seam when the test ends.
+	useBackend(t, "")
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		modes := []string{BackendRTree, BackendGrid, BackendAuto}
+		modes := []string{BackendRTree, BackendGrid, ""}
 		for i := 0; time.Now().Before(deadline); i++ {
-			if err := tb.SetIndexBackend(modes[i%len(modes)]); err != nil {
-				report(err)
-				return
-			}
+			forceBackend(modes[i%len(modes)])
 			if err := tb.IndexOn("x", "y"); err != nil {
 				report(err)
 				return

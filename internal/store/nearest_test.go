@@ -43,12 +43,12 @@ func bruteNearest(tb *Table, x, y float64, k int, preds []Pred) []Neighbor {
 }
 
 // TestNearestMatchesBruteForce is the kNN property test: under every
-// backend (grid, tree, auto, unindexed), with NaN and ±Inf coordinates,
-// duplicate points (distance ties), k exceeding the live row count,
-// tombstoned rows, and appended tails, Table.Nearest returns exactly
-// the brute-force sort-by-distance answer.
+// backend (grid, tree, the data's choice, unindexed), with NaN and ±Inf
+// coordinates, duplicate points (distance ties), k exceeding the live
+// row count, tombstoned rows, and appended tails, Table.Nearest returns
+// exactly the brute-force sort-by-distance answer.
 func TestNearestMatchesBruteForce(t *testing.T) {
-	backends := []string{"", BackendGrid, BackendRTree, BackendAuto}
+	backends := []string{"", BackendGrid, BackendRTree}
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		n := rng.Intn(3000)
@@ -70,14 +70,10 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 			ms[i] = float64(rng.Intn(50))
 		}
 		backend := backends[trial%len(backends)]
+		useBackend(t, backend)
 		tb, err := NewTable("t", "x", "y", "m")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if backend != "" {
-			if err := tb.SetIndexBackend(backend); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if err := tb.BulkLoad(xs, ys, ms); err != nil {
 			t.Fatal(err)
@@ -199,14 +195,10 @@ func TestBackendEquivalenceOnSkew(t *testing.T) {
 			ms[i] = (xs[i] + ys[i]) / 2
 		}
 		mk := func(backend string, index bool) *Table {
+			useBackend(t, backend)
 			tb, err := NewTable("t", "x", "y", "m")
 			if err != nil {
 				t.Fatal(err)
-			}
-			if backend != "" {
-				if err := tb.SetIndexBackend(backend); err != nil {
-					t.Fatal(err)
-				}
 			}
 			if err := tb.BulkLoad(xs, ys, ms); err != nil {
 				t.Fatal(err)
@@ -269,9 +261,9 @@ func TestBackendEquivalenceOnSkew(t *testing.T) {
 	}
 }
 
-// TestAutoBackendSelection pins the planner policy: heavily clustered
-// data selects the tree, uniform data keeps the grid, and explicit
-// modes override the evidence in both directions.
+// TestAutoBackendSelection pins the occupancy policy: heavily clustered
+// data selects the tree, uniform data keeps the grid, and the test seam
+// overrides the evidence in both directions.
 func TestAutoBackendSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 50_000
@@ -287,15 +279,11 @@ func TestAutoBackendSelection(t *testing.T) {
 		}
 		uxs[i], uys[i] = rng.Float64()*1000, rng.Float64()*1000
 	}
-	mk := func(mode string, xs, ys []float64) string {
+	mk := func(backend string, xs, ys []float64) string {
+		useBackend(t, backend)
 		tb, err := NewTable("t", "x", "y")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if mode != "" {
-			if err := tb.SetIndexBackend(mode); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if err := tb.BulkLoad(xs, ys); err != nil {
 			t.Fatal(err)
@@ -305,10 +293,10 @@ func TestAutoBackendSelection(t *testing.T) {
 		}
 		return tb.snapshot().indexFor(0, 1).backend()
 	}
-	if got := mk(BackendAuto, cxs, cys); got != BackendRTree {
+	if got := mk("", cxs, cys); got != BackendRTree {
 		t.Errorf("auto on clustered data chose %q, want rtree", got)
 	}
-	if got := mk(BackendAuto, uxs, uys); got != BackendGrid {
+	if got := mk("", uxs, uys); got != BackendGrid {
 		t.Errorf("auto on uniform data chose %q, want grid", got)
 	}
 	if got := mk(BackendGrid, cxs, cys); got != BackendGrid {
@@ -317,55 +305,21 @@ func TestAutoBackendSelection(t *testing.T) {
 	if got := mk(BackendRTree, uxs, uys); got != BackendRTree {
 		t.Errorf("rtree override on uniform data chose %q", got)
 	}
-	if err := (&Table{}).SetIndexBackend("btree"); err == nil {
-		t.Error("unknown backend mode accepted")
-	}
 }
 
-// TestIndexOnFlipsBackend: SetIndexBackend + IndexOn genuinely rebuilds
-// under the new policy (the skip-rebuild fast path must not pin the old
-// backend), and kNN stays exact across the flip.
-func TestIndexOnFlipsBackend(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	n := 10_000
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i], ys[i] = rng.Float64()*100, rng.Float64()*100
+// useBackend pins every index build in the process to backend
+// (BackendGrid or BackendRTree; "" lets the occupancy statistics
+// choose) until tb ends.
+func useBackend(tb testing.TB, backend string) {
+	prev := forceBackend(backend)
+	tb.Cleanup(func() { forcedBackend.Store(prev) })
+}
+
+// forceBackend sets the forcedBackend seam and returns its previous
+// value.
+func forceBackend(backend string) *string {
+	if backend == "" {
+		return forcedBackend.Swap(nil)
 	}
-	tb, err := NewTable("t", "x", "y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.BulkLoad(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.IndexOn("x", "y"); err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{BackendRTree, BackendGrid, BackendRTree, BackendAuto} {
-		if err := tb.SetIndexBackend(mode); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.IndexOn("x", "y"); err != nil {
-			t.Fatal(err)
-		}
-		got := tb.snapshot().indexFor(0, 1).backend()
-		if mode == BackendRTree && got != BackendRTree {
-			t.Fatalf("after SetIndexBackend(rtree)+IndexOn: backend %q", got)
-		}
-		if mode == BackendGrid && got != BackendGrid {
-			t.Fatalf("after SetIndexBackend(grid)+IndexOn: backend %q", got)
-		}
-		ns, _, err := tb.View().Nearest(context.Background(), "x", "y", 50, 50, 9, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteNearest(tb, 50, 50, 9, nil)
-		for i := range want {
-			if ns[i] != want[i] {
-				t.Fatalf("mode %s: kNN diverged at %d: %+v vs %+v", mode, i, ns[i], want[i])
-			}
-		}
-	}
+	return forcedBackend.Swap(&backend)
 }

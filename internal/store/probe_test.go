@@ -54,11 +54,9 @@ func probeGoldenTable(t testing.TB, backend string) *Table {
 		}
 		return cols
 	}
+	useBackend(t, backend)
 	tb, err := NewTable("golden", "x", "y", "m", "u", "c")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.SetIndexBackend(backend); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.BulkLoad(gen(12_000, 1000)...); err != nil {
@@ -175,11 +173,9 @@ func TestProbeAllocs(t *testing.T) {
 			}
 			return xs, ys, ms
 		}
+		useBackend(t, backend)
 		tb, err := NewTable("a", "x", "y", "m")
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.SetIndexBackend(backend); err != nil {
 			t.Fatal(err)
 		}
 		if err := tb.BulkLoad(gen(20_000)); err != nil {

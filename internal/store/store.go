@@ -57,11 +57,6 @@ type Table struct {
 	// sharded linear scan) instead of paying for them on every cell.
 	zoneStat []zoneColStat
 
-	// backendMode holds the index backend policy code (backendAuto /
-	// backendGrid / backendRTree) consulted at every index-build point;
-	// see backend.go.
-	backendMode atomic.Int32
-
 	// autoCompact holds the float64 bits of the auto-compaction
 	// threshold fraction (0 = disabled); compacting gates the single
 	// background compaction goroutine; compactMu serializes Compact
@@ -304,9 +299,8 @@ func (t *Table) BulkLoad(cols ...[]float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var indexes []spatialIndex
-	mode := t.backendMode.Load()
 	for _, p := range t.indexPairs {
-		if ix := buildSpatialIndex(p[0], p[1], fresh, n, mode); ix != nil {
+		if ix := buildSpatialIndex(p[0], p[1], fresh, n); ix != nil {
 			indexes = append(indexes, ix)
 		}
 	}
@@ -328,7 +322,7 @@ func (t *Table) resetZoneStat() {
 	}
 }
 
-// IndexOn registers a grid spatial index over the (xCol, yCol) pair and
+// IndexOn registers a spatial index over the (xCol, yCol) pair and
 // builds it against the current contents. The pair stays registered:
 // every later BulkLoad rebuilds the index against the fresh columns
 // before publishing them. Calling IndexOn again for the same pair
@@ -361,12 +355,10 @@ func (t *Table) IndexOn(xCol, yCol string) error {
 		t.indexPairs = append(t.indexPairs, pair)
 	}
 	d := t.data
-	mode := t.backendMode.Load()
 	// Already covering the current generation (the common reload path:
-	// BulkLoad just rebuilt every registered pair) with a backend the
-	// current policy accepts — nothing to do.
+	// BulkLoad just rebuilt every registered pair) — nothing to do.
 	if registered {
-		if old := d.indexFor(xi, yi); old != nil && old.rows() == d.n && backendSatisfies(mode, old.backend()) {
+		if old := d.indexFor(xi, yi); old != nil && old.rows() == d.n {
 			return nil
 		}
 	}
@@ -376,7 +368,7 @@ func (t *Table) IndexOn(xCol, yCol string) error {
 			indexes = append(indexes, old)
 		}
 	}
-	if ix := buildSpatialIndex(xi, yi, d.cols, d.n, mode); ix != nil {
+	if ix := buildSpatialIndex(xi, yi, d.cols, d.n); ix != nil {
 		indexes = append(indexes, ix)
 	}
 	t.data = &tableData{cols: d.cols, n: d.n, indexes: indexes, dead: d.dead, loadGen: d.loadGen}

@@ -42,11 +42,9 @@ func goldenTreeTable(t *testing.T) *Table {
 		}
 		ms[i] = rng.Float64() * 100
 	}
+	useBackend(t, BackendRTree)
 	tb, err := NewTable("golden", "x", "y", "m")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.SetIndexBackend(BackendRTree); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.BulkLoad(xs, ys, ms); err != nil {

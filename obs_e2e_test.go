@@ -24,17 +24,6 @@ import (
 	vas "repro"
 )
 
-// slowLogOf reaches the serving layer's slow-query log through the
-// catalog handler, the way cmd/vasserve retunes the threshold.
-func slowLogOf(t *testing.T, h http.Handler) *obs.SlowLog {
-	t.Helper()
-	s, ok := h.(interface{ SlowLog() *obs.SlowLog })
-	if !ok {
-		t.Fatalf("handler %T does not expose SlowLog", h)
-	}
-	return s.SlowLog()
-}
-
 func getBody(t *testing.T, url string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -50,9 +39,8 @@ func getBody(t *testing.T, url string) (*http.Response, string) {
 }
 
 func TestObsSlowQueryEndToEnd(t *testing.T) {
-	cat, _, ts := newServedCatalog(t)
 	// Record every trace: the test asserts structure, not slowness.
-	slowLogOf(t, cat.Handler()).SetThreshold(0)
+	_, _, ts := newServedCatalog(t, func(c *vas.Catalog) { c.SetSlowThreshold(-1) })
 
 	// A filtered exact full-extent query is the heaviest request shape:
 	// index probe + residual filtering + gather + JSON encode.

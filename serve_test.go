@@ -25,8 +25,9 @@ import (
 )
 
 // newServedCatalog loads a small geolife-like table and builds two VAS
-// samples, returning the catalog, its data, and a live httptest server.
-func newServedCatalog(t *testing.T) (*vas.Catalog, *dataset.Dataset, *httptest.Server) {
+// samples, runs each setup on the catalog before its handler is built,
+// and returns the catalog, its data, and a live httptest server.
+func newServedCatalog(t *testing.T, setup ...func(*vas.Catalog)) (*vas.Catalog, *dataset.Dataset, *httptest.Server) {
 	t.Helper()
 	d := dataset.GeolifeLike(dataset.GeolifeOptions{N: 4000, Seed: 7})
 	cat := vas.NewCatalog()
@@ -35,6 +36,9 @@ func newServedCatalog(t *testing.T) (*vas.Catalog, *dataset.Dataset, *httptest.S
 	}
 	if err := cat.BuildSamples("gps", d.Points, []int{50, 200}, true, vas.Options{Passes: 1}); err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range setup {
+		f(cat)
 	}
 	ts := httptest.NewServer(cat.Handler())
 	t.Cleanup(ts.Close)

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -158,6 +159,27 @@ func TestSnapshotServesByteIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s differs between rebuilt and snapshot-loaded catalogs:\n%s\n%s", path, a, b)
 		}
+	}
+	// Every table — base and each sample — is restored with the index
+	// backend its data picked when it was built.
+	backends := func(srv *httptest.Server) []string {
+		t.Helper()
+		var series []string
+		for _, line := range strings.Split(string(fetchBytes(t, srv.URL+"/metrics")), "\n") {
+			if strings.HasPrefix(line, "vasserve_store_index_backend{") {
+				series = append(series, line)
+			}
+		}
+		slices.Sort(series)
+		return series
+	}
+	origBackends, loadedBackends := backends(origSrv), backends(loadedSrv)
+	if len(origBackends) != 1+len(snapBuildSizes) {
+		t.Fatalf("original reports %d index backends, want base + %d samples: %q",
+			len(origBackends), len(snapBuildSizes), origBackends)
+	}
+	if !slices.Equal(origBackends, loadedBackends) {
+		t.Fatalf("index backends differ after restore:\n  before: %q\n  after:  %q", origBackends, loadedBackends)
 	}
 
 	// Live ingest between save and restart lands in the tail log; each

@@ -72,14 +72,6 @@ type ScanStats = store.ScanStats
 // Neighbor is one k-nearest-neighbour result row (see Catalog.Nearest).
 type Neighbor = store.Neighbor
 
-// Index-backend policy names accepted by Catalog.SetIndexBackend and
-// the vasserve -index-backend flag.
-const (
-	IndexBackendAuto  = store.BackendAuto
-	IndexBackendGrid  = store.BackendGrid
-	IndexBackendRTree = store.BackendRTree
-)
-
 // Options configures Build.
 type Options struct {
 	// K is the sample size (required, positive).
@@ -334,12 +326,14 @@ type Catalog struct {
 
 	srvMu sync.Mutex
 	srv   *server.Server
-	// HTTP-layer resilience knobs, applied when the server is created on
-	// the first Handler call (see SetRequestTimeout / SetAdmissionLimits).
-	reqTimeout   time.Duration
-	maxInFlight  int
-	queueDepth   int
-	queueTimeout time.Duration
+	// HTTP-layer knobs, applied when the server is created on the first
+	// Handler call (see SetRequestTimeout / SetSlowThreshold /
+	// SetAdmissionLimits).
+	reqTimeout    time.Duration
+	slowThreshold time.Duration
+	maxInFlight   int
+	queueDepth    int
+	queueTimeout  time.Duration
 
 	// provMu guards prov, the per-base-table provenance the snapshot
 	// subsystem persists (and staleness checks compare against).
@@ -392,10 +386,6 @@ type Catalog struct {
 	// compactFrac is the auto-compaction threshold applied to every
 	// base table the catalog loads (see store.Table.SetAutoCompact).
 	compactFrac float64
-	// indexBackend is the spatial-index backend policy applied to every
-	// table the catalog loads or restores ("" = auto; see
-	// store.Table.SetIndexBackend).
-	indexBackend string
 }
 
 // DefaultCompactFraction is the auto-compaction threshold applied to
@@ -433,30 +423,6 @@ func (c *Catalog) compactFraction() float64 {
 	return c.compactFrac
 }
 
-// SetIndexBackend sets the spatial-index backend policy applied to
-// every table the catalog loads (LoadTable, BuildSamples) or restores
-// (LoadSnapshot) from now on: "auto" (the default — per-table choice
-// from grid-occupancy skew), "grid", or "rtree". On a snapshot restore
-// a table whose persisted index already complies keeps it; one that
-// does not is rebuilt under the policy.
-func (c *Catalog) SetIndexBackend(mode string) error {
-	switch mode {
-	case IndexBackendAuto, "", IndexBackendGrid, IndexBackendRTree:
-	default:
-		return fmt.Errorf("vas: unknown index backend %q (want auto, grid, or rtree)", mode)
-	}
-	c.snapMu.Lock()
-	c.indexBackend = mode
-	c.snapMu.Unlock()
-	return nil
-}
-
-func (c *Catalog) indexBackendMode() string {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	return c.indexBackend
-}
-
 // LoadTable registers a base table named name with columns x and y, or
 // replaces its contents when the table already exists. The (x, y) pair is
 // spatially indexed at load time, so viewport queries and tile renders
@@ -473,9 +439,6 @@ func (c *Catalog) LoadTable(name string, points []Point) error {
 		}
 	}
 	cols := columns(points)
-	if err := t.SetIndexBackend(c.indexBackendMode()); err != nil {
-		return err
-	}
 	if err := t.BulkLoad(cols...); err != nil {
 		return err
 	}
@@ -690,6 +653,16 @@ func (c *Catalog) SetRequestTimeout(d time.Duration) {
 	c.srvMu.Unlock()
 }
 
+// SetSlowThreshold sets the minimum total duration a request trace must
+// reach to enter the slow-query log at /debug/slow: zero (the default)
+// means 250ms, negative means keep every trace. Must be called before
+// the first Handler call.
+func (c *Catalog) SetSlowThreshold(d time.Duration) {
+	c.srvMu.Lock()
+	c.slowThreshold = d
+	c.srvMu.Unlock()
+}
+
 // SetAdmissionLimits configures HTTP admission control for heavy
 // routes: at most maxInFlight requests execute concurrently per route,
 // up to queueDepth more wait up to queueTimeout for a slot, and
@@ -725,7 +698,8 @@ func (c *Catalog) Handler() http.Handler {
 			DeleteHook: c.DeleteWhere,
 			// Per-table tail-log durability for the
 			// vasserve_tail_log_degraded gauge.
-			TailStatus: c.tailStatus,
+			TailStatus:    c.tailStatus,
+			SlowThreshold: c.slowThreshold,
 			// Resilience knobs (zero values disable each mechanism).
 			RequestTimeout: c.reqTimeout,
 			MaxInFlight:    c.maxInFlight,
@@ -869,9 +843,10 @@ type NearestResult struct {
 // Nearest answers the k nearest live rows of the base table to (x, y)
 // by Euclidean distance, restricted to rows matching every filter.
 // Always exact — a kNN answer is k specific rows, so no sample or
-// latency-budget tradeoff applies. R-tree-backed tables (see
-// SetIndexBackend) answer with a best-first branch-and-bound descent;
-// grid-backed and unindexed tables fall back to a brute-force sweep.
+// latency-budget tradeoff applies. R-tree-backed tables (the store picks
+// the tree when the data's grid occupancy is skewed) answer with a
+// best-first branch-and-bound descent; grid-backed and unindexed tables
+// fall back to a brute-force sweep.
 func (c *Catalog) Nearest(table string, x, y float64, k int, filters []Pred) (*NearestResult, error) {
 	resp, err := c.planner.Nearest(query.NearestRequest{
 		Table: table, XCol: "x", YCol: "y",
