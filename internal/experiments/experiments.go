@@ -166,19 +166,6 @@ func Run(id string, sc Scale) (*Report, error) {
 	return f(sc)
 }
 
-// RunAll executes every registered experiment in id order.
-func RunAll(sc Scale) ([]*Report, error) {
-	var out []*Report
-	for _, id := range IDs() {
-		r, err := Run(id, sc)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // ---- shared builders ----
 
 // geolife returns the Geolife-like dataset for a scale, memoized per

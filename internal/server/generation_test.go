@@ -77,7 +77,7 @@ func TestRequestsReadOneGeneration(t *testing.T) {
 				ds[j] = densityOf(xs[j], ys[j])
 			}
 			x0, y0 := float64(wr.Intn(190)), float64(wr.Intn(190))
-			strip := geom.Rect{MinX: x0, MinY: y0, MaxX: x0 + 9, MaxY: y0 + 9}
+			strip := []store.Pred{{Column: "x", Min: x0, Max: x0 + 9}, {Column: "y", Min: y0, Max: y0 + 9}}
 			for _, tb := range []*store.Table{base, sample} {
 				var err error
 				if tb == base {
@@ -89,7 +89,7 @@ func TestRequestsReadOneGeneration(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := tb.DeleteRect("x", "y", strip); err != nil {
+				if _, err := tb.DeleteWhere(strip); err != nil {
 					t.Error(err)
 					return
 				}

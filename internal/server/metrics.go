@@ -222,8 +222,6 @@ func (m *metrics) write(w io.Writer, cache cacheStats, idx store.IndexStats, col
 	fmt.Fprintf(w, "vasserve_store_zone_skips_total %d\n", idx.ZoneSkips)
 	ew.Head("vasserve_store_batched_rows_total", "counter", "Rows evaluated by the selection-vector batch kernels.")
 	fmt.Fprintf(w, "vasserve_store_batched_rows_total %d\n", idx.BatchedRows)
-	ew.Head("vasserve_store_probe_shards_total", "counter", "Index-probe shards executed (one per serial probe, more when sharded across CPUs).")
-	fmt.Fprintf(w, "vasserve_store_probe_shards_total %d\n", idx.ProbeShards)
 	ew.Head("vasserve_store_delta_rows", "gauge", "Appended rows absorbed into delta indexes.")
 	fmt.Fprintf(w, "vasserve_store_delta_rows %d\n", idx.DeltaRows)
 	ew.Head("vasserve_store_tail_rows", "gauge", "Appended rows outside the base indexes.")

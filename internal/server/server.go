@@ -462,7 +462,6 @@ type ScanStatsJSON struct {
 	DeltaRows    int  `json:"deltaRows"`
 	ZonesSkipped int  `json:"zonesSkipped"`
 	BatchedRows  int  `json:"batchedRows"`
-	ProbeShards  int  `json:"probeShards"`
 }
 
 func scanStatsJSON(st store.ScanStats) ScanStatsJSON {

@@ -521,7 +521,6 @@ func TestHealthAndMetrics(t *testing.T) {
 		`vasserve_store_zone_cells_touched_total`,
 		`vasserve_store_zone_cells_pruned_total`,
 		`vasserve_store_batched_rows_total`,
-		`vasserve_store_probe_shards_total`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

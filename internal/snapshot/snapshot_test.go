@@ -90,14 +90,14 @@ func randomStore(t testing.TB, rng *rand.Rand) (*store.Store, []string) {
 		}
 		// Appended tail: rows the index does not cover.
 		tail := rng.Intn(30)
-		row := make([]float64, ncols)
+		tailCols := make([][]float64, ncols)
 		for i := 0; i < tail; i++ {
-			for c := range row {
-				row[c] = rng.NormFloat64() * 20
+			for c := range tailCols {
+				tailCols[c] = append(tailCols[c], rng.NormFloat64()*20)
 			}
-			if err := tb.Append(row...); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := tb.AppendRows(tailCols...); err != nil {
+			t.Fatal(err)
 		}
 		// Tombstones (sometimes): snapshots routinely carry a Dead
 		// section, and NaN-x rows match any range so extras die too.
@@ -307,7 +307,7 @@ func validSnapshotBytes(t testing.TB) []byte {
 	if err := tb.IndexOn("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Append(1, 2, 3); err != nil {
+	if err := tb.AppendRows([]float64{1}, []float64{2}, []float64{3}); err != nil {
 		t.Fatal(err)
 	}
 	sample, err := store.NewTable("a_tbl_vas", "x", "y")
@@ -374,7 +374,7 @@ func validTreeSnapshotBytes(t testing.TB) ([]byte, *store.Store) {
 	if got := st.IndexStats().PerTable[0].Backend; got != store.BackendRTree {
 		t.Fatalf("clustered table indexed as %q, want rtree", got)
 	}
-	if err := tb.Append(1, 2, 3); err != nil {
+	if err := tb.AppendRows([]float64{1}, []float64{2}, []float64{3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.DeleteWhere([]store.Pred{{Column: "v", Min: 40, Max: 45}}); err != nil {

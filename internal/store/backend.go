@@ -8,12 +8,12 @@ import (
 // Backend selection: every index-build point (BulkLoad, IndexOn,
 // Compact) routes through buildSpatialIndex, which picks the concrete
 // spatialIndex implementation per table. The uniform CSR grid is ideal
-// for dense uniform scatter — O(1) cell addressing, contiguous runs,
-// trivially parallel probes — but degrades badly under skew: when most
-// rows land in a few cells, a small viewport still sweeps those giant
-// cells row by row. The packed STR R-tree (treeindex.go) adapts its leaf
-// extents to the data instead, so a clustered table probes in
-// O(result + log n) regardless of how the mass is distributed.
+// for dense uniform scatter — O(1) cell addressing, contiguous runs —
+// but degrades badly under skew: when most rows land in a few cells, a
+// small viewport still sweeps those giant cells row by row. The packed
+// STR R-tree (treeindex.go) adapts its leaf extents to the data
+// instead, so a clustered table probes in O(result + log n) regardless
+// of how the mass is distributed.
 //
 // The evidence is the grid-cell occupancy histogram measured at build
 // time: occSkew — the ratio of the row-weighted 99th-percentile cell

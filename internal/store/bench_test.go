@@ -1,8 +1,8 @@
 package store
 
 // Serving microbenchmarks for the read path: viewport queries as index
-// probes vs the pre-index linear baseline, the parallel sharded scan the
-// exact path falls back to, and the zero-row-id-allocation full-extent
+// probes vs the pre-index linear baseline, the linear scan unindexed
+// pairs fall back to, and the zero-row-id-allocation full-extent
 // projection. They are developer tools (go test -bench); `make
 // bench-smoke` keeps them compiling and running, and end-to-end claims
 // go through bench/ (bash bench/run.sh).
@@ -97,11 +97,11 @@ func BenchmarkQueryViewportLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkExactScanParallel measures the sharded fallback scan the
-// exact path and unindexed column pairs use: Table.Scan fans the
-// predicate evaluation out across CPUs and concatenates shard results
-// in row order.
-func BenchmarkExactScanParallel(b *testing.B) {
+// BenchmarkExactScan measures Table.Scan, the linear predicate scan
+// unindexed column pairs fall back to: the 1% viewport's two range
+// predicates over all 1M rows, through the batch kernels on the calling
+// goroutine.
+func BenchmarkExactScan(b *testing.B) {
 	tb := benchTable(b, benchRows, false)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -266,7 +266,7 @@ var benchResidualPreds = []Pred{
 //     are partly memory-latency bound and the batch win is modest.
 //   - "residual-zoomout": the fully zoomed-out viewport with the same
 //     filters. The adaptive planner has proven the zones useless by
-//     then and routes it to the sharded linear scan, where the kernels
+//     then and routes it to the linear scan, where the kernels
 //     stream columns sequentially — the branch-free win undiluted.
 func benchResidualShapes(b *testing.B, tb *Table) {
 	shapes := []struct {
@@ -335,37 +335,9 @@ func benchResidualShapes(b *testing.B, tb *Table) {
 	}
 }
 
-// BenchmarkProbeParallelSweep sweeps GOMAXPROCS over the residual-heavy
-// probe: the touched cells bound well past parallelScanMinRows, so
-// rectIndex.collect fans out when workers allow. probe_shards records the
-// average shard count actually run.
-func BenchmarkProbeParallelSweep(b *testing.B) {
-	tb := benchResidualTable(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(workers)
-			defer runtime.GOMAXPROCS(prev)
-			var shards int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchResidualViewport}, benchResidualPreds)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rows.IsEmpty() {
-					b.Fatal("empty residual result")
-				}
-				shards += st.ProbeShards
-			}
-			b.ReportMetric(float64(shards)/float64(b.N), "probe_shards")
-		})
-	}
-}
-
 // BenchmarkScanLinearFiltered is the baseline the ≥3× acceptance
 // criterion compares against: the same viewport+filter conjunctions
-// answered by Table.Scan, the (parallel sharded) linear predicate scan.
+// answered by Table.Scan, the linear predicate scan.
 func BenchmarkScanLinearFiltered(b *testing.B) {
 	tb := benchFilteredTable(b)
 	for _, name := range []string{"preds=0", "preds=1", "preds=3"} {
@@ -496,8 +468,8 @@ func benchTailName(tail int) string {
 	}
 }
 
-// BenchmarkAppendThroughput measures the ingest write path: per-row
-// Append and 1k-row AppendRows batches into a 1M-row indexed table,
+// BenchmarkAppendThroughput measures the ingest write path: one-row
+// and 1k-row AppendRows batches into a 1M-row indexed table,
 // every row absorbed into the delta index (cell binning + running zone
 // maps) in the same critical section it becomes visible in.
 func BenchmarkAppendThroughput(b *testing.B) {
@@ -508,7 +480,7 @@ func BenchmarkAppendThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			x, y := rng.Float64()*1000, rng.Float64()*1000
-			if err := tb.Append(x, y, (x+y)/2, rng.Float64()*1000, 3); err != nil {
+			if err := tb.AppendRows([]float64{x}, []float64{y}, []float64{(x + y) / 2}, []float64{rng.Float64() * 1000}, []float64{3}); err != nil {
 				b.Fatal(err)
 			}
 		}

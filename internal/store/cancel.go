@@ -15,8 +15,7 @@ const cancelCheckMask = 15
 // scan and kNN internals. A nil *canceler (every context-free entry
 // point, and contexts with no Done channel) makes every method a no-op
 // compiled to a nil check — the hot path pays nothing. It is NOT safe
-// for concurrent use: the tick counter is unsynchronized, so shard
-// goroutines must fork() their own.
+// for concurrent use: the tick counter is unsynchronized.
 type canceler struct {
 	ctx  context.Context
 	n    uint
@@ -65,13 +64,4 @@ func (c *canceler) cause() error {
 		return nil
 	}
 	return c.ctx.Err()
-}
-
-// fork returns a canceler for a shard goroutine: same context, its own
-// tick counter. A nil receiver forks to nil.
-func (c *canceler) fork() *canceler {
-	if c == nil {
-		return nil
-	}
-	return &canceler{ctx: c.ctx}
 }

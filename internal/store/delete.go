@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/geom"
 )
 
 // timeNow is the retention clock, a variable so TTL tests can pin it.
@@ -27,36 +25,15 @@ var timeNow = time.Now
 // reclaiming compaction) between its scan and its publish.
 const deleteMaxRetries = 16
 
-// DeleteRect tombstones every row whose (xCol, yCol) projection lies
-// inside r, following View.ScanRects' rectangle conventions — the zero
-// Rect means "no restriction" and therefore deletes every row; NaN
-// bounds fold to ±Inf; rows with NaN coordinates match every bound. It
-// returns the number of rows newly deleted (rows already tombstoned
-// are not recounted).
+// DeleteWhere tombstones every row satisfying all predicates (Scan's
+// conjunctive range semantics: NaN bounds fold to ±Inf, NaN values
+// match every range) and returns the number of rows newly deleted (rows
+// already tombstoned are not recounted). An empty predicate list
+// deletes every row.
 //
 // The delete covers the rows visible when it ran: a row appended
 // concurrently with the call may or may not be examined, exactly as a
 // scan racing an append may or may not see the new row.
-func (t *Table) DeleteRect(xCol, yCol string, r geom.Rect) (int, error) {
-	if _, ok := t.colIdx[xCol]; !ok {
-		return 0, fmt.Errorf("store: table %q column %q: %w", t.name, xCol, ErrNotFound)
-	}
-	if _, ok := t.colIdx[yCol]; !ok {
-		return 0, fmt.Errorf("store: table %q column %q: %w", t.name, yCol, ErrNotFound)
-	}
-	if r == (geom.Rect{}) {
-		r = unboundedRect
-	}
-	return t.DeleteWhere([]Pred{
-		{Column: xCol, Min: r.MinX, Max: r.MaxX},
-		{Column: yCol, Min: r.MinY, Max: r.MaxY},
-	})
-}
-
-// DeleteWhere tombstones every row satisfying all predicates (Scan's
-// conjunctive range semantics: NaN bounds fold to ±Inf, NaN values
-// match every range) and returns the number of rows newly deleted. An
-// empty predicate list deletes every row.
 func (t *Table) DeleteWhere(preds []Pred) (int, error) {
 	pi := make([]int, len(preds))
 	for i, p := range preds {
@@ -83,7 +60,7 @@ func (t *Table) DeleteWhere(preds []Pred) (int, error) {
 			for i, ci := range pi {
 				cols[i] = d.cols[ci]
 			}
-			ids = scanShards(cols, preds, d.n, nil)
+			ids = scanRange(cols, preds, 0, d.n, nil, nil)
 		}
 		ids = filterDeadInts(ids, d.dead)
 		if len(ids) == 0 {
@@ -138,17 +115,6 @@ func (t *Table) SetTTL(col string, maxAge time.Duration) error {
 	t.ttlCol = t.colIdx[col]
 	t.ttlAge = maxAge
 	return nil
-}
-
-// TTL reports the current retention policy; ok is false when none is
-// set.
-func (t *Table) TTL() (col string, maxAge time.Duration, ok bool) {
-	t.ttlMu.Lock()
-	defer t.ttlMu.Unlock()
-	if t.ttlCol < 0 {
-		return "", 0, false
-	}
-	return t.colName[t.ttlCol], t.ttlAge, true
 }
 
 // enforceTTL tombstones the rows the retention policy has expired.

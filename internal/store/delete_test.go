@@ -16,7 +16,7 @@ func TestDeleteWhereBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := tb.Append(float64(i), float64(i), float64(i%10)); err != nil {
+		if err := appendRow(tb, float64(i), float64(i), float64(i%10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,12 +85,12 @@ func TestDeleteRect(t *testing.T) {
 			want++
 		}
 	}
-	n, err := tb.DeleteRect("x", "y", r)
+	n, err := tb.DeleteWhere(rectPreds(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != want {
-		t.Fatalf("DeleteRect deleted %d rows, brute force says %d", n, want)
+		t.Fatalf("rectangle delete removed %d rows, brute force says %d", n, want)
 	}
 	// The index probe and the linear scan agree on the survivors.
 	for _, probe := range []geom.Rect{
@@ -98,7 +98,7 @@ func TestDeleteRect(t *testing.T) {
 		{MinX: 10, MinY: 10, MaxX: 40, MaxY: 40},
 		{},
 	} {
-		assertScanRectEquiv(t, tb, probe, "after DeleteRect")
+		assertScanRectEquiv(t, tb, probe, "after rectangle delete")
 	}
 	rs, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, nil)
 	if err != nil {
@@ -107,20 +107,20 @@ func TestDeleteRect(t *testing.T) {
 	if !rs.IsEmpty() {
 		t.Errorf("deleted rectangle still returns %d rows", rs.Len())
 	}
-	if _, err := tb.DeleteRect("x", "ghost", r); err == nil {
+	if _, err := tb.DeleteWhere([]Pred{{Column: "ghost", Min: 0, Max: 1}}); err == nil {
 		t.Error("unknown column: want error")
 	}
-	// The zero Rect follows scan conventions: no restriction.
+	// An unbounded rectangle deletes every live row.
 	live := tb.LiveRows()
-	if n, err = tb.DeleteRect("x", "y", geom.Rect{}); err != nil || n != live {
-		t.Errorf("zero-Rect delete = (%d, %v), want (%d, nil)", n, err, live)
+	if n, err = tb.DeleteWhere(rectPreds(unboundedRect)); err != nil || n != live {
+		t.Errorf("unbounded delete = (%d, %v), want (%d, nil)", n, err, live)
 	}
 }
 
 func TestDeleteExcludedFromPointsAndGather(t *testing.T) {
 	tb, _ := NewTable("t", "x", "y")
 	for i := 0; i < 10; i++ {
-		tb.Append(float64(i), float64(10+i))
+		appendRow(tb, float64(i), float64(10+i))
 	}
 	if _, err := tb.DeleteWhere([]Pred{{Column: "x", Min: 3, Max: 5}}); err != nil {
 		t.Fatal(err)
@@ -167,9 +167,9 @@ func TestDeleteExcludedFromPointsAndGather(t *testing.T) {
 
 func TestDeleteNaNRows(t *testing.T) {
 	tb, _ := NewTable("t", "x", "y")
-	tb.Append(nan(), 1)
-	tb.Append(1, nan())
-	tb.Append(math.Inf(1), 2)
+	appendRow(tb, nan(), 1)
+	appendRow(tb, 1, nan())
+	appendRow(tb, math.Inf(1), 2)
 	// NaN values match every range predicate, so a bounded delete on x
 	// takes the NaN-x row; the Inf row is outside [0, 2].
 	n, err := tb.DeleteWhere([]Pred{{Column: "x", Min: 0, Max: 2}})
@@ -192,22 +192,16 @@ func TestTTLCompaction(t *testing.T) {
 
 	tb, _ := NewTable("t", "x", "y", "ts")
 	age := func(d time.Duration) float64 { return float64(now.Add(-d).Unix()) }
-	tb.Append(1, 1, age(2*time.Hour))
-	tb.Append(2, 2, age(time.Hour)) // exactly at the cutoff: expired
-	tb.Append(3, 3, age(30*time.Minute))
-	tb.Append(4, 4, age(time.Minute))
+	appendRow(tb, 1, 1, age(2*time.Hour))
+	appendRow(tb, 2, 2, age(time.Hour)) // exactly at the cutoff: expired
+	appendRow(tb, 3, 3, age(30*time.Minute))
+	appendRow(tb, 4, 4, age(time.Minute))
 
 	if err := tb.SetTTL("ghost", time.Hour); err == nil {
 		t.Error("unknown TTL column: want error")
 	}
-	if _, _, ok := tb.TTL(); ok {
-		t.Error("TTL reported before any policy was set")
-	}
 	if err := tb.SetTTL("ts", time.Hour); err != nil {
 		t.Fatal(err)
-	}
-	if col, maxAge, ok := tb.TTL(); !ok || col != "ts" || maxAge != time.Hour {
-		t.Errorf("TTL() = (%q, %v, %t)", col, maxAge, ok)
 	}
 
 	tb.Compact() // enforces the policy, then reclaims
@@ -233,9 +227,6 @@ func TestTTLCompaction(t *testing.T) {
 	if err := tb.SetTTL("ts", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := tb.TTL(); ok {
-		t.Error("TTL still reported after clearing")
-	}
 	now = now.Add(24 * time.Hour)
 	tb.Compact()
 	if tb.LiveRows() != 1 {
@@ -243,7 +234,7 @@ func TestTTLCompaction(t *testing.T) {
 	}
 
 	// NaN timestamps age out immediately (NaN matches every range).
-	tb.Append(9, 9, nan())
+	appendRow(tb, 9, 9, nan())
 	tb.SetTTL("ts", time.Hour)
 	tb.Compact()
 	vals, _ = tb.Gather("x", All)
@@ -375,14 +366,12 @@ func TestScanRectsUnion(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		want := RowSet{}
-		shards := 0
 		for _, r := range rects {
-			rs, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
+			rs, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 			if err != nil {
 				t.Fatalf("%s: single-rect probe: %v", label, err)
 			}
 			want = want.Union(rs)
-			shards += st.ProbeShards
 		}
 		g, w := got.Indices(), want.Indices()
 		if len(g) != len(w) {
@@ -398,9 +387,6 @@ func TestScanRectsUnion(t *testing.T) {
 		}
 		if !stats.IndexProbe {
 			t.Errorf("%s: union lost the index-probe flag", label)
-		}
-		if stats.ProbeShards != shards {
-			t.Errorf("%s: ProbeShards = %d, per-rect sum %d", label, stats.ProbeShards, shards)
 		}
 	}
 
@@ -428,7 +414,7 @@ func TestScanRectsUnion(t *testing.T) {
 	}
 
 	// Deletes apply inside every rectangle of the union.
-	if _, err := tb.DeleteRect("x", "y", disjoint[0]); err != nil {
+	if _, err := tb.DeleteWhere(rectPreds(disjoint[0])); err != nil {
 		t.Fatal(err)
 	}
 	u, _, _ = tb.View().ScanRects(context.Background(), "x", "y", disjoint, nil)

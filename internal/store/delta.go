@@ -17,7 +17,7 @@ import (
 // The base index — the CSR grid (index.go) or the packed tree
 // (treeindex.go) — is immutable by design: it is built against one
 // generation of column storage and published atomically with it.
-// Before deltas, every Append therefore landed in an unindexed linear
+// Before deltas, every append therefore landed in an unindexed linear
 // tail that each probe re-walked until the next full rebuild: under
 // steady ingest the read path degraded back toward the linear baseline.
 // The delta index closes that gap without giving up the
@@ -51,7 +51,7 @@ import (
 const compactMinRows = 256
 
 // deltaIndex accumulates rows appended after base was built. Guarded by
-// its own RWMutex: writers (Append/AppendRows, under the table write
+// its own RWMutex: writers (AppendRows, under the table write
 // lock) take the write lock per batch; probes take the read lock and
 // never touch the table lock, so ingest and serving contend only here
 // and only briefly.
@@ -169,7 +169,7 @@ func (dx *deltaIndex) collect(p *probe, snapN int) int {
 		if cap(p.ids)-len(p.ids) < bound {
 			p.ids = append(make([]int, 0, len(p.ids)+bound), p.ids...)
 		}
-		dx.base.walkCells(p, s, s.r0, s.r1, func(cell int, needRect bool) {
+		dx.base.walkCells(p, s, func(cell int, needRect bool) {
 			if b := dx.buckets[cell]; len(b) > 0 && b[0] < limit {
 				p.st.CellsTouched++
 				p.run(below(b), &dx.zones, cell, needRect)

@@ -92,7 +92,7 @@ func TestDeltaProbeMatchesRebuild(t *testing.T) {
 				}
 			} else {
 				for i := range bx {
-					if err := live.Append(bx[i], by[i], bm[i]); err != nil {
+					if err := appendRow(live, bx[i], by[i], bm[i]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -175,7 +175,7 @@ func TestCompactAbsorbsDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 700; i++ {
-		if err := tb.Append(float64(i)*0.1, 50); err != nil {
+		if err := appendRow(tb, float64(i)*0.1, 50); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 	tb.SetAutoCompact(0.1)
 	// 3000 * 0.1 = 300 >= compactMinRows, so this crosses the line.
 	for i := 0; i < 400; i++ {
-		if err := tb.Append(float64(i), float64(i)); err != nil {
+		if err := appendRow(tb, float64(i), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +339,7 @@ func TestDeltaServesOutOfBoundsAppends(t *testing.T) {
 	if err := tb.IndexOn("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Append(500, 500); err != nil { // far outside [0,100]²
+	if err := appendRow(tb, 500, 500); err != nil { // far outside [0,100]²
 		t.Fatal(err)
 	}
 	rows, st, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{{MinX: 400, MinY: 400, MaxX: 600, MaxY: 600}}, nil)

@@ -29,8 +29,7 @@ import (
 // prefix of every column is immutable — a Column snapshot taken after
 // the scan therefore holds exactly the values the scan evaluated.
 //
-// Since PR 7 every reader here also exercises the batch selection
-// kernels (and, above parallelScanMinRows, the sharded probe): the
+// Every reader here also exercises the batch selection kernels: the
 // NaN-laced appends keep the kernels' NaN-matches semantics under
 // concurrent load, complementing the single-threaded equivalence
 // tests in kernel_test.go.
@@ -78,7 +77,7 @@ func TestFilteredScanHammer(t *testing.T) {
 				x = nan()
 			}
 			y := rng.Float64() * 100
-			if err := tb.Append(x, y, (x+y)/2); err != nil {
+			if err := appendRow(tb, x, y, (x+y)/2); err != nil {
 				report(err)
 				return
 			}
@@ -315,7 +314,7 @@ func TestDeleteHammer(t *testing.T) {
 			if rng.Intn(50) == 0 {
 				x = nan()
 			}
-			if err := tb.Append(x, rng.Float64()*100, float64(rng.Intn(100))); err != nil {
+			if err := appendRow(tb, x, rng.Float64()*100, float64(rng.Intn(100))); err != nil {
 				report(err)
 				return
 			}
@@ -334,7 +333,7 @@ func TestDeleteHammer(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					lo := rng.Float64() * 90
-					_, err = tb.DeleteRect("x", "y", geom.Rect{MinX: lo, MinY: lo, MaxX: lo + 5, MaxY: lo + 5})
+					_, err = tb.DeleteWhere(rectPreds(geom.Rect{MinX: lo, MinY: lo, MaxX: lo + 5, MaxY: lo + 5}))
 				default:
 					m := float64(rng.Intn(100))
 					_, err = tb.DeleteWhere([]Pred{{Column: "m", Min: m, Max: m}})

@@ -2,8 +2,6 @@ package store
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -294,17 +292,17 @@ func (g *gridGeom) span(r geom.Rect) cellSpan {
 	return cellSpan{c0, r0, c1, r1}
 }
 
-// walkCells calls visit for every cell of grid rows rlo..rhi within s,
-// the span of p.r, in CSR order, with whether the cell's rows need the
-// per-row rectangle test. A cell skips it only when it is strictly
-// interior to s and its grid row's interior span is contained in p.r:
-// the one-cell margin absorbs the float rounding slack between a row's
-// binned cell and its true coordinates, keeping probes equivalent to
-// the linear scan, and keeps the grid-edge cells — the only ones that
-// can hold rows clamped in from outside the bounds — always tested.
-// p's canceler is polled once per grid row; a canceled walk stops.
-func (g *gridGeom) walkCells(p *probe, s cellSpan, rlo, rhi int, visit func(cell int, needRect bool)) {
-	for row := rlo; row <= rhi; row++ {
+// walkCells calls visit for every cell of s, the span of p.r, in CSR
+// order, with whether the cell's rows need the per-row rectangle test.
+// A cell skips it only when it is strictly interior to s and its grid
+// row's interior span is contained in p.r: the one-cell margin absorbs
+// the float rounding slack between a row's binned cell and its true
+// coordinates, keeping probes equivalent to the linear scan, and keeps
+// the grid-edge cells — the only ones that can hold rows clamped in
+// from outside the bounds — always tested. p's canceler is polled once
+// per grid row; a canceled walk stops.
+func (g *gridGeom) walkCells(p *probe, s cellSpan, visit func(cell int, needRect bool)) {
+	for row := s.r0; row <= s.r1; row++ {
 		if p.cn.stop() {
 			return
 		}
@@ -320,73 +318,21 @@ func (g *gridGeom) walkCells(p *probe, s cellSpan, rlo, rhi int, visit func(cell
 	}
 }
 
-// collect hands every non-empty cell p.r touches to p.run. Probes whose
-// touched cells bound at least parallelScanMinRows rows are sharded
-// across CPUs by grid row (cells of one grid row are contiguous in the
-// CSR packing, so shards are disjoint contiguous id runs), each on a
-// forked probe; shards merge in cell order, which keeps the parallel
-// probe bit-identical to the serial one.
+// collect hands every non-empty cell p.r touches to p.run, after one
+// pass over the touched grid rows upper-bounds the result so the ids
+// buffer is allocated once.
 func (ix *rectIndex) collect(p *probe) {
 	s := ix.span(p.r)
-	rowBound := func(row int) int32 {
-		return ix.cellOff[row*ix.nx+s.c1+1] - ix.cellOff[row*ix.nx+s.c0]
-	}
-	// Upper-bound the result in one pass over the touched grid rows so
-	// each shard's ids buffer is allocated once.
 	var bound int32
 	for row := s.r0; row <= s.r1; row++ {
-		bound += rowBound(row)
+		bound += ix.cellOff[row*ix.nx+s.c1+1] - ix.cellOff[row*ix.nx+s.c0]
 	}
 	p.st.CellsTouched += (s.r1 - s.r0 + 1) * (s.c1 - s.c0 + 1)
 	if bound == 0 {
 		return
 	}
-	workers := min(runtime.GOMAXPROCS(0), s.r1-s.r0+1)
-	if int(bound) < parallelScanMinRows || workers <= 1 {
-		p.st.ProbeShards++
-		p.ids = make([]int, 0, bound)
-		ix.collectRows(p, s, s.r0, s.r1)
-		return
-	}
-	// Partition the touched grid rows into contiguous shards balanced by
-	// their bounded row counts (cell population is skewed, so equal row
-	// ranges would not give equal work).
-	type shard struct {
-		rlo, rhi int
-		p        *probe
-	}
-	shards := make([]shard, 0, workers)
-	var acc int32
-	rlo := s.r0
-	for row := s.r0; row <= s.r1; row++ {
-		acc += rowBound(row)
-		if (acc >= bound/int32(workers) && len(shards) < workers-1 && row < s.r1) || row == s.r1 {
-			shards = append(shards, shard{rlo, row, p.fork(int(acc))})
-			rlo, acc = row+1, 0
-		}
-	}
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ix.collectRows(sh.p, s, sh.rlo, sh.rhi)
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for _, sh := range shards {
-		total += len(sh.p.ids)
-	}
-	p.ids = make([]int, 0, total)
-	for _, sh := range shards {
-		p.merge(sh.p)
-	}
-}
-
-// collectRows runs the cells of grid rows rlo..rhi of span s through p.
-func (ix *rectIndex) collectRows(p *probe, s cellSpan, rlo, rhi int) {
-	ix.walkCells(p, s, rlo, rhi, func(cell int, needRect bool) {
+	p.ids = make([]int, 0, bound)
+	ix.walkCells(p, s, func(cell int, needRect bool) {
 		if lo, hi := ix.cellOff[cell], ix.cellOff[cell+1]; lo < hi {
 			p.run(ix.rowID[lo:hi], &ix.zones, cell, needRect)
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -262,65 +261,6 @@ func TestScanBatchedMatchesScalarEndToEnd(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelProbeMatchesSerial forces a multi-worker index probe (the
-// box may have one CPU, so GOMAXPROCS is raised explicitly) and checks
-// it returns exactly the serial result, with the shard count surfaced
-// in ScanStats.
-func TestParallelProbeMatchesSerial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	rng := rand.New(rand.NewSource(17))
-	// Enough rows that a near-full viewport bounds > parallelScanMinRows.
-	const n = 3 * parallelScanMinRows / 2
-	tb, err := NewTable("t", "x", "y", "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	ms := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * 1000
-		ys[i] = rng.Float64() * 1000
-		ms[i] = rng.Float64() * 1000
-	}
-	if err := tb.AppendRows(xs, ys, ms); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.IndexOn("x", "y"); err != nil {
-		t.Fatal(err)
-	}
-	r := geom.Rect{MinX: 10, MinY: 10, MaxX: 990, MaxY: 990}
-	preds := []Pred{{Column: "m", Min: 100, Max: 900}}
-	par, pst, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pst.ProbeShards <= 1 {
-		t.Fatalf("ProbeShards = %d, want > 1 under GOMAXPROCS=4 with %d bounded rows", pst.ProbeShards, n)
-	}
-	runtime.GOMAXPROCS(1)
-	ser, sst, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sst.ProbeShards != 1 {
-		t.Fatalf("serial ProbeShards = %d, want 1", sst.ProbeShards)
-	}
-	pIdx, sIdx := par.Indices(), ser.Indices()
-	if len(pIdx) != len(sIdx) {
-		t.Fatalf("parallel probe %d rows, serial %d", len(pIdx), len(sIdx))
-	}
-	for i := range pIdx {
-		if pIdx[i] != sIdx[i] {
-			t.Fatalf("row %d: parallel %d, serial %d", i, pIdx[i], sIdx[i])
-		}
-	}
-	if pst.RowsExamined != sst.RowsExamined || pst.CellsPruned != sst.CellsPruned || pst.BatchedRows != sst.BatchedRows {
-		t.Fatalf("shard-merged stats diverge from serial: parallel %+v, serial %+v", pst, sst)
 	}
 }
 

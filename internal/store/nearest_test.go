@@ -86,13 +86,13 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		}
 		// Appended tail past the index build watermark.
 		for i := 0; i < rng.Intn(50); i++ {
-			if err := tb.Append(float64(rng.Intn(40)), float64(rng.Intn(40)), float64(rng.Intn(50))); err != nil {
+			if err := appendRow(tb, float64(rng.Intn(40)), float64(rng.Intn(40)), float64(rng.Intn(50))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Tombstones: kNN must never resurrect a deleted row.
 		if n > 0 && trial%2 == 0 {
-			if _, err := tb.DeleteRect("x", "y", geom.Rect{MinX: 5, MinY: 5, MaxX: 12, MaxY: 12}); err != nil {
+			if _, err := tb.DeleteWhere(rectPreds(geom.Rect{MinX: 5, MinY: 5, MaxX: 12, MaxY: 12})); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -147,25 +147,6 @@ func newProbe(cols [][]float64, xs, ys []float64, r geom.Rect, preds []Pred, pi 
 	return p
 }
 
-// fork returns a probe for one shard of p's walk: the same inputs and a
-// forked canceler, with its own tally, stats, ids and scratch.
-func (p *probe) fork(bound int) *probe {
-	f := newProbe(p.cols, p.xs, p.ys, p.r, p.preds, p.pi, p.skip, p.cn.fork())
-	f.st.ProbeShards = 1
-	f.ids = make([]int, 0, bound)
-	return f
-}
-
-// merge adds a finished shard's stats, tally and ids to p.
-func (p *probe) merge(f *probe) {
-	p.st.add(f.st)
-	for k, c := range f.tally {
-		p.tally[k].eval += c.eval
-		p.tally[k].decisive += c.decisive
-	}
-	p.ids = append(p.ids, f.ids...)
-}
-
 // zoneCheck consults unit u of z for every predicate whose zones are not
 // skipped. It reports whether some predicate fails every row of the
 // unit; otherwise it leaves in p.residual the predicates the zones could

@@ -14,8 +14,10 @@ import (
 // probeGoldenHash pins what the probe machinery answers and reports on
 // the schedule of TestProbeGolden: row ids, every ScanStats field, and
 // the per-column adaptive zone counters after each call. It was recorded
-// before the grid, tree and delta walks shared one run filter.
-const probeGoldenHash uint64 = 0x2131e50e215e346d
+// with the wide case's probes, linear scans and delete split across
+// CPUs, so it pins that the serial path gives the same answers and
+// stats.
+const probeGoldenHash uint64 = 0x302598d14fae2d5e
 
 // probeGoldenTable builds a 12 000-row table on the given backend: a
 // dense cluster over uniform background, a spatially correlated column
@@ -68,7 +70,7 @@ func probeGoldenTable(t testing.TB, backend string) *Table {
 	if err := tb.AppendRows(gen(3_000, 1400)...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.DeleteRect("x", "y", geom.Rect{MinX: 100, MinY: 120, MaxX: 280, MaxY: 300}); err != nil {
+	if _, err := tb.DeleteWhere(rectPreds(geom.Rect{MinX: 100, MinY: 120, MaxX: 280, MaxY: 300})); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.snapshot().indexFor(0, 1).backend(); got != backend {
@@ -77,9 +79,45 @@ func probeGoldenTable(t testing.TB, backend string) *Table {
 	return tb
 }
 
+// probeGoldenWide builds an 80 000-row uniform grid table with the
+// golden table's columns: m correlated with the position, u not, and
+// c a category.
+func probeGoldenWide(t testing.TB) *Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(38))
+	const n = 80_000
+	cols := make([][]float64, 5)
+	for i := range cols {
+		cols[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		cols[0][i], cols[1][i] = x, y
+		cols[2][i] = (x+y)/2 + rng.NormFloat64()*10
+		cols[3][i] = rng.Float64() * 1000
+		cols[4][i] = float64(rng.Intn(10))
+	}
+	useBackend(t, BackendGrid)
+	tb, err := NewTable("wide", "x", "y", "m", "u", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.BulkLoad(cols...); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.IndexOn("x", "y"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.snapshot().indexFor(0, 1).backend(); got != BackendGrid {
+		t.Fatalf("backend %q, want %q", got, BackendGrid)
+	}
+	return tb
+}
+
 // TestProbeGolden runs a fixed probe schedule — both backends, both the
 // batch-kernel and the scalar path, zero, one and two rectangles, zero,
-// one and three predicates, and a filtered Nearest — and hashes every
+// one and three predicates, a filtered Nearest, and the wide case's
+// near-full probes, linear fallback and delete — and hashes every
 // answer, every ScanStats field and the adaptive zone counters. Any
 // change to what a probe returns, how it accounts for the work, or what
 // evidence it feeds the zone-skip planner changes the hash.
@@ -99,7 +137,7 @@ func TestProbeGolden(t *testing.T) {
 	putStats := func(st ScanStats) {
 		for _, v := range []int64{b2(st.IndexProbe), int64(st.CellsTouched), int64(st.CellsPruned),
 			int64(st.CellsBulk), int64(st.RowsExamined), int64(st.DeltaRows), int64(st.ZonesSkipped),
-			int64(st.BatchedRows), int64(st.ProbeShards)} {
+			int64(st.BatchedRows)} {
 			put(v)
 		}
 	}
@@ -151,6 +189,36 @@ func TestProbeGolden(t *testing.T) {
 				t.Fatalf("%s scalar=%v: the schedule never earned a zone skip", backend, scalar)
 			}
 		}
+	}
+	// The wide case: near-full viewports over a uniform grid table whose
+	// touched cells hold most of its 80 000 rows, the unindexed (y, x)
+	// pair that takes the linear fallback over all of them, and one
+	// delete that scans them too.
+	for _, scalar := range []bool{false, true} {
+		forceScalarKernels = scalar
+		tb := probeGoldenWide(t)
+		near := []geom.Rect{{MinX: 5, MinY: 5, MaxX: 995, MaxY: 995}}
+		for _, pair := range [][2]string{{"x", "y"}, {"y", "x"}} {
+			for _, preds := range predSets[:2] {
+				rows, st, err := tb.View().ScanRects(ctx, pair[0], pair[1], near, preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				put(int64(rows.Len()))
+				rows.ForEach(func(r int) { put(int64(r)) })
+				putStats(st)
+			}
+		}
+		for i := range tb.zoneStat {
+			put(tb.zoneStat[i].evaluated.Load())
+			put(tb.zoneStat[i].decisive.Load())
+		}
+		n, err := tb.DeleteWhere([]Pred{{Column: "m", Min: 200, Max: 450}, {Column: "u", Min: 0, Max: 700}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(int64(n))
+		forceScalarKernels = false
 	}
 	if got := h.Sum64(); got != probeGoldenHash {
 		t.Errorf("probe hash %#x, want %#x", got, probeGoldenHash)

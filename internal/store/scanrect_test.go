@@ -158,7 +158,7 @@ func TestScanRectMatchesLinearScan(t *testing.T) {
 		// path and must still agree with the linear scan.
 		if indexed && n > 0 {
 			for i := 0; i < 50; i++ {
-				if err := tb.Append(rng.Float64()*150-25, rng.Float64()*150-25); err != nil {
+				if err := appendRow(tb, rng.Float64()*150-25, rng.Float64()*150-25); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -350,7 +350,7 @@ func TestScanRectFilteredMatchesLinearScan(t *testing.T) {
 		if indexed && n > 0 {
 			for i := 0; i < 40; i++ {
 				v := rng.Float64()*150 - 25
-				if err := tb.Append(v, rng.Float64()*150-25, v+rng.NormFloat64(), rng.Float64()*100); err != nil {
+				if err := appendRow(tb, v, rng.Float64()*150-25, v+rng.NormFloat64(), rng.Float64()*100); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -435,10 +435,10 @@ func TestAllRowsConventionWithAppendedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tail rows deliberately outside the indexed extent, plus one NaN.
-	if err := tb.Append(500, -500); err != nil {
+	if err := appendRow(tb, 500, -500); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Append(math.NaN(), 3); err != nil {
+	if err := appendRow(tb, math.NaN(), 3); err != nil {
 		t.Fatal(err)
 	}
 	scan, err := tb.Scan(nil)
@@ -500,7 +500,7 @@ func TestIndexOnRebuildAbsorbsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 3; i < 10; i++ {
-		if err := tb.Append(float64(i), float64(i)); err != nil {
+		if err := appendRow(tb, float64(i), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -634,42 +634,6 @@ func TestFullExtentProjectionAllocations(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("full-extent Points allocated %.0f objects per run, want 1 (the output slice)", allocs)
-	}
-}
-
-// TestParallelScanMatchesSequential pushes a table past the parallel
-// threshold so Scan takes the sharded path (on multi-core runners; a
-// single-core box degrades to one shard) and checks it against the
-// sequential kernel row for row.
-func TestParallelScanMatchesSequential(t *testing.T) {
-	n := parallelScanMinRows + parallelScanMinRows/2
-	rng := rand.New(rand.NewSource(7))
-	xs, ys := randomPoints(rng, n)
-	tb, _ := NewTable("big", "x", "y")
-	if err := tb.BulkLoad(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	preds := []Pred{
-		{Column: "x", Min: 20, Max: 60},
-		{Column: "y", Min: 10, Max: 80},
-	}
-	got, err := tb.Scan(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := tb.snapshot()
-	want := scanRange([][]float64{d.cols[0], d.cols[1]}, preds, 0, d.n, nil, nil)
-	g := got.Indices()
-	if len(g) != len(want) {
-		t.Fatalf("parallel scan %d rows, sequential %d", len(g), len(want))
-	}
-	for i := range g {
-		if g[i] != want[i] {
-			t.Fatalf("row %d: parallel %d, sequential %d", i, g[i], want[i])
-		}
-	}
-	if len(g) == 0 {
-		t.Fatal("test viewport matched nothing; widen it")
 	}
 }
 

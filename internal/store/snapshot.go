@@ -290,7 +290,7 @@ func TableFromSnapshot(snap TableSnapshot) (*Table, error) {
 	}
 	// A snapshot saved mid-ingest carries rows past its indexes'
 	// coverage (the appended tail at save time, and any tail-log rows
-	// replayed by the loader land the same way via Append). Absorb them
+	// replayed by the loader land the same way via AppendRows). Absorb them
 	// into the fresh deltas now so the restored table probes at indexed
 	// speed from its first request, exactly like the live table it was
 	// captured from.

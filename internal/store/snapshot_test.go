@@ -41,7 +41,7 @@ func buildSnapshotTable(t *testing.T, n int, seed int64) *Table {
 	}
 	// Appended tail: rows past the index's coverage.
 	for i := 0; i < 17; i++ {
-		if err := tb.Append(rng.NormFloat64()*10, rng.NormFloat64()*10, rng.Float64()*100); err != nil {
+		if err := appendRow(tb, rng.NormFloat64()*10, rng.NormFloat64()*10, rng.Float64()*100); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,7 +53,7 @@ type Table struct {
 	// adaptive planner: when a column's zones have been consulted many
 	// times and almost never pruned or settled a cell, later probes skip
 	// its zone checks (and a pure attribute filter falls back to the
-	// sharded linear scan) instead of paying for them on every cell.
+	// linear scan) instead of paying for them on every cell.
 	zoneStat []zoneColStat
 
 	// autoCompact holds the float64 bits of the auto-compaction
@@ -107,14 +106,13 @@ type tableCounters struct {
 
 	// Batch-kernel counters.
 	batchedRows atomic.Int64 // rows evaluated through selection-vector kernels
-	probeShards atomic.Int64 // index-probe shards run (1 per serial probe)
 
 	// Ingest counters.
 	compactions     atomic.Int64 // delta-into-generation compactions published
 	compactionNanos atomic.Int64 // wall time spent building + publishing them
 
 	// Retention counters.
-	deletedRows   atomic.Int64 // rows tombstoned by DeleteRect/DeleteWhere/TTL
+	deletedRows   atomic.Int64 // rows tombstoned by DeleteWhere and the TTL sweep
 	reclaimedRows atomic.Int64 // tombstoned rows physically dropped by compaction
 
 	// kNN counters.
@@ -139,7 +137,7 @@ type tableData struct {
 	// bumped loadGen (row ids shift when survivors are rewritten).
 	dead *rowBitmap
 	// loadGen counts content replacements (BulkLoad, snapshot restore,
-	// reclaiming compaction); Append, IndexOn, and non-reclaiming
+	// reclaiming compaction); AppendRows, IndexOn, and non-reclaiming
 	// Compact preserve it. A background compaction uses it to detect
 	// that the columns it built against were replaced mid-build, in
 	// which case its indexes describe dead data and must not be
@@ -203,7 +201,7 @@ func (t *Table) Columns() []string { return append([]string(nil), t.colName...) 
 
 // snapshot returns the current generation. The returned struct and
 // everything it references are immutable: writers publish fresh
-// generations instead of mutating, and Append only writes past the
+// generations instead of mutating, and AppendRows only writes past the
 // generation's row count, so the first n rows of each column never
 // change after the snapshot is taken.
 func (t *Table) snapshot() *tableData {
@@ -212,39 +210,17 @@ func (t *Table) snapshot() *tableData {
 	return t.data
 }
 
-// Append adds one row; values must match the column count. The row is
-// absorbed into every spatial index's delta in the same critical
-// section it becomes visible in, so scans keep answering at indexed
-// speed under ingest (rows appended before the delta machinery existed
-// — or past its id capacity — take the linear tail path until the next
-// compaction or rebuild). When auto-compaction is enabled
-// (SetAutoCompact), crossing the delta threshold fires a background
-// merge into a fresh immutable generation.
-func (t *Table) Append(values ...float64) error {
-	if len(values) != len(t.colName) {
-		return fmt.Errorf("store: table %q: %d values for %d columns", t.name, len(values), len(t.colName))
-	}
-	t.mu.Lock()
-	d := t.data
-	cols := make([][]float64, len(d.cols))
-	for i, v := range values {
-		cols[i] = append(d.cols[i], v)
-	}
-	for _, ix := range d.indexes {
-		if dx := ix.deltaIdx(); dx != nil {
-			dx.absorbRange(cols, d.n, d.n+1)
-		}
-	}
-	t.data = &tableData{cols: cols, n: d.n + 1, indexes: d.indexes, dead: d.dead, loadGen: d.loadGen}
-	t.mu.Unlock()
-	t.maybeCompact()
-	return nil
-}
-
 // AppendRows adds a batch of rows given as parallel column slices (the
 // ingest endpoint's shape): one lock acquisition, one generation
 // publish, and one delta absorption pass for the whole batch. Column
 // order must match the schema and all slices must have equal length.
+// The rows are absorbed into every spatial index's delta in the same
+// critical section they become visible in, so scans keep answering at
+// indexed speed under ingest (rows appended before the delta machinery
+// existed — or past its id capacity — take the linear tail path until
+// the next compaction or rebuild). When auto-compaction is enabled
+// (SetAutoCompact), crossing the delta threshold fires a background
+// merge into a fresh immutable generation.
 func (t *Table) AppendRows(cols ...[]float64) error {
 	if len(cols) != len(t.colName) {
 		return fmt.Errorf("store: table %q: %d columns for %d-column schema", t.name, len(cols), len(t.colName))
@@ -327,7 +303,7 @@ func (t *Table) resetZoneStat() {
 // every later BulkLoad rebuilds the index against the fresh columns
 // before publishing them. Calling IndexOn again for the same pair
 // rebuilds it in place — the way to re-absorb rows accumulated through
-// Append into the indexed set.
+// AppendRows into the indexed set.
 //
 // The build runs under the table's write lock — IndexOn is a publish-
 // time operation (bulk load, sample registration), not a serving-path
@@ -394,16 +370,9 @@ type Pred struct {
 	Min, Max float64
 }
 
-// parallelScanMinRows is the table size above which linear predicate
-// scans shard across CPUs. Below it the goroutine fan-out costs more
-// than it saves.
-const parallelScanMinRows = 1 << 16
-
 // Scan returns the rows satisfying all predicates, evaluated against one
 // consistent snapshot of the table. A nil or empty predicate list
 // selects every row (as a dense range, without materializing ids).
-// Large tables are scanned in parallel shards, one goroutine per CPU,
-// concatenated in shard order so the result stays sorted.
 func (t *Table) Scan(preds []Pred) (RowSet, error) {
 	idx := make([]int, len(preds))
 	for i, p := range preds {
@@ -421,7 +390,7 @@ func (t *Table) Scan(preds []Pred) (RowSet, error) {
 	for i, ci := range idx {
 		cols[i] = d.cols[ci]
 	}
-	return rowSetFromSorted(filterDeadInts(scanShards(cols, preds, d.n, nil), d.dead)), nil
+	return rowSetFromSorted(filterDeadInts(scanRange(cols, preds, 0, d.n, nil, nil), d.dead)), nil
 }
 
 // ScanStats describes how one View.ScanRects or View.Nearest call was
@@ -460,11 +429,6 @@ type ScanStats struct {
 	// and predicate tests ran through the selection-vector batch
 	// kernels rather than the scalar per-row loops.
 	BatchedRows int
-	// ProbeShards counts the index-probe shards this scan ran: 1 for a
-	// serial probe, more when the touched grid cells bounded enough rows
-	// for rectIndex.collect to fan out across CPUs. Zero off the probe
-	// path.
-	ProbeShards int
 }
 
 // add accumulates o into s: counts sum, IndexProbe ors.
@@ -477,7 +441,6 @@ func (s *ScanStats) add(o ScanStats) {
 	s.DeltaRows += o.DeltaRows
 	s.ZonesSkipped += o.ZonesSkipped
 	s.BatchedRows += o.BatchedRows
-	s.ProbeShards += o.ProbeShards
 }
 
 // unboundedRect matches every row: each comparison against ±Inf bounds
@@ -526,45 +489,6 @@ func normalizePreds(preds []Pred) []Pred {
 		return out
 	}
 	return preds
-}
-
-// scanShards evaluates preds over rows [0, n), splitting the row space
-// across CPUs when the table is large. Shards are concatenated in order,
-// so the returned ids are sorted ascending.
-func scanShards(cols [][]float64, preds []Pred, n int, cn *canceler) []int {
-	workers := runtime.GOMAXPROCS(0)
-	if maxShards := n / (parallelScanMinRows / 4); workers > maxShards {
-		workers = maxShards
-	}
-	if n < parallelScanMinRows || workers <= 1 {
-		return scanRange(cols, preds, 0, n, nil, cn)
-	}
-	parts := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		// Each shard forks the canceler: the tick counter is
-		// unsynchronized, while the underlying context is shared — all
-		// shards observe the same cancellation.
-		go func(w, lo, hi int, cn *canceler) {
-			defer wg.Done()
-			parts[w] = scanRange(cols, preds, lo, hi, nil, cn)
-		}(w, lo, hi, cn.fork())
-	}
-	wg.Wait()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]int, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // forceScalarKernels routes every scan through the scalar reference
@@ -823,10 +747,6 @@ type IndexStats struct {
 	// drops); against RowsExamined-style totals it gives the batched
 	// fraction of the read path.
 	BatchedRows int64
-	// ProbeShards counts the shards index probes ran on (one per serial
-	// probe; >1 per grid probe when the touched cell rows crossed the
-	// parallel threshold). Monotonic, survives drops.
-	ProbeShards int64
 	// DeltaRows and TailRows are point-in-time gauges summed over every
 	// live table: rows absorbed into delta indexes since the last
 	// compaction, and rows not covered by a base index at all (the two
@@ -843,8 +763,8 @@ type IndexStats struct {
 	// table that are deleted but not yet physically reclaimed by
 	// compaction.
 	TombstonedRows int64
-	// DeletedRows counts rows ever tombstoned (DeleteRect, DeleteWhere,
-	// TTL enforcement); ReclaimedRows counts tombstoned rows physically
+	// DeletedRows counts rows ever tombstoned (DeleteWhere, TTL
+	// enforcement); ReclaimedRows counts tombstoned rows physically
 	// dropped by compaction rewrites. Both monotonic, survive drops.
 	// DeletedRows − ReclaimedRows ≥ TombstonedRows (dropped tables take
 	// their pending tombstones with them).
@@ -952,7 +872,6 @@ func (st *IndexStats) addCounters(c *tableCounters) {
 	st.ZoneCellsPruned += c.zoneCellsPruned.Load()
 	st.ZoneSkips += c.zoneSkips.Load()
 	st.BatchedRows += c.batchedRows.Load()
-	st.ProbeShards += c.probeShards.Load()
 	st.Compactions += c.compactions.Load()
 	st.CompactionSeconds += float64(c.compactionNanos.Load()) / 1e9
 	st.DeletedRows += c.deletedRows.Load()

@@ -23,18 +23,33 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// appendRow appends one row through AppendRows, as single-value columns.
+func appendRow(tb *Table, vals ...float64) error {
+	cols := make([][]float64, len(vals))
+	for i, v := range vals {
+		cols[i] = []float64{v}
+	}
+	return tb.AppendRows(cols...)
+}
+
+// rectPreds spells r as the range predicates over x and y that a
+// viewport delete hands DeleteWhere.
+func rectPreds(r geom.Rect) []Pred {
+	return []Pred{{Column: "x", Min: r.MinX, Max: r.MaxX}, {Column: "y", Min: r.MinY, Max: r.MaxY}}
+}
+
 func TestAppendAndColumn(t *testing.T) {
 	tb, err := NewTable("pts", "x", "y", "alt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Append(1, 2, 3); err != nil {
+	if err := appendRow(tb, 1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Append(4, 5, 6); err != nil {
+	if err := appendRow(tb, 4, 5, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Append(1, 2); err == nil {
+	if err := appendRow(tb, 1, 2); err == nil {
 		t.Error("wrong arity: want error")
 	}
 	if tb.NumRows() != 2 {

@@ -106,7 +106,6 @@ func (ix *treeIndex) cells() int { return len(ix.LeafMBR) }
 // r.ContainsRect(mbr) directly proves every member row passes the
 // rectangle test — no strict-interior margin is needed.
 func (ix *treeIndex) collect(p *probe) {
-	p.st.ProbeShards++
 	p.ids = make([]int, 0, ix.bound(p.r))
 	stack := make([]int32, 0, 64)
 	stack = append(stack, int32(len(ix.Nodes)-1))

@@ -87,15 +87,15 @@ func (v View) LiveRows() int { return v.d.n - v.d.deadCount() }
 // bulk-emit cells every row of which must match, so residual predicates
 // are evaluated per row only on boundary cells, zone-inconclusive
 // cells, non-finite extras, and the appended tail. Without an index it
-// degrades to the sharded linear scan with the rectangle folded into
-// the predicate list.
+// degrades to the linear scan with the rectangle folded into the
+// predicate list. Every probe and scan runs on the calling goroutine.
 //
 // When ctx carries an obs.Trace, the index/delta probe and the per-row
 // residual work are recorded as probe and residual spans. When ctx can
-// be canceled the scan polls it between rectangles and at kernel-block
-// and probe-shard boundaries (counter-gated, see canceler) and unwinds
-// with ctx.Err(). With neither, the nil-trace, nil-canceler paths
-// neither allocate nor read the clock.
+// be canceled the scan polls it between rectangles and at kernel-block,
+// grid-row and tree-node boundaries (counter-gated, see canceler) and
+// unwinds with ctx.Err(). With neither, the nil-trace, nil-canceler
+// paths neither allocate nor read the clock.
 //
 // Rectangle conventions, shared with Scan:
 //
@@ -205,8 +205,8 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 	}
 	// With no viewport restriction and every predicate's zones useless,
 	// the probe would walk the entire grid cell by cell only to evaluate
-	// the predicates per row — the sharded linear scan does the same
-	// work with none of the cell overhead.
+	// the predicates per row — the linear scan does the same work with
+	// none of the cell overhead.
 	if ix == nil || (r == unboundedRect && st.ZonesSkipped == len(preds) && len(preds) > 0) {
 		t.counters.scanFallbacks.Add(1)
 		cols := make([][]float64, 0, 2+len(preds))
@@ -227,7 +227,7 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 			all = append(all, p)
 		}
 		sp := tr.StartSpan(obs.StageResidual)
-		rs := rowSetFromSorted(filterDeadInts(scanShards(cols, all, d.n, cn), d.dead))
+		rs := rowSetFromSorted(filterDeadInts(scanRange(cols, all, 0, d.n, nil, cn), d.dead))
 		sp.End()
 		if err := cn.cause(); err != nil {
 			return RowSet{}, st, err
@@ -283,7 +283,6 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 	sp.End()
 	st = p.st
 	t.counters.batchedRows.Add(int64(st.BatchedRows))
-	t.counters.probeShards.Add(int64(st.ProbeShards))
 	if len(preds) > 0 {
 		t.counters.filteredProbes.Add(1)
 		t.counters.zoneCellsTouched.Add(int64(st.CellsTouched))

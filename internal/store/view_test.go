@@ -88,8 +88,8 @@ func TestViewPinsGenerationAcrossWrites(t *testing.T) {
 	if err := tb.AppendRows(app...); err != nil {
 		t.Fatal(err)
 	}
-	if del, err := tb.DeleteRect("x", "y", geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: 2999.5, MaxY: math.Inf(1)}); err != nil || del != 3000 {
-		t.Fatalf("DeleteRect = %d, %v; want 3000", del, err)
+	if del, err := tb.DeleteWhere([]Pred{{Column: "x", Min: math.Inf(-1), Max: 2999.5}}); err != nil || del != 3000 {
+		t.Fatalf("DeleteWhere = %d, %v; want 3000", del, err)
 	}
 	tb.Compact()
 	if d := tb.snapshot(); d.n != n-3000+3 || d.dead != nil || d.loadGen == v.d.loadGen {
