@@ -52,9 +52,9 @@ obs-smoke:
 # (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
 # zero-allocation contract of the selection kernels and of an
 # Interchange offer, and the allocation ceiling of one filtered probe on
-# the grid, the tree and a delta; it also runs the probe golden at
-# GOMAXPROCS 1 and 4, so answers and scan stats cannot come to depend
-# on the CPU count.
+# the grid, the tree and an appended tail; it also runs the probe
+# golden at GOMAXPROCS 1 and 4, so answers and scan stats cannot come
+# to depend on the CPU count.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRowSetAlgebra -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/store

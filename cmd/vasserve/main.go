@@ -59,9 +59,7 @@ func main() {
 		density = flag.Bool("density", true, "attach the §V density embedding to each sample")
 		passes  = flag.Int("passes", 1, "Interchange passes per sample build")
 		snapDir = flag.String("snapshot", "", "catalog snapshot directory: load when present and fresh, else build then save; appended batches land in its tail log")
-		compact = flag.Float64("compact", vas.DefaultCompactFraction, "background-compaction threshold: delta/indexed-rows fraction that triggers a merge (<=0 disables)")
-		ttl     = flag.Duration("ttl", 0, "sliding-window retention: rows older than this are dropped by background compaction (0 disables; needs -ttl-col)")
-		ttlCol  = flag.String("ttl-col", "", "column holding each row's timestamp as float64 Unix seconds, for -ttl")
+		compact = flag.Float64("compact", vas.DefaultCompactFraction, "background-compaction threshold: appended-tail/indexed-rows fraction that triggers a merge (<=0 disables)")
 		debug   = flag.String("debug-addr", "", "separate listen address for net/http/pprof profiling (e.g. localhost:6060); empty disables")
 		slow    = flag.Duration("slow-threshold", 0, "record request traces slower than this in /debug/slow (0 = server default 250ms, negative = record everything)")
 
@@ -91,19 +89,6 @@ func main() {
 	cold := time.Since(start)
 	cat.RecordColdStart(source, cold)
 	fmt.Printf("catalog ready via %s in %s\n", source, cold.Round(time.Millisecond))
-
-	// The TTL policy is in-memory configuration, so it is re-applied on
-	// every start — including snapshot restores (SetTTL's contract).
-	if *ttl > 0 {
-		if *ttlCol == "" {
-			fmt.Fprintln(os.Stderr, "vasserve: -ttl needs -ttl-col")
-			os.Exit(2)
-		}
-		if err := cat.SetTTL("gps", *ttlCol, *ttl); err != nil {
-			fail(err)
-		}
-		fmt.Printf("retention: rows with %s older than %s are dropped by compaction\n", *ttlCol, *ttl)
-	}
 
 	// HTTP-layer knobs must land before Handler() builds the server.
 	cat.SetRequestTimeout(*reqTimeout)

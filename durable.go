@@ -343,7 +343,7 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 		byName[t.Name()] = t
 	}
 	// Replay the tail in order into the still-unpublished tables:
-	// AppendRows bins every batch into the restored indexes' deltas, and
+	// AppendRows lands every batch past the restored indexes, and
 	// DeleteWhere re-tombstones by predicate. Interleaving matters: a
 	// delete only covers the appends before it, exactly as it did in the
 	// original process.

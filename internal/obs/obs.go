@@ -29,7 +29,7 @@ type Stage uint8
 const (
 	// StagePlan is sample selection and table resolution.
 	StagePlan Stage = iota
-	// StageProbe is the spatial-index probe (base cells + delta buckets).
+	// StageProbe is the spatial-index probe (grid cells or tree leaves).
 	StageProbe
 	// StageResidual is per-row predicate evaluation outside the probe:
 	// the linear fallback scan and the uncovered appended tail.

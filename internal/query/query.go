@@ -71,8 +71,7 @@ type Response struct {
 	// PlanTime is how long planning+scan took inside the engine.
 	PlanTime time.Duration
 	// Scan reports how the row selection was answered — index probe vs
-	// fallback, zone-map pruning for filtered queries, and how many
-	// rows came out of delta buckets (appended but not yet compacted).
+	// fallback, and zone-map pruning for filtered queries.
 	Scan store.ScanStats
 	// ServedRows is the live row count of the generation the answer was
 	// scanned from (the chosen sample, or the base table for an exact

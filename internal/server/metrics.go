@@ -222,8 +222,6 @@ func (m *metrics) write(w io.Writer, cache cacheStats, idx store.IndexStats, col
 	fmt.Fprintf(w, "vasserve_store_zone_skips_total %d\n", idx.ZoneSkips)
 	ew.Head("vasserve_store_batched_rows_total", "counter", "Rows evaluated by the selection-vector batch kernels.")
 	fmt.Fprintf(w, "vasserve_store_batched_rows_total %d\n", idx.BatchedRows)
-	ew.Head("vasserve_store_delta_rows", "gauge", "Appended rows absorbed into delta indexes.")
-	fmt.Fprintf(w, "vasserve_store_delta_rows %d\n", idx.DeltaRows)
 	ew.Head("vasserve_store_tail_rows", "gauge", "Appended rows outside the base indexes.")
 	fmt.Fprintf(w, "vasserve_store_tail_rows %d\n", idx.TailRows)
 	ew.Head("vasserve_store_compactions_total", "counter", "Background index compactions completed.")
@@ -233,27 +231,24 @@ func (m *metrics) write(w io.Writer, cache cacheStats, idx store.IndexStats, col
 	// Retention pressure: rows tombstoned but not yet physically
 	// reclaimed (gauge — drops to zero after a reclaiming compaction),
 	// plus the lifetime delete and reclaim totals.
-	ew.Head("vasserve_store_tombstoned_rows", "gauge", "Rows tombstoned by deletes or TTL but not yet reclaimed by compaction.")
+	ew.Head("vasserve_store_tombstoned_rows", "gauge", "Rows tombstoned by deletes but not yet reclaimed by compaction.")
 	fmt.Fprintf(w, "vasserve_store_tombstoned_rows %d\n", idx.TombstonedRows)
-	ew.Head("vasserve_store_deleted_rows_total", "counter", "Rows tombstoned by deletes and TTL sweeps.")
+	ew.Head("vasserve_store_deleted_rows_total", "counter", "Rows tombstoned by deletes.")
 	fmt.Fprintf(w, "vasserve_store_deleted_rows_total %d\n", idx.DeletedRows)
 	ew.Head("vasserve_store_reclaimed_rows_total", "counter", "Tombstoned rows physically dropped by compactions.")
 	fmt.Fprintf(w, "vasserve_store_reclaimed_rows_total %d\n", idx.ReclaimedRows)
 	// Per-table ingest pressure: how many appended rows sit outside the
-	// base index (tail) and how many of those the delta has absorbed —
-	// visible before it ever shows up as latency. Live vs dead splits
-	// the physical rows by tombstone state.
+	// base index (tail) — visible before it ever shows up as latency.
+	// Live vs dead splits the physical rows by tombstone state.
 	ew.Head("vasserve_store_table_rows", "gauge", "Physical rows per table (tombstoned included).")
 	ew.Head("vasserve_store_table_live_rows", "gauge", "Live (non-tombstoned) rows per table.")
 	ew.Head("vasserve_store_table_dead_rows", "gauge", "Tombstoned rows awaiting reclaim, per table.")
 	ew.Head("vasserve_store_table_tail_rows", "gauge", "Appended rows outside the base index, per table.")
-	ew.Head("vasserve_store_table_delta_rows", "gauge", "Appended rows absorbed into delta indexes, per table.")
 	for _, ti := range idx.PerTable {
 		fmt.Fprintf(w, "vasserve_store_table_rows{table=%q} %d\n", ti.Table, ti.Rows)
 		fmt.Fprintf(w, "vasserve_store_table_live_rows{table=%q} %d\n", ti.Table, ti.LiveRows)
 		fmt.Fprintf(w, "vasserve_store_table_dead_rows{table=%q} %d\n", ti.Table, ti.DeadRows)
 		fmt.Fprintf(w, "vasserve_store_table_tail_rows{table=%q} %d\n", ti.Table, ti.TailRows)
-		fmt.Fprintf(w, "vasserve_store_table_delta_rows{table=%q} %d\n", ti.Table, ti.DeltaRows)
 	}
 	// Index-backend identity and the grid-occupancy evidence behind it:
 	// the backend gauge is 1 for the backend the table's primary index

@@ -414,7 +414,7 @@ func TestMetricsDocMatchesExposition(t *testing.T) {
 			t.Fatalf("%s %s = %d: %s", c.method, c.url, rec.Code, rec.Body)
 		}
 	}
-	// The appended rows sit in the delta; compacting them runs the
+	// The appended rows sit in the tail; compacting them runs the
 	// store's background job, which the job series report.
 	base.Compact()
 

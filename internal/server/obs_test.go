@@ -19,7 +19,6 @@ var scanHeaders = []string{
 	"X-Vas-Scan-Cells-Pruned",
 	"X-Vas-Scan-Cells-Bulk",
 	"X-Vas-Scan-Rows-Examined",
-	"X-Vas-Scan-Delta-Rows",
 	"X-Vas-Scan-Zones-Skipped",
 	"X-Vas-Served-Rows",
 }

@@ -341,8 +341,8 @@ type SampleInfo struct {
 type TableInfo struct {
 	Name string `json:"name"`
 	// Rows is the physical row count; LiveRows excludes rows tombstoned
-	// by deletes or TTL but not yet reclaimed by compaction. The two
-	// converge after every compaction.
+	// by deletes but not yet reclaimed by compaction. The two converge
+	// after every compaction.
 	Rows     int          `json:"rows"`
 	LiveRows int          `json:"liveRows"`
 	Bounds   *RectJSON    `json:"bounds,omitempty"`
@@ -459,7 +459,6 @@ type ScanStatsJSON struct {
 	CellsPruned  int  `json:"cellsPruned"`
 	CellsBulk    int  `json:"cellsBulk"`
 	RowsExamined int  `json:"rowsExamined"`
-	DeltaRows    int  `json:"deltaRows"`
 	ZonesSkipped int  `json:"zonesSkipped"`
 	BatchedRows  int  `json:"batchedRows"`
 }
@@ -793,11 +792,11 @@ type AppendResponse struct {
 }
 
 // handleAppend serves POST /v1/append/{table}: a batch of rows lands in
-// the table (absorbed into the spatial indexes' deltas, so scans keep
-// answering at indexed speed), the writer — AppendHook or the fallback
-// — bumps the table's tile-cache epoch so tiles rendered from the
-// pre-append contents can never be served again, and the ingest
-// counters on /metrics advance.
+// the table (past the spatial indexes, where scans filter it as the
+// appended tail until compaction folds it in), the writer — AppendHook
+// or the fallback — bumps the table's tile-cache epoch so tiles
+// rendered from the pre-append contents can never be served again, and
+// the ingest counters on /metrics advance.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req AppendRequest
@@ -1181,7 +1180,6 @@ func (tm tileMeta) setHeaders(h http.Header) {
 	h.Set("X-Vas-Scan-Cells-Pruned", strconv.Itoa(tm.Scan.CellsPruned))
 	h.Set("X-Vas-Scan-Cells-Bulk", strconv.Itoa(tm.Scan.CellsBulk))
 	h.Set("X-Vas-Scan-Rows-Examined", strconv.Itoa(tm.Scan.RowsExamined))
-	h.Set("X-Vas-Scan-Delta-Rows", strconv.Itoa(tm.Scan.DeltaRows))
 	h.Set("X-Vas-Scan-Zones-Skipped", strconv.Itoa(tm.Scan.ZonesSkipped))
 	h.Set("X-Vas-Served-Rows", strconv.Itoa(tm.ServedRows))
 }

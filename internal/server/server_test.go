@@ -379,7 +379,7 @@ func postJSON(t *testing.T, s *Server, url, body string) *httptest.ResponseRecor
 func TestAppendEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	// Index the base table (as the catalog façade does at load time) so
-	// appended rows land in a delta and the ingest gauges are live.
+	// appended rows land in its tail and the ingest gauges are live.
 	tb, err := s.st.Table("base")
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +453,6 @@ func TestAppendEndpoint(t *testing.T) {
 		"vasserve_ingest_batches_total 2",
 		"vasserve_ingest_rows_total 4",
 		`vasserve_store_table_tail_rows{table="base"} 4`,
-		`vasserve_store_table_delta_rows{table="base"} 4`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

@@ -18,8 +18,8 @@ import (
 // predicates — so live ingest never forces a wholesale re-save. Each
 // mutation lands as one self-framed, CRC-checked record appended to the
 // log; a restart loads the base snapshot (indexes restored verbatim)
-// and replays the tail in order through the store's delta-index append
-// path and tombstone delete path — no sample build, no index rebuild.
+// and replays the tail in order through the store's append path and
+// tombstone delete path — no sample build, no index rebuild.
 // A full re-save folds the tail into the base and deletes the log.
 //
 // Layout (little-endian), append-only:

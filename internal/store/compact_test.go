@@ -10,11 +10,11 @@ import (
 	"repro/internal/geom"
 )
 
-// deltaRects is the viewport battery the delta property tests probe
-// with: unrestricted, inverted, in-bounds, out-of-bounds (appends land
-// outside the base extent, so probes must find them through clamped
-// edge cells), degenerate, and NaN/±Inf-cornered rectangles.
-func deltaRects(rng *rand.Rand) []geom.Rect {
+// tailRects is the viewport battery the appended-tail property tests
+// probe with: unrestricted, inverted, in-bounds, out-of-bounds (appends
+// land outside the base extent), degenerate, and NaN/±Inf-cornered
+// rectangles.
+func tailRects(rng *rand.Rand) []geom.Rect {
 	rects := []geom.Rect{
 		{},
 		{MinX: 5, MinY: 5, MaxX: 4, MaxY: 4},
@@ -33,17 +33,18 @@ func deltaRects(rng *rand.Rand) []geom.Rect {
 	return rects
 }
 
-// TestDeltaProbeMatchesRebuild is the delta-index property test: over
+// TestDeltaProbeMatchesRebuild is the appended-tail property test: over
 // random append schedules — batches of varying size, dirty rows,
 // interleaved compactions and IndexOn rebuilds — a probe served from
-// base + delta must return exactly the rows that (a) a freshly built
-// index over the same data and (b) the linear predicate scan return.
+// the base index plus its tail must return exactly the rows that (a) a
+// freshly built index over the same data and (b) the linear predicate
+// scan return.
 func TestDeltaProbeMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
 		n0 := rng.Intn(3000)
 		if trial == 0 {
-			n0 = 0 // delta over an empty-built index: the no-grid path
+			n0 = 0 // a tail over an empty-built index: the no-grid path
 		}
 		xs, ys := randomPoints(rng, n0)
 		ms := make([]float64, n0)
@@ -127,7 +128,7 @@ func TestDeltaProbeMatchesRebuild(t *testing.T) {
 				{{Column: "m", Min: 20, Max: 90}},
 				{{Column: "m", Min: math.NaN(), Max: 50}, {Column: "x", Min: -30, Max: math.Inf(1)}},
 			}
-			for _, r := range deltaRects(rng) {
+			for _, r := range tailRects(rng) {
 				for _, preds := range predSets {
 					got, _, err := live.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
 					if err != nil {
@@ -139,18 +140,18 @@ func TestDeltaProbeMatchesRebuild(t *testing.T) {
 					}
 					gi, wi := got.Indices(), want.Indices()
 					if len(gi) != len(wi) {
-						t.Fatalf("trial %d step %d rect %v preds %v: delta probe %d rows, rebuilt %d",
+						t.Fatalf("trial %d step %d rect %v preds %v: tail probe %d rows, rebuilt %d",
 							trial, step, r, preds, len(gi), len(wi))
 					}
 					for i := range gi {
 						if gi[i] != wi[i] {
-							t.Fatalf("trial %d step %d rect %v preds %v: row %d: delta %d, rebuilt %d",
+							t.Fatalf("trial %d step %d rect %v preds %v: row %d: tail %d, rebuilt %d",
 								trial, step, r, preds, i, gi[i], wi[i])
 						}
 					}
 					// And against the linear scan, the semantic ground
 					// truth both index paths must reproduce.
-					assertFilteredEquiv(t, live, r, preds, "delta-vs-linear")
+					assertFilteredEquiv(t, live, r, preds, "tail-vs-linear")
 				}
 			}
 		}
@@ -158,9 +159,9 @@ func TestDeltaProbeMatchesRebuild(t *testing.T) {
 }
 
 // TestCompactAbsorbsDelta pins the compaction contract: after Compact,
-// every row is covered by the published base index (tail and delta
-// gauges drop to zero), results are unchanged, and the compaction
-// counters advance.
+// every row is covered by the published base index (the tail gauge
+// drops to zero), results are unchanged, and the compaction counters
+// advance.
 func TestCompactAbsorbsDelta(t *testing.T) {
 	s := New()
 	tb, err := s.CreateTable("c", "x", "y")
@@ -180,8 +181,8 @@ func TestCompactAbsorbsDelta(t *testing.T) {
 		}
 	}
 	st := s.IndexStats()
-	if st.TailRows != 700 || st.DeltaRows != 700 {
-		t.Fatalf("pre-compaction gauges: tail %d delta %d, want 700/700", st.TailRows, st.DeltaRows)
+	if st.TailRows != 700 {
+		t.Fatalf("pre-compaction tail gauge %d, want 700", st.TailRows)
 	}
 	r := geom.Rect{MinX: 10, MinY: 10, MaxX: 70, MaxY: 70}
 	before, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, nil)
@@ -190,8 +191,8 @@ func TestCompactAbsorbsDelta(t *testing.T) {
 	}
 	tb.Compact()
 	st = s.IndexStats()
-	if st.TailRows != 0 || st.DeltaRows != 0 {
-		t.Fatalf("post-compaction gauges: tail %d delta %d, want 0/0", st.TailRows, st.DeltaRows)
+	if st.TailRows != 0 {
+		t.Fatalf("post-compaction tail gauge %d, want 0", st.TailRows)
 	}
 	if st.Compactions != 1 || st.CompactionSeconds <= 0 {
 		t.Fatalf("compaction counters: %d compactions, %g seconds", st.Compactions, st.CompactionSeconds)
@@ -218,7 +219,7 @@ func TestCompactAbsorbsDelta(t *testing.T) {
 
 // TestAutoCompactTriggers verifies the threshold trigger: with
 // SetAutoCompact, appending past the fraction fires a background
-// compaction that folds the delta without any explicit call.
+// compaction that folds the tail without any explicit call.
 func TestAutoCompactTriggers(t *testing.T) {
 	tb, err := NewTable("a", "x", "y")
 	if err != nil {
@@ -324,9 +325,9 @@ func TestZoneSkipAdapts(t *testing.T) {
 	}
 }
 
-// TestDeltaServesOutOfBoundsAppends pins the clamping contract
-// directly: rows appended outside the base grid's extent are found by
-// probes whose rectangles are also outside it.
+// TestDeltaServesOutOfBoundsAppends pins that rows appended outside the
+// base grid's extent are found by probes whose rectangles are also
+// outside it, where the base index has nothing to walk.
 func TestDeltaServesOutOfBoundsAppends(t *testing.T) {
 	tb, err := NewTable("o", "x", "y")
 	if err != nil {
@@ -348,8 +349,5 @@ func TestDeltaServesOutOfBoundsAppends(t *testing.T) {
 	}
 	if rows.Len() != 1 || !rows.Contains(2000) {
 		t.Fatalf("out-of-bounds appended row not found: %v (stats %+v)", rows.Indices(), st)
-	}
-	if st.DeltaRows == 0 {
-		t.Fatalf("row was not served from the delta: %+v", st)
 	}
 }

@@ -1,6 +1,6 @@
 package store
 
-// The retention layer: tombstone deletes and per-table TTL policies.
+// The retention layer: tombstone deletes.
 //
 // A delete never rewrites storage on the serving path. It scans for the
 // matching rows against one snapshot, then publishes a fresh generation
@@ -9,16 +9,9 @@ package store
 // the snapshot's tombstones (rowset.go, kernel.go), so a delete is
 // visible atomically with the generation publish. The physical work —
 // dropping dead rows, rewriting columns, CSR grids, and zone maps —
-// happens later, in Compact (delta.go), off the read path.
+// happens later, in Compact (compact.go), off the read path.
 
-import (
-	"fmt"
-	"math"
-	"time"
-)
-
-// timeNow is the retention clock, a variable so TTL tests can pin it.
-var timeNow = time.Now
+import "fmt"
 
 // deleteMaxRetries bounds how often a delete retries after losing a
 // race with a content replacement (BulkLoad, snapshot restore, or a
@@ -92,42 +85,4 @@ func (t *Table) DeleteWhere(preds []Pred) (int, error) {
 		t.maybeCompact()
 		return added, nil
 	}
-}
-
-// SetTTL installs the table's retention policy: rows whose value in the
-// timestamp column (float64 Unix seconds) is at least maxAge old get
-// tombstoned by the next compaction — Compact enforces the policy
-// before it merges deltas and reclaims dead rows, so background
-// compaction doubles as the retention sweeper. A non-positive maxAge
-// clears the policy. NaN timestamps match the cutoff range like every
-// range predicate and therefore age out immediately.
-func (t *Table) SetTTL(col string, maxAge time.Duration) error {
-	if _, ok := t.colIdx[col]; !ok {
-		return fmt.Errorf("store: table %q column %q: %w", t.name, col, ErrNotFound)
-	}
-	t.ttlMu.Lock()
-	defer t.ttlMu.Unlock()
-	if maxAge <= 0 {
-		t.ttlCol = -1
-		t.ttlAge = 0
-		return nil
-	}
-	t.ttlCol = t.colIdx[col]
-	t.ttlAge = maxAge
-	return nil
-}
-
-// enforceTTL tombstones the rows the retention policy has expired.
-// Called by Compact; a no-op without a policy.
-func (t *Table) enforceTTL() {
-	t.ttlMu.Lock()
-	col, age := t.ttlCol, t.ttlAge
-	t.ttlMu.Unlock()
-	if col < 0 || age <= 0 {
-		return
-	}
-	cutoff := float64(timeNow().Add(-age).Unix())
-	// Losing a publish race here is fine — the next compaction sweeps
-	// again — so the retry-exhausted error is deliberately dropped.
-	_, _ = t.DeleteWhere([]Pred{{Column: t.colName[col], Min: math.Inf(-1), Max: cutoff}})
 }

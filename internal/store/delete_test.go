@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -182,66 +181,6 @@ func TestDeleteNaNRows(t *testing.T) {
 	vals, _ := tb.Gather("x", All)
 	if len(vals) != 1 || !math.IsInf(vals[0], 1) {
 		t.Errorf("survivor = %v, want [+Inf]", vals)
-	}
-}
-
-func TestTTLCompaction(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	defer func(orig func() time.Time) { timeNow = orig }(timeNow)
-	timeNow = func() time.Time { return now }
-
-	tb, _ := NewTable("t", "x", "y", "ts")
-	age := func(d time.Duration) float64 { return float64(now.Add(-d).Unix()) }
-	appendRow(tb, 1, 1, age(2*time.Hour))
-	appendRow(tb, 2, 2, age(time.Hour)) // exactly at the cutoff: expired
-	appendRow(tb, 3, 3, age(30*time.Minute))
-	appendRow(tb, 4, 4, age(time.Minute))
-
-	if err := tb.SetTTL("ghost", time.Hour); err == nil {
-		t.Error("unknown TTL column: want error")
-	}
-	if err := tb.SetTTL("ts", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-
-	tb.Compact() // enforces the policy, then reclaims
-	if tb.LiveRows() != 2 {
-		t.Fatalf("LiveRows after first sweep = %d, want 2", tb.LiveRows())
-	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows after reclaim = %d, want 2 (dead rows dropped)", tb.NumRows())
-	}
-
-	// The clock advances; the next compaction expires the next row.
-	now = now.Add(30 * time.Minute)
-	tb.Compact()
-	if tb.LiveRows() != 1 {
-		t.Fatalf("LiveRows after second sweep = %d, want 1", tb.LiveRows())
-	}
-	vals, _ := tb.Gather("x", All)
-	if len(vals) != 1 || vals[0] != 4 {
-		t.Errorf("survivor x = %v, want [4]", vals)
-	}
-
-	// Clearing the policy stops the sweeps.
-	if err := tb.SetTTL("ts", 0); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(24 * time.Hour)
-	tb.Compact()
-	if tb.LiveRows() != 1 {
-		t.Errorf("cleared policy still swept: LiveRows = %d", tb.LiveRows())
-	}
-
-	// NaN timestamps age out immediately (NaN matches every range).
-	appendRow(tb, 9, 9, nan())
-	tb.SetTTL("ts", time.Hour)
-	tb.Compact()
-	vals, _ = tb.Gather("x", All)
-	for _, v := range vals {
-		if v == 9 {
-			t.Error("NaN-timestamp row survived the TTL sweep")
-		}
 	}
 }
 

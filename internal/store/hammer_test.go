@@ -11,10 +11,10 @@ import (
 )
 
 // TestFilteredScanHammer hammers one table with concurrent Append
-// (absorbed into delta buckets), IndexOn rebuilds, background-style
+// (an appended tail past the index), IndexOn rebuilds, background-style
 // Compact calls, store-level table replacement churn, and filtered
 // ScanRectWhere readers. It extends the PR 1 scan-vs-reload pattern to
-// the predicate-pushdown and delta-compaction paths and asserts, under
+// the predicate-pushdown and tail-compaction paths and asserts, under
 // -race, snapshot consistency: a reader can never panic, never sees a
 // row twice or out of order, never sees rows outside its snapshot
 // generation, never receives a row that fails its predicates — and
@@ -152,7 +152,7 @@ func TestFilteredScanHammer(t *testing.T) {
 		}
 	}()
 
-	// Compactor: folds the delta into fresh generations while scans and
+	// Compactor: folds the tail into fresh generations while scans and
 	// appends are in flight — the background-compaction publish racing
 	// the read path.
 	wg.Add(1)

@@ -23,13 +23,13 @@ const (
 
 // spatialIndex is what the read path needs from a spatial index backend:
 // a walk that hands the units a rectangle reaches to the one run filter
-// (probe.run), a delta for post-build appends, and the identity/stats
-// accessors the generation machinery and /metrics consume. Two
-// implementations exist: rectIndex (the uniform CSR grid, whose units
-// are cells) and treeIndex (the packed STR R-tree, treeindex.go, on
-// internal/strtree's layout, whose units are leaves). Both embed
-// indexBase. Implementations are immutable after construction except
-// for their delta side structure, matching the generation-publish model.
+// (probe.run), and the identity/stats accessors the generation machinery
+// and /metrics consume. Two implementations exist: rectIndex (the
+// uniform CSR grid, whose units are cells) and treeIndex (the packed STR
+// R-tree, treeindex.go, on internal/strtree's layout, whose units are
+// leaves). Both embed indexBase. Implementations are immutable after
+// construction, matching the generation-publish model; rows appended
+// after the build are the probe's tail (probe.span).
 type spatialIndex interface {
 	// pair returns the (x, y) column ordinals the index is built over.
 	pair() (xi, yi int)
@@ -60,15 +60,13 @@ type spatialIndex interface {
 	// boundaries; a canceled walk stops early with a partial id set,
 	// which the caller discards once it sees the context error.
 	collect(p *probe)
-	// deltaIdx returns the mutable delta absorbing post-build appends.
-	deltaIdx() *deltaIndex
 }
 
 // gridGeom is the uniform grid geometry both backends carry: the
 // identity of the indexed pair, the covered row count, and the binning
-// the delta index buckets appended rows by. For the grid backend it is
-// also the probe geometry; for the tree backend it exists so deltas (and
-// their zone maps) work identically under either backend.
+// the occupancy statistics are measured over. For the grid backend it
+// is also the probe geometry; the tree backend keeps it for the
+// statistics and its snapshot form.
 type gridGeom struct {
 	xi, yi       int
 	bounds       geom.Rect
@@ -82,8 +80,7 @@ func (g *gridGeom) rows() int         { return g.n }
 func (g *gridGeom) extent() geom.Rect { return g.bounds }
 
 // indexBase is what both backends share beyond the geometry: rows with
-// a non-finite coordinate, the build-time occupancy statistics, and the
-// delta.
+// a non-finite coordinate and the build-time occupancy statistics.
 type indexBase struct {
 	gridGeom
 	// extra holds rows (ascending) with a non-finite coordinate: NaN
@@ -97,15 +94,10 @@ type indexBase struct {
 	// backend planner consulted (p99 cell population, and its ratio to
 	// the mean); exported through IndexStats.PerTable.
 	occP99, occSkew float64
-	// delta accumulates rows appended after the index was built (see
-	// delta.go): a mutable, independently locked side structure sharing
-	// the grid geometry, set once at construction.
-	delta *deltaIndex
 }
 
 func (b *indexBase) extras() []int32         { return b.extra }
 func (b *indexBase) occ() (float64, float64) { return b.occP99, b.occSkew }
-func (b *indexBase) deltaIdx() *deltaIndex   { return b.delta }
 
 // coversAll reports whether r contains every indexed row trivially — the
 // full-extent fast path: the caller can answer with a dense range and
@@ -201,7 +193,6 @@ type rectIndex struct {
 // buildRectIndex packs the rows binIndex binned into the CSR grid.
 func buildRectIndex(b indexBase, cols [][]float64, cellOf, counts []int32) *rectIndex {
 	ix := &rectIndex{indexBase: b}
-	ix.delta = newDeltaIndex(&ix.gridGeom, len(cols))
 	if ix.n == 0 {
 		return ix
 	}

@@ -88,8 +88,8 @@ func selRectRange(dst []int32, xs, ys []float64, lo int32, r geom.Rect) int {
 	return k
 }
 
-// selGather seeds a selection from an id run (a CSR cell run or delta
-// bucket): it writes into dst the ids whose col value matches and
+// selGather seeds a selection from an id run (a CSR cell run or tree
+// leaf): it writes into dst the ids whose col value matches and
 // returns how many survived. dst must hold at least len(ids) entries;
 // ids index col directly.
 func selGather(dst []int32, ids []int32, col []float64, min, max float64) int {

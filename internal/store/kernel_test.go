@@ -204,9 +204,9 @@ func TestScanRangeMatchesScalar(t *testing.T) {
 }
 
 // TestScanBatchedMatchesScalarEndToEnd runs whole filtered scans (index
-// probe + delta + extras) twice — once through the batch kernels, once
-// with forceScalarKernels — over a dirty table and requires identical
-// row sets. This is the macro form of the kernel ≡ scalar property.
+// probe + appended tail + extras) twice — once through the batch
+// kernels, once with forceScalarKernels — over a dirty table and
+// requires identical row sets. This is the macro form of the kernel ≡ scalar property.
 func TestScanBatchedMatchesScalarEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 20_000
@@ -225,7 +225,7 @@ func TestScanBatchedMatchesScalarEndToEnd(t *testing.T) {
 	if err := tb.IndexOn("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	// The tail lands in the delta, so bucket kernels run too.
+	// The tail lands past the index, so the tail kernels run too.
 	if err := tb.AppendRows(xs[split:], ys[split:], ms[split:], cs[split:]); err != nil {
 		t.Fatal(err)
 	}

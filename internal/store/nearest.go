@@ -94,10 +94,9 @@ func (v View) Nearest(ctx context.Context, xCol, yCol string, x, y float64, k in
 		covered = tix.n
 	}
 	// Everything the tree did not cover — the whole table on the grid /
-	// unindexed path, the appended tail otherwise (delta rows included:
-	// they are simply rows past the tree's build watermark) — is swept
-	// brute force into the same heap, so the answer is exact under every
-	// backend and mid-ingest.
+	// unindexed path, the rows appended past the tree's build watermark
+	// otherwise — is swept brute force into the same heap, so the answer
+	// is exact under every backend and mid-ingest.
 	for row := covered; row < d.n; row++ {
 		if row&(scanBatchRows-1) == 0 && cn.stop() {
 			break

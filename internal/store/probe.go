@@ -9,12 +9,13 @@ import (
 
 // This file is the one probe body every spatial structure shares. The
 // structures differ only in how they walk: the grid sweeps the cells a
-// rectangle touches, the tree descends to the leaves it intersects, the
-// delta sweeps its buckets. Each unit the walk reaches — cell, leaf or
-// bucket — is an ascending run of row ids with a zone map, and probe.run
-// decides it in one place: pruned by its zones, emitted whole, or
-// filtered row by row through the batch kernels. Rows with a non-finite
-// coordinate belong to no unit and go through probe.extras.
+// rectangle touches, the tree descends to the leaves it intersects. Each
+// unit the walk reaches — cell or leaf — is an ascending run of row ids
+// with a zone map, and probe.run decides it in one place: pruned by its
+// zones, emitted whole, or filtered row by row through the batch
+// kernels. Rows with a non-finite coordinate belong to no unit and go
+// through probe.extras; rows appended after the index was built belong
+// to no unit either, and probe.span filters them as one dense range.
 
 // zoneMaps summarise the rows of each unit per column: min and max over
 // the non-NaN values and whether a NaN is present, laid out flat as
@@ -118,13 +119,9 @@ type probe struct {
 	pi     []int  // column ordinal of each predicate
 	skip   []bool // predicates whose zone checks the adaptive planner disabled; nil for none
 	cn     *canceler
-	// delta is set once the probe reaches the delta: its rows count as
-	// DeltaRows, and its zone consults stay out of the tally, which
-	// judges the immutable base zones.
-	delta bool
-	tally []zoneCount // per predicate
-	st    ScanStats
-	ids   []int
+	tally  []zoneCount // per predicate
+	st     ScanStats
+	ids    []int
 	// residual holds the positions of the predicates the current unit's
 	// zones could not settle; sel is the kernels' selection vector.
 	residual []int
@@ -133,8 +130,14 @@ type probe struct {
 	// predicates over units of typical size allocates none of them.
 	tallyBuf [4]zoneCount
 	resBuf   [4]int
-	selBuf   [4 * treeLeafSize]int32
+	selBuf   [tailBlockRows]int32
 }
+
+// tailBlockRows sizes the probe's selection buffer and with it
+// probe.span's block: 1 024 ids (4 KiB) amortize the per-block kernel
+// calls over an appended tail while the buffer stays inside the probe
+// value, so a probe allocates no more for a tail than without one.
+const tailBlockRows = 1024
 
 func newProbe(cols [][]float64, xs, ys []float64, r geom.Rect, preds []Pred, pi []int, skip []bool, cn *canceler) *probe {
 	p := &probe{cols: cols, xs: xs, ys: ys, r: r, preds: preds, pi: pi, skip: skip, cn: cn}
@@ -157,11 +160,9 @@ func (p *probe) zoneCheck(z *zoneMaps, u int) bool {
 		v := zoneResidual
 		if p.skip == nil || !p.skip[k] {
 			v = z.verdict(p.pi[k], u, pr)
-			if !p.delta {
-				p.tally[k].eval++
-				if v != zoneResidual {
-					p.tally[k].decisive++
-				}
+			p.tally[k].eval++
+			if v != zoneResidual {
+				p.tally[k].decisive++
 			}
 		}
 		if v == zonePrune {
@@ -184,9 +185,6 @@ func (p *probe) run(ids []int32, z *zoneMaps, u int, needRect bool) {
 	if p.zoneCheck(z, u) {
 		p.st.CellsPruned++
 		return
-	}
-	if p.delta {
-		p.st.DeltaRows += len(ids)
 	}
 	res := p.residual
 	switch {
@@ -257,7 +255,42 @@ func (p *probe) extras(ids []int32) {
 		}
 	}
 	p.st.RowsExamined += len(ids)
-	if p.delta {
-		p.st.DeltaRows += len(ids)
+}
+
+// span filters the dense row range [lo, hi) — the rows appended past the
+// index's build watermark — with the rectangle test and every predicate,
+// one selection-buffer block at a time: the x column's stride seeds the
+// block, then y and each predicate refine it in place. It polls the
+// canceler once per block; a canceled span stops with a partial id set.
+// Short ranges, the scalar reference mode and ids past the int32
+// selection domain take the scalar per-row loop instead.
+func (p *probe) span(lo, hi int) {
+	p.st.RowsExamined += hi - lo
+	if forceScalarKernels || hi-lo < kernelMinRows || hi > math.MaxInt32 {
+		for row := lo; row < hi; row++ {
+			if row&(scanBatchRows-1) == 0 && p.cn.stop() {
+				return
+			}
+			if inRect(p.xs[row], p.ys[row], p.r) && matchPreds(p.cols, p.pi, p.preds, row) {
+				p.ids = append(p.ids, row)
+			}
+		}
+		return
+	}
+	p.st.BatchedRows += hi - lo
+	for b := lo; b < hi; b += len(p.sel) {
+		if p.cn.stop() {
+			return
+		}
+		e := min(b+len(p.sel), hi)
+		s := p.sel[:e-b]
+		k := selRange(s, p.xs[b:e], int32(b), p.r.MinX, p.r.MaxX)
+		if k > 0 {
+			k = selRefine(s[:k], p.ys, p.r.MinY, p.r.MaxY)
+		}
+		for j := 0; j < len(p.preds) && k > 0; j++ {
+			k = selRefine(s[:k], p.cols[p.pi[j]], p.preds[j].Min, p.preds[j].Max)
+		}
+		p.ids = appendSel(p.ids, s[:k])
 	}
 }

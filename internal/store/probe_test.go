@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -11,19 +12,24 @@ import (
 	"repro/internal/geom"
 )
 
-// probeGoldenHash pins what the probe machinery answers and reports on
-// the schedule of TestProbeGolden: row ids, every ScanStats field, and
-// the per-column adaptive zone counters after each call. It was recorded
-// with the wide case's probes, linear scans and delete split across
-// CPUs, so it pins that the serial path gives the same answers and
-// stats.
-const probeGoldenHash uint64 = 0x302598d14fae2d5e
+// The probe golden hashes pin what the probe machinery does on the
+// schedule of TestProbeGolden, in three parts, so a change to how a probe
+// accounts for its work cannot hide a change to what it answers:
+// probeGoldenAnswers hashes every answer (row ids, kNN rows and
+// distances, the delete count), probeGoldenZones the per-column adaptive
+// zone counters after each call, and probeGoldenStats every ScanStats
+// field.
+const (
+	probeGoldenAnswers uint64 = 0x5893c659323d29d5
+	probeGoldenZones   uint64 = 0xd4f99d05cd2dccf1
+	probeGoldenStats   uint64 = 0x9e1f74232c3a392a
+)
 
 // probeGoldenTable builds a 12 000-row table on the given backend: a
 // dense cluster over uniform background, a spatially correlated column
 // m, an uncorrelated column u (the zone maps' worst case, which earns a
 // zone skip), a striped category c, and NaN / ±Inf coordinates (the
-// extras). Then 3 000 rows are appended past the build (into the delta),
+// extras). Then 3 000 rows are appended past the build (the tail),
 // some far outside the bounds and some non-finite, and one rectangle is
 // deleted (tombstones).
 func probeGoldenTable(t testing.TB, backend string) *Table {
@@ -118,13 +124,14 @@ func probeGoldenWide(t testing.TB) *Table {
 // batch-kernel and the scalar path, zero, one and two rectangles, zero,
 // one and three predicates, a filtered Nearest, and the wide case's
 // near-full probes, linear fallback and delete — and hashes every
-// answer, every ScanStats field and the adaptive zone counters. Any
-// change to what a probe returns, how it accounts for the work, or what
-// evidence it feeds the zone-skip planner changes the hash.
+// answer, every ScanStats field and the adaptive zone counters, each
+// into its own hash. Any change to what a probe returns, how it
+// accounts for the work, or what evidence it feeds the zone-skip
+// planner changes the matching hash.
 func TestProbeGolden(t *testing.T) {
-	h := fnv.New64a()
+	answers, zones, stats := fnv.New64a(), fnv.New64a(), fnv.New64a()
 	var buf [8]byte
-	put := func(v int64) {
+	put := func(h hash.Hash64, v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
@@ -136,10 +143,20 @@ func TestProbeGolden(t *testing.T) {
 	}
 	putStats := func(st ScanStats) {
 		for _, v := range []int64{b2(st.IndexProbe), int64(st.CellsTouched), int64(st.CellsPruned),
-			int64(st.CellsBulk), int64(st.RowsExamined), int64(st.DeltaRows), int64(st.ZonesSkipped),
+			int64(st.CellsBulk), int64(st.RowsExamined), int64(st.ZonesSkipped),
 			int64(st.BatchedRows)} {
-			put(v)
+			put(stats, v)
 		}
+	}
+	putZones := func(tb *Table) {
+		for i := range tb.zoneStat {
+			put(zones, tb.zoneStat[i].evaluated.Load())
+			put(zones, tb.zoneStat[i].decisive.Load())
+		}
+	}
+	putRows := func(rows RowSet) {
+		put(answers, int64(rows.Len()))
+		rows.ForEach(func(r int) { put(answers, int64(r)) })
 	}
 	rectSets := [][]geom.Rect{
 		nil,
@@ -164,14 +181,10 @@ func TestProbeGolden(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						put(int64(rows.Len()))
-						rows.ForEach(func(r int) { put(int64(r)) })
+						putRows(rows)
 						putStats(st)
 						skipped = skipped || st.ZonesSkipped > 0
-						for i := range tb.zoneStat {
-							put(tb.zoneStat[i].evaluated.Load())
-							put(tb.zoneStat[i].decisive.Load())
-						}
+						putZones(tb)
 					}
 				}
 			}
@@ -180,8 +193,8 @@ func TestProbeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range ns {
-				put(int64(n.Row))
-				put(int64(math.Float64bits(n.Dist)))
+				put(answers, int64(n.Row))
+				put(answers, int64(math.Float64bits(n.Dist)))
 			}
 			putStats(st)
 			forceScalarKernels = false
@@ -204,30 +217,36 @@ func TestProbeGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				put(int64(rows.Len()))
-				rows.ForEach(func(r int) { put(int64(r)) })
+				putRows(rows)
 				putStats(st)
 			}
 		}
-		for i := range tb.zoneStat {
-			put(tb.zoneStat[i].evaluated.Load())
-			put(tb.zoneStat[i].decisive.Load())
-		}
+		putZones(tb)
 		n, err := tb.DeleteWhere([]Pred{{Column: "m", Min: 200, Max: 450}, {Column: "u", Min: 0, Max: 700}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		put(int64(n))
+		put(answers, int64(n))
 		forceScalarKernels = false
 	}
-	if got := h.Sum64(); got != probeGoldenHash {
-		t.Errorf("probe hash %#x, want %#x", got, probeGoldenHash)
+	for _, c := range []struct {
+		name string
+		h    hash.Hash64
+		want uint64
+	}{
+		{"answers", answers, probeGoldenAnswers},
+		{"zone counters", zones, probeGoldenZones},
+		{"ScanStats", stats, probeGoldenStats},
+	} {
+		if got := c.h.Sum64(); got != c.want {
+			t.Errorf("%s hash %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }
 
 // TestProbeAllocs pins what one filtered viewport probe allocates on a
-// small grid table, a small tree table, and a grid table with 2 000
-// rows in its delta: the probe value, the predicate ordinals and the id
+// small grid table, a small tree table, and a grid table with a 2 000-row
+// appended tail: the probe value, the predicate ordinals and the id
 // buffer, with the tally, residual and selection scratch inside the
 // probe and the ids upper-bounded before any walk appends to them.
 func TestProbeAllocs(t *testing.T) {
@@ -268,7 +287,7 @@ func TestProbeAllocs(t *testing.T) {
 	}{
 		{"grid", mk(BackendGrid, 0), 3},
 		{"rtree", mk(BackendRTree, 0), 3},
-		{"delta", mk(BackendGrid, 2_000), 3},
+		{"tail", mk(BackendGrid, 2_000), 3},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, _, err := c.tb.View().ScanRects(context.Background(), "x", "y", rects, preds); err != nil {

@@ -55,9 +55,9 @@ type IndexSnapshot struct {
 type TreeIndexSnapshot struct {
 	// XCol, YCol are ordinals into the table's column list.
 	XCol, YCol int
-	// Bounds, NX, NY, CellW, CellH are the DELTA grid geometry — not
-	// probe geometry; they let appended rows bucket identically to the
-	// grid backend after a restore.
+	// Bounds is the extent of the finite rows; NX, NY, CellW, CellH are
+	// the grid the occupancy statistics were measured over — not probe
+	// geometry.
 	Bounds       geom.Rect
 	NX, NY       int
 	CellW, CellH float64
@@ -290,20 +290,14 @@ func TableFromSnapshot(snap TableSnapshot) (*Table, error) {
 	}
 	// A snapshot saved mid-ingest carries rows past its indexes'
 	// coverage (the appended tail at save time, and any tail-log rows
-	// replayed by the loader land the same way via AppendRows). Absorb them
-	// into the fresh deltas now so the restored table probes at indexed
-	// speed from its first request, exactly like the live table it was
-	// captured from.
-	for _, ix := range d.indexes {
-		ix.deltaIdx().absorbRange(d.cols, ix.rows(), d.n)
-	}
+	// replayed by the loader land the same way via AppendRows); probes
+	// filter them as the tail, exactly like the live table's.
 	t.data = d
 	return t, nil
 }
 
 // baseFromSnapshot admits what both index kinds share: the column pair,
 // the covered row count and, for a non-empty index, the grid geometry.
-// The caller attaches the delta once the base is embedded.
 func baseFromSnapshot(g gridGeom, extra []int32, ncols, tableRows int) (indexBase, error) {
 	b := indexBase{gridGeom: g, extra: extra}
 	if g.xi < 0 || g.xi >= ncols || g.yi < 0 || g.yi >= ncols {
@@ -338,7 +332,6 @@ func indexFromSnapshot(table string, is IndexSnapshot, ncols, tableRows int) (*r
 	}
 	ix := &rectIndex{indexBase: b, cellOff: is.CellOff, rowID: is.RowID,
 		zones: zoneMaps{min: is.ZMin, max: is.ZMax, nan: is.ZNaN}}
-	ix.delta = newDeltaIndex(&ix.gridGeom, ncols)
 	if is.NumRows == 0 {
 		// An empty index has no grid at all (binIndex returns before
 		// sizing one); any grid payload here is corruption.
@@ -443,7 +436,6 @@ func treeFromSnapshot(is TreeIndexSnapshot, ncols, tableRows int) (*treeIndex, e
 		zones:     zoneMaps{min: is.ZMin, max: is.ZMax, nan: is.ZNaN},
 		nodeZones: zoneMaps{min: is.NZMin, max: is.NZMax, nan: is.NZNaN},
 	}
-	ix.delta = newDeltaIndex(&ix.gridGeom, ncols)
 	if is.NumRows == 0 {
 		// An empty index has no payload at all (binIndex returns before
 		// sizing a grid); anything here is corruption.

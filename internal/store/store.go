@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -63,11 +62,6 @@ type Table struct {
 	autoCompact atomic.Uint64
 	compacting  atomic.Bool
 	compactMu   sync.Mutex
-
-	// ttlMu guards the retention policy (SetTTL); Compact enforces it.
-	ttlMu  sync.Mutex
-	ttlCol int // timestamp column ordinal; -1 when no policy
-	ttlAge time.Duration
 }
 
 // zoneColStat accumulates, for one column, how often its per-cell zone
@@ -108,11 +102,11 @@ type tableCounters struct {
 	batchedRows atomic.Int64 // rows evaluated through selection-vector kernels
 
 	// Ingest counters.
-	compactions     atomic.Int64 // delta-into-generation compactions published
+	compactions     atomic.Int64 // compactions published
 	compactionNanos atomic.Int64 // wall time spent building + publishing them
 
 	// Retention counters.
-	deletedRows   atomic.Int64 // rows tombstoned by DeleteWhere and the TTL sweep
+	deletedRows   atomic.Int64 // rows tombstoned by DeleteWhere
 	reclaimedRows atomic.Int64 // tombstoned rows physically dropped by compaction
 
 	// kNN counters.
@@ -179,7 +173,6 @@ func NewTable(name string, columns ...string) (*Table, error) {
 		data:     &tableData{cols: make([][]float64, len(columns))},
 		counters: &tableCounters{},
 		zoneStat: make([]zoneColStat, len(columns)),
-		ttlCol:   -1,
 	}
 	for i, c := range columns {
 		if c == "" {
@@ -211,16 +204,13 @@ func (t *Table) snapshot() *tableData {
 }
 
 // AppendRows adds a batch of rows given as parallel column slices (the
-// ingest endpoint's shape): one lock acquisition, one generation
-// publish, and one delta absorption pass for the whole batch. Column
-// order must match the schema and all slices must have equal length.
-// The rows are absorbed into every spatial index's delta in the same
-// critical section they become visible in, so scans keep answering at
-// indexed speed under ingest (rows appended before the delta machinery
-// existed — or past its id capacity — take the linear tail path until
-// the next compaction or rebuild). When auto-compaction is enabled
-// (SetAutoCompact), crossing the delta threshold fires a background
-// merge into a fresh immutable generation.
+// ingest endpoint's shape): one lock acquisition and one generation
+// publish for the whole batch. Column order must match the schema and
+// all slices must have equal length. The rows land past every spatial
+// index's build watermark, where probes filter them through the batch
+// kernels until the next compaction or rebuild indexes them. When
+// auto-compaction is enabled (SetAutoCompact), crossing the tail
+// threshold fires a background merge into a fresh immutable generation.
 func (t *Table) AppendRows(cols ...[]float64) error {
 	if len(cols) != len(t.colName) {
 		return fmt.Errorf("store: table %q: %d columns for %d-column schema", t.name, len(cols), len(t.colName))
@@ -239,11 +229,6 @@ func (t *Table) AppendRows(cols ...[]float64) error {
 	fresh := make([][]float64, len(d.cols))
 	for i := range fresh {
 		fresh[i] = append(d.cols[i], cols[i]...)
-	}
-	for _, ix := range d.indexes {
-		if dx := ix.deltaIdx(); dx != nil {
-			dx.absorbRange(fresh, d.n, d.n+n)
-		}
 	}
 	t.data = &tableData{cols: fresh, n: d.n + n, indexes: d.indexes, dead: d.dead, loadGen: d.loadGen}
 	t.mu.Unlock()
@@ -395,18 +380,18 @@ func (t *Table) Scan(preds []Pred) (RowSet, error) {
 
 // ScanStats describes how one View.ScanRects or View.Nearest call was
 // answered, for the query layer's pruning report and the /metrics
-// counters. A probe's units are the grid cells, tree leaves and delta
-// buckets it reaches; every one is decided by the one run filter
-// (probe.run) from its zone maps (zoneMaps). Cell counts are zero on the
-// fallback (linear) path and on the all-rows and full-extent fast
-// paths, which never touch a unit at all.
+// counters. A probe's units are the grid cells and tree leaves it
+// reaches; every one is decided by the one run filter (probe.run) from
+// its zone maps (zoneMaps). Cell counts are zero on the fallback
+// (linear) path and on the all-rows and full-extent fast paths, which
+// never touch a unit at all.
 type ScanStats struct {
 	// IndexProbe is true when a spatial index (grid or tree) answered
 	// the call.
 	IndexProbe bool
 	// CellsTouched counts the units the rectangle reached: grid cells
-	// (empty ones included), tree leaves (a pruned or bulk-emitted
-	// subtree counts all its leaves), and non-empty delta buckets.
+	// (empty ones included) and tree leaves (a pruned or bulk-emitted
+	// subtree counts all its leaves).
 	CellsTouched int
 	// CellsPruned counts units discarded wholesale because their zone
 	// maps proved no row can satisfy the residual predicates.
@@ -415,13 +400,9 @@ type ScanStats struct {
 	// per-row test (geometrically covered and zone-settled).
 	CellsBulk int
 	// RowsExamined counts rows tested individually (boundary units,
-	// zone-inconclusive units, extras, and any appended tail the delta
-	// does not cover).
+	// zone-inconclusive units, extras, and the appended tail past the
+	// index).
 	RowsExamined int
-	// DeltaRows counts the rows the probe took out of delta buckets and
-	// delta extras — the appended-but-not-yet-compacted set it reached
-	// through the delta instead of a linear tail walk.
-	DeltaRows int
 	// ZonesSkipped counts predicates whose zone checks the adaptive
 	// planner skipped because that column's zones had proven useless.
 	ZonesSkipped int
@@ -438,7 +419,6 @@ func (s *ScanStats) add(o ScanStats) {
 	s.CellsPruned += o.CellsPruned
 	s.CellsBulk += o.CellsBulk
 	s.RowsExamined += o.RowsExamined
-	s.DeltaRows += o.DeltaRows
 	s.ZonesSkipped += o.ZonesSkipped
 	s.BatchedRows += o.BatchedRows
 }
@@ -747,14 +727,12 @@ type IndexStats struct {
 	// drops); against RowsExamined-style totals it gives the batched
 	// fraction of the read path.
 	BatchedRows int64
-	// DeltaRows and TailRows are point-in-time gauges summed over every
-	// live table: rows absorbed into delta indexes since the last
-	// compaction, and rows not covered by a base index at all (the two
-	// agree unless a delta saturated) — the ingest pressure operators
-	// watch before it turns into latency.
-	DeltaRows int64
-	TailRows  int64
-	// Compactions counts published delta-into-generation merges;
+	// TailRows is a point-in-time gauge summed over every live table:
+	// rows appended since the last compaction and not yet covered by a
+	// spatial index — the ingest pressure operators watch before it
+	// turns into latency.
+	TailRows int64
+	// Compactions counts published tail-into-generation merges;
 	// CompactionSeconds is the wall time they spent building off the
 	// read path (both monotonic, survive drops).
 	Compactions       int64
@@ -763,8 +741,8 @@ type IndexStats struct {
 	// table that are deleted but not yet physically reclaimed by
 	// compaction.
 	TombstonedRows int64
-	// DeletedRows counts rows ever tombstoned (DeleteWhere, TTL
-	// enforcement); ReclaimedRows counts tombstoned rows physically
+	// DeletedRows counts rows ever tombstoned by DeleteWhere;
+	// ReclaimedRows counts tombstoned rows physically
 	// dropped by compaction rewrites. Both monotonic, survive drops.
 	// DeletedRows − ReclaimedRows ≥ TombstonedRows (dropped tables take
 	// their pending tombstones with them).
@@ -787,10 +765,6 @@ type TableIngestStats struct {
 	// TailRows is the largest per-index count of rows not covered by
 	// the base index (appended since its build).
 	TailRows int64
-	// DeltaRows is the largest per-index count of appended rows the
-	// delta has absorbed; it trails TailRows only when a delta
-	// saturated.
-	DeltaRows int64
 	// LiveRows and DeadRows split Rows into the visible set and the
 	// tombstoned-awaiting-reclaim set.
 	LiveRows int64
@@ -824,7 +798,7 @@ func (s *Store) IndexStats() IndexStats {
 		if len(d.indexes) > 0 {
 			st.IndexedTables++
 		}
-		var tailRows, deltaRows int64
+		var tailRows int64
 		for _, ix := range d.indexes {
 			st.Indexes++
 			st.IndexedRows += int64(ix.rows())
@@ -832,25 +806,14 @@ func (s *Store) IndexStats() IndexStats {
 			if tail := int64(d.n - ix.rows()); tail > tailRows {
 				tailRows = tail
 			}
-			if dx := ix.deltaIdx(); dx != nil {
-				absorbed := int64(dx.coveredRows())
-				if beyond := int64(d.n - ix.rows()); absorbed > beyond {
-					// Absorbed rows past this reader's snapshot.
-					absorbed = beyond
-				}
-				if absorbed > deltaRows {
-					deltaRows = absorbed
-				}
-			}
 		}
 		dead := int64(d.deadCount())
 		st.TombstonedRows += dead
 		if len(d.indexes) > 0 {
 			st.TailRows += tailRows
-			st.DeltaRows += deltaRows
 			p99, skew := d.indexes[0].occ()
 			st.PerTable = append(st.PerTable, TableIngestStats{
-				Table: t.name, Rows: int64(d.n), TailRows: tailRows, DeltaRows: deltaRows,
+				Table: t.name, Rows: int64(d.n), TailRows: tailRows,
 				LiveRows: int64(d.n) - dead, DeadRows: dead,
 				Backend: d.indexes[0].backend(), CellOccupancyP99: p99, SkewRatio: skew,
 			})

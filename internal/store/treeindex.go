@@ -28,9 +28,8 @@ import (
 // or bulk-emitted in one step, and kNN (nearest.go) has mindist bounds to
 // order by.
 //
-// The embedded grid geometry is NOT probe geometry — it exists so the
-// delta index (delta.go) buckets appended rows identically under either
-// backend, keeping ingest behavior backend-independent.
+// The embedded grid geometry is NOT probe geometry: it is the binning
+// the occupancy statistics were measured over, kept for the snapshot.
 type treeIndex struct {
 	indexBase
 	// Layout is the packed tree over the finite rows: leaf l's run is
@@ -51,7 +50,6 @@ const treeLeafSize = 64
 // with zone maps over every column.
 func buildTreeIndex(b indexBase, cols [][]float64, cellOf []int32) *treeIndex {
 	ix := &treeIndex{indexBase: b}
-	ix.delta = newDeltaIndex(&ix.gridGeom, len(cols))
 	if ix.n == 0 {
 		return ix
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 // View is one pinned generation of a table: columns, row count, spatial
-// indexes with their deltas, and tombstones. Every read through a View
-// answers against that generation, whatever writes, deletes or
-// compactions the table publishes after View returned, so the row ids a
-// View's ScanRects selects are exactly the rows its Points and Gather
-// project, and its LiveRows is the exact count those scans draw from.
+// indexes, and tombstones. Every read through a View answers against
+// that generation, whatever writes, deletes or compactions the table
+// publishes after View returned, so the row ids a View's ScanRects
+// selects are exactly the rows its Points and Gather project, and its
+// LiveRows is the exact count those scans draw from.
 // Take one View per request. A View is a two-word value, safe for
 // concurrent use; holding it keeps its generation's storage alive.
 type View struct {
@@ -90,9 +90,10 @@ func (v View) LiveRows() int { return v.d.n - v.d.deadCount() }
 // degrades to the linear scan with the rectangle folded into the
 // predicate list. Every probe and scan runs on the calling goroutine.
 //
-// When ctx carries an obs.Trace, the index/delta probe and the per-row
-// residual work are recorded as probe and residual spans. When ctx can
-// be canceled the scan polls it between rectangles and at kernel-block,
+// When ctx carries an obs.Trace, the index probe and the per-row
+// residual work (the linear fallback, or the appended tail past the
+// index) are recorded as probe and residual spans. When ctx can be
+// canceled the scan polls it between rectangles and at kernel-block,
 // grid-row and tree-node boundaries (counter-gated, see canceler) and
 // unwinds with ctx.Err(). With neither, the nil-trace, nil-canceler
 // paths neither allocate nor read the clock.
@@ -256,31 +257,15 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 		return RowSet{}, p.st, err
 	}
 	p.extras(ix.extras())
-	// Rows appended after the index was built: the delta holds them
-	// binned under the same grid, so the probe reaches them through
-	// buckets (zone-pruned like base cells) instead of walking the tail.
-	covered := ix.rows()
-	if dx := ix.deltaIdx(); dx != nil {
-		covered = dx.collect(p, d.n)
-	}
+	sp.End()
+	// Rows appended after the index was built belong to no unit; the
+	// batch kernels filter them as one dense range.
+	sp = tr.StartSpan(obs.StageResidual)
+	p.span(ix.rows(), d.n)
 	sp.End()
 	if err := cn.cause(); err != nil {
 		return RowSet{}, p.st, err
 	}
-	// Anything past the delta watermark (pre-delta generations, id
-	// overflow) is filtered linearly with the full predicate list.
-	sp = tr.StartSpan(obs.StageResidual)
-	for row := covered; row < d.n; row++ {
-		if row&(scanBatchRows-1) == 0 && cn.stop() {
-			sp.End()
-			return RowSet{}, p.st, cn.cause()
-		}
-		p.st.RowsExamined++
-		if inRect(p.xs[row], p.ys[row], r) && matchPreds(d.cols, pi, preds, row) {
-			p.ids = append(p.ids, row)
-		}
-	}
-	sp.End()
 	st = p.st
 	t.counters.batchedRows.Add(int64(st.BatchedRows))
 	if len(preds) > 0 {
@@ -294,9 +279,9 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 			}
 		}
 	}
-	// Cells, leaves, buckets and extras emit out of row order; one sort
-	// restores it (the contract, and what the ScanRect ≡ Scan property
-	// test checks). Sorting and materializing the RowSet is O(result);
+	// Cells, leaves and extras emit out of row order; one sort restores
+	// it (the contract, and what the ScanRect ≡ Scan property test
+	// checks). Sorting and materializing the RowSet is O(result);
 	// attribute it to the probe that produced the ids. The tombstone
 	// refine pass runs once here over the final id list, so the batch
 	// kernels above never test liveness per row.

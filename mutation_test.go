@@ -56,8 +56,8 @@ func TestMutationLogGolden(t *testing.T) {
 		wantSnap = "274c777766a580676fb989e2d186b98c9adfcff05b2ec2961260e7bd96624eaf"
 	)
 	cat := vas.NewCatalog()
-	// No background compaction: it would move rows between the indexes
-	// and their deltas at times the schedule does not control.
+	// No background compaction: it would fold the appended tails into
+	// the indexes at times the schedule does not control.
 	cat.SetCompactFraction(0)
 	if err := cat.LoadTable("base", gridPoints(40, 50, 0, 0)); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestMutationLogGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 1:
-			if _, err := cat.DeleteRect("base", randRect()); err != nil {
+			if _, err := cat.DeleteWhere("base", rectPreds(randRect())); err != nil {
 				t.Fatal(err)
 			}
 		case 2:

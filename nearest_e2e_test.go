@@ -28,8 +28,8 @@ func TestNearestServesByteIdenticalAcrossSnapshotRestart(t *testing.T) {
 	if err := orig.BuildSamples("gps", d.Points, snapBuildSizes, true, snapBuildOpts()); err != nil {
 		t.Fatal(err)
 	}
-	// Mutate past the bulk load so the tree answers through its delta and
-	// tombstones too: appended points near the data center, then a small
+	// Mutate past the bulk load so the tree answers through its appended
+	// tail and tombstones too: appended points near the data center, then a small
 	// rect delete.
 	c := d.Bounds().Center()
 	if err := orig.Append("gps", []vas.Point{
@@ -37,9 +37,9 @@ func TestNearestServesByteIdenticalAcrossSnapshotRestart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := orig.DeleteRect("gps", vas.Rect{
+	if _, err := orig.DeleteWhere("gps", rectPreds(vas.Rect{
 		MinX: c.X + 0.01, MinY: c.Y + 0.01, MaxX: c.X + 0.02, MaxY: c.Y + 0.02,
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 

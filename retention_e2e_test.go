@@ -10,13 +10,13 @@ package vas_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 
@@ -43,12 +43,12 @@ func TestRetentionSnapshotReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Catalog-API delete: takes 1000 and 1001.
-	n, err := cat.DeleteRect("gps", vas.Rect{MinX: 999.5, MinY: 999.5, MaxX: 1001.5, MaxY: 1001.5})
+	n, err := cat.DeleteWhere("gps", rectPreds(vas.Rect{MinX: 999.5, MinY: 999.5, MaxX: 1001.5, MaxY: 1001.5}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
-		t.Fatalf("DeleteRect removed %d rows, want 2", n)
+		t.Fatalf("DeleteWhere removed %d rows, want 2", n)
 	}
 	// HTTP delete: takes 1003.
 	srv := httptest.NewServer(cat.Handler())
@@ -112,23 +112,27 @@ func TestRetentionSnapshotReplay(t *testing.T) {
 	}
 
 	// Union queries answer the same against the restored catalog: two
-	// disjoint viewports pinned against their single-viewport answers.
+	// disjoint viewports, as repeated rect parameters of an exact
+	// /v1/query, pinned against their single-viewport answers.
+	rsrv := httptest.NewServer(restored.Handler())
+	defer rsrv.Close()
+	count := func(rects ...vas.Rect) int {
+		url := rsrv.URL + "/v1/query?table=gps&exact=true"
+		for _, r := range rects {
+			url += fmt.Sprintf("&rect=%g:%g:%g:%g", r.MinX, r.MinY, r.MaxX, r.MaxY)
+		}
+		var q struct {
+			Points [][2]float64 `json:"points"`
+		}
+		if resp := getJSON(t, url, &q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", url, resp.StatusCode)
+		}
+		return len(q.Points)
+	}
 	r1 := vas.Rect{MinX: 999, MinY: 999, MaxX: 1002.5, MaxY: 1002.5}
 	r2 := vas.Rect{MinX: 1003.5, MinY: 1003.5, MaxX: 1006, MaxY: 1006}
-	u, err := restored.QueryRects("gps", []vas.Rect{r1, r2}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := restored.QueryRects("gps", []vas.Rect{r1}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := restored.QueryRects("gps", []vas.Rect{r2}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(u.Points) != len(a.Points)+len(b.Points) {
-		t.Fatalf("union = %d points, singles = %d + %d", len(u.Points), len(a.Points), len(b.Points))
+	if u, a, b := count(r1, r2), count(r1), count(r2); u != a+b || a != 2 || b != 1 {
+		t.Fatalf("union = %d points, singles = %d + %d, want 2 + 1", u, a, b)
 	}
 
 	// A full save folds tombstones and appends into the base file and
@@ -177,7 +181,7 @@ func TestDeleteDurabilityDegradation(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, vas.TailFile, "block"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := cat.DeleteRect("gps", vas.Rect{MinX: 999, MinY: 999, MaxX: 1001, MaxY: 1001})
+	n, err := cat.DeleteWhere("gps", rectPreds(vas.Rect{MinX: 999, MinY: 999, MaxX: 1001, MaxY: 1001}))
 	if err == nil {
 		t.Fatal("delete with a broken tail log reported durable success")
 	}
@@ -197,29 +201,16 @@ func TestDeleteDurabilityDegradation(t *testing.T) {
 	}
 	// A delete that matches nothing must NOT touch the broken log (a
 	// no-op is not worth a durability error).
-	if _, err := cat.DeleteRect("gps", vas.Rect{MinX: 5000, MinY: 5000, MaxX: 5001, MaxY: 5001}); err != nil {
+	if _, err := cat.DeleteWhere("gps", rectPreds(vas.Rect{MinX: 5000, MinY: 5000, MaxX: 5001, MaxY: 5001})); err != nil {
 		t.Fatalf("no-op delete reported an error: %v", err)
 	}
 }
 
-// TestCatalogTTLValidation covers the catalog-level TTL surface; the
-// sweep mechanics are pinned in the store tests (TestTTLCompaction).
-func TestCatalogTTLValidation(t *testing.T) {
-	d := dataset.GeolifeLike(dataset.GeolifeOptions{N: 500, Seed: 37})
-	cat := vas.NewCatalog()
-	if err := cat.LoadTable("gps", d.Points); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.SetTTL("ghost", "x", time.Hour); err == nil {
-		t.Fatal("TTL on a missing table was accepted")
-	}
-	if err := cat.SetTTL("gps", "ghost", time.Hour); err == nil {
-		t.Fatal("TTL on a missing column was accepted")
-	}
-	if err := cat.SetTTL("gps", "x", time.Hour); err != nil {
-		t.Fatalf("valid TTL rejected: %v", err)
-	}
-	if err := cat.SetTTL("gps", "x", 0); err != nil {
-		t.Fatalf("clearing the TTL rejected: %v", err)
+// rectPreds spells the rectangle r as the x and y range predicates a
+// rectangle delete takes.
+func rectPreds(r vas.Rect) []vas.Pred {
+	return []vas.Pred{
+		{Column: "x", Min: r.MinX, Max: r.MaxX},
+		{Column: "y", Min: r.MinY, Max: r.MaxY},
 	}
 }

@@ -96,7 +96,7 @@ func runTortureSchedule(t *testing.T, c *vas.Catalog, dir string) int {
 		case "append":
 			err = c.Append("gps", op.pts)
 		case "delete":
-			_, err = c.DeleteRect("gps", op.rect)
+			_, err = c.DeleteWhere("gps", rectPreds(op.rect))
 		case "save":
 			err = c.SaveSnapshot(dir)
 		}

@@ -390,7 +390,7 @@ type Catalog struct {
 
 // DefaultCompactFraction is the auto-compaction threshold applied to
 // base tables the catalog loads: a background compaction fires when a
-// table's delta exceeds this fraction of its indexed rows.
+// table's appended tail exceeds this fraction of its indexed rows.
 const DefaultCompactFraction = 0.10
 
 // NewCatalog returns an empty catalog using the paper's Tableau latency
@@ -409,7 +409,8 @@ func NewCatalog() *Catalog {
 
 // SetCompactFraction overrides the auto-compaction threshold applied to
 // tables loaded AFTER the call (LoadTable, LoadSnapshot): a table whose
-// delta exceeds frac of its indexed rows compacts in the background.
+// appended tail exceeds frac of its indexed rows compacts in the
+// background.
 // frac <= 0 disables automatic compaction.
 func (c *Catalog) SetCompactFraction(frac float64) {
 	c.snapMu.Lock()
@@ -564,10 +565,10 @@ func (c *Catalog) RegisterSample(table string, s *Sample, counts []int64) error 
 }
 
 // Append adds a batch of points to a base table while it serves: the
-// rows are absorbed into the table's delta index in the same critical
-// section they become visible in (scans stay at indexed speed; crossing
-// the compaction threshold folds them into a fresh immutable generation
-// in the background), the batch is recorded in the snapshot tail log
+// rows become visible at once as the table's appended tail, which scans
+// filter through the batch kernels (crossing the compaction threshold
+// folds them into a fresh immutable generation in the background), the
+// batch is recorded in the snapshot tail log
 // when the catalog is bound to a snapshot directory (a restart replays
 // it — no rebuild), and the table's cached tiles are invalidated.
 //
@@ -583,53 +584,22 @@ func (c *Catalog) Append(table string, pts []Point) error {
 	return err
 }
 
-// DeleteRect tombstones every base-table row whose (x, y) lies inside r
-// (the zero Rect deletes every row, matching scan conventions) and
+// DeleteWhere tombstones every base-table row matching all predicates
+// (conjunctive range semantics; an empty list deletes every row) and
 // returns how many rows were newly deleted. Deleted rows vanish from
 // every subsequent query and tile atomically; the physical space is
-// reclaimed by the table's next background compaction. The predicate is
-// recorded in the snapshot tail log when the catalog is bound to a
-// snapshot directory, so a restart replays it in order with the appends
-// around it. Samples are not refreshed by a delete: like Append, the
-// pre-built samples keep representing the distribution they were built
-// from until the next BuildSamples.
-func (c *Catalog) DeleteRect(table string, r Rect) (int, error) {
-	if r == (Rect{}) {
-		return c.DeleteWhere(table, nil)
-	}
-	return c.DeleteWhere(table, []Pred{
-		{Column: "x", Min: r.MinX, Max: r.MaxX},
-		{Column: "y", Min: r.MinY, Max: r.MaxY},
-	})
-}
-
-// DeleteWhere tombstones every base-table row matching all predicates
-// (conjunctive range semantics; an empty list deletes every row). See
-// DeleteRect for visibility, durability, and sample-staleness notes.
+// reclaimed by the table's next background compaction. The predicates
+// are recorded in the snapshot tail log when the catalog is bound to a
+// snapshot directory, so a restart replays them in order with the
+// appends around them. Samples are not refreshed by a delete: like
+// Append, the pre-built samples keep representing the distribution they
+// were built from until the next BuildSamples.
 func (c *Catalog) DeleteWhere(table string, preds []Pred) (int, error) {
 	tp := make([]snapshot.TailPred, len(preds))
 	for i, p := range preds {
 		tp[i] = snapshot.TailPred{Col: p.Column, Min: p.Min, Max: p.Max}
 	}
 	return c.apply(mutation{Table: table, Delete: true, Preds: tp})
-}
-
-// SetTTL installs a sliding-window retention policy on a base table:
-// rows whose value in col (float64 Unix seconds) is at least maxAge old
-// are tombstoned — and eventually physically dropped — by the table's
-// background compactions. A non-positive maxAge clears the policy.
-//
-// The policy itself is in-memory configuration, not snapshot state:
-// re-apply it after LoadSnapshot (as cmd/vasserve does from its flags).
-// Rows a TTL sweep tombstones are not tail-logged individually; they
-// are captured by the next full save, and any sweep lost to a crash is
-// simply re-run by the first compaction after the policy is re-applied.
-func (c *Catalog) SetTTL(table, col string, maxAge time.Duration) error {
-	t, err := c.st.Table(table)
-	if err != nil {
-		return err
-	}
-	return t.SetTTL(col, maxAge)
 }
 
 // buildSpec canonicalizes the arguments of BuildSamples into the
@@ -777,30 +747,6 @@ func (c *Catalog) QueryFiltered(table string, viewport Rect, filters []Pred, bud
 	resp, err := c.planner.Plan(query.Request{
 		Table: table, XCol: "x", YCol: "y",
 		Viewport: viewport, Filters: filters, Budget: budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{
-		Points:        resp.Points,
-		Counts:        resp.Values,
-		SampleSize:    resp.Sample.Size,
-		PredictedTime: resp.PredictedTime,
-		Scan:          resp.Scan,
-	}, nil
-}
-
-// QueryRects answers one visualization request over the union of
-// several viewports — the multi-monitor / comparison-dashboard shape,
-// where two or more zoomed regions of the same table render in one
-// round trip. Each rectangle is probed separately against the served
-// table and the row sets are unioned, so a point inside two overlapping
-// rectangles is returned once. Filters apply to every rectangle. An
-// empty rects slice means the full extent.
-func (c *Catalog) QueryRects(table string, rects []Rect, filters []Pred, budget time.Duration) (*QueryResult, error) {
-	resp, err := c.planner.Plan(query.Request{
-		Table: table, XCol: "x", YCol: "y",
-		Rects: rects, Filters: filters, Budget: budget,
 	})
 	if err != nil {
 		return nil, err
