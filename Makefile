@@ -52,7 +52,8 @@ obs-smoke:
 # (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
 # zero-allocation contract of the selection kernels and of an
 # Interchange offer, and the allocation ceiling of one filtered probe on
-# the grid, the tree and an appended tail; it also runs the probe
+# the grid, the tree, an appended tail and the linear scan of an
+# unindexed pair; it also runs the probe
 # golden at GOMAXPROCS 1 and 4, so answers and scan stats cannot come
 # to depend on the CPU count.
 fuzz-smoke:

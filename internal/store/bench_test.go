@@ -55,17 +55,25 @@ func benchTable(b *testing.B, n int, indexed bool) *Table {
 
 // BenchmarkQueryViewportIndexed is the refactored serving hot path: a 1%
 // viewport over a 1M-row table answered as a grid-index probe, then
-// projected to points.
-func BenchmarkQueryViewportIndexed(b *testing.B) {
-	tb := benchTable(b, benchRows, true)
+// projected to points from the same view.
+func BenchmarkQueryViewportIndexed(b *testing.B) { benchQueryViewport(b, true) }
+
+// BenchmarkQueryViewportLinear is the pre-index baseline: the same
+// viewport over an unindexed pair, which ScanRects answers with the
+// linear scan over every row, then projected to points.
+func BenchmarkQueryViewportLinear(b *testing.B) { benchQueryViewport(b, false) }
+
+func benchQueryViewport(b *testing.B, indexed bool) {
+	tb := benchTable(b, benchRows, indexed)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{benchViewport}, nil)
+		v := tb.View()
+		rows, _, err := v.ScanRects(context.Background(), "x", "y", []geom.Rect{benchViewport}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pts, err := tb.Points("x", "y", rows)
+		pts, err := v.Points("x", "y", rows)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,32 +83,10 @@ func BenchmarkQueryViewportIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryViewportLinear is the pre-refactor baseline: the same
-// viewport answered by a sequential full-table predicate scan that
-// materializes row ids by appending, exactly what the old
-// Table.Scan + Points path did.
-func BenchmarkQueryViewportLinear(b *testing.B) {
-	tb := benchTable(b, benchRows, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := tb.snapshot()
-		cols := [][]float64{d.cols[0], d.cols[1]}
-		rows := rowSetFromSorted(scanRange(cols, benchPreds, 0, d.n, nil, nil))
-		pts, err := tb.Points("x", "y", rows)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("empty viewport result")
-		}
-	}
-}
-
-// BenchmarkExactScan measures Table.Scan, the linear predicate scan
-// unindexed column pairs fall back to: the 1% viewport's two range
-// predicates over all 1M rows, through the batch kernels on the calling
-// goroutine.
+// BenchmarkExactScan measures Table.Scan: the 1% viewport's two range
+// predicates over all 1M rows, one probe.span over [0, n) through the
+// batch kernels on the calling goroutine — the same dense-range filter
+// an unindexed pair's ScanRects runs.
 func BenchmarkExactScan(b *testing.B) {
 	tb := benchTable(b, benchRows, false)
 	b.ReportAllocs()
@@ -337,7 +323,7 @@ func benchResidualShapes(b *testing.B, tb *Table) {
 
 // BenchmarkScanLinearFiltered is the baseline the ≥3× acceptance
 // criterion compares against: the same viewport+filter conjunctions
-// answered by Table.Scan, the linear predicate scan.
+// answered by Table.Scan, one probe.span over every row.
 func BenchmarkScanLinearFiltered(b *testing.B) {
 	tb := benchFilteredTable(b)
 	for _, name := range []string{"preds=0", "preds=1", "preds=3"} {

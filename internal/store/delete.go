@@ -36,26 +36,9 @@ func (t *Table) DeleteWhere(preds []Pred) (int, error) {
 		}
 		pi[i] = ci
 	}
-	preds = normalizePreds(preds)
 	for attempt := 0; ; attempt++ {
 		d := t.snapshot()
-		if d.n == 0 {
-			return 0, nil
-		}
-		var ids []int
-		if len(preds) == 0 {
-			ids = make([]int, d.n)
-			for i := range ids {
-				ids[i] = i
-			}
-		} else {
-			cols := make([][]float64, len(preds))
-			for i, ci := range pi {
-				cols[i] = d.cols[ci]
-			}
-			ids = scanRange(cols, preds, 0, d.n, nil, nil)
-		}
-		ids = filterDeadInts(ids, d.dead)
+		ids := d.scan(preds, pi)
 		if len(ids) == 0 {
 			return 0, nil
 		}

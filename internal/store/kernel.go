@@ -4,12 +4,13 @@ package store
 // loop on the read path (the proximity-function package formerly named
 // internal/kernel now lives at internal/proximity).
 //
-// The scalar row loops this file replaces (matchPreds / scanRangeScalar)
-// evaluate every predicate for one row before moving to the next: each
-// comparison is a conditional branch whose outcome is data-dependent, so
-// at mid selectivities the CPU mispredicts constantly, and every row
-// pays the full interpretation overhead (slice headers, predicate
-// loop) even when the first predicate already failed.
+// The scalar row loops the kernels replace (matchPreds, inRect, and
+// probe.span's scalar reference mode) evaluate every predicate for one
+// row before moving to the next: each comparison is a conditional
+// branch whose outcome is data-dependent, so at mid selectivities the
+// CPU mispredicts constantly, and every row pays the full
+// interpretation overhead (slice headers, predicate loop) even when the
+// first predicate already failed.
 //
 // The batch kernels invert the loop: one predicate is evaluated over a
 // contiguous stride of one column at a time, writing survivors into a
@@ -39,9 +40,10 @@ const (
 	// scalar per-row loop: a handful of rows costs less to test inline
 	// than to route through selection buffers.
 	kernelMinRows = 16
-	// scanBatchRows is the linear scan's block size: one selection
-	// buffer of this many int32 ids (16 KiB) stays cache-resident while
-	// every predicate column streams through it.
+	// scanBatchRows is probe.span's block size on a long range (the
+	// linear scan, a large appended tail): one selection buffer of this
+	// many int32 ids (16 KiB) stays cache-resident while every predicate
+	// column streams through it.
 	scanBatchRows = 4096
 )
 
@@ -70,20 +72,6 @@ func selRange(dst []int32, col []float64, lo int32, min, max float64) int {
 		v := col[i]
 		dst[k] = lo + int32(i)
 		k += int(b2i(!(v < min)) & b2i(!(v > max)))
-	}
-	return k
-}
-
-// selRectRange is selRange fused over both coordinate columns: one pass
-// computes the full rectangle test for the linear fallback scan. xs and
-// ys are parallel pre-cut windows; ids are lo+i.
-func selRectRange(dst []int32, xs, ys []float64, lo int32, r geom.Rect) int {
-	k := 0
-	for i, x := range xs {
-		y := ys[i]
-		dst[k] = lo + int32(i)
-		k += int(b2i(!(x < r.MinX)) & b2i(!(x > r.MaxX)) &
-			b2i(!(y < r.MinY)) & b2i(!(y > r.MaxY)))
 	}
 	return k
 }
@@ -149,24 +137,6 @@ func selRefine(sel []int32, col []float64, min, max float64) int {
 	return k
 }
 
-// selRectRefine compacts sel in place with the fused rectangle test.
-func selRectRefine(sel []int32, xs, ys []float64, r geom.Rect) int {
-	k, i := 0, 0
-	if useSelAsm && len(sel) >= 8 {
-		n4 := len(sel) &^ 3
-		k = selRectGatherAsm(sel, sel[:n4], xs, ys, r)
-		i = n4
-	}
-	for ; i < len(sel); i++ {
-		id := sel[i]
-		x, y := xs[id], ys[id]
-		sel[k] = id
-		k += int(b2i(!(x < r.MinX)) & b2i(!(x > r.MaxX)) &
-			b2i(!(y < r.MinY)) & b2i(!(y > r.MaxY)))
-	}
-	return k
-}
-
 // filterDeadInts is the tombstone-aware refine pass: it compacts ids in
 // place to the rows not set in dead, with the same compare-and-compact
 // idiom as the selection kernels (the keep increment is a flag
@@ -224,23 +194,4 @@ func gatherVals(dst []float64, ids []int, col []float64) {
 	for i, id := range ids {
 		dst[i] = col[id]
 	}
-}
-
-// scanRangeScalar is the scalar reference kernel the batch layer is
-// verified against (and the pre-batching implementation of the linear
-// scan): it appends the rows of [lo, hi) matching every predicate to
-// out, short-circuiting on the first failing predicate. cols is
-// parallel to preds.
-func scanRangeScalar(cols [][]float64, preds []Pred, lo, hi int, out []int) []int {
-rows:
-	for r := lo; r < hi; r++ {
-		for i, p := range preds {
-			v := cols[i][r]
-			if v < p.Min || v > p.Max {
-				continue rows
-			}
-		}
-		out = append(out, r)
-	}
-	return out
 }

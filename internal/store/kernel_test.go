@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -16,16 +17,6 @@ func scalarSelect(col []float64, lo int32, min, max float64) []int32 {
 	var want []int32
 	for i, v := range col {
 		if !(v < min || v > max) {
-			want = append(want, lo+int32(i))
-		}
-	}
-	return want
-}
-
-func scalarRectSelect(xs, ys []float64, lo int32, r geom.Rect) []int32 {
-	var want []int32
-	for i := range xs {
-		if inRect(xs[i], ys[i], r) {
 			want = append(want, lo+int32(i))
 		}
 	}
@@ -95,22 +86,12 @@ func TestKernelMatchesScalar(t *testing.T) {
 		if !equalSel(got[:n2], want2) {
 			t.Fatalf("trial %d: selRefine = %v, scalar %v", trial, got[:n2], want2)
 		}
-
-		// Fused rect kernels against the shared inRect form. col/col2
-		// double as coordinate columns here.
-		r := geom.Rect{MinX: 100, MinY: 200, MaxX: 800, MaxY: 900}
-		gotR := dst[:selRectRange(dst, col, col2, lo, r)]
-		wantR := scalarRectSelect(col, col2, lo, r)
-		if !equalSel(gotR, wantR) {
-			t.Fatalf("trial %d: selRectRange = %v, scalar %v", trial, gotR, wantR)
-		}
 	}
 }
 
 // TestKernelGatherMatchesScalar covers the id-run seeded kernels
-// (selGather / selRectGather / selRectRefine) — the cell-run and
-// boundary-ring forms — including runs that index into the middle of a
-// larger column.
+// (selGather / selRectGather) — the cell-run and boundary-ring forms —
+// including runs that index into the middle of a larger column.
 func TestKernelGatherMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 200; trial++ {
@@ -148,31 +129,34 @@ func TestKernelGatherMatchesScalar(t *testing.T) {
 		if !equalSel(dst[:k], want) {
 			t.Fatalf("trial %d: selRectGather = %v, scalar %v", trial, dst[:k], want)
 		}
-		k2 := selRectRefine(dst[:k], xs, ys, geom.Rect{MinX: 100, MinY: 150, MaxX: 700, MaxY: 500})
-		var want2 []int32
-		for _, id := range want {
-			if inRect(xs[id], ys[id], geom.Rect{MinX: 100, MinY: 150, MaxX: 700, MaxY: 500}) {
-				want2 = append(want2, id)
-			}
-		}
-		if !equalSel(dst[:k2], want2) {
-			t.Fatalf("trial %d: selRectRefine = %v, scalar %v", trial, dst[:k2], want2)
-		}
 	}
 }
 
-// TestScanRangeMatchesScalar pins the batched linear-scan kernel to the
-// scalar reference over multi-predicate scans, unaligned [lo, hi)
-// windows (including windows that straddle batch boundaries), and empty
+// TestScanRangeMatchesScalar pins probe.span, the one dense-range filter
+// (the linear scan and the appended tail), to the scalar oracle: zero to
+// three predicates, an unbounded, a half-bounded and a bounded
+// rectangle, both kernel modes, and unaligned [lo, hi) windows —
+// including windows that straddle a scanBatchRows block — and empty
 // ranges.
 func TestScanRangeMatchesScalar(t *testing.T) {
+	defer func() { forceScalarKernels = false }()
 	rng := rand.New(rand.NewSource(13))
 	n := 3*scanBatchRows + 137
-	cols := [][]float64{lace(rng, n, 1000), lace(rng, n, 1000), lace(rng, n, 1000)}
+	// x, y, then the predicate columns a, b, c.
+	cols := make([][]float64, 5)
+	for i := range cols {
+		cols[i] = lace(rng, n, 1000)
+	}
 	preds := []Pred{
 		{Column: "a", Min: 100, Max: 900},
 		{Column: "b", Min: 250, Max: 750},
 		{Column: "c", Min: 400, Max: 600},
+	}
+	pi := []int{2, 3, 4}
+	rects := []geom.Rect{
+		unboundedRect,
+		{MinX: 150, MinY: math.Inf(-1), MaxX: 850, MaxY: math.Inf(1)},
+		{MinX: 150, MinY: 50, MaxX: 850, MaxY: 700},
 	}
 	windows := [][2]int{
 		{0, n}, {0, 0}, {5, 5}, {3, 17}, // empty and tiny (scalar path)
@@ -180,55 +164,81 @@ func TestScanRangeMatchesScalar(t *testing.T) {
 		{117, 2*scanBatchRows + 31},
 		{n - 1, n},
 	}
-	for _, w := range windows {
-		for np := 0; np <= len(preds); np++ {
-			got := scanRange(cols[:max(np, 1)], preds[:np], w[0], w[1], nil, nil)
-			var want []int
-			if np == 0 {
-				for r := w[0]; r < w[1]; r++ {
-					want = append(want, r)
-				}
-			} else {
-				want = scanRangeScalar(cols[:np], preds[:np], w[0], w[1], nil)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("window %v preds=%d: batched %d rows, scalar %d", w, np, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("window %v preds=%d row %d: batched %d, scalar %d", w, np, i, got[i], want[i])
+	for _, scalar := range []bool{false, true} {
+		forceScalarKernels = scalar
+		for _, r := range rects {
+			for np := 0; np <= len(preds); np++ {
+				// The oracle tests both axes whatever their bounds: ±Inf
+				// bounds match every value, NaN included.
+				oracle := append([]Pred{{Min: r.MinX, Max: r.MaxX}, {Min: r.MinY, Max: r.MaxY}}, preds[:np]...)
+				for _, w := range windows {
+					p := newProbe(cols, cols[0], cols[1], r, preds[:np], pi[:np], nil, nil)
+					p.span(w[0], w[1])
+					want := scanRangeScalar(cols[:2+np], oracle, w[0], w[1], nil)
+					if !slices.Equal(p.ids, want) {
+						t.Fatalf("scalar=%v rect %v preds=%d window %v: span %d rows, oracle %d",
+							scalar, r, np, w, len(p.ids), len(want))
+					}
+					if p.st.RowsExamined != w[1]-w[0] || p.st.BatchedRows > p.st.RowsExamined {
+						t.Fatalf("scalar=%v rect %v preds=%d window %v: %+v", scalar, r, np, w, p.st)
+					}
 				}
 			}
 		}
 	}
 }
 
+// scanRangeScalar is the scalar oracle the dense-range filter is checked
+// against: it appends the rows of [lo, hi) matching every predicate to
+// out, short-circuiting on the first failing predicate. cols is parallel
+// to preds.
+func scanRangeScalar(cols [][]float64, preds []Pred, lo, hi int, out []int) []int {
+rows:
+	for r := lo; r < hi; r++ {
+		for i, p := range preds {
+			v := cols[i][r]
+			if v < p.Min || v > p.Max {
+				continue rows
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // TestScanBatchedMatchesScalarEndToEnd runs whole filtered scans (index
-// probe + appended tail + extras) twice — once through the batch
-// kernels, once with forceScalarKernels — over a dirty table and
-// requires identical row sets. This is the macro form of the kernel ≡ scalar property.
+// probe + appended tail + extras, and the unindexed pair's linear scan)
+// and a delete twice — once through the batch kernels, once with
+// forceScalarKernels — over a dirty table and requires identical row
+// sets and delete counts. This is the macro form of the kernel ≡ scalar
+// property.
 func TestScanBatchedMatchesScalarEndToEnd(t *testing.T) {
+	defer func() { forceScalarKernels = false }()
 	rng := rand.New(rand.NewSource(16))
 	const n = 20_000
 	xs := lace(rng, n, 1000)
 	ys := lace(rng, n, 1000)
 	ms := lace(rng, n, 1000)
 	cs := lace(rng, n, 1000)
-	tb, err := NewTable("t", "x", "y", "m", "c")
-	if err != nil {
-		t.Fatal(err)
+	build := func() *Table {
+		tb, err := NewTable("t", "x", "y", "m", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const split = 15_000
+		if err := tb.AppendRows(xs[:split], ys[:split], ms[:split], cs[:split]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.IndexOn("x", "y"); err != nil {
+			t.Fatal(err)
+		}
+		// The tail lands past the index, so the tail kernels run too.
+		if err := tb.AppendRows(xs[split:], ys[split:], ms[split:], cs[split:]); err != nil {
+			t.Fatal(err)
+		}
+		return tb
 	}
-	const split = 15_000
-	if err := tb.AppendRows(xs[:split], ys[:split], ms[:split], cs[:split]); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.IndexOn("x", "y"); err != nil {
-		t.Fatal(err)
-	}
-	// The tail lands past the index, so the tail kernels run too.
-	if err := tb.AppendRows(xs[split:], ys[split:], ms[split:], cs[split:]); err != nil {
-		t.Fatal(err)
-	}
+	tb := build()
 	rects := []geom.Rect{
 		{MinX: 100, MinY: 100, MaxX: 900, MaxY: 900},
 		{MinX: 480, MinY: 480, MaxX: 520, MaxY: 520},
@@ -239,28 +249,38 @@ func TestScanBatchedMatchesScalarEndToEnd(t *testing.T) {
 		{{Column: "m", Min: 200, Max: 800}},
 		{{Column: "m", Min: 200, Max: 800}, {Column: "c", Min: 100, Max: 600}},
 	}
-	for _, r := range rects {
-		for _, preds := range predSets {
-			batch, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			forceScalarKernels = true
-			scalar, _, err := tb.View().ScanRects(context.Background(), "x", "y", []geom.Rect{r}, preds)
-			forceScalarKernels = false
-			if err != nil {
-				t.Fatal(err)
-			}
-			bIdx, sIdx := batch.Indices(), scalar.Indices()
-			if len(bIdx) != len(sIdx) {
-				t.Fatalf("rect %v preds %v: batch %d rows, scalar %d", r, preds, len(bIdx), len(sIdx))
-			}
-			for i := range bIdx {
-				if bIdx[i] != sIdx[i] {
-					t.Fatalf("rect %v preds %v: row %d diverges (batch %d, scalar %d)", r, preds, i, bIdx[i], sIdx[i])
+	// (x, y) is the index probe; (y, x) has no index, so it takes the
+	// linear scan over every row.
+	for _, pair := range [][2]string{{"x", "y"}, {"y", "x"}} {
+		for _, r := range rects {
+			for _, preds := range predSets {
+				batch, _, err := tb.View().ScanRects(context.Background(), pair[0], pair[1], []geom.Rect{r}, preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				forceScalarKernels = true
+				scalar, _, err := tb.View().ScanRects(context.Background(), pair[0], pair[1], []geom.Rect{r}, preds)
+				forceScalarKernels = false
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bIdx, sIdx := batch.Indices(), scalar.Indices(); !slices.Equal(bIdx, sIdx) {
+					t.Fatalf("pair %v rect %v preds %v: batch %d rows, scalar %d", pair, r, preds, len(bIdx), len(sIdx))
 				}
 			}
 		}
+	}
+	// A delete scans every row too; both modes delete the same count.
+	var deleted [2]int
+	for i, scalar := range []bool{false, true} {
+		forceScalarKernels = scalar
+		var err error
+		if deleted[i], err = build().DeleteWhere(predSets[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deleted[0] != deleted[1] || deleted[0] == 0 {
+		t.Fatalf("DeleteWhere: batch deleted %d rows, scalar %d", deleted[0], deleted[1])
 	}
 }
 
@@ -304,14 +324,6 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if !equalSel(got, want) {
 			t.Fatalf("selRange(%v, [%g,%g]) = %v, scalar %v", col, min, max, got, want)
 		}
-		// The same column as both coordinates exercises the fused kernel
-		// with correlated NaN patterns.
-		r := geom.Rect{MinX: min, MinY: min, MaxX: max, MaxY: max}
-		gotR := dst[:selRectRange(dst, col, col, lo, r)]
-		wantR := scalarRectSelect(col, col, lo, r)
-		if !equalSel(gotR, wantR) {
-			t.Fatalf("selRectRange(%v, %v) = %v, scalar %v", col, r, gotR, wantR)
-		}
 		// Refine the full id set through the gather kernel.
 		ids := make([]int32, n)
 		for i := range ids {
@@ -354,16 +366,11 @@ func TestKernelZeroAlloc(t *testing.T) {
 	r := geom.Rect{MinX: 100, MinY: 100, MaxX: 900, MaxY: 900}
 	cases := map[string]func(){
 		"selRange":      func() { selRange(dst, xs, 0, 200, 800) },
-		"selRectRange":  func() { selRectRange(dst, xs, ys, 0, r) },
 		"selGather":     func() { selGather(dst, ids, xs, 200, 800) },
 		"selRectGather": func() { selRectGather(dst, ids, xs, ys, r) },
 		"selRefine": func() {
 			k := selGather(dst, ids, xs, -1e308, 1e308)
 			selRefine(dst[:k], ys, 200, 800)
-		},
-		"selRectRefine": func() {
-			k := selGather(dst, ids, xs, -1e308, 1e308)
-			selRectRefine(dst[:k], xs, ys, r)
 		},
 		"appendSel": func() { appendSel(out, ids) },
 		"gatherPointsDense": func() {
@@ -405,7 +412,10 @@ func BenchmarkKernelSelect(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out = scanRange(cols, preds, 0, n, out[:0], nil)
+			p := newProbe(cols, nil, nil, unboundedRect, preds, []int{0, 1, 2}, nil, nil)
+			p.ids = out[:0]
+			p.span(0, n)
+			out = p.ids
 		}
 		if len(out) == 0 {
 			b.Fatal("no rows selected")

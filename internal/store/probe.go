@@ -16,6 +16,8 @@ import (
 // kernels. Rows with a non-finite coordinate belong to no unit and go
 // through probe.extras; rows appended after the index was built belong
 // to no unit either, and probe.span filters them as one dense range.
+// probe.span is also the whole of the linear scan: a probe over [0, n)
+// that no index serves.
 
 // zoneMaps summarise the rows of each unit per column: min and max over
 // the non-NaN values and whether a NaN is present, laid out flat as
@@ -133,10 +135,12 @@ type probe struct {
 	selBuf   [tailBlockRows]int32
 }
 
-// tailBlockRows sizes the probe's selection buffer and with it
-// probe.span's block: 1 024 ids (4 KiB) amortize the per-block kernel
-// calls over an appended tail while the buffer stays inside the probe
-// value, so a probe allocates no more for a tail than without one.
+// tailBlockRows sizes the probe's inline selection buffer and with it
+// probe.span's block on a range shorter than scanBatchRows: 1 024 ids
+// (4 KiB) amortize the per-block kernel calls over a short appended tail
+// while the buffer stays inside the probe value, so a probe allocates no
+// more for such a tail than without one. A longer range grows the
+// buffer to scanBatchRows once.
 const tailBlockRows = 1024
 
 func newProbe(cols [][]float64, xs, ys []float64, r geom.Rect, preds []Pred, pi []int, skip []bool, cn *canceler) *probe {
@@ -258,39 +262,82 @@ func (p *probe) extras(ids []int32) {
 }
 
 // span filters the dense row range [lo, hi) — the rows appended past the
-// index's build watermark — with the rectangle test and every predicate,
-// one selection-buffer block at a time: the x column's stride seeds the
-// block, then y and each predicate refine it in place. It polls the
-// canceler once per block; a canceled span stops with a partial id set.
-// Short ranges, the scalar reference mode and ids past the int32
-// selection domain take the scalar per-row loop instead.
+// index's build watermark, or the whole table on a linear scan — with the
+// rectangle test and every predicate. An axis or predicate whose bounds
+// are both infinite matches every value, NaN included, so it costs no
+// column pass; the first remaining column seeds each selection-buffer
+// block and the rest refine it in place, and a block with nothing left to
+// test is emitted whole. Ids come out ascending. The buffer grows to
+// scanBatchRows rows for a range that long; the canceler is polled once
+// per block, and a canceled span stops with a partial id set. Short
+// ranges, the scalar reference mode and ids past the int32 selection
+// domain take the scalar per-row loop instead.
 func (p *probe) span(lo, hi int) {
 	p.st.RowsExamined += hi - lo
+	var buf [6]spanPass
+	passes := p.passes(buf[:0])
 	if forceScalarKernels || hi-lo < kernelMinRows || hi > math.MaxInt32 {
+	rows:
 		for row := lo; row < hi; row++ {
 			if row&(scanBatchRows-1) == 0 && p.cn.stop() {
 				return
 			}
-			if inRect(p.xs[row], p.ys[row], p.r) && matchPreds(p.cols, p.pi, p.preds, row) {
-				p.ids = append(p.ids, row)
+			for _, c := range passes {
+				if v := c.col[row]; v < c.min || v > c.max {
+					continue rows
+				}
 			}
+			p.ids = append(p.ids, row)
 		}
 		return
 	}
 	p.st.BatchedRows += hi - lo
-	for b := lo; b < hi; b += len(p.sel) {
+	if hi-lo >= scanBatchRows && len(p.sel) < scanBatchRows {
+		p.sel = make([]int32, scanBatchRows)
+	}
+	blk := min(len(p.sel), scanBatchRows)
+	for b := lo; b < hi; b += blk {
 		if p.cn.stop() {
 			return
 		}
-		e := min(b+len(p.sel), hi)
-		s := p.sel[:e-b]
-		k := selRange(s, p.xs[b:e], int32(b), p.r.MinX, p.r.MaxX)
-		if k > 0 {
-			k = selRefine(s[:k], p.ys, p.r.MinY, p.r.MaxY)
+		e := min(b+blk, hi)
+		if len(passes) == 0 {
+			for row := b; row < e; row++ {
+				p.ids = append(p.ids, row)
+			}
+			continue
 		}
-		for j := 0; j < len(p.preds) && k > 0; j++ {
-			k = selRefine(s[:k], p.cols[p.pi[j]], p.preds[j].Min, p.preds[j].Max)
+		s := p.sel[:e-b]
+		k := selRange(s, passes[0].col[b:e], int32(b), passes[0].min, passes[0].max)
+		for _, c := range passes[1:] {
+			if k == 0 {
+				break
+			}
+			k = selRefine(s[:k], c.col, c.min, c.max)
 		}
 		p.ids = appendSel(p.ids, s[:k])
 	}
+}
+
+// spanPass is one column test of probe.span: col's value must lie in
+// [min, max].
+type spanPass struct {
+	col      []float64
+	min, max float64
+}
+
+// passes appends to dst the column tests a row of p must pass — x, then
+// y, then each predicate — leaving out those with both bounds infinite.
+func (p *probe) passes(dst []spanPass) []spanPass {
+	add := func(col []float64, lo, hi float64) {
+		if lo != math.Inf(-1) || hi != math.Inf(1) {
+			dst = append(dst, spanPass{col, lo, hi})
+		}
+	}
+	add(p.xs, p.r.MinX, p.r.MaxX)
+	add(p.ys, p.r.MinY, p.r.MaxY)
+	for k, pr := range p.preds {
+		add(p.cols[p.pi[k]], pr.Min, pr.Max)
+	}
+	return dst
 }

@@ -371,11 +371,16 @@ func (t *Table) Scan(preds []Pred) (RowSet, error) {
 	if len(preds) == 0 {
 		return rangeMinusBitmap(0, d.n, d.dead), nil
 	}
-	cols := make([][]float64, len(preds))
-	for i, ci := range idx {
-		cols[i] = d.cols[ci]
-	}
-	return rowSetFromSorted(filterDeadInts(scanRange(cols, preds, 0, d.n, nil, nil), d.dead)), nil
+	return rowSetFromSorted(d.scan(preds, idx)), nil
+}
+
+// scan is the linear scan Scan and DeleteWhere share: one probe with the
+// unbounded rectangle over [0, n), whose ids come out ascending, minus
+// the tombstoned rows. preds[k] tests column pi[k].
+func (d *tableData) scan(preds []Pred, pi []int) []int {
+	p := newProbe(d.cols, nil, nil, unboundedRect, normalizePreds(preds), pi, nil, nil)
+	p.span(0, d.n)
+	return filterDeadInts(p.ids, d.dead)
 }
 
 // ScanStats describes how one View.ScanRects or View.Nearest call was
@@ -401,7 +406,7 @@ type ScanStats struct {
 	CellsBulk int
 	// RowsExamined counts rows tested individually (boundary units,
 	// zone-inconclusive units, extras, and the appended tail past the
-	// index).
+	// index), or every row on the linear fallback.
 	RowsExamined int
 	// ZonesSkipped counts predicates whose zone checks the adaptive
 	// planner skipped because that column's zones had proven useless.
@@ -476,57 +481,6 @@ func normalizePreds(preds []Pred) []Pred {
 // benchmark variants and is only flipped by single-threaded test setup,
 // never concurrently with scans.
 var forceScalarKernels bool
-
-// scanRange is the sequential scan kernel: it appends the rows of
-// [lo, hi) matching every predicate to out. Large ranges run through
-// the selection-vector batch kernels block by block — the first
-// predicate seeds a selection from a contiguous column stride, later
-// predicates refine it in place — while tiny ranges and id spaces past
-// the int32 selection domain keep the scalar per-row loop.
-func scanRange(cols [][]float64, preds []Pred, lo, hi int, out []int, cn *canceler) []int {
-	if len(preds) == 0 {
-		for r := lo; r < hi; r++ {
-			out = append(out, r)
-		}
-		return out
-	}
-	if forceScalarKernels || hi-lo < kernelMinRows || hi > math.MaxInt32 {
-		if cn == nil {
-			return scanRangeScalar(cols, preds, lo, hi, out)
-		}
-		// Chunk the scalar loop at the same block size as the kernels so
-		// cancellation latency does not depend on which path ran.
-		for b := lo; b < hi; b += scanBatchRows {
-			if cn.stop() {
-				return out
-			}
-			out = scanRangeScalar(cols, preds, b, min(b+scanBatchRows, hi), out)
-		}
-		return out
-	}
-	// Two selection buffers, ping-ponged between passes: refining into
-	// the other buffer (selGather) instead of compacting in place keeps
-	// the survivor stores from aliasing the ids the same pass is about
-	// to load.
-	var selA, selB [scanBatchRows]int32
-	for b := lo; b < hi; b += scanBatchRows {
-		// Kernel-block boundary: one counter-gated poll per 4096-row
-		// block; a canceled scan returns its partial ids, which the
-		// entry point discards when it sees the context error.
-		if cn.stop() {
-			return out
-		}
-		e := min(b+scanBatchRows, hi)
-		src, dst := selA[:], selB[:]
-		k := selRange(src, cols[0][b:e], int32(b), preds[0].Min, preds[0].Max)
-		for i := 1; i < len(preds) && k > 0; i++ {
-			k = selGather(dst, src[:k], cols[i], preds[i].Min, preds[i].Max)
-			src, dst = dst, src
-		}
-		out = appendSel(out, src[:k])
-	}
-	return out
-}
 
 // SampleMeta records the lineage of a sample table in the catalog.
 type SampleMeta struct {

@@ -87,8 +87,9 @@ func (v View) LiveRows() int { return v.d.n - v.d.deadCount() }
 // bulk-emit cells every row of which must match, so residual predicates
 // are evaluated per row only on boundary cells, zone-inconclusive
 // cells, non-finite extras, and the appended tail. Without an index it
-// degrades to the linear scan with the rectangle folded into the
-// predicate list. Every probe and scan runs on the calling goroutine.
+// degrades to the linear scan, the same dense-range filter
+// (probe.span) that serves the appended tail, run over every row. Every
+// probe and scan runs on the calling goroutine.
 //
 // When ctx carries an obs.Trace, the index probe and the per-row
 // residual work (the linear fallback, or the appended tail past the
@@ -208,67 +209,47 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 	// the probe would walk the entire grid cell by cell only to evaluate
 	// the predicates per row — the linear scan does the same work with
 	// none of the cell overhead.
-	if ix == nil || (r == unboundedRect && st.ZonesSkipped == len(preds) && len(preds) > 0) {
+	linear := ix == nil || (r == unboundedRect && st.ZonesSkipped == len(preds) && len(preds) > 0)
+	if linear {
 		t.counters.scanFallbacks.Add(1)
-		cols := make([][]float64, 0, 2+len(preds))
-		all := make([]Pred, 0, 2+len(preds))
-		// An unbounded axis is a vacuous predicate (±Inf bounds match
-		// every value, NaN included) — dropping it saves the scan a full
-		// column pass.
-		if r.MinX != math.Inf(-1) || r.MaxX != math.Inf(1) {
-			cols = append(cols, d.cols[xi])
-			all = append(all, Pred{Column: xCol, Min: r.MinX, Max: r.MaxX})
+	} else {
+		st.IndexProbe = true
+		t.counters.indexProbes.Add(1)
+		if len(preds) == 0 && ix.rows() == d.n && ix.coversAll(r) {
+			return rangeMinusBitmap(0, d.n, d.dead), st, nil
 		}
-		if r.MinY != math.Inf(-1) || r.MaxY != math.Inf(1) {
-			cols = append(cols, d.cols[yi])
-			all = append(all, Pred{Column: yCol, Min: r.MinY, Max: r.MaxY})
-		}
-		for i, p := range preds {
-			cols = append(cols, d.cols[pi[i]])
-			all = append(all, p)
-		}
-		sp := tr.StartSpan(obs.StageResidual)
-		rs := rowSetFromSorted(filterDeadInts(scanRange(cols, all, 0, d.n, nil, cn), d.dead))
-		sp.End()
-		if err := cn.cause(); err != nil {
-			return RowSet{}, st, err
-		}
-		if !forceScalarKernels && d.n >= kernelMinRows {
-			st.BatchedRows = d.n
-			t.counters.batchedRows.Add(int64(d.n))
-		}
-		return rs, st, nil
-	}
-	st.IndexProbe = true
-	t.counters.indexProbes.Add(1)
-	if len(preds) == 0 && ix.rows() == d.n && ix.coversAll(r) {
-		return rangeMinusBitmap(0, d.n, d.dead), st, nil
 	}
 	p := newProbe(d.cols, d.cols[xi], d.cols[yi], r, preds, pi, skip, cn)
 	p.st = st
-	sp := tr.StartSpan(obs.StageProbe)
-	if r.Intersects(ix.extent()) {
-		ix.collect(p)
-	}
-	// A canceled probe returned a partial id set; discard it and unwind
-	// with the context's error before any more work is attributed.
-	if err := cn.cause(); err != nil {
+	// The linear scan is one dense range, [0, n). An index probe walks
+	// its units and extras first; the rows appended after its build
+	// belong to no unit and are the dense range [ix.rows(), n).
+	from := 0
+	if !linear {
+		sp := tr.StartSpan(obs.StageProbe)
+		if r.Intersects(ix.extent()) {
+			ix.collect(p)
+		}
+		// A canceled probe returned a partial id set; discard it and
+		// unwind with the context's error before any more work is
+		// attributed.
+		if err := cn.cause(); err != nil {
+			sp.End()
+			return RowSet{}, p.st, err
+		}
+		p.extras(ix.extras())
 		sp.End()
-		return RowSet{}, p.st, err
+		from = ix.rows()
 	}
-	p.extras(ix.extras())
-	sp.End()
-	// Rows appended after the index was built belong to no unit; the
-	// batch kernels filter them as one dense range.
-	sp = tr.StartSpan(obs.StageResidual)
-	p.span(ix.rows(), d.n)
+	sp := tr.StartSpan(obs.StageResidual)
+	p.span(from, d.n)
 	sp.End()
 	if err := cn.cause(); err != nil {
 		return RowSet{}, p.st, err
 	}
 	st = p.st
 	t.counters.batchedRows.Add(int64(st.BatchedRows))
-	if len(preds) > 0 {
+	if !linear && len(preds) > 0 {
 		t.counters.filteredProbes.Add(1)
 		t.counters.zoneCellsTouched.Add(int64(st.CellsTouched))
 		t.counters.zoneCellsPruned.Add(int64(st.CellsPruned))
@@ -281,12 +262,15 @@ func (v View) scanRect(tr *obs.Trace, cn *canceler, xCol, yCol string, r geom.Re
 	}
 	// Cells, leaves and extras emit out of row order; one sort restores
 	// it (the contract, and what the ScanRect ≡ Scan property test
-	// checks). Sorting and materializing the RowSet is O(result);
-	// attribute it to the probe that produced the ids. The tombstone
-	// refine pass runs once here over the final id list, so the batch
-	// kernels above never test liveness per row.
+	// checks). A linear scan's span emits in row order and needs none.
+	// Sorting and materializing the RowSet is O(result); attribute it to
+	// the probe that produced the ids. The tombstone refine pass runs
+	// once here over the final id list, so the batch kernels above never
+	// test liveness per row.
 	sp = tr.StartSpan(obs.StageProbe)
-	slices.Sort(p.ids)
+	if !linear {
+		slices.Sort(p.ids)
+	}
 	rs := rowSetFromSorted(filterDeadInts(p.ids, d.dead))
 	sp.End()
 	return rs, st, nil
