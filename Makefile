@@ -32,10 +32,12 @@ vet:
 	$(GO) vet ./...
 
 # bench-smoke is the CI guard: every committed benchmark must still
-# compile and complete one iteration — all of internal/store's, and the
-# listed root ones (the root package's full -bench . takes ~70 s).
+# compile and complete one iteration — all of internal/store's and
+# internal/proximity's, and the listed root ones (the root package's
+# full -bench . takes ~70 s).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/store
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/proximity
 	$(GO) test -run '^$$' -bench '$(SNAPSHOT_BENCH)' -benchtime 1x .
 
 # obs-smoke exercises the observability surface end to end: the
@@ -50,10 +52,11 @@ obs-smoke:
 # fuzz-smoke gives the RowSet algebra, snapshot decoder, and kernel
 # equivalence fuzzers a short budget against their checked-in corpora
 # (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
-# zero-allocation contract of the selection kernels and of an
+# zero-allocation contract of the selection kernels, of the packed exp
+# (expRow) and a Gaussian PairRow on both of its paths, and of an
 # Interchange offer, and the allocation ceiling of one filtered probe on
 # the grid, the tree, an appended tail and the linear scan of an
-# unindexed pair; it also runs the probe
+# unindexed pair with one predicate and with five; it also runs the probe
 # golden at GOMAXPROCS 1 and 4, so answers and scan stats cannot come
 # to depend on the CPU count.
 fuzz-smoke:
@@ -66,6 +69,7 @@ kernel-alloc:
 	$(GO) test -count=1 -run 'TestKernelZeroAlloc|TestProbeAllocs' ./internal/store
 	$(GO) test -count=1 -cpu 1,4 -run TestProbeGolden ./internal/store
 	$(GO) test -count=1 -run 'TestInterchangeAddZeroAlloc' ./internal/vas
+	$(GO) test -count=1 -run 'TestExpRowZeroAlloc' ./internal/proximity
 
 # torture-smoke runs the resilience suite under -race: the
 # crash-recovery torture test (a crash injected at every file-op site

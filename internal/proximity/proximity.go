@@ -146,7 +146,11 @@ func (f Func) tricube(d2 float64) float64 {
 }
 
 // gaussianPair is κ̃: bandwidth √2ε doubles ε², halving the exponent.
-func (f Func) gaussianPair(d2 float64) float64 { return math.Exp(-d2 * f.inv2e2 / 2) }
+func (f Func) gaussianPair(d2 float64) float64 { return math.Exp(f.pairExponent(d2)) }
+
+// pairExponent is the argument gaussianPair passes to math.Exp, shared
+// with PairRow so the two cannot round it differently.
+func (f Func) pairExponent(d2 float64) float64 { return -d2 * f.inv2e2 / 2 }
 
 // Pair returns κ̃(si, sj), the pairwise objective term. For the Gaussian the
 // paper derives κ̃(si,sj) = exp(-‖si-sj‖²/(2·(√2ε)²)) up to constants; since
@@ -166,6 +170,10 @@ func (f Func) PairDist2(d2 float64) float64 {
 // PairRow replaces each squared distance in row by its PairDist2, bit for
 // bit, switching on the kind once per row instead of once per pair. +Inf
 // maps to 0 for every kind, so a caller marks a pair that must not count.
+// The Gaussian row writes each exponent in place and takes all the
+// exponentials in one expRow call, four lanes at a time on a CPU with
+// AVX2 and FMA; a +Inf distance becomes the exponent -Inf, whose
+// exponential is 0.
 func (f Func) PairRow(row []float64) {
 	switch f.kind {
 	case Epanechnikov:
@@ -178,10 +186,9 @@ func (f Func) PairRow(row []float64) {
 		}
 	default:
 		for i, d2 := range row {
-			if row[i] = 0; !math.IsInf(d2, 1) { // 0 is math.Exp(-Inf), without the call
-				row[i] = f.gaussianPair(d2)
-			}
+			row[i] = f.pairExponent(d2)
 		}
+		expRow(row, row)
 	}
 }
 

@@ -187,22 +187,3 @@ rtail:
 	MOVQ R8, ret+128(FP)
 	VZEROUPPER
 	RET
-
-// func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbvAsm() (eax, edx uint32)
-TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET

@@ -129,7 +129,9 @@ type probe struct {
 	residual []int
 	sel      []int32
 	// Backing for tally, residual and sel, so a probe with a few
-	// predicates over units of typical size allocates none of them.
+	// predicates over units of typical size allocates none of them. With
+	// more predicates, the first zoneCheck allocates tally and residual:
+	// a linear scan never makes one.
 	tallyBuf [4]zoneCount
 	resBuf   [4]int
 	selBuf   [tailBlockRows]int32
@@ -147,8 +149,6 @@ func newProbe(cols [][]float64, xs, ys []float64, r geom.Rect, preds []Pred, pi 
 	p := &probe{cols: cols, xs: xs, ys: ys, r: r, preds: preds, pi: pi, skip: skip, cn: cn}
 	if n := len(preds); n <= len(p.tallyBuf) {
 		p.tally, p.residual = p.tallyBuf[:n], p.resBuf[:0]
-	} else {
-		p.tally, p.residual = make([]zoneCount, n), make([]int, 0, n)
 	}
 	p.sel = p.selBuf[:]
 	return p
@@ -159,6 +159,9 @@ func newProbe(cols [][]float64, xs, ys []float64, r geom.Rect, preds []Pred, pi 
 // unit; otherwise it leaves in p.residual the predicates the zones could
 // not settle, skipped ones included.
 func (p *probe) zoneCheck(z *zoneMaps, u int) bool {
+	if n := len(p.preds); len(p.tally) != n {
+		p.tally, p.residual = make([]zoneCount, n), make([]int, 0, n)
+	}
 	p.residual = p.residual[:0]
 	for k, pr := range p.preds {
 		v := zoneResidual

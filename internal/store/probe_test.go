@@ -287,23 +287,31 @@ func TestProbeAllocs(t *testing.T) {
 	}
 	rects := []geom.Rect{{MinX: 300, MinY: 300, MaxX: 500, MaxY: 500}}
 	preds := []Pred{{Column: "m", Min: 380, Max: 420}}
+	// Five predicates outgrow the probe's inline zone-consult scratch,
+	// which a linear scan never uses.
+	preds5 := []Pred{
+		{Column: "m", Min: 380, Max: 420}, {Column: "x", Min: 0, Max: 900}, {Column: "y", Min: 0, Max: 900},
+		{Column: "m", Min: 0, Max: 900}, {Column: "x", Min: 100, Max: 1000},
+	}
 	for _, c := range []struct {
 		name    string
 		tb      *Table
+		preds   []Pred
 		ceiling float64
 	}{
-		{"grid", mk(BackendGrid, 0), 3},
-		{"rtree", mk(BackendRTree, 0), 3},
-		{"tail", mk(BackendGrid, 2_000), 3},
-		{"linear", mk(BackendGrid, 0), 13},
+		{"grid", mk(BackendGrid, 0), preds, 3},
+		{"rtree", mk(BackendRTree, 0), preds, 3},
+		{"tail", mk(BackendGrid, 2_000), preds, 3},
+		{"linear", mk(BackendGrid, 0), preds, 13},
+		{"linear5", mk(BackendGrid, 0), preds5, 14},
 	} {
-		// The linear case scans the unindexed (y, x) pair.
+		// The linear cases scan the unindexed (y, x) pair.
 		xc, yc := "x", "y"
-		if c.name == "linear" {
+		if c.name == "linear" || c.name == "linear5" {
 			xc, yc = "y", "x"
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, err := c.tb.View().ScanRects(context.Background(), xc, yc, rects, preds); err != nil {
+			if _, _, err := c.tb.View().ScanRects(context.Background(), xc, yc, rects, c.preds); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -6,6 +6,9 @@
 //
 // ES and ES+Loc decide each offer from the newcomer's row of κ̃ and write
 // only when the swap is taken, so a rejected offer costs K kernel values.
+// For the Gaussian those are one proximity.Func.PairRow call: a packed
+// exp, four lanes at a time on a CPU with AVX2 and FMA, that returns
+// math.Exp's bits, so the sample is the same on every CPU.
 //
 // ES+Loc is ES with pair-support truncation: a pair farther apart than
 // proximity.Func.PairSupport contributes zero to the responsibilities. The
