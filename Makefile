@@ -28,8 +28,10 @@ race:
 fmt:
 	gofmt -l .
 
+# vet covers what CI vets: the root module and bench/, its own module.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # bench-smoke is the CI guard: every committed benchmark must still
 # compile and complete one iteration — all of internal/store's and
@@ -49,9 +51,9 @@ obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs
 	$(GO) test -count=1 -run 'TestObsSlowQueryEndToEnd|TestTailLogDegradedGaugeEndToEnd' .
 
-# fuzz-smoke gives the RowSet algebra, snapshot decoder, and kernel
-# equivalence fuzzers a short budget against their checked-in corpora
-# (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
+# fuzz-smoke gives the RowSet algebra, snapshot and tail-log decoder,
+# and kernel equivalence fuzzers a short budget against their checked-in
+# corpora (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
 # zero-allocation contract of the selection kernels, of the packed exp
 # (expRow) and a Gaussian PairRow on both of its paths, and of an
 # Interchange offer, and the allocation ceiling of one filtered probe on
@@ -63,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRowSetAlgebra -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz FuzzTailDecode -fuzztime 10s ./internal/snapshot
 
 .PHONY: kernel-alloc
 kernel-alloc:

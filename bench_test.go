@@ -1,8 +1,8 @@
 package vas_test
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (§VI), plus the ablation benches listed in DESIGN.md
-// §4. Each experiment benchmark regenerates its artifact end to end at a
+// evaluation section (§VI), plus the ablation benches (internal/experiments'
+// ablation-* ids). Each experiment benchmark regenerates its artifact end to end at a
 // reduced scale through internal/experiments — the same code cmd/vasexp
 // runs at medium/full scale — so `go test -bench=.` exercises every
 // reproduction path. Micro-benchmarks for the hot substrates (Interchange
@@ -117,8 +117,9 @@ func BenchmarkInterchangeESLocK1000(b *testing.B) {
 	benchInterchange(b, core.ESLoc, 1000)
 }
 
-// BenchmarkAblationKernels compares the admissible κ̃ families (DESIGN.md
-// §4): the compact kernels skip the exp and allow exact pruning.
+// BenchmarkAblationKernels compares the admissible κ̃ families (§III
+// admits any convex decreasing proximity function): the compact kernels
+// skip the exp and allow exact pruning.
 func BenchmarkAblationKernels(b *testing.B) {
 	pts, _ := benchData(20_000)
 	diag := geom.MaxPairwiseDist(pts)

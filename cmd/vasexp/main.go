@@ -5,8 +5,9 @@
 //	vasexp -exp table1a            # one experiment
 //	vasexp -exp all -scale medium  # the whole evaluation section
 //
-// Experiment ids mirror the paper artifacts (see DESIGN.md §2): fig1,
-// fig2, fig4, fig7, fig8, fig9, fig10, table1a, table1b, table1c, table2.
+// Experiment ids mirror the paper artifacts: fig1, fig2, fig4, fig7,
+// fig8, fig9, fig10, table1a, table1b, table1c, table2, plus the
+// ablation-eps, ablation-kernel and ablation-passes ablations.
 package main
 
 import (

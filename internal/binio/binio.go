@@ -42,9 +42,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w)}
 }
 
-// Err returns the latched error, if any.
-func (w *Writer) Err() error { return w.err }
-
 // Flush drains the buffer and returns the first error encountered.
 func (w *Writer) Flush() error {
 	if w.err != nil {
@@ -89,9 +86,10 @@ func (w *Writer) String(s string) {
 	}
 }
 
-// chunkBytes sizes the scratch buffer the slice codecs convert through:
+// chunkBytes caps the scratch buffer the slice codecs convert through:
 // large enough that the per-chunk call overhead vanishes, small enough
-// to stay cache-resident.
+// to stay cache-resident. The scratch escapes to the heap, so each call
+// sizes it to its slice: a short slice must not cost 64 KiB.
 const chunkBytes = 1 << 16
 
 // F64s writes a uint64 count followed by the raw IEEE-754 bits of v,
@@ -102,7 +100,7 @@ func (w *Writer) F64s(v []float64) {
 	if w.err != nil {
 		return
 	}
-	var chunk [chunkBytes]byte
+	chunk := make([]byte, min(len(v)*8, chunkBytes))
 	for len(v) > 0 {
 		n := min(len(v), chunkBytes/8)
 		for i := 0; i < n; i++ {
@@ -123,7 +121,7 @@ func (w *Writer) I32s(v []int32) {
 	if w.err != nil {
 		return
 	}
-	var chunk [chunkBytes]byte
+	chunk := make([]byte, min(len(v)*4, chunkBytes))
 	for len(v) > 0 {
 		n := min(len(v), chunkBytes/4)
 		for i := 0; i < n; i++ {
@@ -295,7 +293,7 @@ func (r *Reader) F64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	var chunk [chunkBytes]byte
+	chunk := make([]byte, min(n*8, chunkBytes))
 	for off := 0; off < n; {
 		c := min(n-off, chunkBytes/8)
 		r.Raw(chunk[:c*8])
@@ -317,7 +315,7 @@ func (r *Reader) I32s() []int32 {
 		return nil
 	}
 	out := make([]int32, n)
-	var chunk [chunkBytes]byte
+	chunk := make([]byte, min(n*4, chunkBytes))
 	for off := 0; off < n; {
 		c := min(n-off, chunkBytes/4)
 		r.Raw(chunk[:c*4])

@@ -6,7 +6,7 @@
 //     redistributable, so GeolifeLike generates a statistically similar
 //     substitute: trajectory random walks between urban hot-spots, heavy
 //     spatial skew, and altitude correlated with distance from the city
-//     centre (DESIGN.md §3, substitution 2).
+//     centre.
 //
 //   - SPLOM: the synthetic five-column Gaussian benchmark from the binned
 //     aggregation literature ([4],[39]), generated at any row count.

@@ -27,12 +27,12 @@ func TestGeolifeLikeDeterministic(t *testing.T) {
 	a := GeolifeLike(GeolifeOptions{N: 2000, Seed: 7})
 	b := GeolifeLike(GeolifeOptions{N: 2000, Seed: 7})
 	for i := range a.Points {
-		if !a.Points[i].Equal(b.Points[i]) || a.Values[i] != b.Values[i] {
+		if a.Points[i] != b.Points[i] || a.Values[i] != b.Values[i] {
 			t.Fatal("same seed produced different data")
 		}
 	}
 	c := GeolifeLike(GeolifeOptions{N: 2000, Seed: 8})
-	if a.Points[0].Equal(c.Points[0]) && a.Points[1].Equal(c.Points[1]) {
+	if a.Points[0] == c.Points[0] && a.Points[1] == c.Points[1] {
 		t.Error("different seeds produced identical prefixes (suspicious)")
 	}
 }

@@ -127,14 +127,6 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the compact binary format from a stream of unknown
-// size; the header row count is capped but a hostile header can still
-// demand a large allocation. Prefer ReadBinarySized (what LoadFile
-// uses) when the input's size is known.
-func ReadBinary(r io.Reader, name string) (*Dataset, error) {
-	return ReadBinarySized(r, name, -1)
-}
-
 // ReadBinarySized parses the compact binary format from an input known
 // to hold size bytes: a header that claims more points than the bytes
 // behind it can supply is rejected before anything is allocated. A

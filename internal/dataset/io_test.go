@@ -55,7 +55,7 @@ func TestReadCSVWithoutHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || !got.Points[0].Equal(geom.Pt(1, 2)) {
+	if got.Len() != 2 || got.Points[0] != geom.Pt(1, 2) {
 		t.Errorf("parsed %v", got.Points)
 	}
 }
@@ -84,7 +84,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf, "test")
+	got, err := ReadBinarySized(&buf, "test", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBinaryRoundTripNoValues(t *testing.T) {
 	if err := WriteBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf, "nv")
+	got, err := ReadBinarySized(&buf, "nv", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,10 @@ func TestBinaryRoundTripNoValues(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOTMAGIC........"), "g"); err == nil {
+	if _, err := ReadBinarySized(strings.NewReader("NOTMAGIC........"), "g", -1); err == nil {
 		t.Error("bad magic: want error")
 	}
-	if _, err := ReadBinary(strings.NewReader("VA"), "g"); err == nil {
+	if _, err := ReadBinarySized(strings.NewReader("VA"), "g", -1); err == nil {
 		t.Error("truncated magic: want error")
 	}
 	// Truncated body.
@@ -121,7 +121,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadBinary(bytes.NewReader(trunc), "t"); err == nil {
+	if _, err := ReadBinarySized(bytes.NewReader(trunc), "t", -1); err == nil {
 		t.Error("truncated body: want error")
 	}
 }
@@ -133,7 +133,7 @@ func TestBinaryRejectsHugeHeader(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 0}) // flags
 	// n = 2^40
 	buf.Write([]byte{0, 0, 0, 0, 0, 1, 0, 0})
-	if _, err := ReadBinary(&buf, "huge"); err == nil {
+	if _, err := ReadBinarySized(&buf, "huge", -1); err == nil {
 		t.Error("absurd point count: want error")
 	}
 }
@@ -188,7 +188,7 @@ func assertEqualDatasets(t *testing.T, want, got *Dataset) {
 		t.Fatalf("length %d, want %d", got.Len(), want.Len())
 	}
 	for i := range want.Points {
-		if !got.Points[i].Equal(want.Points[i]) {
+		if got.Points[i] != want.Points[i] {
 			t.Fatalf("point %d: %v != %v", i, got.Points[i], want.Points[i])
 		}
 	}

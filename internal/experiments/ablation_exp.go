@@ -10,8 +10,7 @@ import (
 	"repro/internal/vas"
 )
 
-// This file implements the ablations DESIGN.md §4 calls out, beyond the
-// paper's own artifacts:
+// This file implements ablations beyond the paper's own artifacts:
 //
 //   - ablation-eps: sensitivity of sample quality to the bandwidth ε
 //     around the paper's maxdist/100 heuristic (§III footnote 2 says a

@@ -2,8 +2,8 @@
 // evaluation section (§VI). Each experiment is a named function producing
 // a Report — rows of labeled values mirroring the paper's artifact — so
 // cmd/vasexp, the test suite, and the benchmark harness all share one
-// implementation per artifact. DESIGN.md §2 maps experiment ids to paper
-// artifacts.
+// implementation per artifact. An experiment id names the artifact it
+// regenerates (fig1 … table2) or the ablation it runs (ablation-*).
 package experiments
 
 import (

@@ -17,7 +17,7 @@ import (
 // This file regenerates Table II: exact solver vs Interchange vs uniform
 // random on tiny datasets (N ∈ {50,60,70,80}, K = 10), reporting runtime,
 // optimization objective, and Loss(S). The exact MIP+GLPK pipeline is
-// substituted by the branch-and-bound solver (DESIGN.md §3).
+// substituted by the branch-and-bound solver (vas.SolveExact).
 
 func init() {
 	register("table2", runTable2)

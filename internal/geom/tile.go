@@ -71,21 +71,3 @@ func TileForPoint(bounds Rect, p Point, z int) (x, y int, err error) {
 	y = int(Clamp(fy*float64(n), 0, float64(n-1)))
 	return x, y, nil
 }
-
-// TileRange returns the inclusive tile address range [x0,x1]×[y0,y1] at
-// zoom z whose tiles intersect viewport. An empty or zero viewport covers
-// the full extent.
-func TileRange(bounds, viewport Rect, z int) (x0, y0, x1, y1 int, err error) {
-	if viewport == (Rect{}) || viewport.IsEmpty() {
-		viewport = bounds
-	}
-	x0, y0, err = TileForPoint(bounds, Pt(viewport.MinX, viewport.MaxY), z)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	x1, y1, err = TileForPoint(bounds, Pt(viewport.MaxX, viewport.MinY), z)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return x0, y0, x1, y1, nil
-}

@@ -52,14 +52,14 @@ func TestTileRectTiling(t *testing.T) {
 					t.Fatal(err)
 				}
 				u = u.Union(r)
-				area += r.Area()
+				area += r.Width() * r.Height()
 			}
 		}
 		if u != b {
 			t.Errorf("z=%d union = %v, want %v", z, u, b)
 		}
-		if math.Abs(area-b.Area()) > 1e-9*b.Area() {
-			t.Errorf("z=%d total area = %g, want %g", z, area, b.Area())
+		if want := b.Width() * b.Height(); math.Abs(area-want) > 1e-9*want {
+			t.Errorf("z=%d total area = %g, want %g", z, area, want)
 		}
 	}
 }
@@ -105,25 +105,5 @@ func TestTileForPointRoundTrip(t *testing.T) {
 	}
 	if x != 3 || y != 3 {
 		t.Errorf("clamped tile = (%d,%d), want (3,3)", x, y)
-	}
-}
-
-func TestTileRange(t *testing.T) {
-	b := Rect{MinX: 0, MinY: 0, MaxX: 8, MaxY: 8}
-	// Full extent (zero viewport) covers every tile.
-	x0, y0, x1, y1, err := TileRange(b, Rect{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x0 != 0 || y0 != 0 || x1 != 3 || y1 != 3 {
-		t.Errorf("full range = (%d,%d)-(%d,%d), want (0,0)-(3,3)", x0, y0, x1, y1)
-	}
-	// A quadrant viewport touches only its tiles.
-	x0, y0, x1, y1, err = TileRange(b, Rect{MinX: 0.1, MinY: 0.1, MaxX: 3.9, MaxY: 3.9}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x0 != 0 || y0 != 1 || x1 != 0 || y1 != 1 {
-		t.Errorf("bottom-left quadrant range = (%d,%d)-(%d,%d), want (0,1)-(0,1)", x0, y0, x1, y1)
 	}
 }

@@ -101,9 +101,6 @@ func NewEvaluator(data []geom.Point, opt Options) (*Evaluator, error) {
 	return &Evaluator{kern: opt.Kernel, probes: probes}, nil
 }
 
-// NumProbes returns how many Monte Carlo probes the evaluator holds.
-func (e *Evaluator) NumProbes() int { return len(e.probes) }
-
 // Result holds the loss metrics of one sample.
 type Result struct {
 	// MedianLoss is the median of per-probe point losses — the paper's

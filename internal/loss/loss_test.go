@@ -169,7 +169,7 @@ func TestProbesLandInDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.NumProbes() == 0 {
+	if len(ev.probes) == 0 {
 		t.Fatal("no probes")
 	}
 	for _, p := range ev.probes {

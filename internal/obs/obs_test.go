@@ -223,7 +223,7 @@ func TestExpoWriterHistogram(t *testing.T) {
 	var sb strings.Builder
 	e := NewExpoWriter(&sb)
 	e.Histogram("x_seconds", "test", `route="q"`, h.Snapshot())
-	if err := e.Err(); err != nil {
+	if err := e.err; err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

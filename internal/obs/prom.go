@@ -186,9 +186,6 @@ func NewExpoWriter(w io.Writer) *ExpoWriter {
 	return &ExpoWriter{w: w, headed: make(map[string]bool)}
 }
 
-// Err returns the first write error, if any.
-func (e *ExpoWriter) Err() error { return e.err }
-
 func (e *ExpoWriter) printf(format string, args ...any) {
 	if e.err != nil {
 		return
@@ -204,16 +201,6 @@ func (e *ExpoWriter) Head(name, typ, help string) {
 	}
 	e.headed[name] = true
 	e.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// Sample writes one sample line. labels is the pre-rendered label set
-// without braces (e.g. `route="query"`), or empty for none.
-func (e *ExpoWriter) Sample(name, labels string, v float64) {
-	if labels == "" {
-		e.printf("%s %s\n", name, FormatValue(v))
-	} else {
-		e.printf("%s{%s} %s\n", name, labels, FormatValue(v))
-	}
 }
 
 // Histogram writes a full _bucket/_sum/_count series for one labeled

@@ -109,9 +109,6 @@ func FromData(kind Kind, pts []geom.Point) (Func, error) {
 	return New(kind, d/DefaultBandwidthDivisor), nil
 }
 
-// Kind returns the kernel family.
-func (f Func) Kind() Kind { return f.kind }
-
 // Bandwidth returns ε.
 func (f Func) Bandwidth() float64 { return f.eps }
 

@@ -220,12 +220,7 @@ type NearestResponse struct {
 	ServedRows int
 }
 
-// Nearest answers one kNN request.
-func (pl *Planner) Nearest(req NearestRequest) (*NearestResponse, error) {
-	return pl.NearestCtx(context.Background(), req)
-}
-
-// NearestCtx is Nearest with stage timing: the index descent (or
+// NearestCtx answers one kNN request. The index descent (or
 // brute-force sweep) is recorded as the probe span on any trace ctx
 // carries.
 func (pl *Planner) NearestCtx(ctx context.Context, req NearestRequest) (*NearestResponse, error) {

@@ -152,43 +152,6 @@ func (r *Raster) OccupiedCells() int {
 	return n
 }
 
-// TotalMass returns the sum of all cell masses.
-func (r *Raster) TotalMass() float64 {
-	var t float64
-	for _, c := range r.cells {
-		t += c
-	}
-	return t
-}
-
-// MassIn returns the mass accumulated inside the data-space rectangle q
-// (clipped to the viewport). The simulated density-estimation user reads
-// marker densities through this.
-func (r *Raster) MassIn(q geom.Rect) float64 {
-	var t float64
-	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			if r.cells[y*r.W+x] == 0 {
-				continue
-			}
-			if q.Contains(r.cellCenter(x, y)) {
-				t += r.cells[y*r.W+x]
-			}
-		}
-	}
-	return t
-}
-
-// cellCenter maps raster cell (x, y) back to its data-space centre.
-func (r *Raster) cellCenter(x, y int) geom.Point {
-	fx := (float64(x) + 0.5) / float64(r.W)
-	fy := 1 - (float64(y)+0.5)/float64(r.H)
-	return geom.Pt(
-		r.Viewport.MinX+fx*r.Viewport.Width(),
-		r.Viewport.MinY+fy*r.Viewport.Height(),
-	)
-}
-
 func minInt(a, b int) int {
 	if a < b {
 		return a

@@ -12,6 +12,18 @@ import (
 
 func unitViewport() geom.Rect { return geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1} }
 
+// massIn sums the cells in columns [x0, x1) of rows [y0, y1), image
+// coordinates.
+func massIn(r *Raster, x0, y0, x1, y1 int) float64 {
+	var t float64
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; x++ {
+			t += r.At(x, y)
+		}
+	}
+	return t
+}
+
 func TestPlotCountsAndClipping(t *testing.T) {
 	r := NewRaster(unitViewport(), 10, 10)
 	pts := []geom.Point{
@@ -25,7 +37,7 @@ func TestPlotCountsAndClipping(t *testing.T) {
 	if n != 3 {
 		t.Errorf("plotted %d points, want 3", n)
 	}
-	if got := r.TotalMass(); got != 3 {
+	if got := massIn(r, 0, 0, r.W, r.H); got != 3 {
 		t.Errorf("total mass %v", got)
 	}
 	if r.OccupiedCells() != 2 {
@@ -45,8 +57,8 @@ func TestViewportBoundaryMapping(t *testing.T) {
 	r := NewRaster(unitViewport(), 4, 4)
 	// Max-edge points land in the last cells, not out of range.
 	r.Plot([]geom.Point{geom.Pt(1, 1), geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)})
-	if r.TotalMass() != 4 {
-		t.Errorf("mass = %v, want 4 (corner points clipped?)", r.TotalMass())
+	if got := massIn(r, 0, 0, r.W, r.H); got != 4 {
+		t.Errorf("mass = %v, want 4 (corner points clipped?)", got)
 	}
 	if r.At(3, 0) != 1 || r.At(0, 3) != 1 || r.At(3, 3) != 1 || r.At(0, 0) != 1 {
 		t.Error("corner points not in corner cells")
@@ -64,10 +76,10 @@ func TestMassIn(t *testing.T) {
 			inQuad++
 		}
 	}
-	got := r.MassIn(geom.Rect{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 0.5})
-	// Cell-granularity makes the count approximate; allow a band.
-	if math.Abs(got-float64(inQuad)) > 30 {
-		t.Errorf("MassIn = %v, direct count = %d", got, inQuad)
+	// The data-space lower-left quadrant is image columns [0, 10) of
+	// rows [10, 20): y grows downward.
+	if got := massIn(r, 0, 10, 10, 20); got != float64(inQuad) {
+		t.Errorf("quadrant mass = %v, direct count = %d", got, inQuad)
 	}
 }
 
@@ -83,7 +95,7 @@ func TestPlotWeightedConservesMass(t *testing.T) {
 		t.Errorf("plotted %d", n)
 	}
 	// Total mass is conserved up to disc clipping at borders.
-	if got := r.TotalMass(); math.Abs(got-111) > 111*0.05 {
+	if got := massIn(r, 0, 0, r.W, r.H); math.Abs(got-111) > 111*0.05 {
 		t.Errorf("total mass %v, want ≈111", got)
 	}
 	// The heavy point spreads over more cells than the light one.

@@ -75,9 +75,6 @@ func (r *Reservoir) Add(p geom.Point, id int) {
 	}
 }
 
-// Seen returns how many points have been offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
 // Sample implements Sampler.
 func (r *Reservoir) Sample() []geom.Point {
 	out := make([]geom.Point, len(r.pts))
@@ -107,7 +104,6 @@ type Stratified struct {
 	rng     *rand.Rand
 	g       binGrid
 	bins    []*binReservoir
-	seen    int
 	binning string
 }
 
@@ -191,7 +187,6 @@ func (s *Stratified) perBinCap() int { return s.k }
 
 // Add implements Sampler.
 func (s *Stratified) Add(p geom.Point, id int) {
-	s.seen++
 	i := s.g.cellIndex(p)
 	b := s.bins[i]
 	if b == nil {
@@ -293,9 +288,6 @@ func (s *Stratified) sampleWithIDs() ([]geom.Point, []int) {
 	return pts, ids
 }
 
-// Seen returns how many points have been offered.
-func (s *Stratified) Seen() int { return s.seen }
-
 // Method identifies a sampling strategy by name; used by the CLI tools and
 // experiment harness tables.
 type Method string
@@ -307,12 +299,3 @@ const (
 	MethodVAS        Method = "vas"
 	MethodVASDensity Method = "vas+density"
 )
-
-// ParseMethod validates a method name.
-func ParseMethod(s string) (Method, error) {
-	switch Method(s) {
-	case MethodUniform, MethodStratified, MethodVAS, MethodVASDensity:
-		return Method(s), nil
-	}
-	return "", fmt.Errorf("sampling: unknown method %q", s)
-}

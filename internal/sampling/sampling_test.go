@@ -26,8 +26,8 @@ func TestReservoirSize(t *testing.T) {
 	if len(s) != 10 {
 		t.Errorf("sample size %d, want 10", len(s))
 	}
-	if r.Seen() != 1000 {
-		t.Errorf("Seen = %d", r.Seen())
+	if r.seen != 1000 {
+		t.Errorf("seen = %d", r.seen)
 	}
 }
 
@@ -59,14 +59,14 @@ func TestReservoirDeterministicBySeed(t *testing.T) {
 	a := Run(NewReservoir(15, 7), linePoints(500))
 	b := Run(NewReservoir(15, 7), linePoints(500))
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if a[i] != b[i] {
 			t.Fatal("same seed produced different samples")
 		}
 	}
 	c := Run(NewReservoir(15, 8), linePoints(500))
 	same := true
 	for i := range a {
-		if !a[i].Equal(c[i]) {
+		if a[i] != c[i] {
 			same = false
 			break
 		}
@@ -92,7 +92,7 @@ func TestReservoirIDsMatchPoints(t *testing.T) {
 	s := r.Sample()
 	ids := r.SampleIDs()
 	for i := range s {
-		if !pts[ids[i]].Equal(s[i]) {
+		if pts[ids[i]] != s[i] {
 			t.Fatalf("sample[%d] does not match its id", i)
 		}
 	}
@@ -189,7 +189,7 @@ func TestStratifiedSampleIsStable(t *testing.T) {
 		t.Fatal("unstable sample size")
 	}
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if a[i] != b[i] {
 			t.Fatal("Sample() is not repeatable")
 		}
 	}
@@ -208,7 +208,7 @@ func TestStratifiedIDsMatchPoints(t *testing.T) {
 	sample := s.Sample()
 	ids := s.SampleIDs()
 	for i := range sample {
-		if !pts[ids[i]].Equal(sample[i]) {
+		if pts[ids[i]] != sample[i] {
 			t.Fatalf("sample[%d] does not match pts[ids[%d]]", i, i)
 		}
 	}
@@ -296,15 +296,4 @@ func TestStratifiedBinStats(t *testing.T) {
 			}()
 		}
 	})
-}
-
-func TestParseMethod(t *testing.T) {
-	for _, ok := range []string{"uniform", "stratified", "vas", "vas+density"} {
-		if _, err := ParseMethod(ok); err != nil {
-			t.Errorf("ParseMethod(%q): %v", ok, err)
-		}
-	}
-	if _, err := ParseMethod("systematic"); err == nil {
-		t.Error("unknown method: want error")
-	}
 }

@@ -207,9 +207,6 @@ func New(st *store.Store, planner *query.Planner, cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// CacheStats exposes tile-cache counters (for tests and diagnostics).
-func (s *Server) CacheStats() tilecache.Stats { return s.cache.Stats() }
-
 // InvalidateTable drops every cached tile and the cached extent of the
 // given base table. Call it after (re)registering a sample or reloading
 // the table, so later tile requests re-render from current data. The

@@ -173,12 +173,12 @@ func TestTileEndpointAndCache(t *testing.T) {
 		t.Errorf("tile dims = %v, want 64x64", img.Bounds())
 	}
 
-	before := s.CacheStats()
+	before := s.cache.Stats()
 	rec = get(t, s, "/v1/tile/base/1/0/1.png?budget=150us&size=64")
 	if h := rec.Header().Get("X-Cache"); h != "HIT" {
 		t.Errorf("second fetch X-Cache = %q, want HIT", h)
 	}
-	after := s.CacheStats()
+	after := s.cache.Stats()
 	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Errorf("cache stats before %+v after %+v: want one more hit, no more misses", before, after)
 	}
@@ -333,7 +333,7 @@ func TestInvalidationEpochBlocksInFlightStaleTile(t *testing.T) {
 	// pixels under the old epoch (what GetOrRender's deferred insert
 	// does after the renderer returns).
 	stale := []byte("stale-png-bytes")
-	s.cache.Put(staleKey, stale)
+	s.cache.GetOrRender(staleKey, func() ([]byte, any, error) { return stale, nil, nil })
 
 	rec := get(t, s, "/v1/tile/base/0/0/0.png?exact=true")
 	if rec.Code != http.StatusOK {

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -290,7 +291,9 @@ func LoadTail(path string) ([]TailRecord, uint64, error) {
 
 func decodeTailRecord(payload []byte, ri int) (TailRecord, error) {
 	var rec TailRecord
-	pr := binio.NewReader(bytes.NewReader(payload), int64(len(payload)))
+	// The payload is already in memory: bufio's smallest buffer, not its
+	// 4 KiB default, so a record costs about its own size to decode.
+	pr := binio.NewReader(bufio.NewReaderSize(bytes.NewReader(payload), 16), int64(len(payload)))
 	switch kind := pr.U32(); kind {
 	case tailKindAppend:
 		rec.Table = pr.String(maxNameLen)

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the evaluation
-// harness needs: summary statistics, medians, Spearman rank correlation
-// (Fig. 7 reports ρ = −0.85 between log-loss-ratio and user success), and
-// simple online accumulators.
+// harness needs: means, medians and quantiles, and Spearman rank
+// correlation (Fig. 7 reports ρ = −0.85 between log-loss-ratio and user
+// success).
 package stats
 
 import (
@@ -25,24 +25,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance of xs, or NaN when fewer
-// than two observations are supplied.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Median returns the median of xs without modifying it, or NaN for an empty
 // slice. The paper's loss evaluation (§VI-B2) uses the median of per-point
@@ -72,20 +54,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// Min returns the smallest element of xs, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the largest element of xs, or NaN for an empty slice.
@@ -249,69 +217,4 @@ func betacf(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// Summary holds one-pass summary statistics of a stream of observations.
-// The zero value is ready to use.
-type Summary struct {
-	n          int
-	mean, m2   float64
-	min, max   float64
-	hasExtrema bool
-}
-
-// Add incorporates x using Welford's online algorithm.
-func (s *Summary) Add(x float64) {
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-	if !s.hasExtrema {
-		s.min, s.max, s.hasExtrema = x, x, true
-		return
-	}
-	if x < s.min {
-		s.min = x
-	}
-	if x > s.max {
-		s.max = x
-	}
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the running mean, or NaN before any observation.
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.mean
-}
-
-// Variance returns the running unbiased variance, or NaN with <2 points.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or NaN before any observation.
-func (s *Summary) Min() float64 {
-	if !s.hasExtrema {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or NaN before any observation.
-func (s *Summary) Max() float64 {
-	if !s.hasExtrema {
-		return math.NaN()
-	}
-	return s.max
 }

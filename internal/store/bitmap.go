@@ -91,25 +91,6 @@ func normalizeBitmap(b *rowBitmap) RowSet {
 	return RowSet{bm: b, end: -1}
 }
 
-// intersectBitmaps ANDs two bitmaps word-wise over their overlapping
-// span. Bases are 64-aligned, so the overlap is word-aligned in both.
-func intersectBitmaps(a, b *rowBitmap) RowSet {
-	lo := max(a.base, b.base)
-	hi := min(a.base+len(a.words)<<6, b.base+len(b.words)<<6)
-	if lo >= hi {
-		return RowSet{}
-	}
-	words := make([]uint64, (hi-lo)>>6)
-	count := 0
-	ao, bo := (lo-a.base)>>6, (lo-b.base)>>6
-	for i := range words {
-		w := a.words[ao+i] & b.words[bo+i]
-		words[i] = w
-		count += bits.OnesCount64(w)
-	}
-	return normalizeBitmap(&rowBitmap{base: lo, words: words, count: count})
-}
-
 // unionRangeBitmap unions the non-empty dense range [start, end) with
 // the non-empty set other by setting both into one word array — O(span)
 // bits rather than O(span) ids. ok is false when the combined span is

@@ -406,7 +406,7 @@ func TestRowSetSubtract(t *testing.T) {
 	if got := mk(1, 2, 3).subtractBitmap(nil); got.Len() != 3 {
 		t.Errorf("s - nil = %d rows, want 3", got.Len())
 	}
-	if !All.subtractBitmap(bitmapFromSorted([]int{1})).IsAll() {
+	if !All.subtractBitmap(bitmapFromSorted([]int{1})).all {
 		t.Error("All - dead should stay All (operators resolve All first)")
 	}
 	if !(RowSet{}).subtractBitmap(bitmapFromSorted([]int{1})).IsEmpty() {

@@ -40,9 +40,6 @@ type RowSet struct {
 // report the empty set until a view operator resolves it.
 var All = RowSet{all: true}
 
-// IsAll reports whether the set is the All sentinel.
-func (s RowSet) IsAll() bool { return s.all }
-
 // bitmapMinRows is the result size below which the bitmap representation
 // is never chosen: a handful of ids costs less than any word array.
 const bitmapMinRows = 128
@@ -194,41 +191,6 @@ func (s RowSet) Max() (row int, ok bool) {
 		return s.bm.max(), true
 	}
 	return s.end - 1, true
-}
-
-// Intersect returns the set of rows in both s and t, in the cheapest
-// representation for the result. All is the identity: All ∩ t = t. Two
-// bitmaps intersect word-wise; otherwise the smaller side is iterated
-// and probed against the larger.
-func (s RowSet) Intersect(t RowSet) RowSet {
-	if s.all {
-		return t
-	}
-	if t.all {
-		return s
-	}
-	if s.IsEmpty() || t.IsEmpty() {
-		return RowSet{}
-	}
-	if as, ae, ok := s.AsRange(); ok {
-		if bs, be, ok := t.AsRange(); ok {
-			return RowRange(max(as, bs), min(ae, be))
-		}
-	}
-	if s.bm != nil && t.bm != nil {
-		return intersectBitmaps(s.bm, t.bm)
-	}
-	small, big := s, t
-	if big.Len() < small.Len() {
-		small, big = big, small
-	}
-	var ids []int
-	small.ForEach(func(r int) {
-		if big.Contains(r) && (len(ids) == 0 || ids[len(ids)-1] != r) {
-			ids = append(ids, r)
-		}
-	})
-	return rowSetFromSorted(ids)
 }
 
 // subtractBitmap removes the rows set in dead from s. It is the

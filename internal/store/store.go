@@ -617,27 +617,6 @@ func (s *Store) TableNames() []string {
 	return names
 }
 
-// RegisterSample attaches sample metadata to its source table. The sample
-// table itself must already exist in the store.
-func (s *Store) RegisterSample(meta SampleMeta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tables[meta.Table]; !ok {
-		return fmt.Errorf("store: sample table %q: %w", meta.Table, ErrNotFound)
-	}
-	if _, ok := s.tables[meta.Source]; !ok {
-		return fmt.Errorf("store: source table %q: %w", meta.Source, ErrNotFound)
-	}
-	if meta.Size <= 0 {
-		return fmt.Errorf("store: sample %q has non-positive size %d", meta.Table, meta.Size)
-	}
-	s.samples[meta.Source] = append(s.samples[meta.Source], meta)
-	sort.Slice(s.samples[meta.Source], func(a, b int) bool {
-		return s.samples[meta.Source][a].Size < s.samples[meta.Source][b].Size
-	})
-	return nil
-}
-
 // SamplesOf returns the registered samples of a source table, ascending by
 // size.
 func (s *Store) SamplesOf(source string) []SampleMeta {

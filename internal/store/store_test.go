@@ -161,14 +161,14 @@ func TestPointsAndGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || !pts[1].Equal(geom.Pt(2, 4)) {
+	if len(pts) != 2 || pts[1] != geom.Pt(2, 4) {
 		t.Errorf("pts = %v", pts)
 	}
 	pts, err = tb.Points("x", "y", RowIndices([]int{1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 1 || !pts[0].Equal(geom.Pt(2, 4)) {
+	if len(pts) != 1 || pts[0] != geom.Pt(2, 4) {
 		t.Errorf("subset pts = %v", pts)
 	}
 	if _, err := tb.Points("x", "y", RowIndices([]int{5})); err == nil {
@@ -208,18 +208,17 @@ func TestStoreCatalog(t *testing.T) {
 	if _, err := s.Table("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing table error = %v", err)
 	}
-	for _, name := range []string{"s1", "s2", "s3"} {
-		if _, err := s.CreateTable(name, "x", "y"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Register out of size order; SamplesOf must sort ascending.
+	// Publish out of size order; SamplesOf must sort ascending.
 	for _, m := range []SampleMeta{
 		{Table: "s2", Source: "base", Method: "vas", XCol: "x", YCol: "y", Size: 1000},
 		{Table: "s1", Source: "base", Method: "vas", XCol: "x", YCol: "y", Size: 10},
 		{Table: "s3", Source: "base", Method: "vas", XCol: "x", YCol: "y", Size: 100000},
 	} {
-		if err := s.RegisterSample(m); err != nil {
+		tb, err := NewTable(m.Table, "x", "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PublishSample(tb, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,14 +226,15 @@ func TestStoreCatalog(t *testing.T) {
 	if len(metas) != 3 || metas[0].Size != 10 || metas[2].Size != 100000 {
 		t.Errorf("SamplesOf = %+v", metas)
 	}
-	// Registration validation.
-	if err := s.RegisterSample(SampleMeta{Table: "ghost", Source: "base", Size: 5}); err == nil {
-		t.Error("missing sample table: want error")
+	// Publication validation.
+	ghost, err := NewTable("ghost", "x", "y")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := s.RegisterSample(SampleMeta{Table: "s1", Source: "ghost", Size: 5}); err == nil {
+	if err := s.PublishSample(ghost, SampleMeta{Table: "ghost", Source: "nobase", Size: 5}); err == nil {
 		t.Error("missing source: want error")
 	}
-	if err := s.RegisterSample(SampleMeta{Table: "s1", Source: "base", Size: 0}); err == nil {
+	if err := s.PublishSample(ghost, SampleMeta{Table: "ghost", Source: "base", Size: 0}); err == nil {
 		t.Error("zero size: want error")
 	}
 	names := s.TableNames()

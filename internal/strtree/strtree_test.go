@@ -38,7 +38,7 @@ func TestPackedNearestMatchesBruteForce(t *testing.T) {
 		if d > bestD+1e-9 {
 			t.Fatalf("Nearest dist %v, brute force %v", d, bestD)
 		}
-		if !pts[id].Equal(p) {
+		if pts[id] != p {
 			t.Fatal("returned point does not match returned id")
 		}
 	}
@@ -73,7 +73,7 @@ func TestPackedNearestEmpty(t *testing.T) {
 func TestPackedNearestSinglePoint(t *testing.T) {
 	tr := Build([]geom.Point{geom.Pt(3, 4)}, []int{99})
 	id, p, d, ok := tr.Nearest(geom.Pt(0, 0))
-	if !ok || id != 99 || !p.Equal(geom.Pt(3, 4)) || d != 5 {
+	if !ok || id != 99 || p != geom.Pt(3, 4) || d != 5 {
 		t.Errorf("got id=%d p=%v d=%v ok=%v", id, p, d, ok)
 	}
 }
@@ -201,7 +201,7 @@ func TestPackedDuplicateCoordinates(t *testing.T) {
 	}
 	// Payload ids, not input positions, decide ties.
 	tr = Build([]geom.Point{geom.Pt(1, 0), geom.Pt(-1, 0), geom.Pt(0, 1), geom.Pt(0, -1)}, []int{30, 7, 20, 9})
-	if id, p, _, _ := tr.Nearest(geom.Pt(0, 0)); id != 7 || !p.Equal(geom.Pt(-1, 0)) {
+	if id, p, _, _ := tr.Nearest(geom.Pt(0, 0)); id != 7 || p != geom.Pt(-1, 0) {
 		t.Errorf("tied Nearest returned id %d at %v, want 7 at (-1, 0)", id, p)
 	}
 	for i, nb := range tr.KNearest(geom.Pt(0, 0), 4) {
@@ -233,7 +233,7 @@ func TestPackedTreeIsImmutableCopy(t *testing.T) {
 	orig := pts[0]
 	pts[0] = geom.Pt(9999, 9999)
 	id, p, _, _ := tr.Nearest(orig)
-	if !p.Equal(orig) && id == 0 {
+	if p != orig && id == 0 {
 		t.Error("tree shares storage with caller slice")
 	}
 }

@@ -139,28 +139,13 @@ func (c *Cache) shardOf(k Key) *shard {
 	return &c.shards[h.Sum32()%numShards]
 }
 
-// Get returns the cached tile bytes, or nil when absent. The returned
-// slice must not be modified.
-func (c *Cache) Get(k Key) []byte {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		s.moveToFront(e)
-		c.hits.Add(1)
-		return e.val
-	}
-	return nil
-}
-
 // GetOrRender returns the cached tile, or renders and caches it. When
 // several goroutines miss on the same key at once, exactly one runs
 // render; the rest wait for its result (a render error is propagated to
 // all waiters and nothing is cached). hit reports whether the bytes came
 // straight from the cache without waiting on a render. meta is the
 // sidecar render returned, cached alongside the bytes and served back
-// on every hit (nil for entries inserted via Put). The returned bytes
-// must not be modified.
+// on every hit. The returned bytes must not be modified.
 func (c *Cache) GetOrRender(k Key, render func() ([]byte, any, error)) (val []byte, meta any, hit bool, err error) {
 	s := c.shardOf(k)
 	s.mu.Lock()
@@ -201,22 +186,6 @@ func (c *Cache) GetOrRender(k Key, render func() ([]byte, any, error)) (val []by
 	fl.val, fl.meta, fl.err = render()
 	completed = true
 	return fl.val, fl.meta, false, fl.err
-}
-
-// Put inserts (or replaces) a tile.
-func (c *Cache) Put(k Key, val []byte) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		s.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
-		e.meta = nil
-		s.moveToFront(e)
-		c.evictions.Add(s.evict())
-		return
-	}
-	c.evictions.Add(s.insert(k, val, nil))
 }
 
 // InvalidateTable drops every cached tile (and nothing else) whose key

@@ -1,8 +1,8 @@
 // Package usersim simulates the paper's Mechanical Turk user study
 // (§VI-B, Table I, Fig. 7). The real study cannot be rerun offline, so
-// this package substitutes programmatic users (DESIGN.md §3, substitution
-// 4) that operate on exactly the information a human has: the rendered
-// sample inside a zoom viewport. Each task mirrors its questionnaire:
+// this package substitutes programmatic users that operate on exactly
+// the information a human has: the rendered sample inside a zoom
+// viewport. Each task mirrors its questionnaire:
 //
 //   - Regression: estimate the altitude at a probe location from nearby
 //     visible points, then answer a multiple-choice question (correct

@@ -24,9 +24,6 @@ type WeightedSample struct {
 	Counts []int64
 }
 
-// Len returns the number of sample points.
-func (w *WeightedSample) Len() int { return len(w.Points) }
-
 // TotalCount returns the sum of all counts, which equals the number of
 // dataset points streamed through the density pass.
 func (w *WeightedSample) TotalCount() int64 {

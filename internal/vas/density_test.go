@@ -21,8 +21,8 @@ func TestDensityPassCountsSumToN(t *testing.T) {
 	if got := ws.TotalCount(); got != int64(len(data)) {
 		t.Errorf("counts sum to %d, want %d", got, len(data))
 	}
-	if ws.Len() != 50 {
-		t.Errorf("weighted sample has %d points", ws.Len())
+	if len(ws.Points) != 50 {
+		t.Errorf("weighted sample has %d points", len(ws.Points))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -15,9 +14,9 @@ import (
 //
 // The paper obtains exact solutions by converting VAS to a Mixed Integer
 // Program and handing it to GLPK, an external closed-box library. As a
-// substitution (DESIGN.md §3) we solve the same combinatorial problem —
-// choose exactly K of N points minimizing the sum of pairwise κ̃ — with a
-// best-first branch-and-bound over subsets. Both approaches share the
+// substitution we solve the same combinatorial problem — choose exactly
+// K of N points minimizing the sum of pairwise κ̃ — with a best-first
+// branch-and-bound over subsets. Both approaches share the
 // properties Table II depends on: a provably optimal objective and a
 // runtime that explodes with N, in contrast to Interchange's near-zero
 // runtime with a near-optimal objective.
@@ -235,13 +234,17 @@ func RandomSubset(pts []geom.Point, k int, intn func(int) int) []geom.Point {
 }
 
 // GapToOptimal reports the Theorem 3 quantities for a candidate sample
-// against a known optimum: the normalized objectives and their difference,
+// against a known optimum: the normalized objectives (each averaged over
+// its K(K-1) ordered pairs, 0 below two points) and their difference,
 // which the theorem bounds by 1/4.
 func GapToOptimal(k proximity.Func, candidate, optimal []geom.Point) (candNorm, optNorm, gap float64) {
-	candNorm = NormalizedObjective(k, candidate)
-	optNorm = NormalizedObjective(k, optimal)
+	norm := func(pts []geom.Point) float64 {
+		n := float64(len(pts))
+		if n < 2 {
+			return 0
+		}
+		return Objective(k, pts) / (n * (n - 1))
+	}
+	candNorm, optNorm = norm(candidate), norm(optimal)
 	return candNorm, optNorm, candNorm - optNorm
 }
-
-// ensure math is referenced even if future edits drop other uses.
-var _ = math.Inf

@@ -106,11 +106,11 @@ func TestInterchangeKernelEquivalence(t *testing.T) {
 		sort.Ints(out)
 		return out
 	}
-	for _, kern := range []proximity.Func{
-		proximity.New(proximity.Gaussian, 1.0/64),
-		proximity.New(proximity.Epanechnikov, 2),
-		proximity.New(proximity.Tricube, 2),
-	} {
+	for _, kc := range []struct {
+		kind proximity.Kind
+		eps  float64
+	}{{proximity.Gaussian, 1.0 / 64}, {proximity.Epanechnikov, 2}, {proximity.Tricube, 2}} {
+		kern := proximity.New(kc.kind, kc.eps)
 		run := func(v Variant) *Interchange {
 			ic := NewInterchange(Options{K: 15, Kernel: kern, Variant: v})
 			Converge(ic, pts, 2)
@@ -124,7 +124,7 @@ func TestInterchangeKernelEquivalence(t *testing.T) {
 			t.Errorf("%v: no-es points %v (%d swaps), es points %v (%d swaps)",
 				kern, xs(noes), noes.Replacements(), xs(es), es.Replacements())
 		}
-		if kern.Kind() == proximity.Gaussian {
+		if kc.kind == proximity.Gaussian {
 			continue
 		}
 		if loc := run(ESLoc); !equalInts(loc.SampleIDs(), es.SampleIDs()) || loc.Replacements() != es.Replacements() {

@@ -51,7 +51,7 @@ func TestNormalizedObjectiveBounds(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Pt(rng.NormFloat64(), rng.NormFloat64())
 		}
-		v := NormalizedObjective(kern, pts)
+		v, _, _ := GapToOptimal(kern, pts, nil)
 		return v >= 0 && v <= 0.5+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -90,7 +90,7 @@ func TestInterchangeSampleIsSubset(t *testing.T) {
 				return false
 			}
 			seen[id] = true
-			if !pts[id].Equal(sample[i]) {
+			if pts[id] != sample[i] {
 				return false
 			}
 		}

@@ -125,7 +125,6 @@ type Interchange struct {
 	// drift could otherwise turn it into a perpetual no-op swap).
 	inSample []uint64
 
-	seen         int // points offered
 	replacements int // successful swaps since construction
 	passSwaps    int // successful swaps since BeginPass
 }
@@ -157,12 +156,6 @@ func NewInterchange(opt Options) *Interchange {
 	return ic
 }
 
-// K returns the configured sample size.
-func (ic *Interchange) K() int { return ic.opt.K }
-
-// Seen returns the number of points offered so far.
-func (ic *Interchange) Seen() int { return ic.seen }
-
 // Replacements returns the number of successful swaps since construction.
 func (ic *Interchange) Replacements() int { return ic.replacements }
 
@@ -186,7 +179,6 @@ func (ic *Interchange) Add(p geom.Point, id int) {
 	if id < 0 {
 		panic(fmt.Sprintf("vas: Add with negative id %d", id))
 	}
-	ic.seen++
 	if w := id >> 6; w >= len(ic.inSample) {
 		ic.inSample = append(ic.inSample, make([]uint64, w+1-len(ic.inSample))...)
 	}
@@ -397,17 +389,6 @@ func Objective(k proximity.Func, pts []geom.Point) float64 {
 		}
 	}
 	return obj
-}
-
-// NormalizedObjective is the Theorem 3 quantity: the objective averaged
-// over the K(K-1) ordered pairs, the scale on which the approximation
-// guarantee (within 1/4 of optimal) is stated.
-func NormalizedObjective(k proximity.Func, pts []geom.Point) float64 {
-	n := len(pts)
-	if n < 2 {
-		return 0
-	}
-	return Objective(k, pts) / (float64(n) * float64(n-1))
 }
 
 // Converge streams pts through ic repeatedly until a full pass makes no

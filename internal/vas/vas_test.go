@@ -297,7 +297,7 @@ func TestSampleIDsParallelToSample(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", len(s), len(ids))
 	}
 	for i := range s {
-		if !pts[ids[i]].Equal(s[i]) {
+		if pts[ids[i]] != s[i] {
 			t.Fatalf("sample[%d]=%v but pts[ids[%d]]=%v", i, s[i], i, pts[ids[i]])
 		}
 	}
@@ -307,12 +307,15 @@ func TestNormalizedObjective(t *testing.T) {
 	kern := testKernel()
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.1, 0), geom.Pt(0, 0.1)}
 	obj := Objective(kern, pts)
-	norm := NormalizedObjective(kern, pts)
+	norm, single, gap := GapToOptimal(kern, pts, pts[:1])
 	if math.Abs(norm-obj/6) > 1e-15 {
 		t.Errorf("normalized = %v, want obj/6 = %v", norm, obj/6)
 	}
-	if NormalizedObjective(kern, pts[:1]) != 0 {
+	if single != 0 {
 		t.Error("single point should normalize to 0")
+	}
+	if gap != norm {
+		t.Errorf("gap = %v, want %v", gap, norm)
 	}
 }
 

@@ -3,11 +3,11 @@
 //
 // The paper times two closed/unavailable systems — Tableau (commercial,
 // Windows-only) and MathGL (C++ plotting library) — so this package
-// substitutes calibrated cost models (DESIGN.md §3, substitution 3): the
-// paper's own measurements show latency is linear in the number of
-// visualized tuples ("visualization time grew linearly with sample size"),
-// composed of a fixed startup cost, a per-tuple fetch cost, and a per-tuple
-// render cost. The model constants are fitted to the published curves
+// substitutes calibrated cost models: the paper's own measurements show
+// latency is linear in the number of visualized tuples ("visualization
+// time grew linearly with sample size"), composed of a fixed startup
+// cost, a per-tuple fetch cost, and a per-tuple render cost. The model
+// constants are fitted to the published curves
 // (Tableau: >4 min at 50M in-memory tuples; both systems >2s at 1M; MathGL
 // several times faster than Tableau at equal size).
 //
@@ -17,7 +17,6 @@
 package viztime
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/geom"
@@ -170,29 +169,4 @@ func (m Measured) Time(n int) time.Duration {
 	r.Plot(pts)
 	_ = r.Image()
 	return time.Since(start)
-}
-
-// Series is one latency curve: tuple counts and the predicted times.
-type Series struct {
-	System string
-	Sizes  []int
-	Times  []time.Duration
-}
-
-// Sweep evaluates m across sizes and returns the curve.
-func Sweep(m Model, sizes []int) Series {
-	s := Series{System: m.Name(), Sizes: sizes, Times: make([]time.Duration, len(sizes))}
-	for i, n := range sizes {
-		s.Times[i] = m.Time(n)
-	}
-	return s
-}
-
-// String renders the series as aligned rows for harness output.
-func (s Series) String() string {
-	out := fmt.Sprintf("%s:", s.System)
-	for i := range s.Sizes {
-		out += fmt.Sprintf(" %d=%s", s.Sizes[i], s.Times[i].Round(time.Millisecond))
-	}
-	return out
 }

@@ -108,13 +108,3 @@ func TestMeasuredRendererRuns(t *testing.T) {
 		t.Error("empty name")
 	}
 }
-
-func TestSweep(t *testing.T) {
-	s := Sweep(Tableau(), []int{10, 20})
-	if len(s.Times) != 2 || s.Times[1] <= s.Times[0] {
-		t.Errorf("sweep = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty string rendering")
-	}
-}

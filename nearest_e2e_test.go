@@ -145,21 +145,4 @@ func TestNearestServesByteIdenticalAcrossSnapshotRestart(t *testing.T) {
 			t.Errorf("%s /metrics lacks %q", name, want)
 		}
 	}
-
-	// The catalog-level API agrees with the HTTP surface.
-	res, err := loaded.Nearest("gps", 116.3, 39.9, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Neighbors) != 5 {
-		t.Fatalf("catalog Nearest returned %d neighbors, want 5", len(res.Neighbors))
-	}
-	for i := 1; i < len(res.Neighbors); i++ {
-		if res.Neighbors[i].Dist < res.Neighbors[i-1].Dist {
-			t.Fatalf("catalog Nearest not ascending: %+v", res.Neighbors)
-		}
-	}
-	if _, err := loaded.Nearest("gps", 1, 1, 0, nil); err == nil {
-		t.Fatal("k=0 did not error")
-	}
 }

@@ -69,9 +69,6 @@ type Pred = store.Pred
 // pruned for filtered queries.
 type ScanStats = store.ScanStats
 
-// Neighbor is one k-nearest-neighbour result row (see Catalog.Nearest).
-type Neighbor = store.Neighbor
-
 // Options configures Build.
 type Options struct {
 	// K is the sample size (required, positive).
@@ -106,13 +103,7 @@ type Sample struct {
 	Objective float64
 	// Passes is how many passes Interchange ran.
 	Passes int
-
-	kern proximity.Func
 }
-
-// Kernel returns the proximity function the sample was built with, for
-// use with EvaluateLoss.
-func (s *Sample) Kernel() proximity.Func { return s.kern }
 
 // Build runs the Interchange algorithm over points and returns the VAS
 // sample. Build streams the data Passes times (default 2) and stops early
@@ -148,7 +139,6 @@ func Build(points []Point, opt Options) (*Sample, error) {
 			Points:    append([]Point(nil), points...),
 			IDs:       ids,
 			Objective: core.Objective(kern, points),
-			kern:      kern,
 		}, nil
 	}
 	ic := core.NewInterchange(core.Options{K: opt.K, Kernel: kern, Variant: variant})
@@ -158,7 +148,6 @@ func Build(points []Point, opt Options) (*Sample, error) {
 		IDs:       ic.SampleIDs(),
 		Objective: ic.Objective(), // Converge recomputed it after the last pass
 		Passes:    ran,
-		kern:      kern,
 	}, nil
 }
 
@@ -774,32 +763,4 @@ func (c *Catalog) QueryExact(table string, viewport Rect) (*QueryResult, error) 
 		PredictedTime: resp.PredictedTime,
 		Scan:          resp.Scan,
 	}, nil
-}
-
-// NearestResult is the answer to a k-nearest-neighbour query.
-type NearestResult struct {
-	// Neighbors are the k nearest live rows, nearest first (ties broken
-	// by row id); fewer when the table holds fewer matching rows.
-	Neighbors []Neighbor
-	// Scan reports how the search ran — best-first tree descent for
-	// R-tree-backed tables, brute-force sweep otherwise.
-	Scan ScanStats
-}
-
-// Nearest answers the k nearest live rows of the base table to (x, y)
-// by Euclidean distance, restricted to rows matching every filter.
-// Always exact — a kNN answer is k specific rows, so no sample or
-// latency-budget tradeoff applies. R-tree-backed tables (the store picks
-// the tree when the data's grid occupancy is skewed) answer with a
-// best-first branch-and-bound descent; grid-backed and unindexed tables
-// fall back to a brute-force sweep.
-func (c *Catalog) Nearest(table string, x, y float64, k int, filters []Pred) (*NearestResult, error) {
-	resp, err := c.planner.Nearest(query.NearestRequest{
-		Table: table, XCol: "x", YCol: "y",
-		X: x, Y: y, K: k, Filters: filters,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &NearestResult{Neighbors: resp.Neighbors, Scan: resp.Scan}, nil
 }
