@@ -34,12 +34,13 @@ vet:
 	cd bench && $(GO) vet ./...
 
 # bench-smoke is the CI guard: every committed benchmark must still
-# compile and complete one iteration — all of internal/store's and
-# internal/proximity's, and the listed root ones (the root package's
-# full -bench . takes ~70 s).
+# compile and complete one iteration — all of internal/store's,
+# internal/proximity's and internal/render's, and the listed root ones
+# (the root package's full -bench . takes ~70 s).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/store
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/proximity
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/render
 	$(GO) test -run '^$$' -bench '$(SNAPSHOT_BENCH)' -benchtime 1x .
 
 # obs-smoke exercises the observability surface end to end: the
@@ -58,7 +59,8 @@ obs-smoke:
 # (expRow) and a Gaussian PairRow on both of its paths, and of an
 # Interchange offer, and the allocation ceiling of one filtered probe on
 # the grid, the tree, an appended tail and the linear scan of an
-# unindexed pair with one predicate and with five; it also runs the probe
+# unindexed pair with one predicate and with five, and of one pooled
+# weighted 256² tile (plot, PNG encode, release); it also runs the probe
 # golden at GOMAXPROCS 1 and 4, so answers and scan stats cannot come
 # to depend on the CPU count.
 fuzz-smoke:
@@ -73,6 +75,7 @@ kernel-alloc:
 	$(GO) test -count=1 -cpu 1,4 -run TestProbeGolden ./internal/store
 	$(GO) test -count=1 -run 'TestInterchangeAddZeroAlloc' ./internal/vas
 	$(GO) test -count=1 -run 'TestExpRowZeroAlloc' ./internal/proximity
+	$(GO) test -count=1 -run 'TestTileEncodeAllocs' ./internal/render
 
 # torture-smoke runs the resilience suite under -race: the
 # crash-recovery torture test (a crash injected at every file-op site

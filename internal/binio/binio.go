@@ -17,6 +17,7 @@ package binio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -179,6 +180,12 @@ func NewReader(r io.Reader, limit int64) *Reader {
 	return &Reader{r: br, remaining: limit}
 }
 
+// NewBytesReader returns a Reader over b, budgeted to len(b). The bytes
+// are already in memory, so no buffer sits between them and the reads.
+func NewBytesReader(b []byte) *Reader {
+	return &Reader{r: bytes.NewReader(b), remaining: int64(len(b))}
+}
+
 // Err returns the latched error, if any.
 func (r *Reader) Err() error { return r.err }
 
@@ -247,6 +254,10 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 func (r *Reader) String(maxLen int) string {
 	n := r.U32()
 	if r.err != nil {
+		return ""
+	}
+	if r.remaining >= 0 && int64(n) > r.remaining {
+		r.fail(fmt.Errorf("%w: string claims %d bytes, %d remain", ErrTruncated, n, r.remaining))
 		return ""
 	}
 	if int64(n) > int64(maxLen) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -151,5 +152,28 @@ func TestStringLimit(t *testing.T) {
 	r := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if got := r.String(4); got != "" || r.Err() == nil {
 		t.Fatalf("over-limit string: %q, err %v", got, r.Err())
+	}
+}
+
+// TestStringBudgetBeforeAlloc: a 6-byte input that claims a 4 KiB
+// string fails with ErrTruncated before the string's buffer is made.
+func TestStringBudgetBeforeAlloc(t *testing.T) {
+	data := []byte{0x00, 0x10, 0x00, 0x00, 'a', 'b'} // length 4096, then 2 bytes
+	const runs = 100
+	var r *Reader
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		r = NewBytesReader(data)
+		if got := r.String(1 << 20); got != "" {
+			t.Fatalf("String = %q", got)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if err := r.Err(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 1<<10 {
+		t.Fatalf("rejecting the claim allocated %d bytes, want < 1 KiB", got)
 	}
 }

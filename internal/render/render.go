@@ -2,11 +2,16 @@
 // architecture: it turns point sets (full datasets or samples) into scatter
 // and map plots. Plots are rasterized into a count grid first — which is
 // also what the simulated user study "sees" — and can be encoded to PNG via
-// the standard library. Zoom viewports, per-point dot sizes from density
-// counts (§V), and a value-colored map-plot mode are supported.
+// the standard library. A raster encodes as a palette PNG — just the
+// colours it uses, at the bit depth they need, no row filters — at
+// BestSpeed through one shared encoder and pooled buffers; an all-empty
+// raster writes the constant tile of its size. Zoom viewports, per-point
+// dot sizes from density counts (§V), and a value-colored map-plot mode
+// are supported.
 package render
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"image"
@@ -14,6 +19,7 @@ import (
 	"image/png"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -25,10 +31,12 @@ type Raster struct {
 	W, H     int
 	Viewport geom.Rect
 	cells    []float64
+	pooled   *[]float64 // cells' pool handle, nil once released
 }
 
-// NewRaster returns an empty raster over the viewport. It panics when the
-// resolution is not positive or the viewport is empty.
+// NewRaster returns an empty raster over the viewport, reusing the cells
+// of one released at the same size when there is one. It panics when
+// the resolution is not positive or the viewport is empty.
 func NewRaster(viewport geom.Rect, w, h int) *Raster {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("render: raster size must be positive, got %dx%d", w, h))
@@ -36,7 +44,14 @@ func NewRaster(viewport geom.Rect, w, h int) *Raster {
 	if viewport.IsEmpty() {
 		panic("render: empty viewport")
 	}
-	return &Raster{W: w, H: h, Viewport: viewport, cells: make([]float64, w*h)}
+	cells, _ := poolFor(&cellPools, size{w, h}).Get().(*[]float64)
+	if cells == nil {
+		c := make([]float64, w*h)
+		cells = &c
+	} else {
+		clear(*cells)
+	}
+	return &Raster{W: w, H: h, Viewport: viewport, cells: *cells, pooled: cells}
 }
 
 // cellAt maps a data-space point to raster coordinates; ok is false when
@@ -159,11 +174,30 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Image renders the raster to a grayscale-on-white image with log-scaled
-// intensity (count grids are heavy-tailed; linear scaling blacks out dense
-// plots).
-func (r *Raster) Image() *image.NRGBA {
-	img := image.NewNRGBA(image.Rect(0, 0, r.W, r.H))
+// whiteIndex is tilePalette's entry for an empty cell; entries 0..225
+// are the grey levels.
+const whiteIndex = 226
+
+// tilePalette holds every colour a raster can take: grey level g at
+// entry g (blue lifted so dense areas read as ink, not soot), then
+// white. The entries are color.NRGBA, the PNG writer's own model, so
+// writing the PLTE chunk converts nothing.
+var tilePalette = func() color.Palette {
+	p := make(color.Palette, whiteIndex+1)
+	for g := 0; g < whiteIndex; g++ {
+		p[g] = color.NRGBA{uint8(g), uint8(g), uint8(float64(g)/2 + 64), 255}
+	}
+	p[whiteIndex] = color.NRGBA{255, 255, 255, 255}
+	return p
+}()
+
+// paint writes the raster into img, which must be W×H: log-scaled
+// intensity (count grids are heavy-tailed; linear scaling blacks out
+// dense plots), white for an empty cell. img's palette becomes the
+// tilePalette entries the raster uses, in order of first use, so a tile
+// carries its few colours rather than all 227 (a full PLTE chunk is
+// 693 bytes, most of a typical tile).
+func (r *Raster) paint(img *image.Paletted) {
 	var maxMass float64
 	for _, c := range r.cells {
 		if c > maxMass {
@@ -171,27 +205,128 @@ func (r *Raster) Image() *image.NRGBA {
 		}
 	}
 	logMax := math.Log1p(maxMass)
-	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			c := r.cells[y*r.W+x]
-			if c == 0 {
-				img.SetNRGBA(x, y, color.NRGBA{255, 255, 255, 255})
-				continue
+	var slot [whiteIndex + 1]uint8 // tilePalette entry → img index + 1
+	img.Palette = img.Palette[:0]
+	// A disc spreads equal mass over its cells, so runs of one value are
+	// common: the last index is reused rather than recomputed.
+	last, idx := math.NaN(), uint8(0)
+	for i, c := range r.cells {
+		if c != last {
+			last = c
+			g := uint8(whiteIndex)
+			if c != 0 {
+				v := 1.0
+				if logMax > 0 {
+					v = math.Log1p(c) / logMax
+				}
+				g = uint8(225 - 225*v)
 			}
-			v := 1.0
-			if logMax > 0 {
-				v = math.Log1p(c) / logMax
+			if slot[g] == 0 {
+				img.Palette = append(img.Palette, tilePalette[g])
+				slot[g] = uint8(len(img.Palette))
 			}
-			g := uint8(225 - 225*v)
-			img.SetNRGBA(x, y, color.NRGBA{g, g, uint8(float64(g)/2 + 64), 255})
+			idx = slot[g] - 1
 		}
+		img.Pix[i] = idx
 	}
+}
+
+// Image renders the raster to a grey-on-white paletted image.
+func (r *Raster) Image() *image.Paletted {
+	img := image.NewPaletted(image.Rect(0, 0, r.W, r.H), nil)
+	r.paint(img)
 	return img
 }
 
-// WritePNG encodes the raster image as PNG.
+// WritePNG encodes the raster image as a palette PNG. An all-empty
+// raster writes the one tile encoded for its size; any other borrows a
+// pooled image. The bytes depend on the cells alone.
 func (r *Raster) WritePNG(w io.Writer) error {
-	return png.Encode(w, r.Image())
+	if r.empty() {
+		b, err := emptyTile(r.W, r.H)
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(b)
+		return err
+	}
+	pool := poolFor(&imagePools, size{r.W, r.H})
+	img, _ := pool.Get().(*image.Paletted)
+	if img == nil {
+		img = image.NewPaletted(image.Rect(0, 0, r.W, r.H), make(color.Palette, 0, whiteIndex+1))
+	}
+	r.paint(img)
+	err := encoder.Encode(w, img)
+	pool.Put(img)
+	return err
+}
+
+func (r *Raster) empty() bool {
+	for _, c := range r.cells {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Release hands the raster's cells back for the next NewRaster of its
+// size. The raster must not be used afterwards; one never released is
+// left to the GC.
+func (r *Raster) Release() {
+	if r.pooled == nil {
+		return
+	}
+	poolFor(&cellPools, size{r.W, r.H}).Put(r.pooled)
+	r.pooled, r.cells = nil, nil
+}
+
+// encoder is the one PNG encoder behind every plot: BestSpeed, because a
+// tile is mostly white and default compression spends its time finding
+// little more, and a pooled EncoderBuffer, so the zlib writer (≈ 1 MB
+// of state) is reused rather than allocated per tile.
+var encoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: new(bufferPool)}
+
+type bufferPool struct{ p sync.Pool }
+
+func (b *bufferPool) Get() *png.EncoderBuffer {
+	e, _ := b.p.Get().(*png.EncoderBuffer)
+	return e
+}
+
+func (b *bufferPool) Put(e *png.EncoderBuffer) { b.p.Put(e) }
+
+// size keys the per-size pools and the empty-tile cache.
+type size struct{ w, h int }
+
+// cellPools and imagePools map a size to a *sync.Pool of its *[]float64
+// cell grids and *image.Paletted images. Only sync.Pool holds them, so
+// idle buffers are freed within two collections.
+var cellPools, imagePools sync.Map
+
+func poolFor(pools *sync.Map, k size) *sync.Pool {
+	if p, ok := pools.Load(k); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := pools.LoadOrStore(k, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// emptyTiles maps a size to the PNG bytes of its all-white tile.
+var emptyTiles sync.Map
+
+func emptyTile(w, h int) ([]byte, error) {
+	k := size{w, h}
+	if b, ok := emptyTiles.Load(k); ok {
+		return b.([]byte), nil
+	}
+	img := image.NewPaletted(image.Rect(0, 0, w, h), color.Palette{tilePalette[whiteIndex]})
+	var buf bytes.Buffer
+	if err := encoder.Encode(&buf, img); err != nil {
+		return nil, err
+	}
+	b, _ := emptyTiles.LoadOrStore(k, buf.Bytes())
+	return b.([]byte), nil
 }
 
 // MapPlot renders a value-colored map plot (Fig. 1 style): each point
@@ -281,7 +416,7 @@ func ramp(t float64) color.NRGBA {
 
 // WritePNG encodes the map plot as PNG.
 func (m *MapPlot) WritePNG(w io.Writer) error {
-	return png.Encode(w, m.Image())
+	return encoder.Encode(w, m.Image())
 }
 
 // ZoomViewport returns a viewport covering the sub-rectangle of bounds at

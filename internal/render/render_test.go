@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"image/color"
 	"image/png"
 	"math"
 	"math/rand"
@@ -138,8 +139,7 @@ func TestImageAndPNG(t *testing.T) {
 
 func TestEmptyRasterRendersWhite(t *testing.T) {
 	r := NewRaster(unitViewport(), 8, 8)
-	img := r.Image()
-	c := img.NRGBAAt(3, 3)
+	c := color.NRGBAModel.Convert(r.Image().At(3, 3)).(color.NRGBA)
 	if c.R != 255 || c.G != 255 || c.B != 255 {
 		t.Errorf("empty cell color %v, want white", c)
 	}

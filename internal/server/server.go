@@ -1248,6 +1248,7 @@ func (s *Server) renderTile(ctx context.Context, base store.View, meta store.Sam
 	var buf bytes.Buffer
 	err = ras.WritePNG(&buf)
 	sp.End()
+	ras.Release()
 	if err != nil {
 		return nil, tm, err
 	}

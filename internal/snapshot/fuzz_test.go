@@ -255,9 +255,7 @@ func FuzzTailDecode(f *testing.F) {
 // log. Per byte: the file, the decoded floats and their scratch (≈ 3×),
 // or for the smallest records (a 12-byte frame around a 12-byte empty
 // delete) their readers and TailRecord, ≈ 400 bytes each (≈ 17×). The
-// constant covers opening the file and one name buffer, which the
-// decoder sizes from the claimed length up to maxNameLen before it
-// reads the bytes.
+// constant covers opening the file.
 func tailAllocBound(size int) uint64 {
-	return uint64(32*size + 8<<10)
+	return uint64(32*size + 4<<10)
 }

@@ -341,7 +341,7 @@ func Read(r io.Reader, size int64) (*Catalog, error) {
 		if got := crc32.ChecksumIEEE(payload); got != sum {
 			return nil, corrupt("section %d checksum mismatch: %08x != %08x", si, got, sum)
 		}
-		pr := binio.NewReader(bytes.NewReader(payload), int64(len(payload)))
+		pr := binio.NewBytesReader(payload)
 		switch kind {
 		case sectionCatalog:
 			if sawCatalog {

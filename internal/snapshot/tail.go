@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -291,9 +290,7 @@ func LoadTail(path string) ([]TailRecord, uint64, error) {
 
 func decodeTailRecord(payload []byte, ri int) (TailRecord, error) {
 	var rec TailRecord
-	// The payload is already in memory: bufio's smallest buffer, not its
-	// 4 KiB default, so a record costs about its own size to decode.
-	pr := binio.NewReader(bufio.NewReaderSize(bytes.NewReader(payload), 16), int64(len(payload)))
+	pr := binio.NewBytesReader(payload)
 	switch kind := pr.U32(); kind {
 	case tailKindAppend:
 		rec.Table = pr.String(maxNameLen)
