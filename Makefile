@@ -56,8 +56,9 @@ obs-smoke:
 # and kernel equivalence fuzzers a short budget against their checked-in
 # corpora (testdata/fuzz); CI runs it on every push. kernel-alloc locks the
 # zero-allocation contract of the selection kernels, of the packed exp
-# (expRow) and a Gaussian PairRow on both of its paths, and of an
-# Interchange offer, and the allocation ceiling of one filtered probe on
+# (expRow), a Gaussian PairRow and every kind's PairRowXY on both of
+# their paths, and of an Interchange offer, and the allocation ceiling
+# of one filtered probe on
 # the grid, the tree, an appended tail and the linear scan of an
 # unindexed pair with one predicate and with five, and of one pooled
 # weighted 256² tile (plot, PNG encode, release); it also runs the probe
@@ -74,7 +75,7 @@ kernel-alloc:
 	$(GO) test -count=1 -run 'TestKernelZeroAlloc|TestProbeAllocs' ./internal/store
 	$(GO) test -count=1 -cpu 1,4 -run TestProbeGolden ./internal/store
 	$(GO) test -count=1 -run 'TestInterchangeAddZeroAlloc' ./internal/vas
-	$(GO) test -count=1 -run 'TestExpRowZeroAlloc' ./internal/proximity
+	$(GO) test -count=1 -run 'TestExpRowZeroAlloc|TestPairRowXYZeroAlloc' ./internal/proximity
 	$(GO) test -count=1 -run 'TestTileEncodeAllocs' ./internal/render
 
 # torture-smoke runs the resilience suite under -race: the

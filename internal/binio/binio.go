@@ -8,11 +8,11 @@
 //     length-prefixed slices; the first error latches and every later
 //     call is a no-op, so codecs read as straight-line field lists with
 //     one error check at the end.
-//   - Reader mirrors Writer and adds an allocation budget: when
-//     constructed with the input's size, a length prefix larger than the
-//     bytes that could possibly follow is rejected before anything is
-//     allocated — a truncated or hostile header can cost at most the
-//     bytes actually present, never an OOM.
+//   - Reader mirrors Writer and adds an allocation budget: it is
+//     constructed with the input's size, and a length prefix larger
+//     than the bytes that could possibly follow is rejected before
+//     anything is allocated — a truncated or hostile header can cost at
+//     most the bytes actually present, never an OOM.
 package binio
 
 import (
@@ -159,19 +159,16 @@ func (w *Writer) fail(err error) {
 
 // Reader consumes little-endian primitives with a byte budget. The
 // budget is the number of bytes the input can still supply; every slice
-// read checks its claimed size against it before allocating. A negative
-// limit disables the budget (for streams of unknown size — callers then
-// guard counts themselves).
+// read checks its claimed size against it before allocating.
 type Reader struct {
 	r         io.Reader
-	remaining int64 // bytes the input may still yield; -1 = unbounded
+	remaining int64 // bytes the input may still yield
 	err       error
 	buf       [8]byte
 }
 
-// NewReader returns a Reader over r that will refuse to read (or
-// allocate for) more than limit bytes. Pass a negative limit for an
-// unbounded stream.
+// NewReader returns a Reader over r, which holds limit bytes: it will
+// refuse to read (or allocate for) more than that.
 func NewReader(r io.Reader, limit int64) *Reader {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -189,8 +186,8 @@ func NewBytesReader(b []byte) *Reader {
 // Err returns the latched error, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining returns the unread byte budget (-1 when unbounded). Codecs
-// use it to reject payloads with trailing garbage.
+// Remaining returns the unread byte budget. Codecs use it to reject
+// payloads with trailing garbage.
 func (r *Reader) Remaining() int64 { return r.remaining }
 
 // fail latches err (first one wins).
@@ -206,13 +203,11 @@ func (r *Reader) take(n int64) bool {
 	if r.err != nil {
 		return false
 	}
-	if r.remaining >= 0 {
-		if n > r.remaining {
-			r.fail(fmt.Errorf("%w: need %d bytes, %d remain", ErrTruncated, n, r.remaining))
-			return false
-		}
-		r.remaining -= n
+	if n > r.remaining {
+		r.fail(fmt.Errorf("%w: need %d bytes, %d remain", ErrTruncated, n, r.remaining))
+		return false
 	}
+	r.remaining -= n
 	return true
 }
 
@@ -256,7 +251,7 @@ func (r *Reader) String(maxLen int) string {
 	if r.err != nil {
 		return ""
 	}
-	if r.remaining >= 0 && int64(n) > r.remaining {
+	if int64(n) > r.remaining {
 		r.fail(fmt.Errorf("%w: string claims %d bytes, %d remain", ErrTruncated, n, r.remaining))
 		return ""
 	}
@@ -284,14 +279,9 @@ func (r *Reader) sliceCount(elemSize int64) int {
 		r.fail(fmt.Errorf("%w: slice count %d overflows", ErrTruncated, n))
 		return 0
 	}
-	if r.remaining >= 0 && int64(n)*elemSize > r.remaining {
+	if int64(n)*elemSize > r.remaining {
 		r.fail(fmt.Errorf("%w: slice claims %d elements (%d bytes), %d bytes remain",
 			ErrTruncated, n, int64(n)*elemSize, r.remaining))
-		return 0
-	}
-	const maxSliceElems = 1 << 33 // unbounded-stream guard
-	if r.remaining < 0 && n > maxSliceElems {
-		r.fail(fmt.Errorf("binio: slice claims %d elements, limit %d", n, int64(maxSliceElems)))
 		return 0
 	}
 	return int(n)

@@ -129,8 +129,7 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 
 // ReadBinarySized parses the compact binary format from an input known
 // to hold size bytes: a header that claims more points than the bytes
-// behind it can supply is rejected before anything is allocated. A
-// negative size means unknown.
+// behind it can supply is rejected before anything is allocated.
 func ReadBinarySized(r io.Reader, name string, size int64) (*Dataset, error) {
 	br := binio.NewReader(r, size)
 	magic := make([]byte, 4)
@@ -150,20 +149,14 @@ func ReadBinarySized(r io.Reader, name string, size int64) (*Dataset, error) {
 	if version != binaryVersion {
 		return nil, fmt.Errorf("dataset: unsupported version %d", version)
 	}
-	const maxPoints = 1 << 31 // refuse absurd headers rather than OOM
-	if n > maxPoints {
-		return nil, fmt.Errorf("dataset: header claims %d points, limit %d", n, maxPoints)
+	// Reject a header whose claimed rows cannot fit in the bytes behind
+	// it before allocating for them.
+	perPoint := uint64(16)
+	if flags&flagHasValues != 0 {
+		perPoint += 8
 	}
-	// With a known size, reject a header whose claimed rows cannot fit
-	// in the bytes behind it before allocating for them.
-	if rem := br.Remaining(); rem >= 0 {
-		need := int64(n) * 16
-		if flags&flagHasValues != 0 {
-			need += int64(n) * 8
-		}
-		if need > rem {
-			return nil, fmt.Errorf("dataset: header claims %d points (%d bytes), %d bytes remain", n, need, rem)
-		}
+	if rem := br.Remaining(); n > uint64(rem)/perPoint {
+		return nil, fmt.Errorf("dataset: header claims %d points of %d bytes, %d bytes remain", n, perPoint, rem)
 	}
 	d := &Dataset{Name: name, Points: make([]geom.Point, n)}
 	for i := range d.Points {
@@ -213,11 +206,11 @@ func LoadFile(path, name string) (*Dataset, error) {
 	if hasCSVExt(path) {
 		return ReadCSV(f, name)
 	}
-	size := int64(-1)
-	if st, err := f.Stat(); err == nil {
-		size = st.Size()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	return ReadBinarySized(f, name, size)
+	return ReadBinarySized(f, name, st.Size())
 }
 
 func hasCSVExt(path string) bool {

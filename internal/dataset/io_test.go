@@ -2,11 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/binio"
 	"repro/internal/geom"
 )
 
@@ -84,7 +86,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinarySized(&buf, "test", -1)
+	got, err := ReadBinarySized(&buf, "test", int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestBinaryRoundTripNoValues(t *testing.T) {
 	if err := WriteBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinarySized(&buf, "nv", -1)
+	got, err := ReadBinarySized(&buf, "nv", int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +110,10 @@ func TestBinaryRoundTripNoValues(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinarySized(strings.NewReader("NOTMAGIC........"), "g", -1); err == nil {
+	if _, err := ReadBinarySized(strings.NewReader("NOTMAGIC........"), "g", 16); err == nil {
 		t.Error("bad magic: want error")
 	}
-	if _, err := ReadBinarySized(strings.NewReader("VA"), "g", -1); err == nil {
+	if _, err := ReadBinarySized(strings.NewReader("VA"), "g", 2); err == nil {
 		t.Error("truncated magic: want error")
 	}
 	// Truncated body.
@@ -121,8 +123,12 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadBinarySized(bytes.NewReader(trunc), "t", -1); err == nil {
+	if _, err := ReadBinarySized(bytes.NewReader(trunc), "t", int64(len(trunc))); err == nil {
 		t.Error("truncated body: want error")
+	}
+	// An input shorter than its stated size runs out mid-value.
+	if _, err := ReadBinarySized(bytes.NewReader(trunc), "t", int64(buf.Len())); !errors.Is(err, binio.ErrTruncated) {
+		t.Errorf("body short of its size: %v, want ErrTruncated", err)
 	}
 }
 
@@ -133,7 +139,7 @@ func TestBinaryRejectsHugeHeader(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 0}) // flags
 	// n = 2^40
 	buf.Write([]byte{0, 0, 0, 0, 0, 1, 0, 0})
-	if _, err := ReadBinarySized(&buf, "huge", -1); err == nil {
+	if _, err := ReadBinarySized(&buf, "huge", int64(buf.Len())); err == nil {
 		t.Error("absurd point count: want error")
 	}
 }

@@ -120,22 +120,10 @@ func (e *Evaluator) Evaluate(sample []geom.Point) (Result, error) {
 	if len(sample) == 0 {
 		return Result{}, errors.New("loss: empty sample")
 	}
-	// Index the sample: for each probe we need Σ κ(x, si). With the
-	// Gaussian's 6ε support, only neighbours within support contribute
-	// above double-precision noise, so range-query the sample's packed
-	// STR tree for the support square.
 	tree := strtree.Build(sample, nil)
-	support := e.kern.Support()
-	logLosses := make([]float64, len(e.probes)) // log10 of point-loss
+	logLosses := e.masses(tree) // each becomes log10 of its point-loss
 	covered := 0
-	var scratch []strtree.Neighbor
-	for i, x := range e.probes {
-		scratch = scratch[:0]
-		scratch = tree.InRange(geom.RectAround(x, support), scratch)
-		var mass float64
-		for _, nb := range scratch {
-			mass += e.kern.Eval(x, nb.P)
-		}
+	for i, mass := range logLosses {
 		if mass > 0 {
 			logLosses[i] = -math.Log10(mass)
 			covered++
@@ -144,7 +132,7 @@ func (e *Evaluator) Evaluate(sample []geom.Point) (Result, error) {
 		// The probe is unseen by every sampled point at double precision.
 		// Reconstruct the loss in the log domain from the single nearest
 		// sample point: Σκ ≈ κ(nearest), log10 loss = d²/(2ε²)·log10(e).
-		_, _, d, _ := tree.Nearest(x)
+		_, _, d, _ := tree.Nearest(e.probes[i])
 		logLosses[i] = d * d / (2 * e.kern.Bandwidth() * e.kern.Bandwidth()) * math.Log10E
 	}
 	med := stats.Median(logLosses)
@@ -153,6 +141,31 @@ func (e *Evaluator) Evaluate(sample []geom.Point) (Result, error) {
 		LogMeanLoss: logMean(logLosses),
 		Covered:     float64(covered) / float64(len(e.probes)),
 	}, nil
+}
+
+// masses returns Σ κ(x, si) for each probe x over the sample indexed by
+// tree. With the Gaussian's 6ε support, only neighbours within support
+// contribute above double-precision noise, so each probe range-queries
+// the tree for the support square, gathers the squared distances into
+// one row, evaluates it with one EvalRow call and sums in neighbour
+// order.
+func (e *Evaluator) masses(tree *strtree.Tree) []float64 {
+	support := e.kern.Support()
+	out := make([]float64, len(e.probes))
+	var nbs []strtree.Neighbor
+	var row []float64
+	for i, x := range e.probes {
+		nbs = tree.InRange(geom.RectAround(x, support), nbs[:0])
+		row = row[:0]
+		for _, nb := range nbs {
+			row = append(row, x.Dist2(nb.P))
+		}
+		e.kern.EvalRow(row)
+		for _, l := range row {
+			out[i] += l
+		}
+	}
+	return out
 }
 
 // logMean returns log10( mean(10^x) ) computed stably via log-sum-exp.

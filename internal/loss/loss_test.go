@@ -4,10 +4,18 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/geom"
 	"repro/internal/proximity"
+	"repro/internal/strtree"
 )
+
+// forceScalarExp is proximity's switch onto the math.Exp loop, so these
+// tests can run both of EvalRow's paths on a CPU that has the vector one.
+//
+//go:linkname forceScalarExp repro/internal/proximity.forceScalarExp
+var forceScalarExp bool
 
 func testData(n int, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
@@ -209,5 +217,48 @@ func TestLogMean(t *testing.T) {
 	}
 	if !math.IsNaN(logMean(nil)) {
 		t.Error("logMean(nil) should be NaN")
+	}
+}
+
+// TestMassesBitIdentical: every per-probe kernel mass equals, bit for
+// bit, the scalar sum Σ EvalDist2(‖x-si‖²) over the probe's range-query
+// neighbours in neighbour order, for two datasets, every kernel, and
+// both of EvalRow's paths (the packed exp and the math.Exp loop).
+func TestMassesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	uniform := make([]geom.Point, 2000)
+	for i := range uniform {
+		uniform[i] = geom.Pt(rng.Float64()*10, rng.Float64()*3)
+	}
+	defer func() { forceScalarExp = false }()
+	for _, data := range [][]geom.Point{testData(3000, 1), uniform} {
+		for _, kind := range []proximity.Kind{proximity.Gaussian, proximity.Epanechnikov, proximity.Tricube} {
+			kern, err := proximity.FromData(kind, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := NewEvaluator(data, Options{Kernel: kern, Probes: 300, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sample := range [][]geom.Point{data, data[:100]} {
+				tree := strtree.Build(sample, nil)
+				want := make([]float64, len(ev.probes))
+				for i, x := range ev.probes {
+					for _, nb := range tree.InRange(geom.RectAround(x, kern.Support()), nil) {
+						want[i] += kern.EvalDist2(x.Dist2(nb.P))
+					}
+				}
+				for _, scalar := range []bool{false, true} {
+					forceScalarExp = scalar
+					for i, got := range ev.masses(tree) {
+						if math.Float64bits(got) != math.Float64bits(want[i]) {
+							t.Fatalf("%v, %d-point sample, scalar exp %v: probe %d mass %v, scalar loop %v",
+								kern, len(sample), scalar, i, got, want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package kernel implements the proximity functions κ used by the VAS loss
+// Package proximity implements the proximity functions κ used by the VAS loss
 // and the derived pairwise objective κ̃ (paper §III).
 //
 // The paper uses the Gaussian kernel κ(x, s) = exp(-‖x-s‖²/2ε²) and shows
@@ -112,15 +112,12 @@ func FromData(kind Kind, pts []geom.Point) (Func, error) {
 // Bandwidth returns ε.
 func (f Func) Bandwidth() float64 { return f.eps }
 
-// Support returns the radius beyond which Eval is negligible (Gaussian) or
+// Support returns the radius beyond which κ is negligible (Gaussian) or
 // exactly zero (compact kernels).
 func (f Func) Support() float64 { return f.support }
 
-// Eval returns κ(p, q).
-func (f Func) Eval(p, q geom.Point) float64 { return f.EvalDist2(p.Dist2(q)) }
-
-// EvalDist2 returns the kernel value for a squared distance d2. Splitting
-// this out lets hot loops reuse an already-computed squared distance.
+// EvalDist2 returns κ for a squared distance d2, so hot loops reuse an
+// already-computed squared distance.
 func (f Func) EvalDist2(d2 float64) float64 {
 	switch f.kind {
 	case Gaussian:
@@ -131,6 +128,27 @@ func (f Func) EvalDist2(d2 float64) float64 {
 		return f.tricube(d2)
 	default:
 		panic("kernel: invalid Func (use proximity.New)")
+	}
+}
+
+// EvalRow replaces each squared distance in row by its EvalDist2, bit for
+// bit, switching on the kind once per row. The Gaussian row writes each
+// exponent in place and takes all the exponentials in one expRow call.
+func (f Func) EvalRow(row []float64) {
+	switch f.kind {
+	case Epanechnikov:
+		for i, d2 := range row {
+			row[i] = f.epanechnikov(d2)
+		}
+	case Tricube:
+		for i, d2 := range row {
+			row[i] = f.tricube(d2)
+		}
+	default:
+		for i, d2 := range row {
+			row[i] = -d2 * f.inv2e2
+		}
+		expRow(row, row)
 	}
 }
 
@@ -187,6 +205,47 @@ func (f Func) PairRow(row []float64) {
 		}
 		expRow(row, row)
 	}
+}
+
+// PairRowXY sets row[s] to κ̃ between (px, py) and (xs[s], ys[s]) for
+// every s < len(xs): PairDist2 of the squared distance geom.Point.Dist2
+// returns, bit for bit, or 0 where that distance exceeds cutoff2 (+Inf
+// cuts nothing). A slot at x = +Inf is +Inf away from a finite point,
+// so its value is 0 on every path. ys and row hold at least len(xs).
+//
+// On a CPU with AVX2 and FMA the Gaussian row is one pass, four slots at
+// a time: distance, cutoff, exponent and exp. A group holding a lane the
+// packed exp cannot settle, and the last len%4 slots, take PairDist2.
+// Other kinds and other CPUs fill the row with squared distances and
+// call PairRow.
+func (f Func) PairRowXY(px, py float64, xs, ys []float64, cutoff2 float64, row []float64) {
+	row, ys = row[:len(xs)], ys[:len(xs)]
+	if f.kind != Gaussian || !useExpAsm || forceScalarExp {
+		for s, x := range xs {
+			row[s] = cutDist2(px, py, x, ys[s], cutoff2)
+		}
+		f.PairRow(row)
+		return
+	}
+	i := 0
+	for n := len(xs) &^ 3; i < n; {
+		i += pairRowXYAsm(px, py, xs[i:n], ys[i:n], cutoff2, -f.inv2e2, row[i:n])
+		for end := min(i+4, n); i < end; i++ {
+			row[i] = f.PairDist2(cutDist2(px, py, xs[i], ys[i], cutoff2))
+		}
+	}
+	for ; i < len(xs); i++ {
+		row[i] = f.PairDist2(cutDist2(px, py, xs[i], ys[i], cutoff2))
+	}
+}
+
+// cutDist2 is the squared distance from (px, py) to (x, y), or +Inf when
+// it exceeds cutoff2 (so a pair exactly at the cutoff still counts).
+func cutDist2(px, py, x, y, cutoff2 float64) float64 {
+	if d2 := geom.Pt(px, py).Dist2(geom.Pt(x, y)); !(d2 > cutoff2) {
+		return d2
+	}
+	return math.Inf(1)
 }
 
 // PairSupport returns the truncation radius for Pair: the ES+Loc variant

@@ -11,18 +11,18 @@ import (
 
 func TestGaussianValues(t *testing.T) {
 	k := NewGaussian(1)
-	if v := k.Eval(geom.Pt(0, 0), geom.Pt(0, 0)); v != 1 {
+	if v := k.EvalDist2(0); v != 1 {
 		t.Errorf("kernel at zero distance = %v, want 1", v)
 	}
 	// exp(-d²/2) at d=1: e^-0.5.
 	want := math.Exp(-0.5)
-	if v := k.Eval(geom.Pt(0, 0), geom.Pt(1, 0)); math.Abs(v-want) > 1e-15 {
+	if v := k.EvalDist2(1); math.Abs(v-want) > 1e-15 {
 		t.Errorf("kernel at d=1 = %v, want %v", v, want)
 	}
 	// The paper's negligibility observation (value 1.12e-7 "at distance
 	// 4") is exp(-16) in its normalization; in ours that value occurs at
 	// d = √32·ε ≈ 5.66ε.
-	v := k.Eval(geom.Pt(0, 0), geom.Pt(math.Sqrt(32), 0))
+	v := k.EvalDist2(32)
 	if math.Abs(v-1.125e-7)/1.125e-7 > 0.01 {
 		t.Errorf("kernel at d=√32 = %g, want ≈1.125e-7", v)
 	}
@@ -177,20 +177,6 @@ func TestParseKind(t *testing.T) {
 	}
 	if _, err := ParseKind("cosine"); err == nil {
 		t.Error("unknown kind: want error")
-	}
-}
-
-func TestEvalMatchesEvalDist2(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, kind := range []Kind{Gaussian, Epanechnikov, Tricube} {
-		k := New(kind, 2)
-		for i := 0; i < 100; i++ {
-			a := geom.Pt(rng.NormFloat64()*5, rng.NormFloat64()*5)
-			b := geom.Pt(rng.NormFloat64()*5, rng.NormFloat64()*5)
-			if got, want := k.Eval(a, b), k.EvalDist2(a.Dist2(b)); got != want {
-				t.Fatalf("%v: Eval=%v EvalDist2=%v", kind, got, want)
-			}
-		}
 	}
 }
 

@@ -317,11 +317,28 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 	writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// jsonBufs holds the buffers writeJSON encodes into.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v, trailing newline included, before it writes the
+// header, so a value encoding/json rejects (a NaN or infinite float)
+// is answered 500 with a JSON error rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		jsonBufs.Put(buf)
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encode response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // ---- /v1/tables ----

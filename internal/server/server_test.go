@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"image/png"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -918,5 +920,63 @@ func TestNearestEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestNonFiniteAnswerIs500: a base table holding a NaN row and a +Inf
+// row cannot be answered as JSON. The exact query, the same query in a
+// finite viewport (NaN rows match every range) and kNN each answer 500
+// with a JSON error body, counted as an error, not 200 with no body. A
+// finite answer's body is exactly what encoding/json's Encoder writes,
+// trailing newline included, with its Content-Length.
+func TestNonFiniteAnswerIs500(t *testing.T) {
+	st := store.New()
+	base, err := st.CreateTable("base", "x", "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough rows that the viewport query probes the grid index.
+	xs, ys := make([]float64, 2000), make([]float64, 2000)
+	for i := range xs {
+		xs[i], ys[i] = float64(i%50), float64(i/50)
+	}
+	xs[700], ys[700], xs[1300] = math.NaN(), math.NaN(), math.Inf(1)
+	if err := base.BulkLoad(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	s := New(st, query.NewPlanner(st, fixedModel{}), Config{})
+	for i, url := range []string{
+		"/v1/query?table=base&exact=true",
+		"/v1/query?table=base&exact=true&minx=0&miny=0&maxx=3&maxy=3",
+		"/v1/nearest?table=base&x=1&y=1&k=2000",
+	} {
+		rec := get(t, s, url)
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError || body["error"] == "" {
+			t.Errorf("%s: status %d, body %q (%v), want 500 with an error", url, rec.Code, rec.Body, err)
+		}
+		if n := s.metrics.errors.Load(); n != int64(i+1) {
+			t.Errorf("%s: %d errors counted, want %d", url, n, i+1)
+		}
+	}
+
+	// A finite answer is unchanged.
+	rec := get(t, newTestServer(t), "/v1/query?table=base&exact=true&minx=0&miny=0&maxx=3&maxy=3")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("finite query: status %d, body %s", rec.Code, rec.Body)
+	}
+	var out QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Errorf("finite body %q, Encoder writes %q", rec.Body, want.Bytes())
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
 	}
 }

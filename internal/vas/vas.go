@@ -6,9 +6,11 @@
 //
 // ES and ES+Loc decide each offer from the newcomer's row of κ̃ and write
 // only when the swap is taken, so a rejected offer costs K kernel values.
-// For the Gaussian those are one proximity.Func.PairRow call: a packed
-// exp, four lanes at a time on a CPU with AVX2 and FMA, that returns
-// math.Exp's bits, so the sample is the same on every CPU.
+// The slots are kept as struct-of-arrays, and every row is one
+// proximity.Func.PairRowXY call: for the Gaussian on a CPU with AVX2 and
+// FMA, distance, cutoff, exponent and a packed exp in one pass, four
+// slots at a time. It returns PairDist2's bits, so the sample is the
+// same on every CPU.
 //
 // ES+Loc is ES with pair-support truncation: a pair farther apart than
 // proximity.Func.PairSupport contributes zero to the responsibilities. The
@@ -94,21 +96,20 @@ type Options struct {
 	Variant Variant
 }
 
-// entry is one sample slot. Slots are stable, so the slot order of
-// SampleIDs is deterministic for a given input stream.
-type entry struct {
-	p      geom.Point
-	id     int
-	rsp    float64 // Σ_j κ̃(p, p_j) over active slots ≠ this one
-	active bool
-}
-
 // Interchange is the streaming VAS sampler. It implements
 // sampling.Sampler. Not safe for concurrent use.
 type Interchange struct {
-	opt     Options
-	entries []entry // K+1 slots; at most K active outside Add
-	free    []int   // inactive slot indices
+	opt Options
+
+	// The K+1 sample slots, struct-of-arrays; at most K are active
+	// outside Add. Slots are stable, so the slot order of SampleIDs is
+	// deterministic for a given input stream. An inactive slot has
+	// ids[s] = -1, xs[s] = +Inf and rsp[s] = 0: it is +Inf away from
+	// every finite point, so its κ̃ is 0 in every row.
+	xs, ys  []float64
+	rsp     []float64 // Σ_j κ̃(slot, slot j) over the other active slots
+	ids     []int
+	free    []int // inactive slot indices
 	nActive int
 
 	// objective is Σ_{i<j} κ̃ over active slots, maintained incrementally.
@@ -117,7 +118,7 @@ type Interchange struct {
 	// cutoff2 is the squared pair distance beyond which fillRow counts
 	// κ̃ as zero: PairSupport² for ESLoc, +Inf otherwise.
 	cutoff2 float64
-	row     []float64 // fillRow's scratch, one κ̃ per slot
+	row     []float64 // the rows' scratch, one κ̃ per slot
 
 	// inSample is a bitset over the dataset ids currently selected, so
 	// re-streamed passes skip points already in the sample (a
@@ -139,15 +140,20 @@ func NewInterchange(opt Options) *Interchange {
 	if opt.Kernel.Bandwidth() <= 0 {
 		panic("vas: Options.Kernel is unset (use proximity.New or proximity.FromData)")
 	}
+	n := opt.K + 1
 	ic := &Interchange{
 		opt:     opt,
-		entries: make([]entry, opt.K+1),
-		free:    make([]int, 0, opt.K+1),
-		row:     make([]float64, opt.K+1),
+		xs:      make([]float64, n),
+		ys:      make([]float64, n),
+		rsp:     make([]float64, n),
+		ids:     make([]int, n),
+		free:    make([]int, 0, n),
+		row:     make([]float64, n),
 		cutoff2: math.Inf(1),
 	}
-	for i := opt.K; i >= 0; i-- {
-		ic.free = append(ic.free, i)
+	for s := n - 1; s >= 0; s-- {
+		ic.xs[s], ic.ids[s] = math.Inf(1), -1
+		ic.free = append(ic.free, s)
 	}
 	if opt.Variant == ESLoc {
 		r := opt.Kernel.PairSupport()
@@ -174,10 +180,15 @@ func (ic *Interchange) PassSwaps() int { return ic.passSwaps }
 // RecomputeObjective restores the exact value.
 func (ic *Interchange) Objective() float64 { return ic.objective }
 
-// Add implements sampling.Sampler. It offers one point; id >= 0 is its index.
+// Add implements sampling.Sampler. It offers one point; id >= 0 is its
+// index. A point with a NaN or infinite coordinate is ignored: it has no
+// place in a plot, and its κ̃ against the sample is undefined.
 func (ic *Interchange) Add(p geom.Point, id int) {
 	if id < 0 {
 		panic(fmt.Sprintf("vas: Add with negative id %d", id))
+	}
+	if !finite(p.X) || !finite(p.Y) {
+		return
 	}
 	if w := id >> 6; w >= len(ic.inSample) {
 		ic.inSample = append(ic.inSample, make([]uint64, w+1-len(ic.inSample))...)
@@ -186,8 +197,7 @@ func (ic *Interchange) Add(p geom.Point, id int) {
 		return
 	}
 	if ic.nActive < ic.opt.K {
-		slot := ic.takeSlot()
-		ic.activate(slot, p, id, ic.fillRow(p, slot))
+		ic.activate(ic.takeSlot(), p, id, ic.fillRow(p))
 		return
 	}
 	switch ic.opt.Variant {
@@ -208,49 +218,44 @@ func (ic *Interchange) takeSlot() int {
 	return slot
 }
 
-// fillRow returns κ̃(p, slot s) for each slot s: 0 for inactive slots,
-// skip, and pairs beyond cutoff2 (d2 > cutoff2, so a pair exactly at the
-// support radius still counts), which it marks +Inf for the kernel.
-func (ic *Interchange) fillRow(p geom.Point, skip int) []float64 {
-	entries, row, cutoff2 := ic.entries, ic.row[:len(ic.entries)], ic.cutoff2
-	for s := range entries {
-		d2 := math.Inf(1)
-		if e := &entries[s]; e.active && s != skip {
-			if d2 = p.Dist2(e.p); d2 > cutoff2 {
-				d2 = math.Inf(1)
-			}
-		}
-		row[s] = d2
-	}
-	ic.opt.Kernel.PairRow(row)
-	return row
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// fillRow returns κ̃(p, slot s) for each slot s: 0 for inactive slots
+// and for pairs beyond cutoff2 (d2 > cutoff2, so a pair exactly at the
+// support radius still counts).
+func (ic *Interchange) fillRow(p geom.Point) []float64 {
+	ic.opt.Kernel.PairRowXY(p.X, p.Y, ic.xs, ic.ys, ic.cutoff2, ic.row)
+	return ic.row
 }
 
-// activate installs (p, id) into slot, where row is fillRow(p, slot):
-// it adds the row into every responsibility and the objective. Cost O(K).
+// activate installs (p, id) into the inactive slot, where row is
+// fillRow(p): it adds the row into every responsibility and the
+// objective. Cost O(K).
 func (ic *Interchange) activate(slot int, p geom.Point, id int, row []float64) {
 	var rsp float64
 	for s, l := range row {
-		ic.entries[s].rsp += l
+		ic.rsp[s] += l
 		rsp += l
 	}
-	e := &ic.entries[slot]
-	e.p, e.id, e.active, e.rsp = p, id, true, rsp
+	ic.xs[slot], ic.ys[slot], ic.ids[slot], ic.rsp[slot] = p.X, p.Y, id, rsp
 	ic.inSample[id>>6] |= 1 << (id & 63)
 	ic.objective += rsp
 	ic.nActive++
 }
 
 // deactivate removes slot from the sample, unwinding what activate did.
+// The slot goes inactive before its row is filled, so the row holds 0
+// for the slot itself.
 func (ic *Interchange) deactivate(slot int) {
-	e := &ic.entries[slot]
-	for s, l := range ic.fillRow(e.p, slot) {
-		ic.entries[s].rsp -= l
+	p, id := geom.Pt(ic.xs[slot], ic.ys[slot]), ic.ids[slot]
+	ic.xs[slot], ic.ids[slot] = math.Inf(1), -1
+	for s, l := range ic.fillRow(p) {
+		ic.rsp[s] -= l
 	}
-	ic.objective -= e.rsp
-	ic.inSample[e.id>>6] &^= 1 << (e.id & 63)
-	e.active = false
-	e.rsp = 0
+	ic.objective -= ic.rsp[slot]
+	ic.rsp[slot] = 0
+	ic.inSample[id>>6] &^= 1 << (id & 63)
 	ic.nActive--
 	ic.free = append(ic.free, slot)
 }
@@ -262,13 +267,13 @@ func (ic *Interchange) deactivate(slot int) {
 // row's sum and slot s's is rsp+row[s]; only a taken swap writes.
 func (ic *Interchange) addES(p geom.Point, id int) {
 	slot := ic.takeSlot()
-	row := ic.fillRow(p, slot)
+	row := ic.fillRow(p)
 	// Evict the first slot with the largest; ties go to t (Theorem 2:
 	// replace only on a strict improvement), so no swap cycles forever.
 	rspT, worst, worstRsp := 0.0, -1, math.Inf(-1)
 	for s, l := range row {
 		rspT += l
-		if r := ic.entries[s].rsp + l; r > worstRsp {
+		if r := ic.rsp[s] + l; r > worstRsp {
 			worst, worstRsp = s, r
 		}
 	}
@@ -290,31 +295,27 @@ func (ic *Interchange) addES(p geom.Point, id int) {
 func (ic *Interchange) addNoES(p geom.Point, id int) {
 	// Responsibility of p in the expanded set S+{p}.
 	var rspT float64
-	for s := range ic.entries {
-		e := &ic.entries[s]
-		if !e.active {
-			continue
+	for s, sid := range ic.ids {
+		if sid >= 0 {
+			rspT += ic.opt.Kernel.PairDist2(p.Dist2(ic.point(s)))
 		}
-		rspT += ic.opt.Kernel.PairDist2(p.Dist2(e.p))
 	}
 	// For each candidate slot, recompute its expanded responsibility from
 	// scratch (this is the deliberate inefficiency: no incremental state).
 	worst := -1
 	var worstRsp float64
-	for s := range ic.entries {
-		e := &ic.entries[s]
-		if !e.active {
+	for s, sid := range ic.ids {
+		if sid < 0 {
 			continue
 		}
+		e := ic.point(s)
 		var rsp float64
-		for s2 := range ic.entries {
-			o := &ic.entries[s2]
-			if !o.active || s2 == s {
-				continue
+		for s2, oid := range ic.ids {
+			if oid >= 0 && s2 != s {
+				rsp += ic.opt.Kernel.PairDist2(e.Dist2(ic.point(s2)))
 			}
-			rsp += ic.opt.Kernel.PairDist2(e.p.Dist2(o.p))
 		}
-		rsp += ic.opt.Kernel.PairDist2(e.p.Dist2(p)) // pair with the newcomer
+		rsp += ic.opt.Kernel.PairDist2(e.Dist2(p)) // pair with the newcomer
 		if worst == -1 || rsp > worstRsp {
 			worst, worstRsp = s, rsp
 		}
@@ -322,20 +323,22 @@ func (ic *Interchange) addNoES(p geom.Point, id int) {
 	if worst >= 0 && worstRsp > rspT {
 		// Valid replacement: evict worst, admit p.
 		ic.deactivate(worst)
-		slot := ic.takeSlot()
-		ic.activate(slot, p, id, ic.fillRow(p, slot))
+		ic.activate(ic.takeSlot(), p, id, ic.fillRow(p))
 		ic.replacements++
 		ic.passSwaps++
 	}
 }
 
+// point returns slot s's point.
+func (ic *Interchange) point(s int) geom.Point { return geom.Pt(ic.xs[s], ic.ys[s]) }
+
 // Sample implements sampling.Sampler. The order is slot order, which is
 // deterministic for a given input stream.
 func (ic *Interchange) Sample() []geom.Point {
 	out := make([]geom.Point, 0, ic.nActive)
-	for s := range ic.entries {
-		if ic.entries[s].active {
-			out = append(out, ic.entries[s].p)
+	for s, id := range ic.ids {
+		if id >= 0 {
+			out = append(out, ic.point(s))
 		}
 	}
 	return out
@@ -344,9 +347,9 @@ func (ic *Interchange) Sample() []geom.Point {
 // SampleIDs implements sampling.Sampler.
 func (ic *Interchange) SampleIDs() []int {
 	out := make([]int, 0, ic.nActive)
-	for s := range ic.entries {
-		if ic.entries[s].active {
-			out = append(out, ic.entries[s].id)
+	for _, id := range ic.ids {
+		if id >= 0 {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -355,22 +358,21 @@ func (ic *Interchange) SampleIDs() []int {
 // RecomputeObjective recomputes the exact objective and all
 // responsibilities from scratch in O(K²), repairing any floating-point
 // drift accumulated by incremental updates, and returns the exact value.
-// Long-running convergence loops call this between passes.
+// Long-running convergence loops call this between passes. Each active
+// slot's row runs against the slots after it, uncut; an inactive slot's
+// κ̃ is 0, so the sums are those over active pairs (i, j > i).
 func (ic *Interchange) RecomputeObjective() float64 {
-	active := make([]int, 0, ic.nActive)
-	for s := range ic.entries {
-		if ic.entries[s].active {
-			ic.entries[s].rsp = 0
-			active = append(active, s)
-		}
-	}
+	clear(ic.rsp)
 	var obj float64
-	for i := 0; i < len(active); i++ {
-		for j := i + 1; j < len(active); j++ {
-			a, b := &ic.entries[active[i]], &ic.entries[active[j]]
-			l := ic.opt.Kernel.PairDist2(a.p.Dist2(b.p))
-			a.rsp += l
-			b.rsp += l
+	for i, id := range ic.ids {
+		if id < 0 {
+			continue
+		}
+		row := ic.row[i+1:]
+		ic.opt.Kernel.PairRowXY(ic.xs[i], ic.ys[i], ic.xs[i+1:], ic.ys[i+1:], math.Inf(1), row)
+		for d, l := range row {
+			ic.rsp[i] += l
+			ic.rsp[i+1+d] += l
 			obj += l
 		}
 	}

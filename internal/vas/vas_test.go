@@ -66,6 +66,35 @@ func TestInterchangeAddZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInterchangeIgnoresNonFinite: a newcomer with a NaN or infinite
+// coordinate changes nothing, whether it arrives while the sample fills
+// or once it is full: the ids, the objective's bits and the swap count
+// are those of the stream without it.
+func TestInterchangeIgnoresNonFinite(t *testing.T) {
+	pts := clusteredPoints(300, 5)
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []geom.Point{geom.Pt(nan, 0), geom.Pt(0, nan), geom.Pt(inf, 1), geom.Pt(1, -inf), geom.Pt(nan, inf)}
+	for _, v := range []Variant{NoES, ES, ESLoc} {
+		clean := NewInterchange(Options{K: 3, Kernel: testKernel(), Variant: v})
+		dirty := NewInterchange(Options{K: 3, Kernel: testKernel(), Variant: v})
+		for i, p := range pts {
+			clean.Add(p, i)
+			dirty.Add(p, i)
+			if i%50 == 1 {
+				for j, b := range bad {
+					dirty.Add(b, len(pts)+j)
+				}
+			}
+		}
+		if !equalInts(dirty.SampleIDs(), clean.SampleIDs()) || dirty.Replacements() != clean.Replacements() ||
+			math.Float64bits(dirty.Objective()) != math.Float64bits(clean.Objective()) {
+			t.Errorf("%v: with non-finite offers ids %v, %d swaps, objective %v; without %v, %d, %v", v,
+				dirty.SampleIDs(), dirty.Replacements(), dirty.Objective(),
+				clean.SampleIDs(), clean.Replacements(), clean.Objective())
+		}
+	}
+}
+
 func catchPanic(f func()) (r interface{}) {
 	defer func() { r = recover() }()
 	f()
