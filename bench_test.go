@@ -280,23 +280,3 @@ func BenchmarkTileCacheMiss(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCatalogQuery measures the serving path of the Fig. 3
-// architecture: plan + scan + project for an interactive query.
-func BenchmarkCatalogQuery(b *testing.B) {
-	data, _ := benchData(50_000)
-	cat := vas.NewCatalog()
-	if err := cat.LoadTable("gps", data); err != nil {
-		b.Fatal(err)
-	}
-	if err := cat.BuildSamples("gps", data, []int{100, 1000}, false, vas.Options{Passes: 1}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cat.Query("gps", vas.Rect{}, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -21,17 +23,27 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "vasexp: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vasexp", flag.ContinueOnError)
 	var (
-		exp   = flag.String("exp", "all", "experiment id or 'all' (ids: "+strings.Join(experiments.IDs(), ", ")+")")
-		scale = flag.String("scale", "small", "experiment scale: small | medium | full")
-		list  = flag.Bool("list", false, "list experiment ids and exit")
+		exp   = fs.String("exp", "all", "experiment id or 'all' (ids: "+strings.Join(experiments.IDs(), ", ")+")")
+		scale = fs.String("scale", "small", "experiment scale: small | medium | full")
+		list  = fs.Bool("list", false, "list experiment ids and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return nil
 	}
 	var sc experiments.Scale
 	switch *scale {
@@ -42,8 +54,7 @@ func main() {
 	case "full":
 		sc = experiments.ScaleFull()
 	default:
-		fmt.Fprintf(os.Stderr, "vasexp: unknown scale %q (small|medium|full)\n", *scale)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q (small|medium|full)", *scale)
 	}
 
 	ids := []string{*exp}
@@ -54,13 +65,12 @@ func main() {
 		start := time.Now()
 		rep, err := experiments.Run(id, sc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vasexp: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		if _, err := rep.WriteTo(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "vasexp: %v\n", err)
-			os.Exit(1)
+		if _, err := rep.WriteTo(stdout); err != nil {
+			return err
 		}
-		fmt.Printf("(%s in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }

@@ -18,16 +18,18 @@
 //
 //	vasgen -in data.csv -k 10000 -density -out sample.csv -snapshot /var/lib/vas
 //
-// Note the demo servers manage their own snapshot directories: vasserve
-// and vasquery generate their dataset and check the snapshot's
-// provenance against their own flags, so they treat a vasgen-produced
-// snapshot (different table, different data) as stale and rebuild over
-// it. Point them at separate directories.
+// Note vasserve manages its own snapshot directory: it generates its
+// dataset and checks the snapshot's provenance against its own flags,
+// so it treats a vasgen-produced snapshot (different table, different
+// data) as stale and rebuilds over it. Point them at separate
+// directories.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dataset"
@@ -37,48 +39,61 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "vasgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vasgen", flag.ContinueOnError)
 	var (
-		gen     = flag.String("gen", "", "generate a dataset: geolife | splom | clusters")
-		n       = flag.Int("n", 100_000, "rows to generate")
-		seed    = flag.Int64("seed", 42, "random seed")
-		in      = flag.String("in", "", "input dataset file (.csv or binary)")
-		out     = flag.String("out", "", "output file (required)")
-		method  = flag.String("method", "vas", "sampling method: vas | uniform | stratified")
-		k       = flag.Int("k", 10_000, "sample size")
-		bins    = flag.Int("bins", 100, "stratification bins per side")
-		density = flag.Bool("density", false, "attach §V density counts (vas only)")
-		passes  = flag.Int("passes", 2, "Interchange passes over the data")
-		variant = flag.String("variant", "es", "Interchange variant: es | no-es (slow baseline, same sample as es) | es+loc (es with kernel pairs beyond the pair support counted as zero)")
-		snapDir = flag.String("snapshot", "", "also save a serving-catalog snapshot (base table + sample) to this directory (vas only)")
+		gen     = fs.String("gen", "", "generate a dataset: geolife | splom | clusters")
+		n       = fs.Int("n", 100_000, "rows to generate")
+		seed    = fs.Int64("seed", 42, "random seed")
+		in      = fs.String("in", "", "input dataset file (.csv or binary)")
+		out     = fs.String("out", "", "output file (required)")
+		method  = fs.String("method", "vas", "sampling method: vas | uniform | stratified")
+		k       = fs.Int("k", 10_000, "sample size")
+		bins    = fs.Int("bins", 100, "stratification bins per side")
+		density = fs.Bool("density", false, "attach §V density counts (vas only)")
+		passes  = fs.Int("passes", 2, "Interchange passes over the data")
+		variant = fs.String("variant", "es", "Interchange variant: es | no-es (slow baseline, same sample as es) | es+loc (es with kernel pairs beyond the pair support counted as zero)")
+		snapDir = fs.String("snapshot", "", "also save a serving-catalog snapshot (base table + sample) to this directory (vas only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *out == "" {
-		fail("missing -out")
+		return errors.New("missing -out")
 	}
 	if *snapDir != "" && *method != "vas" {
-		fail("-snapshot requires -method vas")
+		return errors.New("-snapshot requires -method vas")
 	}
 	if *snapDir != "" && *gen != "" {
 		// The -gen branch only writes a dataset; silently skipping the
 		// snapshot would strand a scripted producer flow.
-		fail("-snapshot requires -in (a snapshot captures a built sample, not a generated dataset)")
+		return errors.New("-snapshot requires -in (a snapshot captures a built sample, not a generated dataset)")
 	}
 
 	if *gen != "" {
-		d := generate(*gen, *n, *seed)
-		if err := dataset.SaveFile(*out, d); err != nil {
-			fail("save: %v", err)
+		d, err := generate(*gen, *n, *seed)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("wrote %d points to %s\n", d.Len(), *out)
-		return
+		if err := dataset.SaveFile(*out, d); err != nil {
+			return fmt.Errorf("save: %w", err)
+		}
+		fmt.Fprintf(stdout, "wrote %d points to %s\n", d.Len(), *out)
+		return nil
 	}
 
 	if *in == "" {
-		fail("need -gen or -in")
+		return errors.New("need -gen or -in")
 	}
 	d, err := dataset.LoadFile(*in, "input")
 	if err != nil {
-		fail("load: %v", err)
+		return fmt.Errorf("load: %w", err)
 	}
 	var pts []geom.Point
 	var ids []int
@@ -86,13 +101,13 @@ func main() {
 	case "vas":
 		s, err := vas.Build(d.Points, vas.Options{K: *k, Passes: *passes, Variant: *variant})
 		if err != nil {
-			fail("build: %v", err)
+			return fmt.Errorf("build: %w", err)
 		}
 		pts, ids = s.Points, s.IDs
 		if *density {
 			ws, err := s.DensityEmbed(d.Points)
 			if err != nil {
-				fail("density: %v", err)
+				return fmt.Errorf("density: %w", err)
 			}
 			outDS := &dataset.Dataset{Name: "sample", Points: ws.Points}
 			outDS.Values = make([]float64, len(ws.Counts))
@@ -100,26 +115,27 @@ func main() {
 				outDS.Values[i] = float64(c)
 			}
 			if err := dataset.SaveFile(*out, outDS); err != nil {
-				fail("save: %v", err)
+				return fmt.Errorf("save: %w", err)
 			}
-			fmt.Printf("wrote %d-point vas+density sample (objective %.4g) to %s\n", len(pts), s.Objective, *out)
-			saveSnapshot(*snapDir, d, s, ws.Counts)
-			return
+			fmt.Fprintf(stdout, "wrote %d-point vas+density sample (objective %.4g) to %s\n", len(pts), s.Objective, *out)
+			return saveSnapshot(stdout, *snapDir, d, s, ws.Counts)
 		}
-		fmt.Printf("vas objective: %.4g after %d pass(es)\n", s.Objective, s.Passes)
-		saveSnapshot(*snapDir, d, s, nil)
+		fmt.Fprintf(stdout, "vas objective: %.4g after %d pass(es)\n", s.Objective, s.Passes)
+		if err := saveSnapshot(stdout, *snapDir, d, s, nil); err != nil {
+			return err
+		}
 	case "uniform":
 		pts, ids, err = vas.Uniform(d.Points, *k, *seed)
 		if err != nil {
-			fail("uniform: %v", err)
+			return fmt.Errorf("uniform: %w", err)
 		}
 	case "stratified":
 		pts, ids, err = vas.Stratified(d.Points, *k, *bins, *seed)
 		if err != nil {
-			fail("stratified: %v", err)
+			return fmt.Errorf("stratified: %w", err)
 		}
 	default:
-		fail("unknown method %q", *method)
+		return fmt.Errorf("unknown method %q", *method)
 	}
 	outDS := &dataset.Dataset{Name: "sample", Points: pts}
 	if d.Values != nil {
@@ -129,48 +145,44 @@ func main() {
 		}
 	}
 	if err := dataset.SaveFile(*out, outDS); err != nil {
-		fail("save: %v", err)
+		return fmt.Errorf("save: %w", err)
 	}
-	fmt.Printf("wrote %d-point %s sample to %s\n", len(pts), *method, *out)
-}
-
-// saveSnapshot assembles a serving catalog — base table "data" plus the
-// sample main already built (registered as-is, no second Interchange
-// run), both spatially indexed — and persists it for embedders to
-// restore with vas.Catalog.LoadSnapshot.
-func saveSnapshot(dir string, d *dataset.Dataset, s *vas.Sample, counts []int64) {
-	if dir == "" {
-		return
-	}
-	cat := vas.NewCatalog()
-	if err := cat.LoadTable("data", d.Points); err != nil {
-		fail("snapshot: %v", err)
-	}
-	if err := cat.RegisterSample("data", s, counts); err != nil {
-		fail("snapshot: %v", err)
-	}
-	if err := cat.SaveSnapshot(dir); err != nil {
-		fail("snapshot: %v", err)
-	}
-	fmt.Printf("wrote catalog snapshot (table %q, %d rows, %d-point sample) to %s\n",
-		"data", d.Len(), len(s.Points), dir)
-}
-
-func generate(kind string, n int, seed int64) *dataset.Dataset {
-	switch kind {
-	case "geolife":
-		return dataset.GeolifeLike(dataset.GeolifeOptions{N: n, Seed: seed})
-	case "splom":
-		return dataset.NewSPLOM(dataset.SPLOMOptions{N: n, Seed: seed}).XY(0, 1)
-	case "clusters":
-		sets := dataset.ClusterStudyDatasets(n, seed)
-		return sets[0].Dataset
-	}
-	fail("unknown generator %q", kind)
+	fmt.Fprintf(stdout, "wrote %d-point %s sample to %s\n", len(pts), *method, *out)
 	return nil
 }
 
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "vasgen: "+format+"\n", args...)
-	os.Exit(1)
+// saveSnapshot assembles a serving catalog — base table "data" plus the
+// sample run already built (registered as-is, no second Interchange
+// run), both spatially indexed — and persists it for embedders to
+// restore with vas.Catalog.LoadSnapshot.
+func saveSnapshot(stdout io.Writer, dir string, d *dataset.Dataset, s *vas.Sample, counts []int64) error {
+	if dir == "" {
+		return nil
+	}
+	cat := vas.NewCatalog()
+	if err := cat.LoadTable("data", d.Points); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if err := cat.RegisterSample("data", s, counts); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if err := cat.SaveSnapshot(dir); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	fmt.Fprintf(stdout, "wrote catalog snapshot (table %q, %d rows, %d-point sample) to %s\n",
+		"data", d.Len(), len(s.Points), dir)
+	return nil
+}
+
+func generate(kind string, n int, seed int64) (*dataset.Dataset, error) {
+	switch kind {
+	case "geolife":
+		return dataset.GeolifeLike(dataset.GeolifeOptions{N: n, Seed: seed}), nil
+	case "splom":
+		return dataset.NewSPLOM(dataset.SPLOMOptions{N: n, Seed: seed}).XY(0, 1), nil
+	case "clusters":
+		sets := dataset.ClusterStudyDatasets(n, seed)
+		return sets[0].Dataset, nil
+	}
+	return nil, fmt.Errorf("unknown generator %q", kind)
 }

@@ -25,6 +25,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only on -debug-addr
 	"os"
@@ -51,44 +53,65 @@ const (
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		n       = flag.Int("n", 200_000, "dataset rows")
-		seed    = flag.Int64("seed", 42, "random seed")
-		sizes   = flag.String("sizes", "100,1000,10000", "comma-separated sample sizes to prebuild")
-		density = flag.Bool("density", true, "attach the §V density embedding to each sample")
-		passes  = flag.Int("passes", 1, "Interchange passes per sample build")
-		snapDir = flag.String("snapshot", "", "catalog snapshot directory: load when present and fresh, else build then save; appended batches land in its tail log")
-		compact = flag.Float64("compact", vas.DefaultCompactFraction, "background-compaction threshold: appended-tail/indexed-rows fraction that triggers a merge (<=0 disables)")
-		debug   = flag.String("debug-addr", "", "separate listen address for net/http/pprof profiling (e.g. localhost:6060); empty disables")
-		slow    = flag.Duration("slow-threshold", 0, "record request traces slower than this in /debug/slow (0 = server default 250ms, negative = record everything)")
+	// On SIGTERM/SIGINT run drains and saves; a second signal, once
+	// ctx is done, kills at once.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	context.AfterFunc(ctx, stop)
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "vasserve: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline on heavy routes: requests past it are canceled inside the scan kernels and answered 503 + Retry-After (0 disables)")
-		inflight   = flag.Int("max-inflight", 0, "admission control: max concurrently executing requests per heavy route; excess waits in a bounded queue, the rest is shed 503/429 + Retry-After (0 disables)")
-		queueDepth = flag.Int("queue-depth", 0, "admission control: waiters allowed per heavy route beyond -max-inflight before shedding (needs -max-inflight)")
-		queueWait  = flag.Duration("queue-timeout", 250*time.Millisecond, "admission control: how long a queued request waits for an execution slot before being shed 429")
-		readOnly   = flag.Bool("read-only-on-degrade", false, "reject appends/deletes with 503 while snapshot persistence is degraded, instead of accepting rows that cannot be made durable")
+// run serves until ctx is done, then shuts down gracefully: it stops
+// accepting, drains in-flight requests (bounded), stops the debug
+// listener, waits for background compaction and re-save goroutines, and
+// flushes one final snapshot so the next start replays nothing from the
+// tail log. It prints the address it bound, so -addr may name port 0.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vasserve", flag.ContinueOnError)
+	var (
+		addr    = fs.String("addr", ":8080", "listen address")
+		n       = fs.Int("n", 200_000, "dataset rows")
+		seed    = fs.Int64("seed", 42, "random seed")
+		sizes   = fs.String("sizes", "100,1000,10000", "comma-separated sample sizes to prebuild")
+		density = fs.Bool("density", true, "attach the §V density embedding to each sample")
+		passes  = fs.Int("passes", 1, "Interchange passes per sample build")
+		snapDir = fs.String("snapshot", "", "catalog snapshot directory: load when present and fresh, else build then save; appended batches land in its tail log")
+		compact = fs.Float64("compact", vas.DefaultCompactFraction, "background-compaction threshold: appended-tail/indexed-rows fraction that triggers a merge (<=0 disables)")
+		debug   = fs.String("debug-addr", "", "separate listen address for net/http/pprof profiling (e.g. localhost:6060); empty disables")
+		slow    = fs.Duration("slow-threshold", 0, "record request traces slower than this in /debug/slow (0 = server default 250ms, negative = record everything)")
+
+		reqTimeout = fs.Duration("request-timeout", 0, "per-request deadline on heavy routes: requests past it are canceled inside the scan kernels and answered 503 + Retry-After (0 disables)")
+		inflight   = fs.Int("max-inflight", 0, "admission control: max concurrently executing requests per heavy route; excess waits in a bounded queue, the rest is shed 503/429 + Retry-After (0 disables)")
+		queueDepth = fs.Int("queue-depth", 0, "admission control: waiters allowed per heavy route beyond -max-inflight before shedding (needs -max-inflight)")
+		queueWait  = fs.Duration("queue-timeout", 250*time.Millisecond, "admission control: how long a queued request waits for an execution slot before being shed 429")
+		readOnly   = fs.Bool("read-only-on-degrade", false, "reject appends/deletes with 503 while snapshot persistence is degraded, instead of accepting rows that cannot be made durable")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	var ks []int
 	for _, s := range strings.Split(*sizes, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || k <= 0 {
-			fmt.Fprintf(os.Stderr, "vasserve: bad size %q\n", s)
-			os.Exit(2)
+			return fmt.Errorf("bad size %q", s)
 		}
 		ks = append(ks, k)
 	}
 
-	fmt.Printf("generating %d-row geolife-like dataset...\n", *n)
+	fmt.Fprintf(stdout, "generating %d-row geolife-like dataset...\n", *n)
 	d := dataset.GeolifeLike(dataset.GeolifeOptions{N: *n, Seed: *seed})
 
 	opt := vas.Options{Passes: *passes}
 	start := time.Now()
-	cat, source := loadOrBuild(*snapDir, d, ks, *density, *compact, opt)
+	cat, source, err := loadOrBuild(stdout, *snapDir, d, ks, *density, *compact, opt)
+	if err != nil {
+		return err
+	}
 	cold := time.Since(start)
 	cat.RecordColdStart(source, cold)
-	fmt.Printf("catalog ready via %s in %s\n", source, cold.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "catalog ready via %s in %s\n", source, cold.Round(time.Millisecond))
 
 	// HTTP-layer knobs must land before Handler() builds the server.
 	cat.SetRequestTimeout(*reqTimeout)
@@ -96,21 +119,25 @@ func main() {
 	cat.SetAdmissionLimits(*inflight, *queueDepth, *queueWait)
 	cat.SetReadOnlyOnDegrade(*readOnly)
 
-	fmt.Printf("serving on %s\n", *addr)
-	fmt.Printf("  GET  /v1/tables\n")
-	fmt.Printf("  GET  /v1/query?table=gps&budget=1600ms&minx=..&miny=..&maxx=..&maxy=..\n")
-	fmt.Printf("  GET  /v1/nearest?table=gps&x=..&y=..&k=10\n")
-	fmt.Printf("  GET  /v1/tile/gps/{z}/{x}/{y}.png?size=256&budget=1600ms\n")
-	fmt.Printf("  POST /v1/append/gps  (JSON {\"points\": [[x,y],...]})\n")
-	fmt.Printf("  POST /v1/delete/gps  (JSON {\"rect\": {...}} | {\"filters\": [...]} | {\"all\": true})\n")
-	fmt.Printf("  GET  /healthz | GET /metrics | GET /debug/slow\n")
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "serving on %s\n", ln.Addr())
+	fmt.Fprintf(stdout, "  GET  /v1/tables\n")
+	fmt.Fprintf(stdout, "  GET  /v1/query?table=gps&budget=1600ms&minx=..&miny=..&maxx=..&maxy=..\n")
+	fmt.Fprintf(stdout, "  GET  /v1/nearest?table=gps&x=..&y=..&k=10\n")
+	fmt.Fprintf(stdout, "  GET  /v1/tile/gps/{z}/{x}/{y}.png?size=256&budget=1600ms\n")
+	fmt.Fprintf(stdout, "  POST /v1/append/gps  (JSON {\"points\": [[x,y],...]})\n")
+	fmt.Fprintf(stdout, "  POST /v1/delete/gps  (JSON {\"rect\": {...}} | {\"filters\": [...]} | {\"all\": true})\n")
+	fmt.Fprintf(stdout, "  GET  /healthz | GET /metrics | GET /debug/slow\n")
 	handler := cat.Handler()
 	var dbg *http.Server
 	if *debug != "" {
 		// pprof lives on its own listener so profiling endpoints are never
 		// exposed on the serving address. net/http/pprof registered its
 		// handlers on http.DefaultServeMux at import.
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", *debug)
+		fmt.Fprintf(stdout, "pprof on http://%s/debug/pprof/\n", *debug)
 		dbg = &http.Server{
 			Addr:              *debug,
 			Handler:           http.DefaultServeMux,
@@ -126,31 +153,25 @@ func main() {
 		}()
 	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       httpReadTimeout,
 		WriteTimeout:      httpWriteTimeout,
 		IdleTimeout:       httpIdleTimeout,
 	}
-
-	// Graceful shutdown: on SIGTERM/SIGINT stop accepting, drain
-	// in-flight requests (bounded), stop the debug listener, wait for
-	// background compaction/re-save goroutines, and flush one final
-	// snapshot so the next start replays nothing from the tail log.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
-		// The listener died on its own (bad -addr, port in use, ...):
-		// ErrServerClosed is impossible here, so this is always fatal.
-		fail(err)
+		// The listener died on its own: ErrServerClosed is impossible
+		// here, so this is always fatal.
+		if dbg != nil {
+			dbg.Close()
+		}
+		return err
 	case <-ctx.Done():
 	}
-	stop() // restore default signal handling: a second ^C kills immediately
-	fmt.Println("shutting down: draining in-flight requests...")
+	fmt.Fprintln(stdout, "shutting down: draining in-flight requests...")
 	drainCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
@@ -164,12 +185,12 @@ func main() {
 	cat.WaitBackground()
 	if *snapDir != "" {
 		if err := cat.SaveSnapshot(*snapDir); err != nil {
-			fmt.Fprintf(os.Stderr, "vasserve: final snapshot: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("final snapshot: %w", err)
 		}
-		fmt.Printf("final snapshot saved to %s\n", *snapDir)
+		fmt.Fprintf(stdout, "final snapshot saved to %s\n", *snapDir)
 	}
-	fmt.Println("shutdown complete")
+	fmt.Fprintln(stdout, "shutdown complete")
+	return nil
 }
 
 // loadOrBuild restores the catalog from a fresh snapshot when one is
@@ -177,19 +198,19 @@ func main() {
 // the restart — and otherwise rebuilds from scratch (saving the result
 // for the next start when a snapshot directory was given). The returned
 // source is "snapshot" or "rebuild", for the cold-start metric.
-func loadOrBuild(snapDir string, d *dataset.Dataset, ks []int, density bool, compact float64, opt vas.Options) (*vas.Catalog, string) {
+func loadOrBuild(stdout io.Writer, snapDir string, d *dataset.Dataset, ks []int, density bool, compact float64, opt vas.Options) (*vas.Catalog, string, error) {
 	if snapDir != "" {
 		cat := vas.NewCatalog()
 		cat.SetCompactFraction(compact)
 		err := cat.LoadSnapshot(snapDir)
 		switch {
 		case err == nil && cat.SnapshotFresh("gps", d.Points, ks, density, opt):
-			fmt.Printf("loaded catalog snapshot from %s (no sample or index rebuild)\n", snapDir)
-			return cat, "snapshot"
+			fmt.Fprintf(stdout, "loaded catalog snapshot from %s (no sample or index rebuild)\n", snapDir)
+			return cat, "snapshot", nil
 		case err == nil:
-			fmt.Printf("snapshot in %s is stale for these flags; rebuilding\n", snapDir)
+			fmt.Fprintf(stdout, "snapshot in %s is stale for these flags; rebuilding\n", snapDir)
 		case os.IsNotExist(err):
-			fmt.Printf("no snapshot in %s yet; building\n", snapDir)
+			fmt.Fprintf(stdout, "no snapshot in %s yet; building\n", snapDir)
 		default:
 			fmt.Fprintf(os.Stderr, "vasserve: snapshot unusable (%v); rebuilding\n", err)
 		}
@@ -199,23 +220,18 @@ func loadOrBuild(snapDir string, d *dataset.Dataset, ks []int, density bool, com
 	cat := vas.NewCatalog()
 	cat.SetCompactFraction(compact)
 	if err := cat.LoadTable("gps", d.Points); err != nil {
-		fail(err)
+		return nil, "", err
 	}
-	fmt.Printf("building VAS samples %v (offline preprocessing)...\n", ks)
+	fmt.Fprintf(stdout, "building VAS samples %v (offline preprocessing)...\n", ks)
 	if err := cat.BuildSamples("gps", d.Points, ks, density, opt); err != nil {
-		fail(err)
+		return nil, "", err
 	}
 	if snapDir != "" {
 		if err := cat.SaveSnapshot(snapDir); err != nil {
 			fmt.Fprintf(os.Stderr, "vasserve: saving snapshot: %v\n", err)
 		} else {
-			fmt.Printf("saved catalog snapshot to %s\n", snapDir)
+			fmt.Fprintf(stdout, "saved catalog snapshot to %s\n", snapDir)
 		}
 	}
-	return cat, "rebuild"
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "vasserve: %v\n", err)
-	os.Exit(1)
+	return cat, "rebuild", nil
 }

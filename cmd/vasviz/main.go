@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dataset"
@@ -18,25 +20,34 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "vasviz: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vasviz", flag.ContinueOnError)
 	var (
-		in     = flag.String("in", "", "input dataset/sample file (required)")
-		out    = flag.String("out", "", "output PNG (required)")
-		width  = flag.Int("w", 800, "image width")
-		height = flag.Int("h", 600, "image height")
-		zoom   = flag.Float64("zoom", 1, "zoom factor (1 = full extent)")
-		cx     = flag.Float64("cx", 0, "zoom centre x (default: densest point)")
-		cy     = flag.Float64("cy", 0, "zoom centre y")
-		mapPl  = flag.Bool("map", false, "map plot: color by the value column")
-		weight = flag.Bool("weighted", false, "treat the value column as §V density counts (dot-size encoding)")
+		in     = fs.String("in", "", "input dataset/sample file (required)")
+		out    = fs.String("out", "", "output PNG (required)")
+		width  = fs.Int("w", 800, "image width")
+		height = fs.Int("h", 600, "image height")
+		zoom   = fs.Float64("zoom", 1, "zoom factor (1 = full extent)")
+		cx     = fs.Float64("cx", 0, "zoom centre x (default: densest point)")
+		cy     = fs.Float64("cy", 0, "zoom centre y")
+		mapPl  = fs.Bool("map", false, "map plot: color by the value column")
+		weight = fs.Bool("weighted", false, "treat the value column as §V density counts (dot-size encoding)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *in == "" || *out == "" {
-		fmt.Fprintln(os.Stderr, "vasviz: -in and -out are required")
-		os.Exit(2)
+		return errors.New("-in and -out are required")
 	}
 	d, err := dataset.LoadFile(*in, "input")
 	if err != nil {
-		fail("load: %v", err)
+		return fmt.Errorf("load: %w", err)
 	}
 	bounds := d.Bounds()
 	viewport := bounds
@@ -47,24 +58,24 @@ func main() {
 		}
 		viewport, err = vas.Zoom(bounds, c, *zoom)
 		if err != nil {
-			fail("zoom: %v", err)
+			return fmt.Errorf("zoom: %w", err)
 		}
+	}
+	if *mapPl && d.Values == nil {
+		return errors.New("-map needs a value column in the input")
+	}
+	if *weight && d.Values == nil {
+		return errors.New("-weighted needs a count column in the input")
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		fail("create: %v", err)
+		return fmt.Errorf("create: %w", err)
 	}
 	defer f.Close()
 	switch {
 	case *mapPl:
-		if d.Values == nil {
-			fail("-map needs a value column in the input")
-		}
 		err = vas.RenderMapPNG(f, d.Points, d.Values, viewport, *width, *height)
 	case *weight:
-		if d.Values == nil {
-			fail("-weighted needs a count column in the input")
-		}
 		counts := make([]int64, len(d.Values))
 		for i, v := range d.Values {
 			counts[i] = int64(v)
@@ -74,15 +85,11 @@ func main() {
 		err = vas.RenderPNG(f, d.Points, viewport, *width, *height)
 	}
 	if err != nil {
-		fail("render: %v", err)
+		return fmt.Errorf("render: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		fail("close: %v", err)
+		return fmt.Errorf("close: %w", err)
 	}
-	fmt.Printf("wrote %s (%d points, viewport %v)\n", *out, d.Len(), viewport)
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "vasviz: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "wrote %s (%d points, viewport %v)\n", *out, d.Len(), viewport)
+	return nil
 }

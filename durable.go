@@ -80,9 +80,10 @@ func (m mutation) log(path string, epoch uint64) error {
 }
 
 // apply is the catalog's one write path: Append, DeleteWhere and both
-// HTTP hooks call it. One snapMu section rejects the write in read-only
-// degraded mode, writes the store, logs the tail record, does the
-// re-save accounting and decides on a re-save — so a concurrent
+// HTTP hooks call it. It rejects a write to a sample table with
+// server.ErrSampleTable. One snapMu section rejects the write in
+// read-only degraded mode, writes the store, logs the tail record, does
+// the re-save accounting and decides on a re-save — so a concurrent
 // SaveSnapshot can never fold the write into the base file AND leave
 // its record in the log for a later load to replay twice. After
 // unlocking, apply invalidates the table's tiles if any row changed,
@@ -92,6 +93,9 @@ func (c *Catalog) apply(m mutation) (int, error) {
 	t, err := c.st.Table(m.Table)
 	if err != nil {
 		return 0, err
+	}
+	if c.st.IsSample(m.Table) {
+		return 0, fmt.Errorf("vas: %s on %q: %w", m.op(), m.Table, server.ErrSampleTable)
 	}
 	c.snapMu.Lock()
 	if c.readOnlyOnDegrade && c.snapErr != nil {
@@ -346,12 +350,21 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 	// AppendRows lands every batch past the restored indexes, and
 	// DeleteWhere re-tombstones by predicate. Interleaving matters: a
 	// delete only covers the appends before it, exactly as it did in the
-	// original process.
+	// original process. A sample never takes a write (apply refuses
+	// one), so a record for one came from an older binary or a damaged
+	// log, and the load fails as for an unknown table.
+	samples := make(map[string]bool, len(cat.Samples))
+	for _, m := range cat.Samples {
+		samples[m.Table] = true
+	}
 	tailRows := make(map[string]int64)
 	for ri, rec := range tail {
 		t, ok := byName[rec.Table]
-		if !ok {
+		switch {
+		case !ok:
 			return fmt.Errorf("vas: snapshot tail record %d targets unknown table %q", ri, rec.Table)
+		case samples[rec.Table]:
+			return fmt.Errorf("vas: snapshot tail record %d targets %q: %w", ri, rec.Table, server.ErrSampleTable)
 		}
 		n, err := mutation(rec).write(t)
 		if err != nil {

@@ -10,18 +10,26 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/strtree"
 
 	vas "repro"
 )
 
 func main() {
+	if err := run(".", os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the two PNGs into dir and prints the comparison.
+func run(dir string, stdout io.Writer) error {
 	// Two Gaussian clusters with very different populations: 85% vs 15%.
 	d := dataset.Clusters("unbalanced", 60_000, 9, []dataset.ClusterSpec{
 		{Center: geom.Pt(-3, 0), SigmaX: 1, SigmaY: 1, Weight: 0.85},
@@ -30,19 +38,23 @@ func main() {
 
 	sample, err := vas.Build(d.Points, vas.Options{K: 400})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ws, err := sample.DensityEmbed(d.Points)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	writePNG("vas_plain.png", func(f *os.File) error {
+	if err := writePNG(stdout, filepath.Join(dir, "vas_plain.png"), func(f *os.File) error {
 		return vas.RenderPNG(f, sample.Points, vas.Rect{}, 640, 480)
-	})
-	writePNG("vas_density.png", func(f *os.File) error {
+	}); err != nil {
+		return err
+	}
+	if err := writePNG(stdout, filepath.Join(dir, "vas_density.png"), func(f *os.File) error {
 		return vas.RenderWeightedPNG(f, ws, vas.Rect{}, 640, 480)
-	})
+	}); err != nil {
+		return err
+	}
 
 	// Quantify: how much sample mass lands on each cluster under each
 	// encoding? The dataset ratio is 85:15; plain VAS shows ~50:50.
@@ -57,9 +69,9 @@ func main() {
 			weightedL += float64(ws.Counts[i])
 		}
 	}
-	fmt.Printf("dataset mass on left cluster:        85.0%% (by construction)\n")
-	fmt.Printf("plain VAS points on left cluster:    %.1f%% (density flattened)\n", 100*plainL/plainN)
-	fmt.Printf("density-embedded mass on left:       %.1f%% (restored by §V counts)\n", 100*weightedL/weightedN)
+	fmt.Fprintf(stdout, "dataset mass on left cluster:        85.0%% (by construction)\n")
+	fmt.Fprintf(stdout, "plain VAS points on left cluster:    %.1f%% (density flattened)\n", 100*plainL/plainN)
+	fmt.Fprintf(stdout, "density-embedded mass on left:       %.1f%% (restored by §V counts)\n", 100*weightedL/weightedN)
 
 	// The counts also answer "which regions are densest" correctly:
 	// rank sample points by count and check the top decile sits in the
@@ -80,25 +92,26 @@ func main() {
 			inHeavy++
 		}
 	}
-	fmt.Printf("top-decile count points in heavy cluster: %d/%d\n", inHeavy, len(top))
+	fmt.Fprintf(stdout, "top-decile count points in heavy cluster: %d/%d\n", inHeavy, len(top))
 
 	// Sanity: counts must sum to the dataset size (every point routed to
 	// exactly one nearest sample point).
-	tree := strtree.Build(ws.Points, nil)
-	_ = tree
-	fmt.Printf("counts sum=%d, dataset size=%d\n", ws.TotalCount(), d.Len())
+	fmt.Fprintf(stdout, "counts sum=%d, dataset size=%d\n", ws.TotalCount(), d.Len())
+	return nil
 }
 
-func writePNG(name string, render func(*os.File) error) {
+func writePNG(stdout io.Writer, name string, render func(*os.File) error) error {
 	f, err := os.Create(name)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer f.Close()
 	if err := render(f); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("wrote", name)
+	fmt.Fprintln(stdout, "wrote", name)
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/dataset"
 
@@ -15,6 +17,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	// A skewed GPS-like dataset (substitute for the paper's Geolife).
 	data := dataset.GeolifeLike(dataset.GeolifeOptions{N: 50_000, Seed: 1}).Points
 	const k = 500
@@ -22,19 +30,19 @@ func main() {
 	// VAS: two streaming passes of the Interchange algorithm.
 	sample, err := vas.Build(data, vas.Options{K: k})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("built VAS sample: %d of %d points, objective %.4g, %d pass(es)\n",
+	fmt.Fprintf(stdout, "built VAS sample: %d of %d points, objective %.4g, %d pass(es)\n",
 		len(sample.Points), len(data), sample.Objective, sample.Passes)
 
 	// Baselines of the same size.
 	uni, _, err := vas.Uniform(data, k, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	strat, _, err := vas.Stratified(data, k, 10, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Score all three with the paper's Monte Carlo loss (Eq. 1);
@@ -49,10 +57,11 @@ func main() {
 	} {
 		rep, err := vas.EvaluateLoss(data, c.pts, 0, 1000, 7)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-11s log-loss-ratio=%6.3f  probe coverage=%.1f%%\n",
+		fmt.Fprintf(stdout, "%-11s log-loss-ratio=%6.3f  probe coverage=%.1f%%\n",
 			c.name, rep.LogLossRatio, 100*rep.Covered)
 	}
-	fmt.Println("\nlower log-loss-ratio = higher visual fidelity at the same point budget")
+	fmt.Fprintln(stdout, "\nlower log-loss-ratio = higher visual fidelity at the same point budget")
+	return nil
 }

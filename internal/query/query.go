@@ -94,12 +94,7 @@ func NewPlanner(st *store.Store, model viztime.Model) *Planner {
 	return &Planner{st: st, model: model}
 }
 
-// Plan answers one request.
-func (pl *Planner) Plan(req Request) (*Response, error) {
-	return pl.PlanCtx(context.Background(), req)
-}
-
-// PlanCtx is Plan with stage timing: when ctx carries an obs.Trace,
+// PlanCtx answers one request. When ctx carries an obs.Trace,
 // sample selection is recorded as the plan span, row projection as the
 // gather span, and the store scan contributes probe/residual spans.
 // The trace also learns the base table and, for sampled answers, which

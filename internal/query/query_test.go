@@ -63,7 +63,7 @@ func names(size int) string {
 func TestPlannerPicksLargestFittingSample(t *testing.T) {
 	_, pl := setup(t)
 	// Budget admits 60 tuples -> the 50-point sample.
-	resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: 60 * time.Microsecond})
+	resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: 60 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPlannerPicksLargestFittingSample(t *testing.T) {
 		t.Errorf("served sample size %d, want 50", resp.Sample.Size)
 	}
 	// Budget admits 20 tuples -> the 10-point sample.
-	resp, err = pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: 20 * time.Microsecond})
+	resp, err = pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: 20 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPlannerPicksLargestFittingSample(t *testing.T) {
 
 func TestPlannerBudgetTooSmall(t *testing.T) {
 	_, pl := setup(t)
-	_, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: 5 * time.Microsecond})
+	_, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: 5 * time.Microsecond})
 	if !errors.Is(err, ErrNoSampleFits) {
 		t.Errorf("err = %v, want ErrNoSampleFits", err)
 	}
@@ -91,7 +91,7 @@ func TestPlannerBudgetTooSmall(t *testing.T) {
 func TestPlannerViewportFilter(t *testing.T) {
 	_, pl := setup(t)
 	vp := geom.Rect{MinX: 0, MinY: 0, MaxX: 30, MaxY: 30}
-	resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Viewport: vp, Budget: time.Minute})
+	resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Viewport: vp, Budget: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPlannerZeroViewportIsFullExtent(t *testing.T) {
 	// Both the zero Rect and an explicitly empty Rect mean "no viewport
 	// restriction": every sample row comes back.
 	for _, vp := range []geom.Rect{{}, {MinX: 5, MinY: 5, MaxX: 4, MaxY: 4}} {
-		resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Viewport: vp, Budget: 60 * time.Microsecond})
+		resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Viewport: vp, Budget: 60 * time.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,13 +127,13 @@ func TestPlannerTinyBudgets(t *testing.T) {
 	// zero, which means "interactive default". Use 1ns for effectively
 	// zero time.
 	for _, budget := range []time.Duration{time.Nanosecond, 5 * time.Microsecond, 9 * time.Microsecond} {
-		_, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: budget})
+		_, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: budget})
 		if !errors.Is(err, ErrNoSampleFits) {
 			t.Errorf("budget %v: err = %v, want ErrNoSampleFits", budget, err)
 		}
 	}
 	// Exactly the smallest sample's cost fits.
-	resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: 10 * time.Microsecond})
+	resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: 10 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPlannerTinyBudgets(t *testing.T) {
 		t.Errorf("exact-fit budget served size %d, want 10", resp.Sample.Size)
 	}
 	// The exact-scan fallback still answers when no sample fits.
-	exact, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Nanosecond, Exact: true})
+	exact, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Nanosecond, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestChoose(t *testing.T) {
 
 func TestPlannerExactScan(t *testing.T) {
 	_, pl := setup(t)
-	resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Exact: true})
+	resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPlannerDefaultBudgetIsInteractive(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 1)}
 	LoadSample(st, "s", store.SampleMeta{Source: "base", Method: "vas", XCol: "x", YCol: "y"}, pts, nil)
 	pl := NewPlanner(st, viztime.Tableau())
-	resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y"})
+	resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +196,13 @@ func TestPlannerDefaultBudgetIsInteractive(t *testing.T) {
 
 func TestPlannerValidation(t *testing.T) {
 	_, pl := setup(t)
-	if _, err := pl.Plan(Request{XCol: "x", YCol: "y"}); err == nil {
+	if _, err := pl.PlanCtx(context.Background(), Request{XCol: "x", YCol: "y"}); err == nil {
 		t.Error("missing table: want error")
 	}
-	if _, err := pl.Plan(Request{Table: "nope", XCol: "x", YCol: "y", Exact: true}); err == nil {
+	if _, err := pl.PlanCtx(context.Background(), Request{Table: "nope", XCol: "x", YCol: "y", Exact: true}); err == nil {
 		t.Error("unknown table: want error")
 	}
-	if _, err := pl.Plan(Request{Table: "base", XCol: "zz", YCol: "y", Exact: true}); err == nil {
+	if _, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "zz", YCol: "y", Exact: true}); err == nil {
 		t.Error("unknown column: want error")
 	}
 }
@@ -215,10 +215,10 @@ func TestPlannerNoSamplesRegistered(t *testing.T) {
 	// An existing table with no samples is "nothing can serve this"
 	// (ErrNoSampleFits); an unknown table is a lookup failure
 	// (store.ErrNotFound). The HTTP layer maps these to 422 vs 404.
-	if _, err := pl.Plan(Request{Table: "lonely", XCol: "x", YCol: "y"}); !errors.Is(err, ErrNoSampleFits) {
+	if _, err := pl.PlanCtx(context.Background(), Request{Table: "lonely", XCol: "x", YCol: "y"}); !errors.Is(err, ErrNoSampleFits) {
 		t.Errorf("no samples: err = %v, want ErrNoSampleFits", err)
 	}
-	if _, err := pl.Plan(Request{Table: "ghost", XCol: "x", YCol: "y"}); !errors.Is(err, store.ErrNotFound) {
+	if _, err := pl.PlanCtx(context.Background(), Request{Table: "ghost", XCol: "x", YCol: "y"}); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("unknown table: err = %v, want store.ErrNotFound", err)
 	}
 }
@@ -245,7 +245,7 @@ func TestZeroRectViewportConvention(t *testing.T) {
 	}
 	pl := NewPlanner(st, fixedModel{})
 	for _, exact := range []bool{false, true} {
-		resp, err := pl.Plan(Request{
+		resp, err := pl.PlanCtx(context.Background(), Request{
 			Table: "base", XCol: "x", YCol: "y",
 			Viewport: geom.Rect{}, Budget: time.Second, Exact: exact,
 		})
@@ -277,7 +277,7 @@ func TestPlanWithFilters(t *testing.T) {
 	_, pl := setup(t)
 	// The 50-point sample lies on the diagonal x == y in [0, 100); keep
 	// x in [40, 60) via a filter, no viewport.
-	resp, err := pl.Plan(Request{
+	resp, err := pl.PlanCtx(context.Background(), Request{
 		Table: "base", XCol: "x", YCol: "y", Budget: 60 * time.Microsecond,
 		Filters: []store.Pred{{Column: "x", Min: 40, Max: 59}},
 	})
@@ -297,7 +297,7 @@ func TestPlanWithFilters(t *testing.T) {
 	}
 
 	// Viewport AND filter compose conjunctively.
-	resp, err = pl.Plan(Request{
+	resp, err = pl.PlanCtx(context.Background(), Request{
 		Table: "base", XCol: "x", YCol: "y", Budget: 60 * time.Microsecond,
 		Viewport: geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 50},
 		Filters:  []store.Pred{{Column: "y", Min: 30, Max: 200}},
@@ -312,7 +312,7 @@ func TestPlanWithFilters(t *testing.T) {
 	}
 
 	// Exact plans push the same filters into the base-table scan.
-	resp, err = pl.Plan(Request{
+	resp, err = pl.PlanCtx(context.Background(), Request{
 		Table: "base", XCol: "x", YCol: "y", Exact: true,
 		Filters: []store.Pred{{Column: "x", Min: 10, Max: 19}},
 	})
@@ -324,7 +324,7 @@ func TestPlanWithFilters(t *testing.T) {
 	}
 
 	// A filter on a column the served sample lacks is a lookup error.
-	if _, err := pl.Plan(Request{
+	if _, err := pl.PlanCtx(context.Background(), Request{
 		Table: "base", XCol: "x", YCol: "y", Budget: 60 * time.Microsecond,
 		Filters: []store.Pred{{Column: "nope", Min: 0, Max: 1}},
 	}); !errors.Is(err, store.ErrNotFound) {
@@ -380,7 +380,7 @@ func TestPlanPropagatesDensityGatherError(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := NewPlanner(st, fixedModel{})
-	_, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Second})
+	_, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Second})
 	if err == nil {
 		t.Fatal("broken density column: want error, got silent unweighted output")
 	}
@@ -416,7 +416,7 @@ func TestLoadSampleReplacesExisting(t *testing.T) {
 		t.Errorf("replaced meta = %+v, want size 2 with density", metas[0])
 	}
 	pl := NewPlanner(st, fixedModel{})
-	resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Second})
+	resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestLoadSampleWithDensity(t *testing.T) {
 		t.Fatalf("meta = %+v", metas)
 	}
 	pl := NewPlanner(st, fixedModel{})
-	resp, err := pl.Plan(Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Second})
+	resp, err := pl.PlanCtx(context.Background(), Request{Table: "base", XCol: "x", YCol: "y", Budget: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestRequestsReadOneGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(st, query.NewPlanner(st, fixedModel{}), Config{})
+	s := newServer(st, Config{})
 
 	const rounds, readers, reads = 120, 4, 120
 	var wg sync.WaitGroup

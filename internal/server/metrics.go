@@ -18,13 +18,15 @@ import (
 // counts and latency observations always reconcile.
 const routeOther = "other"
 
-// routeMetrics is one route's request counter and latency histogram,
-// plus its resilience counters: requests shed by admission control
-// (split by reason) and requests that failed at the per-request
-// deadline.
+// routeMetrics is one route's request counter, error counters (4xx and
+// 5xx) and latency histogram, plus its resilience counters: requests
+// shed by admission control (split by reason) and requests that failed
+// at the per-request deadline.
 type routeMetrics struct {
-	count   atomic.Int64
-	latency *obs.Histogram
+	count     atomic.Int64
+	errors4xx atomic.Int64
+	errors5xx atomic.Int64
+	latency   *obs.Histogram
 
 	shedCapacity     atomic.Int64
 	shedQueueTimeout atomic.Int64
@@ -43,7 +45,6 @@ type TailStatus struct {
 type metrics struct {
 	routes   []string // sorted; includes routeOther
 	requests map[string]*routeMetrics
-	errors   atomic.Int64 // responses with status >= 400
 	stages   [obs.NumStages]*obs.Histogram
 
 	// Ingest counters for the /v1/append endpoint.
@@ -78,8 +79,11 @@ func (m *metrics) record(route string, status int, d time.Duration) {
 	}
 	rm.count.Add(1)
 	rm.latency.ObserveDuration(d)
-	if status >= 400 {
-		m.errors.Add(1)
+	switch {
+	case status >= 500:
+		rm.errors5xx.Add(1)
+	case status >= 400:
+		rm.errors4xx.Add(1)
 	}
 }
 
@@ -130,8 +134,12 @@ func (m *metrics) write(w io.Writer, cache cacheStats, idx store.IndexStats, col
 	for _, r := range m.routes {
 		fmt.Fprintf(w, "vasserve_requests_total{route=%q} %d\n", r, m.requests[r].count.Load())
 	}
-	ew.Head("vasserve_request_errors_total", "counter", "Responses with status >= 400.")
-	fmt.Fprintf(w, "vasserve_request_errors_total %d\n", m.errors.Load())
+	ew.Head("vasserve_request_errors_total", "counter", "Responses with status >= 400, by route and class (4xx, 5xx).")
+	for _, r := range m.routes {
+		rm := m.requests[r]
+		fmt.Fprintf(w, "vasserve_request_errors_total{route=%q,class=\"4xx\"} %d\n", r, rm.errors4xx.Load())
+		fmt.Fprintf(w, "vasserve_request_errors_total{route=%q,class=\"5xx\"} %d\n", r, rm.errors5xx.Load())
+	}
 
 	ew.Head("vasserve_requests_shed_total", "counter", "Requests rejected by admission control before reaching a handler, by route and reason (capacity = in-flight cap and wait queue both full; queue_timeout = queued but no slot freed in time).")
 	for _, r := range m.routes {

@@ -32,7 +32,8 @@ func TestRecordUnknownRouteBucketsUnderOther(t *testing.T) {
 		`vasserve_requests_total{route="query"} 1`,
 		`vasserve_requests_total{route="other"} 2`,
 		`vasserve_request_latency_seconds_count{route="other"} 2`,
-		"vasserve_request_errors_total 1",
+		`vasserve_request_errors_total{route="other",class="4xx"} 0`,
+		`vasserve_request_errors_total{route="other",class="5xx"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, grepLines(out, "requests_total"))

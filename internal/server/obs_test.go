@@ -68,7 +68,7 @@ func TestUnknownPathCountedAsOther(t *testing.T) {
 	for _, want := range []string{
 		`vasserve_requests_total{route="other"} 1`,
 		`vasserve_request_latency_seconds_count{route="other"} 1`,
-		`vasserve_request_errors_total 1`,
+		`vasserve_request_errors_total{route="other",class="4xx"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
@@ -155,7 +155,7 @@ func TestSlowLogEndpoint(t *testing.T) {
 func newTestServerWithConfig(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	base := newTestServer(t)
-	return New(base.st, base.planner, cfg)
+	return newServer(base.st, cfg)
 }
 
 // TestMetricsStrictUnderConcurrentTraffic scrapes /metrics while query,

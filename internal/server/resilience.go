@@ -22,6 +22,11 @@ import (
 // need to agree on the error identity.
 var ErrDegraded = errors.New("server: read-only (snapshot persistence degraded)")
 
+// ErrSampleTable marks a mutation rejected because its table is a
+// registered sample: samples are built offline from their base table
+// (§II-D) and only read while serving. The HTTP layer maps it to 409.
+var ErrSampleTable = errors.New("server: sample tables are read-only")
+
 // statusClientClosedRequest is the de-facto standard status (nginx's
 // 499) for requests abandoned by the client before the response was
 // written. The client never sees it; it exists so metrics and logs can

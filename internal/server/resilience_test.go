@@ -42,7 +42,7 @@ func newResilienceServer(t *testing.T, cfg Config) *Server {
 	}, pts, nil); err != nil {
 		t.Fatal(err)
 	}
-	return New(st, query.NewPlanner(st, fixedModel{}), cfg)
+	return newServer(st, cfg)
 }
 
 // postAppend fires one append request and reports its recorder.
@@ -177,6 +177,7 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 		{fmt.Errorf("scan: %w", context.DeadlineExceeded), http.StatusServiceUnavailable, true},
 		{context.Canceled, statusClientClosedRequest, false},
 		{fmt.Errorf("append rejected (%w)", ErrDegraded), http.StatusServiceUnavailable, true},
+		{fmt.Errorf("delete on %q: %w", "base_vas_20", ErrSampleTable), http.StatusConflict, false},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()

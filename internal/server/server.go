@@ -64,19 +64,18 @@ const (
 
 // Config tunes a Server. The zero value picks production defaults.
 type Config struct {
-	// AppendHook, when set, handles POST /v1/append/{table} batches
-	// instead of the server appending straight into the store table —
-	// the catalog layer uses it to also patch the rows into its
-	// snapshot tail log. It receives the batch as parallel column
-	// slices in schema order and returns the number of rows appended.
-	// The hook owns tile invalidation (InvalidateTable) for rows it makes
-	// visible, even when a later durability step fails.
+	// AppendHook is the server's only writer of appended rows
+	// (required): POST /v1/append/{table} hands it the batch as
+	// parallel column slices in schema order, and it returns the
+	// number of rows appended. The catalog layer's hook also logs the
+	// rows to its snapshot tail. The hook owns tile invalidation
+	// (InvalidateTable) for rows it makes visible, even when a later
+	// durability step fails.
 	AppendHook func(table string, cols [][]float64) (int, error)
-	// DeleteHook, when set, handles POST /v1/delete/{table} requests
-	// instead of the server tombstoning straight in the store table —
-	// the catalog layer uses it to also record the delete predicate in
-	// its snapshot tail log. It returns the number of rows newly
-	// deleted, and owns their tile invalidation like AppendHook.
+	// DeleteHook is the server's only writer of deletes (required):
+	// POST /v1/delete/{table} hands it the conjunctive predicates, and
+	// it returns the number of rows newly deleted. It owns their tile
+	// invalidation like AppendHook.
 	DeleteHook func(table string, preds []store.Pred) (int, error)
 	// SlowThreshold is the minimum total duration a request trace must
 	// reach to enter the slow-query log at /debug/slow; 0 means 250ms,
@@ -166,8 +165,12 @@ func (s *Server) coldStart() (string, float64) {
 	return s.coldSource, s.coldSeconds
 }
 
-// New returns a server over the given store and planner.
+// New returns a server over the given store and planner. It panics
+// when cfg lacks AppendHook or DeleteHook.
 func New(st *store.Store, planner *query.Planner, cfg Config) *Server {
+	if cfg.AppendHook == nil || cfg.DeleteHook == nil {
+		panic("server: Config.AppendHook and Config.DeleteHook are required")
+	}
 	s := &Server{
 		cfg:         cfg.withDefaults(),
 		st:          st,
@@ -290,8 +293,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // body. The resilience taxonomy is explicit: a deadline that fired
 // server-side is 503 + Retry-After (the server was too slow — back off
 // and retry), a canceled context is 499 (the client hung up — nobody is
-// reading), and a degraded-mode write rejection is 503 + Retry-After
-// (the mode clears when persistence heals).
+// reading), a degraded-mode write rejection is 503 + Retry-After
+// (the mode clears when persistence heals), and a write to a sample
+// table is 409 (it conflicts with what the table is).
 func httpError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
@@ -309,6 +313,8 @@ func httpError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrDegraded):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, ErrSampleTable):
+		status = http.StatusConflict
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -807,10 +813,10 @@ type AppendResponse struct {
 
 // handleAppend serves POST /v1/append/{table}: a batch of rows lands in
 // the table (past the spatial indexes, where scans filter it as the
-// appended tail until compaction folds it in), the writer — AppendHook
-// or the fallback — bumps the table's tile-cache epoch so tiles
-// rendered from the pre-append contents can never be served again, and
-// the ingest counters on /metrics advance.
+// appended tail until compaction folds it in), AppendHook bumps the
+// table's tile-cache epoch so tiles rendered from the pre-append
+// contents can never be served again, and the ingest counters on
+// /metrics advance.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req AppendRequest
@@ -877,14 +883,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	n, err := s.appendCols(table, cols)
+	n, err := s.cfg.AppendHook(table, cols)
 	if n > 0 {
 		s.metrics.ingestBatches.Add(1)
 		s.metrics.ingestRows.Add(int64(n))
 	}
 	if err != nil {
 		switch {
-		case errors.Is(err, store.ErrNotFound), errors.Is(err, ErrDegraded):
+		case errors.Is(err, store.ErrNotFound), errors.Is(err, ErrDegraded), errors.Is(err, ErrSampleTable):
 			httpError(w, err)
 		case n > 0:
 			// The batch is live but a server-side step (the snapshot
@@ -907,23 +913,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		rows = t.View().LiveRows()
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{Appended: n, Rows: rows})
-}
-
-// appendCols routes one parsed batch to the configured AppendHook or
-// straight into the store table, invalidating its tiles itself.
-func (s *Server) appendCols(table string, cols [][]float64) (int, error) {
-	if s.cfg.AppendHook != nil {
-		return s.cfg.AppendHook(table, cols)
-	}
-	t, err := s.st.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	if err := t.AppendRows(cols...); err != nil {
-		return 0, err
-	}
-	s.InvalidateTable(table)
-	return len(cols[0]), nil
 }
 
 // ---- /v1/delete ----
@@ -957,7 +946,7 @@ type DeleteResponse struct {
 // handleDelete serves POST /v1/delete/{table}: the matching rows are
 // tombstoned — atomically invisible to every later query and tile,
 // physically reclaimed by the table's next background compaction — and
-// the writer bumps the tile-cache epoch, as for appends.
+// DeleteHook bumps the tile-cache epoch, as for appends.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req DeleteRequest
@@ -990,7 +979,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 		preds = append(preds, p)
 	}
-	n, err := s.deletePreds(table, preds)
+	n, err := s.cfg.DeleteHook(table, preds)
 	if n > 0 {
 		s.metrics.deleteRequests.Add(1)
 		s.metrics.deleteRows.Add(int64(n))
@@ -1013,23 +1002,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		rows = t.View().LiveRows()
 	}
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: n, Rows: rows})
-}
-
-// deletePreds routes one parsed delete to the configured DeleteHook or
-// straight into the store table, invalidating its tiles itself.
-func (s *Server) deletePreds(table string, preds []store.Pred) (int, error) {
-	if s.cfg.DeleteHook != nil {
-		return s.cfg.DeleteHook(table, preds)
-	}
-	t, err := s.st.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	n, err := t.DeleteWhere(preds)
-	if n > 0 {
-		s.InvalidateTable(table)
-	}
-	return n, err
 }
 
 // ---- /v1/tile ----

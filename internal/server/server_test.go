@@ -55,7 +55,42 @@ func newTestServer(t *testing.T) *Server {
 			t.Fatal(err)
 		}
 	}
-	return New(st, query.NewPlanner(st, fixedModel{}), Config{})
+	return newServer(st, Config{})
+}
+
+// newServer is New with the fixed latency model and, for each write
+// hook cfg leaves nil, one that writes the store table and invalidates
+// its tiles, as the catalog's write path does.
+func newServer(st *store.Store, cfg Config) *Server {
+	var s *Server
+	if cfg.AppendHook == nil {
+		cfg.AppendHook = func(table string, cols [][]float64) (int, error) {
+			t, err := st.Table(table)
+			if err != nil {
+				return 0, err
+			}
+			if err := t.AppendRows(cols...); err != nil {
+				return 0, err
+			}
+			s.InvalidateTable(table)
+			return len(cols[0]), nil
+		}
+	}
+	if cfg.DeleteHook == nil {
+		cfg.DeleteHook = func(table string, preds []store.Pred) (int, error) {
+			t, err := st.Table(table)
+			if err != nil {
+				return 0, err
+			}
+			n, err := t.DeleteWhere(preds)
+			if n > 0 {
+				s.InvalidateTable(table)
+			}
+			return n, err
+		}
+	}
+	s = New(st, query.NewPlanner(st, fixedModel{}), cfg)
+	return s
 }
 
 func get(t *testing.T, s *Server, url string) *httptest.ResponseRecorder {
@@ -471,7 +506,7 @@ func TestAppendHookRoutesBatches(t *testing.T) {
 	}
 	var gotTable string
 	var gotCols [][]float64
-	s := New(st, query.NewPlanner(st, fixedModel{}), Config{
+	s := newServer(st, Config{
 		AppendHook: func(table string, cols [][]float64) (int, error) {
 			gotTable, gotCols = table, cols
 			return len(cols[0]), nil
@@ -512,7 +547,8 @@ func TestHealthAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		`vasserve_requests_total{route="query"} 3`,
 		`vasserve_requests_total{route="tile"} 2`,
-		`vasserve_request_errors_total 1`,
+		`vasserve_request_errors_total{route="query",class="4xx"} 1`,
+		`vasserve_request_errors_total{route="query",class="5xx"} 0`,
 		`vasserve_tile_cache_hits_total 1`,
 		`vasserve_tile_cache_misses_total 1`,
 		`vasserve_tile_cache_hit_ratio 0.5`,
@@ -790,7 +826,7 @@ func TestDeleteHookRoutesPredicates(t *testing.T) {
 	}
 	var gotTable string
 	var gotPreds []store.Pred
-	s := New(st, query.NewPlanner(st, fixedModel{}), Config{
+	s := newServer(st, Config{
 		DeleteHook: func(table string, preds []store.Pred) (int, error) {
 			gotTable, gotPreds = table, preds
 			return 2, nil
@@ -944,8 +980,8 @@ func TestNonFiniteAnswerIs500(t *testing.T) {
 	if err := base.BulkLoad(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	s := New(st, query.NewPlanner(st, fixedModel{}), Config{})
-	for i, url := range []string{
+	s := newServer(st, Config{})
+	for _, url := range []string{
 		"/v1/query?table=base&exact=true",
 		"/v1/query?table=base&exact=true&minx=0&miny=0&maxx=3&maxy=3",
 		"/v1/nearest?table=base&x=1&y=1&k=2000",
@@ -955,8 +991,15 @@ func TestNonFiniteAnswerIs500(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError || body["error"] == "" {
 			t.Errorf("%s: status %d, body %q (%v), want 500 with an error", url, rec.Code, rec.Body, err)
 		}
-		if n := s.metrics.errors.Load(); n != int64(i+1) {
-			t.Errorf("%s: %d errors counted, want %d", url, n, i+1)
+	}
+	metrics := get(t, s, "/metrics").Body.String()
+	for _, want := range []string{
+		`vasserve_request_errors_total{route="query",class="5xx"} 2`,
+		`vasserve_request_errors_total{route="nearest",class="5xx"} 1`,
+		`vasserve_request_errors_total{route="query",class="4xx"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", want)
 		}
 	}
 

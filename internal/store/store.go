@@ -625,6 +625,20 @@ func (s *Store) SamplesOf(source string) []SampleMeta {
 	return append([]SampleMeta(nil), s.samples[source]...)
 }
 
+// IsSample reports whether name is a registered sample table.
+func (s *Store) IsSample(name string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, metas := range s.samples {
+		for _, m := range metas {
+			if m.Table == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // IndexStats aggregates spatial-index state and read-path usage across
 // every table in the store, for the /metrics endpoint.
 type IndexStats struct {

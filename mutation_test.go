@@ -12,9 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,7 +31,7 @@ func gridPoints(nx, ny int, dx, dy float64) []vas.Point {
 	pts := make([]vas.Point, 0, nx*ny)
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
-			pts = append(pts, vas.Pt(float64(i)+dx, float64(j)+dy))
+			pts = append(pts, vas.Point{X: float64(i) + dx, Y: float64(j) + dy})
 		}
 	}
 	return pts
@@ -95,7 +98,7 @@ func TestMutationLogGolden(t *testing.T) {
 		case 0:
 			var pts []vas.Point
 			for _, p := range randPoints() {
-				pts = append(pts, vas.Pt(p[0], p[1]))
+				pts = append(pts, vas.Point{X: p[0], Y: p[1]})
 			}
 			if err := cat.Append("base", pts); err != nil {
 				t.Fatal(err)
@@ -167,7 +170,7 @@ func TestLoadSnapshotPublishesAfterTailReplay(t *testing.T) {
 	// 400 rows stay under the re-save threshold, so the tail survives.
 	const batches = 400
 	for i := 0; i < batches; i++ {
-		if err := src.Append("base", []vas.Point{vas.Pt(100+float64(i), 100)}); err != nil {
+		if err := src.Append("base", []vas.Point{{X: 100 + float64(i), Y: 100}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +188,7 @@ func TestLoadSnapshotPublishesAfterTailReplay(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			res, err := cat.QueryExact("base", vas.Rect{})
+			res, err := tryQuery(cat, "base", "exact=true")
 			if err != nil {
 				t.Error(err)
 				return
@@ -214,11 +217,61 @@ func TestLoadSnapshotPublishesAfterTailReplay(t *testing.T) {
 	if bad > 0 {
 		t.Fatalf("reader saw %d intermediate row counts", bad)
 	}
-	res, err := cat.QueryExact("base", vas.Rect{})
-	if err != nil {
+	if res := query(t, cat, "base", "exact=true"); len(res.Points) != finalRows {
+		t.Fatalf("after load: %d rows, want %d", len(res.Points), finalRows)
+	}
+}
+
+// TestSampleTablesRefuseWrites: a sample is built offline from its base
+// table (§II-D) and only read while serving, so an append or a delete
+// naming one is refused with 409 through the catalog's handler. The
+// sample keeps its rows, the tail log keeps its bytes, and a reload
+// serves the same sample.
+func TestSampleTablesRefuseWrites(t *testing.T) {
+	pts := gridPoints(40, 50, 0, 0)
+	cat := vas.NewCatalog()
+	if err := cat.LoadTable("base", pts); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != finalRows {
-		t.Fatalf("after load: %d rows, want %d", len(res.Points), finalRows)
+	if err := cat.BuildSamples("base", pts, []int{100}, false, vas.Options{Passes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := cat.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	// One acknowledged base append, so the tail log has bytes to keep.
+	if err := cat.Append("base", []vas.Point{{X: 0.5, Y: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	tail := filepath.Join(dir, vas.TailFile)
+	tailSum := fileSHA256(t, tail)
+	want := query(t, cat, "base", "budget=1600ms")
+	if want.Sample != "base_vas_100" || len(want.Points) != 100 {
+		t.Fatalf("served %d points from %q, want the whole base_vas_100", len(want.Points), want.Sample)
+	}
+
+	for _, w := range []struct{ path, body string }{
+		{"/v1/append/base_vas_100", `{"points": [[1000, 1000]]}`},
+		{"/v1/delete/base_vas_100", `{"all": true}`},
+	} {
+		rec := httptest.NewRecorder()
+		cat.Handler().ServeHTTP(rec, httptest.NewRequest("POST", w.path, strings.NewReader(w.body)))
+		if rec.Code != http.StatusConflict {
+			t.Errorf("POST %s: status %d, want 409: %s", w.path, rec.Code, rec.Body)
+		}
+	}
+	if got := fileSHA256(t, tail); got != tailSum {
+		t.Error("a refused write reached the tail log")
+	}
+	restored := vas.NewCatalog()
+	if err := restored.LoadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*vas.Catalog{"served": cat, "reloaded": restored} {
+		got := query(t, c, "base", "budget=1600ms")
+		if got.Sample != want.Sample || !slices.Equal(got.Points, want.Points) {
+			t.Errorf("%s: %d points from %q, want the sample's %d as built", name, len(got.Points), got.Sample, len(want.Points))
+		}
 	}
 }

@@ -33,7 +33,7 @@ func TestNearestServesByteIdenticalAcrossSnapshotRestart(t *testing.T) {
 	// rect delete.
 	c := d.Bounds().Center()
 	if err := orig.Append("gps", []vas.Point{
-		vas.Pt(c.X+0.001, c.Y+0.001), vas.Pt(c.X-0.002, c.Y+0.003),
+		{X: c.X + 0.001, Y: c.Y + 0.001}, {X: c.X - 0.002, Y: c.Y + 0.003},
 	}); err != nil {
 		t.Fatal(err)
 	}

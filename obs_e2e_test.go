@@ -141,7 +141,7 @@ func TestTailLogDegradedGaugeEndToEnd(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, vas.TailFile, "block"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.Append("gps", []vas.Point{vas.Pt(1, 2)}); err == nil {
+	if err := cat.Append("gps", []vas.Point{{X: 1, Y: 2}}); err == nil {
 		t.Fatal("append with a broken tail log reported success")
 	}
 	_, body = getBody(t, ts.URL+"/metrics")

@@ -36,8 +36,8 @@ func TestRetentionSnapshotReplay(t *testing.T) {
 	// (1000, 1000) is exclusively ours.
 	probe := vas.Rect{MinX: 999, MinY: 999, MaxX: 1006, MaxY: 1006}
 	pts := []vas.Point{
-		vas.Pt(1000, 1000), vas.Pt(1001, 1001), vas.Pt(1002, 1002),
-		vas.Pt(1003, 1003), vas.Pt(1004, 1004),
+		{X: 1000, Y: 1000}, {X: 1001, Y: 1001}, {X: 1002, Y: 1002},
+		{X: 1003, Y: 1003}, {X: 1004, Y: 1004},
 	}
 	if err := cat.Append("gps", pts); err != nil {
 		t.Fatal(err)
@@ -70,31 +70,22 @@ func TestRetentionSnapshotReplay(t *testing.T) {
 	}
 	// Appended AFTER the delete, inside the deleted rectangle: replay
 	// order decides whether this row lives. It must.
-	if err := cat.Append("gps", []vas.Point{vas.Pt(1000.25, 1000.25)}); err != nil {
+	if err := cat.Append("gps", []vas.Point{{X: 1000.25, Y: 1000.25}}); err != nil {
 		t.Fatal(err)
 	}
 
-	want, err := cat.QueryExact("gps", probe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := query(t, cat, "gps", "exact=true&"+viewport(probe))
 	if len(want.Points) != 3 { // 1002, 1004, and the post-delete 1000.25
 		t.Fatalf("pre-restart probe sees %d points, want 3: %v", len(want.Points), want.Points)
 	}
-	wantFull, err := cat.QueryExact("gps", vas.Rect{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantFull := query(t, cat, "gps", "exact=true")
 
 	// "Restart": replay base + tail into a fresh catalog.
 	restored := vas.NewCatalog()
 	if err := restored.LoadSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.QueryExact("gps", probe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := query(t, restored, "gps", "exact=true&"+viewport(probe))
 	if len(got.Points) != len(want.Points) {
 		t.Fatalf("restored probe sees %d points, want %d: %v", len(got.Points), len(want.Points), got.Points)
 	}
@@ -103,10 +94,7 @@ func TestRetentionSnapshotReplay(t *testing.T) {
 			t.Fatalf("restored point %d = %v, want %v", i, got.Points[i], want.Points[i])
 		}
 	}
-	gotFull, err := restored.QueryExact("gps", vas.Rect{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotFull := query(t, restored, "gps", "exact=true")
 	if len(gotFull.Points) != len(wantFull.Points) {
 		t.Fatalf("restored full extent = %d points, want %d", len(gotFull.Points), len(wantFull.Points))
 	}
@@ -148,10 +136,7 @@ func TestRetentionSnapshotReplay(t *testing.T) {
 	if err := again.LoadSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := again.QueryExact("gps", probe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got2 := query(t, again, "gps", "exact=true&"+viewport(probe))
 	if len(got2.Points) != len(want.Points) {
 		t.Fatalf("after fold + reload: %d points, want %d", len(got2.Points), len(want.Points))
 	}
@@ -168,7 +153,7 @@ func TestDeleteDurabilityDegradation(t *testing.T) {
 	if err := cat.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.Append("gps", []vas.Point{vas.Pt(1000, 1000)}); err != nil {
+	if err := cat.Append("gps", []vas.Point{{X: 1000, Y: 1000}}); err != nil {
 		t.Fatal(err)
 	}
 	// Break the log the same way the append degradation test does.
@@ -192,10 +177,7 @@ func TestDeleteDurabilityDegradation(t *testing.T) {
 		t.Fatal("degradation not recorded")
 	}
 	// The delete is live regardless.
-	got, qerr := cat.QueryExact("gps", vas.Rect{MinX: 999, MinY: 999, MaxX: 1001, MaxY: 1001})
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
+	got := query(t, cat, "gps", "exact=true&"+viewport(vas.Rect{MinX: 999, MinY: 999, MaxX: 1001, MaxY: 1001}))
 	if len(got.Points) != 0 {
 		t.Fatalf("deleted row still serving under degradation: %d points", len(got.Points))
 	}

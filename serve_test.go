@@ -14,15 +14,76 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/server"
 
 	vas "repro"
 )
+
+// serveQuery answers GET /v1/query?table=<table>&<params> in process,
+// through the catalog's HTTP handler.
+func serveQuery(c *vas.Catalog, table, params string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/query?table="+table+"&"+params, nil))
+	return rec
+}
+
+// tryQuery is serveQuery decoded: an error unless the status is 200.
+func tryQuery(c *vas.Catalog, table, params string) (server.QueryResponse, error) {
+	var res server.QueryResponse
+	rec := serveQuery(c, table, params)
+	if rec.Code != http.StatusOK {
+		return res, fmt.Errorf("query %s&%s: status %d: %s", table, params, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		return res, fmt.Errorf("query %s&%s: bad JSON %q: %v", table, params, rec.Body, err)
+	}
+	return res, nil
+}
+
+// query is tryQuery for an answer the test expects.
+func query(t testing.TB, c *vas.Catalog, table, params string) server.QueryResponse {
+	t.Helper()
+	res, err := tryQuery(c, table, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// points converts an answer's [x, y] pairs back to points; the JSON
+// round trip of a finite float64 is exact.
+func points(res server.QueryResponse) []vas.Point {
+	pts := make([]vas.Point, len(res.Points))
+	for i, p := range res.Points {
+		pts[i] = vas.Point{X: p[0], Y: p[1]}
+	}
+	return pts
+}
+
+// num formats v for a query string: exact, and with the exponent's "+"
+// escaped.
+func num(v float64) string { return url.QueryEscape(strconv.FormatFloat(v, 'g', -1, 64)) }
+
+// viewport is r's query parameters; the zero Rect is the full extent.
+func viewport(r vas.Rect) string {
+	if r == (vas.Rect{}) {
+		return ""
+	}
+	return "minx=" + num(r.MinX) + "&miny=" + num(r.MinY) + "&maxx=" + num(r.MaxX) + "&maxy=" + num(r.MaxY)
+}
+
+// filter is p's filter parameter.
+func filter(p vas.Pred) string {
+	return "filter=" + url.QueryEscape(p.Column) + ":" + num(p.Min) + ":" + num(p.Max)
+}
 
 // newServedCatalog loads a small geolife-like table and builds two VAS
 // samples, runs each setup on the catalog before its handler is built,
@@ -178,8 +239,8 @@ func TestLoadTableReloadInvalidatesTiles(t *testing.T) {
 	anti := make([]vas.Point, 200)
 	for i := range diag {
 		f := float64(i)
-		diag[i] = vas.Pt(f, f)     // main diagonal
-		anti[i] = vas.Pt(f, 199-f) // anti-diagonal: visibly different tile
+		diag[i] = vas.Point{X: f, Y: f}       // main diagonal
+		anti[i] = vas.Point{X: f, Y: 199 - f} // anti-diagonal: visibly different tile
 	}
 	cat := vas.NewCatalog()
 	if err := cat.LoadTable("gps", diag); err != nil {
@@ -274,10 +335,7 @@ func TestServeConcurrentWithSampleRegistration(t *testing.T) {
 	wg.Wait()
 
 	// After the dust settles, the planner serves the largest new sample.
-	res, err := cat.Query("gps", vas.Rect{}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := query(t, cat, "gps", "budget=30s")
 	if res.SampleSize != 400 {
 		t.Errorf("largest sample after concurrent registration = %d, want 400", res.SampleSize)
 	}

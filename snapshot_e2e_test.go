@@ -86,26 +86,15 @@ func TestSnapshotServesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name     string
-		viewport vas.Rect
-		filters  []vas.Pred
-		budget   time.Duration
-	}{
-		{"full extent", vas.Rect{}, nil, 0},
-		{"zoomed", zoomed, nil, 0},
-		{"tight budget", zoomed, nil, 1600 * time.Millisecond},
-		{"filtered", zoomed, []vas.Pred{{Column: "density", Min: 2, Max: 1e18}}, 0},
+	cases := []struct{ name, params string }{
+		{"full extent", ""},
+		{"zoomed", viewport(zoomed)},
+		{"tight budget", "budget=1600ms&" + viewport(zoomed)},
+		{"filtered", viewport(zoomed) + "&" + filter(vas.Pred{Column: "density", Min: 2, Max: 1e18})},
 	}
 	for _, tc := range cases {
-		want, err := orig.QueryFiltered("gps", tc.viewport, tc.filters, tc.budget)
-		if err != nil {
-			t.Fatalf("%s: original: %v", tc.name, err)
-		}
-		got, err := loaded.QueryFiltered("gps", tc.viewport, tc.filters, tc.budget)
-		if err != nil {
-			t.Fatalf("%s: loaded: %v", tc.name, err)
-		}
+		want := query(t, orig, "gps", tc.params)
+		got := query(t, loaded, "gps", tc.params)
 		if got.SampleSize != want.SampleSize {
 			t.Fatalf("%s: sample size %d vs %d", tc.name, got.SampleSize, want.SampleSize)
 		}
@@ -292,10 +281,7 @@ func TestLoadSnapshotRejectsCorruptionAndKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before, err := cat.Query("gps", vas.Rect{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := query(t, cat, "gps", "")
 
 	mutants := map[string][]byte{
 		"truncated":  data[:len(data)/2],
@@ -312,14 +298,14 @@ func TestLoadSnapshotRejectsCorruptionAndKeepsServing(t *testing.T) {
 		if err := fresh.LoadSnapshot(dir); err == nil {
 			t.Fatalf("%s snapshot was accepted", name)
 		}
-		if _, err := fresh.Query("gps", vas.Rect{}, 0); err == nil {
-			t.Fatalf("%s: partial state was published into a fresh catalog", name)
+		if code := serveQuery(fresh, "gps", "").Code; code != http.StatusNotFound {
+			t.Fatalf("%s: partial state was published into a fresh catalog: status %d", name, code)
 		}
 		// Into the live catalog: must fail and leave it serving as before.
 		if err := cat.LoadSnapshot(dir); err == nil {
 			t.Fatalf("%s snapshot was accepted by a live catalog", name)
 		}
-		after, err := cat.Query("gps", vas.Rect{}, 0)
+		after, err := tryQuery(cat, "gps", "")
 		if err != nil {
 			t.Fatalf("%s: live catalog stopped serving: %v", name, err)
 		}
@@ -339,7 +325,7 @@ func TestLoadSnapshotRejectsCorruptionAndKeepsServing(t *testing.T) {
 	if err := cat.LoadSnapshot(dir); !errors.Is(err, snapshot.ErrVersionSkew) {
 		t.Fatalf("v3-stamped snapshot: err %v, want ErrVersionSkew", err)
 	}
-	after, err := cat.Query("gps", vas.Rect{}, 0)
+	after, err := tryQuery(cat, "gps", "")
 	if err != nil {
 		t.Fatalf("v3-stamped snapshot: live catalog stopped serving: %v", err)
 	}
@@ -394,18 +380,15 @@ func TestRegisterSampleSnapshot(t *testing.T) {
 	if err := loaded.LoadSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := loaded.Query("data", vas.Rect{}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := query(t, loaded, "data", "budget=30s")
 	if res.SampleSize != 150 || len(res.Points) != 150 {
 		t.Fatalf("restored catalog served %d points from a %d-sample", len(res.Points), res.SampleSize)
 	}
 	if len(res.Counts) != 150 {
 		t.Fatalf("density embedding lost: %d counts", len(res.Counts))
 	}
-	for i, p := range s.Points {
-		if res.Points[i] != p {
+	for i, p := range points(res) {
+		if p != s.Points[i] {
 			t.Fatalf("point %d diverged from the registered sample", i)
 		}
 	}
@@ -434,7 +417,7 @@ func TestIncrementalSnapshotRefresh(t *testing.T) {
 
 	// Ingest while serving: one batch through the catalog API, one
 	// through the HTTP endpoint.
-	if err := cat.Append("gps", []vas.Point{vas.Pt(1000, 1000), vas.Pt(1001, 1001)}); err != nil {
+	if err := cat.Append("gps", []vas.Point{{X: 1000, Y: 1000}, {X: 1001, Y: 1001}}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(cat.Handler())
@@ -467,10 +450,7 @@ func TestIncrementalSnapshotRefresh(t *testing.T) {
 	// Every appended row must have survived the restart, visible to an
 	// exact query and answered as an index probe (the replayed rows are
 	// the restored index's appended tail).
-	got, err := restored.QueryExact("gps", vas.Rect{MinX: 999, MinY: 999, MaxX: 1005, MaxY: 1005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := query(t, restored, "gps", "exact=true&"+viewport(vas.Rect{MinX: 999, MinY: 999, MaxX: 1005, MaxY: 1005}))
 	if len(got.Points) != 5 {
 		t.Fatalf("restored catalog sees %d appended rows, want 5", len(got.Points))
 	}
@@ -479,14 +459,8 @@ func TestIncrementalSnapshotRefresh(t *testing.T) {
 	}
 	// Sampled answers must match the pre-restart catalog's (no rebuild,
 	// same samples byte for byte).
-	want, err := cat.Query("gps", vas.Rect{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := restored.Query("gps", vas.Rect{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := query(t, cat, "gps", "")
+	after := query(t, restored, "gps", "")
 	if len(after.Points) != len(want.Points) || after.SampleSize != want.SampleSize {
 		t.Fatalf("restored sample answer diverged: %d/%d points, sample %d/%d",
 			len(after.Points), len(want.Points), after.SampleSize, want.SampleSize)
@@ -504,10 +478,7 @@ func TestIncrementalSnapshotRefresh(t *testing.T) {
 	if err := again.LoadSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := again.QueryExact("gps", vas.Rect{MinX: 999, MinY: 999, MaxX: 1005, MaxY: 1005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got2 := query(t, again, "gps", "exact=true&"+viewport(vas.Rect{MinX: 999, MinY: 999, MaxX: 1005, MaxY: 1005}))
 	if len(got2.Points) != 5 {
 		t.Fatalf("after fold + reload: %d appended rows, want 5", len(got2.Points))
 	}
@@ -537,7 +508,7 @@ func TestAppendDurabilityDegradation(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, vas.TailFile, "block"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := cat.Append("gps", []vas.Point{vas.Pt(1, 2)})
+	err := cat.Append("gps", []vas.Point{{X: 1, Y: 2}})
 	if err == nil {
 		t.Fatal("append with a broken tail log reported success")
 	}
@@ -545,16 +516,13 @@ func TestAppendDurabilityDegradation(t *testing.T) {
 		t.Fatal("degradation not recorded")
 	}
 	// The rows are live regardless.
-	got, qerr := cat.QueryExact("gps", vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5})
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
+	got := query(t, cat, "gps", "exact=true&"+viewport(vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5}))
 	if len(got.Points) != 1 {
 		t.Fatalf("appended row not serving under degradation: %d points", len(got.Points))
 	}
 	// Later appends keep reporting the degradation without touching the
 	// broken log.
-	if err := cat.Append("gps", []vas.Point{vas.Pt(3, 4)}); err == nil {
+	if err := cat.Append("gps", []vas.Point{{X: 3, Y: 4}}); err == nil {
 		t.Fatal("degraded catalog reported a durable append")
 	}
 	// The failed appends kicked off a background re-save; let its (also
@@ -575,14 +543,11 @@ func TestAppendDurabilityDegradation(t *testing.T) {
 	if err := restored.LoadSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := restored.QueryExact("gps", vas.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got2 := query(t, restored, "gps", "exact=true&"+viewport(vas.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}))
 	if len(got2.Points) != 2 {
 		t.Fatalf("healed snapshot lost rows appended under degradation: %d points", len(got2.Points))
 	}
-	if err := cat.Append("gps", []vas.Point{vas.Pt(5, 6)}); err != nil {
+	if err := cat.Append("gps", []vas.Point{{X: 5, Y: 6}}); err != nil {
 		t.Fatalf("append after healing still failing: %v", err)
 	}
 }
@@ -614,7 +579,7 @@ func TestDurabilityFaultMatrix(t *testing.T) {
 			inj := fault.NewInjector(nil)
 			tc.arm(inj)
 			restore := snapshot.SetFS(inj)
-			err := cat.Append("gps", []vas.Point{vas.Pt(1, 2)})
+			err := cat.Append("gps", []vas.Point{{X: 1, Y: 2}})
 			if err == nil {
 				t.Fatal("append with a faulted tail log reported success")
 			}
@@ -623,10 +588,7 @@ func TestDurabilityFaultMatrix(t *testing.T) {
 			}
 			// The rows are live regardless: degraded durability, full
 			// availability.
-			got, qerr := cat.QueryExact("gps", vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5})
-			if qerr != nil {
-				t.Fatal(qerr)
-			}
+			got := query(t, cat, "gps", "exact=true&"+viewport(vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5}))
 			if len(got.Points) != 1 {
 				t.Fatalf("appended row not serving under the fault: %d points", len(got.Points))
 			}
@@ -642,10 +604,7 @@ func TestDurabilityFaultMatrix(t *testing.T) {
 			if err := restored.LoadSnapshot(dir); err != nil {
 				t.Fatal(err)
 			}
-			got2, err := restored.QueryExact("gps", vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got2 := query(t, restored, "gps", "exact=true&"+viewport(vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5}))
 			if len(got2.Points) != 1 {
 				t.Fatalf("healed snapshot lost the row appended under the fault: %d points", len(got2.Points))
 			}
@@ -672,7 +631,7 @@ func TestDurabilityFaultMatrix(t *testing.T) {
 			}
 			// A durable append before the fault: the failed save must not
 			// disturb the base + tail pair it could not replace.
-			if err := cat.Append("gps", []vas.Point{vas.Pt(1, 2)}); err != nil {
+			if err := cat.Append("gps", []vas.Point{{X: 1, Y: 2}}); err != nil {
 				t.Fatal(err)
 			}
 			inj := fault.NewInjector(nil)
@@ -703,10 +662,7 @@ func TestDurabilityFaultMatrix(t *testing.T) {
 			if err := restored.LoadSnapshot(dir); err != nil {
 				t.Fatalf("snapshot unusable after a failed save: %v", err)
 			}
-			got, err := restored.QueryExact("gps", vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := query(t, restored, "gps", "exact=true&"+viewport(vas.Rect{MinX: 0.5, MinY: 1.5, MaxX: 1.5, MaxY: 2.5}))
 			if len(got.Points) != 1 {
 				t.Fatalf("restart after failed save lost the durable append: %d points", len(got.Points))
 			}
@@ -732,7 +688,7 @@ func TestTailReplayValidation(t *testing.T) {
 	if err := cat.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.Append("ghost", []vas.Point{vas.Pt(1, 2)}); err == nil {
+	if err := cat.Append("ghost", []vas.Point{{X: 1, Y: 2}}); err == nil {
 		t.Fatal("append to a missing table was accepted")
 	}
 	// Forge a tail record for a table the snapshot does not carry.
@@ -743,8 +699,8 @@ func TestTailReplayValidation(t *testing.T) {
 	if err := fresh.LoadSnapshot(dir); err == nil {
 		t.Fatal("tail targeting an unknown table was accepted")
 	}
-	if _, err := fresh.Query("gps", vas.Rect{}, 0); err == nil {
-		t.Fatal("partial catalog was published despite the bad tail")
+	if code := serveQuery(fresh, "gps", "").Code; code != http.StatusNotFound {
+		t.Fatalf("partial catalog was published despite the bad tail: status %d", code)
 	}
 
 	// Records only the store can reject: each must fail the whole load,
@@ -758,10 +714,7 @@ func TestTailReplayValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	exactRows := func() int {
-		res, err := loaded.QueryExact("gps", vas.Rect{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := query(t, loaded, "gps", "exact=true")
 		return len(res.Points)
 	}
 	rows := exactRows()
@@ -788,6 +741,14 @@ func TestTailReplayValidation(t *testing.T) {
 		{"delete on unknown column", unknownColumn},
 		{"append with 3 columns for a 2-column table", threeColumns},
 		{"good record then bad record", goodThenBad},
+		// Records an older binary logged for a sample table, which
+		// accepted writes to one.
+		{"append to a sample", func() error {
+			return snapshot.AppendTail(tailPath, "gps_vas_50", [][]float64{{1000}, {1000}, {1}}, base.Epoch)
+		}},
+		{"delete from a sample", func() error {
+			return snapshot.AppendTailDelete(tailPath, "gps_vas_50", nil, base.Epoch)
+		}},
 	} {
 		if err := os.Remove(tailPath); err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
@@ -811,7 +772,7 @@ func snapshotAppendTail(dir, table string) error {
 	// The tail format is internal; reuse it through a scratch catalog
 	// that has the target table, then move its log into place.
 	scratch := vas.NewCatalog()
-	pts := []vas.Point{vas.Pt(5, 6)}
+	pts := []vas.Point{{X: 5, Y: 6}}
 	if err := scratch.LoadTable(table, pts); err != nil {
 		return err
 	}

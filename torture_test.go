@@ -20,6 +20,7 @@ package vas_test
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,12 +44,12 @@ type tortureOp struct {
 
 func tortureSchedule() []tortureOp {
 	return []tortureOp{
-		{kind: "append", pts: []vas.Point{vas.Pt(1000, 1000), vas.Pt(1001, 1001), vas.Pt(1002, 1002)}},
-		{kind: "append", pts: []vas.Point{vas.Pt(1003, 1003), vas.Pt(1004, 1004), vas.Pt(1005, 1005)}},
+		{kind: "append", pts: []vas.Point{{X: 1000, Y: 1000}, {X: 1001, Y: 1001}, {X: 1002, Y: 1002}}},
+		{kind: "append", pts: []vas.Point{{X: 1003, Y: 1003}, {X: 1004, Y: 1004}, {X: 1005, Y: 1005}}},
 		{kind: "save"},
-		{kind: "append", pts: []vas.Point{vas.Pt(1006, 1006), vas.Pt(1007, 1007)}},
+		{kind: "append", pts: []vas.Point{{X: 1006, Y: 1006}, {X: 1007, Y: 1007}}},
 		{kind: "delete", rect: vas.Rect{MinX: 1002.5, MinY: 1002.5, MaxX: 1006.5, MaxY: 1006.5}},
-		{kind: "append", pts: []vas.Point{vas.Pt(1008, 1008), vas.Pt(1009, 1009)}},
+		{kind: "append", pts: []vas.Point{{X: 1008, Y: 1008}, {X: 1009, Y: 1009}}},
 		{kind: "save"},
 	}
 }
@@ -118,11 +119,7 @@ var farTortureRect = vas.Rect{MinX: 999.5, MinY: 999.5, MaxX: 1009.5, MaxY: 1009
 
 func farPoints(t *testing.T, c *vas.Catalog) []vas.Point {
 	t.Helper()
-	res, err := c.QueryExact("gps", farTortureRect)
-	if err != nil {
-		t.Fatalf("far-region query: %v", err)
-	}
-	out := append([]vas.Point(nil), res.Points...)
+	out := points(query(t, c, "gps", "exact=true&"+viewport(farTortureRect)))
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].X != out[b].X {
 			return out[a].X < out[b].X
@@ -192,10 +189,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	if err := pristine.LoadSnapshot(baseDir); err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := pristine.QueryExact("gps", vas.Rect{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseRes := query(t, pristine, "gps", "exact=true")
 	baseCount := len(baseRes.Points)
 
 	states := tortureStates()
@@ -278,18 +272,15 @@ func TestCrashRecoveryTorture(t *testing.T) {
 						t.Fatalf("recovered state %v is neither model(%d acked)=%v nor model(+crashing op)=%v",
 							got, acked, want1, want2)
 					}
-					baseGot, err := fresh.QueryExact("gps", vas.Rect{})
-					if err != nil {
-						t.Fatal(err)
-					}
+					baseGot := query(t, fresh, "gps", "exact=true")
 					if len(baseGot.Points)-len(got) != baseCount {
 						t.Fatalf("base rows changed across crash recovery: %d visible minus %d far, want %d",
 							len(baseGot.Points), len(got), baseCount)
 					}
 				case errors.Is(err, snapshot.ErrCorrupt):
 					// Clean typed rejection; the catalog must stay empty.
-					if _, qerr := fresh.Query("gps", vas.Rect{}, 0); qerr == nil {
-						t.Fatal("rejected load still published state")
+					if code := serveQuery(fresh, "gps", "").Code; code != http.StatusNotFound {
+						t.Fatalf("rejected load still published state: status %d", code)
 					}
 				default:
 					t.Fatalf("recovery failed with an untyped error: %v", err)

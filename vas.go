@@ -56,18 +56,10 @@ type Point = geom.Point
 // Rect is an axis-aligned rectangle used for viewports and zoom regions.
 type Rect = geom.Rect
 
-// Pt constructs a Point.
-func Pt(x, y float64) Point { return geom.Pt(x, y) }
-
 // Pred is a conjunctive range predicate over a named column — the shape
 // dashboards emit for attribute slicing (time window, magnitude band).
 // A row matches when Min <= value <= Max; NaN bounds mean unbounded.
 type Pred = store.Pred
-
-// ScanStats reports how a query's row selection was answered: index
-// probe vs linear fallback, and how many grid cells the zone maps
-// pruned for filtered queries.
-type ScanStats = store.ScanStats
 
 // Options configures Build.
 type Options struct {
@@ -307,7 +299,7 @@ func padViewport(v Rect) Rect {
 }
 
 // Catalog is the Fig. 3 serving layer: it stores a base table plus
-// pre-built samples of several sizes and answers visualization queries
+// pre-built samples of several sizes, and its Handler answers queries
 // within a latency budget by picking the largest sample that fits.
 type Catalog struct {
 	st      *store.Store
@@ -702,65 +694,4 @@ func (c *Catalog) RecordColdStart(source string, d time.Duration) {
 	if c.srv != nil {
 		c.srv.SetColdStart(source, d)
 	}
-}
-
-// QueryResult is the answer to a visualization query.
-type QueryResult struct {
-	// Points are the tuples to plot.
-	Points []Point
-	// Counts carries density weights when the served sample has them.
-	Counts []float64
-	// SampleSize is the size of the served sample (0 for an exact scan).
-	SampleSize int
-	// PredictedTime is the latency-model estimate for this answer.
-	PredictedTime time.Duration
-	// Scan reports how the rows were selected (index probe, zone-map
-	// pruning for filtered queries).
-	Scan ScanStats
-}
-
-// Query answers a visualization request over table within the latency
-// budget (0 means the 2s interactive limit), restricted to viewport (zero
-// Rect = full extent).
-func (c *Catalog) Query(table string, viewport Rect, budget time.Duration) (*QueryResult, error) {
-	return c.QueryFiltered(table, viewport, nil, budget)
-}
-
-// QueryFiltered answers a visualization request restricted to viewport
-// AND every filter predicate, pushed down into the same index probe the
-// viewport uses (per-cell zone maps prune cells no matching row can
-// occupy). Filter columns are resolved against the served sample table —
-// "x", "y", and "density" for samples built by BuildSamples with
-// density embedding.
-func (c *Catalog) QueryFiltered(table string, viewport Rect, filters []Pred, budget time.Duration) (*QueryResult, error) {
-	resp, err := c.planner.Plan(query.Request{
-		Table: table, XCol: "x", YCol: "y",
-		Viewport: viewport, Filters: filters, Budget: budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{
-		Points:        resp.Points,
-		Counts:        resp.Values,
-		SampleSize:    resp.Sample.Size,
-		PredictedTime: resp.PredictedTime,
-		Scan:          resp.Scan,
-	}, nil
-}
-
-// QueryExact bypasses samples and scans the base table.
-func (c *Catalog) QueryExact(table string, viewport Rect) (*QueryResult, error) {
-	resp, err := c.planner.Plan(query.Request{
-		Table: table, XCol: "x", YCol: "y",
-		Viewport: viewport, Exact: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{
-		Points:        resp.Points,
-		PredictedTime: resp.PredictedTime,
-		Scan:          resp.Scan,
-	}, nil
 }

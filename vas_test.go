@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 
@@ -226,14 +225,14 @@ func TestRenderPNGRoundTrips(t *testing.T) {
 
 func TestZoomFacade(t *testing.T) {
 	bounds := vas.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
-	vp, err := vas.Zoom(bounds, vas.Pt(50, 50), 10)
+	vp, err := vas.Zoom(bounds, vas.Point{X: 50, Y: 50}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vp.Width() != 10 || vp.Height() != 10 {
 		t.Errorf("viewport %v", vp)
 	}
-	if _, err := vas.Zoom(bounds, vas.Pt(50, 50), 0.1); err == nil {
+	if _, err := vas.Zoom(bounds, vas.Point{X: 50, Y: 50}, 0.1); err == nil {
 		t.Error("zoom < 1: want error")
 	}
 }
@@ -248,24 +247,18 @@ func TestCatalogEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interactive query serves the largest fitting sample.
-	res, err := cat.Query("gps", vas.Rect{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := query(t, cat, "gps", "")
 	if res.SampleSize != 500 {
 		t.Errorf("served K=%d, want 500", res.SampleSize)
 	}
-	if res.PredictedTime > 2*time.Second {
-		t.Errorf("predicted time %v exceeds interactive limit", res.PredictedTime)
+	if res.PredictedMillis > 2000 {
+		t.Errorf("predicted time %gms exceeds interactive limit", res.PredictedMillis)
 	}
 	if res.Counts == nil {
 		t.Error("density counts missing from a with-density catalog")
 	}
 	// Tight budget falls back to the small sample.
-	res, err = cat.Query("gps", vas.Rect{}, 1600*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = query(t, cat, "gps", "budget=1600ms")
 	if res.SampleSize != 500 && res.SampleSize != 50 {
 		t.Errorf("unexpected sample size %d", res.SampleSize)
 	}
@@ -275,20 +268,14 @@ func TestCatalogEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = cat.Query("gps", zoomVP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Points {
+	res = query(t, cat, "gps", viewport(zoomVP))
+	for _, p := range points(res) {
 		if !zoomVP.Contains(p) {
 			t.Fatalf("point %v outside viewport", p)
 		}
 	}
 	// Exact scan returns the base table.
-	exact, err := cat.QueryExact("gps", vas.Rect{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := query(t, cat, "gps", "exact=true")
 	if len(exact.Points) != len(data) {
 		t.Errorf("exact scan returned %d of %d", len(exact.Points), len(data))
 	}
@@ -297,10 +284,7 @@ func TestCatalogEndToEnd(t *testing.T) {
 	if err := cat.LoadTable("gps", data[:100]); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	exact, err = cat.QueryExact("gps", vas.Rect{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact = query(t, cat, "gps", "exact=true")
 	if len(exact.Points) != 100 {
 		t.Errorf("exact scan after reload returned %d points, want 100", len(exact.Points))
 	}
@@ -312,17 +296,14 @@ func TestCatalogEndToEnd(t *testing.T) {
 	if err := cat.BuildSamples("gps", data[:100], []int{50, 500}, true, vas.Options{Passes: 1}); err != nil {
 		t.Fatalf("rebuild samples after reload: %v", err)
 	}
-	res, err = cat.Query("gps", vas.Rect{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = query(t, cat, "gps", "")
 	if res.SampleSize != 100 {
 		t.Errorf("post-rebuild query served K=%d, want the refreshed 100-point sample", res.SampleSize)
 	}
 }
 
 // TestCatalogQueryFiltered: attribute filters ride down into the sample
-// scan through the public façade, compose with the viewport, and report
+// scan through the catalog's handler, compose with the viewport, and report
 // how the probe was answered.
 func TestCatalogQueryFiltered(t *testing.T) {
 	data := skewedData(20000, 13)
@@ -335,19 +316,12 @@ func TestCatalogQueryFiltered(t *testing.T) {
 	}
 	bounds := boundsOf(data)
 	cx := bounds.Center().X
-	unfiltered, err := cat.Query("gps", vas.Rect{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cat.QueryFiltered("gps", vas.Rect{},
-		[]vas.Pred{{Column: "x", Min: bounds.MinX, Max: cx}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unfiltered := query(t, cat, "gps", "")
+	res := query(t, cat, "gps", filter(vas.Pred{Column: "x", Min: bounds.MinX, Max: cx}))
 	if len(res.Points) == 0 || len(res.Points) >= len(unfiltered.Points) {
 		t.Fatalf("x-half filter kept %d of %d points", len(res.Points), len(unfiltered.Points))
 	}
-	for _, p := range res.Points {
+	for _, p := range points(res) {
 		if p.X > cx {
 			t.Errorf("point %v escapes the x filter", p)
 		}
@@ -363,11 +337,8 @@ func TestCatalogQueryFiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = cat.QueryFiltered("gps", vp, []vas.Pred{{Column: "density", Min: 2, Max: 1e18}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range res.Points {
+	res = query(t, cat, "gps", viewport(vp)+"&"+filter(vas.Pred{Column: "density", Min: 2, Max: 1e18}))
+	for i, p := range points(res) {
 		if !vp.Contains(p) {
 			t.Fatalf("point %v outside viewport", p)
 		}
