@@ -12,7 +12,7 @@ GO ?= go
 # on internal/strtree's search.
 SNAPSHOT_BENCH ?= ColdStart|ServerQueryParallel|DensityPass|LossEvaluation
 
-.PHONY: all build test race bench-smoke fmt vet fuzz-smoke obs-smoke torture-smoke
+.PHONY: all build test race bench-smoke fmt vet fuzz-smoke obs-smoke torture-smoke loc
 
 all: build test
 
@@ -27,6 +27,17 @@ race:
 
 fmt:
 	gofmt -l .
+
+# loc prints the root module's Go line counts, non-test and test, per
+# package directory and in total. bench/ is its own module and is left
+# out, as are hidden directories (build output).
+loc:
+	@find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
+		if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { n[d] += $$1; nt += $$1 } } \
+	END { printf "%-28s %8s %8s\n", "package", "non-test", "test"; \
+		for (d in seen) printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
+		printf "%-28s %8d %8d\n", "total", nt, tt }'
 
 # vet covers what CI vets: the root module and bench/, its own module.
 vet:

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 
 	vas "repro"
 )
@@ -34,8 +33,8 @@ func run(args []string, stdout io.Writer) error {
 		width  = fs.Int("w", 800, "image width")
 		height = fs.Int("h", 600, "image height")
 		zoom   = fs.Float64("zoom", 1, "zoom factor (1 = full extent)")
-		cx     = fs.Float64("cx", 0, "zoom centre x (default: densest point)")
-		cy     = fs.Float64("cy", 0, "zoom centre y")
+		cx     = fs.Float64("cx", 0, "zoom centre x (default: centre of the data extent)")
+		cy     = fs.Float64("cy", 0, "zoom centre y (default: centre of the data extent)")
 		mapPl  = fs.Bool("map", false, "map plot: color by the value column")
 		weight = fs.Bool("weighted", false, "treat the value column as §V density counts (dot-size encoding)")
 	)
@@ -52,10 +51,17 @@ func run(args []string, stdout io.Writer) error {
 	bounds := d.Bounds()
 	viewport := bounds
 	if *zoom > 1 {
-		c := geom.Pt(*cx, *cy)
-		if *cx == 0 && *cy == 0 {
-			c = bounds.Center()
-		}
+		// An unset coordinate of the centre is the extent's; 0 is a
+		// coordinate like any other.
+		c := bounds.Center()
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "cx":
+				c.X = *cx
+			case "cy":
+				c.Y = *cy
+			}
+		})
 		viewport, err = vas.Zoom(bounds, c, *zoom)
 		if err != nil {
 			return fmt.Errorf("zoom: %w", err)

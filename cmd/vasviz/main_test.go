@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"image/png"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,9 @@ import (
 )
 
 // TestRun draws a scatter, a zoomed map and a weighted plot of a small
-// dataset file; each must decode as a PNG of the requested size.
+// dataset file; each must decode as a PNG of the requested size. A zoom
+// centred on an explicit -cx 0 -cy 0, away from the data, must draw
+// another picture than the default centre.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "data.csv")
@@ -37,5 +40,20 @@ func TestRun(t *testing.T) {
 		if err != nil || cfg.Width != 64 || cfg.Height != 48 {
 			t.Fatalf("case %d %v: %dx%d PNG, %v", i, args, cfg.Width, cfg.Height, err)
 		}
+	}
+	plot := func(args ...string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, "zoom.png")
+		if err := run(append([]string{"-in", in, "-out", out, "-w", "64", "-h", "48", "-zoom", "4"}, args...), io.Discard); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if bytes.Equal(plot(), plot("-cx", "0", "-cy", "0")) {
+		t.Error("-cx 0 -cy 0 drew the default-centre zoom")
 	}
 }

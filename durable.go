@@ -85,16 +85,14 @@ func (m mutation) log(path string, epoch uint64) error {
 // read-only degraded mode, writes the store, logs the tail record, does
 // the re-save accounting and decides on a re-save — so a concurrent
 // SaveSnapshot can never fold the write into the base file AND leave
-// its record in the log for a later load to replay twice. After
-// unlocking, apply invalidates the table's tiles if any row changed,
-// even when the log write failed. n > 0 with a non-nil error means the
-// rows changed but are not durable (see Append).
+// its record in the log for a later load to replay twice. n > 0 with a
+// non-nil error means the rows changed but are not durable (see Append).
 func (c *Catalog) apply(m mutation) (int, error) {
 	t, err := c.st.Table(m.Table)
 	if err != nil {
 		return 0, err
 	}
-	if c.st.IsSample(m.Table) {
+	if _, _, ok := c.st.Sample(m.Table); ok {
 		return 0, fmt.Errorf("vas: %s on %q: %w", m.op(), m.Table, server.ErrSampleTable)
 	}
 	c.snapMu.Lock()
@@ -134,9 +132,6 @@ func (c *Catalog) apply(m mutation) (int, error) {
 			time.Since(c.lastResave) >= c.resaveBackoff.Current()
 	}
 	c.snapMu.Unlock()
-	if n > 0 {
-		c.invalidate(m.Table)
-	}
 	if resave {
 		c.kickResave()
 	}
@@ -232,11 +227,11 @@ func (c *Catalog) tailStatus() []server.TailStatus {
 	return out
 }
 
-// SaveSnapshot persists the catalog's entire serving state —
-// every table's columns (appended rows included), CSR grid indexes and
-// zone maps, the sample lineage, and the per-table provenance — to
-// dir/catalog.snap in the versioned, checksummed binary format of
-// internal/snapshot. The write is atomic (temp file + rename), so a
+// SaveSnapshot persists the catalog's entire serving state — every
+// table's columns (appended rows included), spatial indexes (grid or
+// tree, with their zone maps), the sample lineage, and the per-table
+// provenance — to dir/catalog.snap in the versioned, checksummed binary
+// format of internal/snapshot. The write is atomic (temp file + rename), so a
 // crash mid-save leaves the previous snapshot intact. Rows that were
 // living only in the tail log are folded into the base file by the
 // capture, so the log is truncated in the same critical section; the
@@ -295,12 +290,13 @@ func (c *Catalog) SaveSnapshot(dir string) error {
 // Every table is validated (framing and checksums by the decoder, every
 // structural index invariant by the store) and the whole tail replayed
 // into the restored tables before anything is published; the batch then
-// lands in one critical section under the same tile-invalidation
-// machinery LoadTable uses. Readers see the old catalog or the fully
-// replayed one, never the base file without its tail. A corrupt,
-// truncated, or version-skewed snapshot (or tail log) — or a tail
-// record the restored tables reject — returns an error and leaves the
-// catalog exactly as it was, never partially loaded.
+// lands in one critical section. Each restored table is a new table with
+// a new generation, so no tile cached before the load is served after
+// it. Readers see the old catalog or the fully replayed one, never the
+// base file without its tail. A corrupt, truncated, or version-skewed
+// snapshot (or tail log) — or a tail record the restored tables reject
+// — returns an error and leaves the catalog exactly as it was, never
+// partially loaded.
 //
 // Freshness is the caller's decision: compare SnapshotFresh against the
 // data a rebuild would use, and rebuild (then SaveSnapshot again) when
@@ -334,7 +330,6 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 	}
 	frac := c.compactFrac
 	tables := make([]*store.Table, 0, len(cat.Tables))
-	names := make([]string, 0, len(cat.Tables))
 	byName := make(map[string]*store.Table, len(cat.Tables))
 	for _, ts := range cat.Tables {
 		t, err := store.TableFromSnapshot(ts)
@@ -343,7 +338,6 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 		}
 		t.SetAutoCompact(frac)
 		tables = append(tables, t)
-		names = append(names, t.Name())
 		byName[t.Name()] = t
 	}
 	// Replay the tail in order into the still-unpublished tables:
@@ -383,7 +377,5 @@ func (c *Catalog) LoadSnapshot(dir string) error {
 		c.prov[p.Table] = p
 	}
 	c.provMu.Unlock()
-	// Loaded tables replace whatever the HTTP layer may have cached.
-	c.invalidate(names...)
 	return nil
 }

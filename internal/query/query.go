@@ -110,46 +110,21 @@ func (pl *Planner) PlanCtx(ctx context.Context, req Request) (*Response, error) 
 	}
 	tr.SetTable(req.Table)
 
-	// The plan span resolves the served table: the base table for an
-	// exact plan, else the sample Choose picks. Choose is the single home
-	// of budget defaulting and sample selection, so /v1/query and the
-	// tile cache keying (which calls Choose directly) can never disagree
-	// about which sample a budget resolves to. A sample replacement
-	// (LoadSample drops and recreates the table) can race between
-	// selection and lookup; re-resolving against the updated catalog
-	// absorbs it instead of surfacing a spurious not-found for a table
-	// that exists.
+	// The plan span resolves the served table, the same way /v1/tile
+	// does (Resolve).
 	sp := tr.StartSpan(obs.StagePlan)
-	var (
-		chosen store.SampleMeta
-		t      *store.Table
-		err    error
-	)
-	if req.Exact {
-		t, err = pl.st.Table(req.Table)
-	} else {
-		for attempt := 0; ; attempt++ {
-			if chosen, err = pl.Choose(req); err != nil {
-				break
-			}
-			t, err = pl.st.Table(chosen.Table)
-			if err == nil || attempt == 2 || !errors.Is(err, store.ErrNotFound) {
-				break
-			}
-		}
-		if err == nil {
-			tr.Annotate("sample", chosen.Table)
-		}
-	}
+	chosen, v, err := pl.Resolve(req)
 	sp.End()
 	if err != nil {
 		return nil, err
+	}
+	if !req.Exact {
+		tr.Annotate("sample", chosen.Table)
 	}
 	// One view serves the scan, the point projection, the density
 	// gather and the served-row count: they all describe one
 	// generation of the table, whatever is published meanwhile. A
 	// chosen sample is on the request's column pair (chooseSample).
-	v := t.View()
 	rows, scanStats, err := pl.viewportRows(ctx, v, req.XCol, req.YCol, req.Viewport, req.Rects, req.Filters)
 	if err != nil {
 		return nil, err
@@ -242,10 +217,40 @@ func (pl *Planner) NearestCtx(ctx context.Context, req NearestRequest) (*Nearest
 	}, nil
 }
 
+// Resolve picks the table req is served from — the base table for an
+// exact request, else the sample Choose picks — and pins one view of it.
+// The SampleMeta is the zero value for an exact request; for a sampled
+// one it is the entry of the table viewed. Choose is the single home of
+// budget defaulting and sample selection, so /v1/query and /v1/tile
+// never disagree about which sample a budget resolves to.
+func (pl *Planner) Resolve(req Request) (store.SampleMeta, store.View, error) {
+	if req.Exact {
+		t, err := pl.st.Table(req.Table)
+		if err != nil {
+			return store.SampleMeta{}, store.View{}, err
+		}
+		return store.SampleMeta{}, t.View(), nil
+	}
+	for attempt := 0; ; attempt++ {
+		chosen, err := pl.Choose(req)
+		if err != nil {
+			return chosen, store.View{}, err
+		}
+		// The entry is read again with its table, so that the two
+		// describe one table. A sample unregistered in between (by a
+		// snapshot load without it) is chosen again, once.
+		if meta, t, ok := pl.st.Sample(chosen.Table); ok {
+			return meta, t.View(), nil
+		}
+		if attempt > 0 {
+			return chosen, store.View{}, fmt.Errorf("query: sample %q: %w", chosen.Table, store.ErrNotFound)
+		}
+	}
+}
+
 // Choose resolves the sample the planner would serve for req without
-// scanning it. The tile server uses this to build cache keys: a cache hit
-// must not pay for a scan, so sample selection is separated from data
-// access.
+// scanning it, from catalog metadata alone: a tile cache hit must not
+// pay for a scan, so sample selection is separated from data access.
 func (pl *Planner) Choose(req Request) (store.SampleMeta, error) {
 	if req.Table == "" || req.XCol == "" || req.YCol == "" {
 		return store.SampleMeta{}, errors.New("query: Table, XCol and YCol are required")

@@ -95,7 +95,6 @@ func TestRequestsReadOneGeneration(t *testing.T) {
 				}
 				tb.Compact()
 			}
-			s.InvalidateTable("base")
 		}
 	}()
 

@@ -68,14 +68,11 @@ type Config struct {
 	// (required): POST /v1/append/{table} hands it the batch as
 	// parallel column slices in schema order, and it returns the
 	// number of rows appended. The catalog layer's hook also logs the
-	// rows to its snapshot tail. The hook owns tile invalidation
-	// (InvalidateTable) for rows it makes visible, even when a later
-	// durability step fails.
+	// rows to its snapshot tail.
 	AppendHook func(table string, cols [][]float64) (int, error)
 	// DeleteHook is the server's only writer of deletes (required):
 	// POST /v1/delete/{table} hands it the conjunctive predicates, and
-	// it returns the number of rows newly deleted. It owns their tile
-	// invalidation like AppendHook.
+	// it returns the number of rows newly deleted.
 	DeleteHook func(table string, preds []store.Pred) (int, error)
 	// SlowThreshold is the minimum total duration a request trace must
 	// reach to enter the slow-query log at /debug/slow; 0 means 250ms,
@@ -135,13 +132,10 @@ type Server struct {
 	// map = unlimited); built once in New from Config.MaxInFlight.
 	limiters map[string]*limiter
 
-	// boundsMu guards boundsCache — the lazily computed per-table data
-	// extents tile addresses are resolved against — and epochs, the
-	// per-table invalidation generation baked into tile cache keys. Both
-	// are updated together with the tile cache.
-	boundsMu    sync.RWMutex
-	boundsCache map[string]geom.Rect
-	epochs      map[string]uint64
+	// boundsMu guards bounds: per base table, the data extent tile
+	// addresses are resolved against.
+	boundsMu sync.RWMutex
+	bounds   map[string]extent
 
 	// coldMu guards the cold-start record (how the catalog behind this
 	// server was populated, and how long it took), set once at startup.
@@ -172,13 +166,12 @@ func New(st *store.Store, planner *query.Planner, cfg Config) *Server {
 		panic("server: Config.AppendHook and Config.DeleteHook are required")
 	}
 	s := &Server{
-		cfg:         cfg.withDefaults(),
-		st:          st,
-		planner:     planner,
-		cache:       tilecache.New(tileCacheBytes),
-		metrics:     newMetrics("tables", "query", "nearest", "tile", "append", "delete", "healthz", "metrics", "debug"),
-		boundsCache: make(map[string]geom.Rect),
-		epochs:      make(map[string]uint64),
+		cfg:     cfg.withDefaults(),
+		st:      st,
+		planner: planner,
+		cache:   tilecache.New(tileCacheBytes),
+		metrics: newMetrics("tables", "query", "nearest", "tile", "append", "delete", "healthz", "metrics", "debug"),
+		bounds:  make(map[string]extent),
 	}
 	s.slow = obs.NewSlowLog(slowLogSize, s.cfg.SlowThreshold)
 	if s.cfg.MaxInFlight > 0 {
@@ -209,28 +202,6 @@ func New(st *store.Store, planner *query.Planner, cfg Config) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// InvalidateTable drops every cached tile and the cached extent of the
-// given base table. Call it after (re)registering a sample or reloading
-// the table, so later tile requests re-render from current data. The
-// table's cache-key epoch is bumped first: a render already in flight
-// across the invalidation completes under the old epoch's key, which no
-// later request asks for, so it can never resurface stale pixels as a
-// cache hit.
-func (s *Server) InvalidateTable(table string) {
-	s.boundsMu.Lock()
-	s.epochs[table]++
-	delete(s.boundsCache, table)
-	s.boundsMu.Unlock()
-	s.cache.InvalidateTable(table)
-}
-
-// tableEpoch returns the current invalidation generation of a table.
-func (s *Server) tableEpoch(table string) uint64 {
-	s.boundsMu.RLock()
-	defer s.boundsMu.RUnlock()
-	return s.epochs[table]
-}
 
 // ---- instrumentation ----
 
@@ -401,8 +372,8 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		// the same generation, so liveRows never exceeds rows.
 		v := t.View()
 		info := TableInfo{Name: n, Rows: v.NumRows(), LiveRows: v.LiveRows(), Samples: []SampleInfo{}}
-		if b, err := s.tableBounds(n, v); err == nil && !b.IsEmpty() {
-			info.Bounds = &RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}
+		if e, err := s.tableBounds(n, v); err == nil && !e.rect.IsEmpty() {
+			info.Bounds = &RectJSON{MinX: e.rect.MinX, MinY: e.rect.MinY, MaxX: e.rect.MaxX, MaxY: e.rect.MaxY}
 		}
 		for _, m := range samplesOf[n] {
 			info.Samples = append(info.Samples, SampleInfo{
@@ -414,34 +385,40 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"tables": out})
 }
 
-// tableBounds returns the cached data extent of a base table, computing
-// it from v, the caller's view of that table, on first use.
-func (s *Server) tableBounds(table string, v store.View) (geom.Rect, error) {
+// extent is a base table's data extent as of generation gen. Tile keys
+// name it by since, the oldest generation known to have it, so a write
+// that leaves the extent as it was leaves sampled tiles' keys too.
+type extent struct {
+	gen, since uint64
+	rect       geom.Rect
+}
+
+// tableBounds returns the data extent of a base table as of v, the
+// caller's view of it. The extent is cached with v's generation, and
+// used only by views of that generation; a newer one replaces it. An
+// empty extent is cached too: the load that fills the table publishes
+// a new generation.
+func (s *Server) tableBounds(table string, v store.View) (extent, error) {
 	s.boundsMu.RLock()
-	b, ok := s.boundsCache[table]
-	epoch := s.epochs[table]
+	cur, ok := s.bounds[table]
 	s.boundsMu.RUnlock()
-	if ok {
-		return b, nil
+	if ok && cur.gen == v.Gen() {
+		return cur, nil
 	}
 	b, err := v.Bounds(xCol, yCol)
 	if err != nil {
-		return geom.Rect{}, err
+		return extent{}, err
 	}
-	// Never cache an empty extent: a tile request can land between table
-	// creation and its bulk load, and caching the empty result would 404
-	// that table's tiles until the next invalidation. And never cache
-	// across an invalidation: if the table was reloaded while we computed,
-	// this extent belongs to the dead generation — inserting it would
-	// poison tile addressing for the whole new epoch.
-	if !b.IsEmpty() {
-		s.boundsMu.Lock()
-		if s.epochs[table] == epoch {
-			s.boundsCache[table] = b
-		}
-		s.boundsMu.Unlock()
+	e := extent{gen: v.Gen(), since: v.Gen(), rect: b}
+	if ok && cur.rect == b {
+		e.since = cur.since
 	}
-	return b, nil
+	s.boundsMu.Lock()
+	if cur, ok := s.bounds[table]; !ok || cur.gen < e.gen {
+		s.bounds[table] = e
+	}
+	s.boundsMu.Unlock()
+	return e, nil
 }
 
 // ---- /v1/query ----
@@ -811,12 +788,10 @@ type AppendResponse struct {
 	Rows int `json:"rows"`
 }
 
-// handleAppend serves POST /v1/append/{table}: a batch of rows lands in
-// the table (past the spatial indexes, where scans filter it as the
-// appended tail until compaction folds it in), AppendHook bumps the
-// table's tile-cache epoch so tiles rendered from the pre-append
-// contents can never be served again, and the ingest counters on
-// /metrics advance.
+// handleAppend serves POST /v1/append/{table}: AppendHook lands the
+// batch in the table (past the spatial indexes, where scans filter it as
+// the appended tail until compaction folds it in) as a new generation
+// of it (see handleTile), and the ingest counters on /metrics advance.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req AppendRequest
@@ -837,8 +812,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if len(req.Points) == 0 && len(req.Rows) == 0 {
 		// An empty batch is a legitimate no-op, not a client error —
 		// batching producers naturally emit one at a quiet flush
-		// interval. Nothing changed, so neither the tile epoch nor the
-		// tail log moves; the table must still exist for the row count.
+		// interval. Nothing changed, so neither the table's generation
+		// nor the tail log moves; the table must still exist for the row
+		// count.
 		t, err := s.st.Table(table)
 		if err != nil {
 			httpError(w, err)
@@ -943,10 +919,10 @@ type DeleteResponse struct {
 	Rows int `json:"rows"`
 }
 
-// handleDelete serves POST /v1/delete/{table}: the matching rows are
-// tombstoned — atomically invisible to every later query and tile,
-// physically reclaimed by the table's next background compaction — and
-// DeleteHook bumps the tile-cache epoch, as for appends.
+// handleDelete serves POST /v1/delete/{table}: DeleteHook tombstones the
+// matching rows — atomically invisible to every later query and tile,
+// since the delete publishes a new generation of the table, and
+// physically reclaimed by the table's next background compaction.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	var req DeleteRequest
@@ -1010,9 +986,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // parameters: size (tile edge in pixels), budget (latency budget for
 // sample selection), exact=true (render the base table), and repeated
 // filter=col:lo:hi predicates pushed down into the tile's index probe.
-// Filters are part of the cache identity (canonicalized, alongside the
-// table's invalidation epoch), so the same address under different
-// filters caches independently.
+//
+// A tile is a pure function of its cache key: the generation of the view
+// it renders (Planner.Resolve: the sample, or the base table for
+// exact=true), the extent its address resolved against, the address,
+// size and canonical filters. A write publishes a new generation, so no
+// tile cached before it is served after it, but for a sampled tile whose
+// sample and extent the write left as they were.
 func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	yRaw, ok := strings.CutSuffix(r.PathValue("y"), ".png")
@@ -1048,89 +1028,64 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	}
 	exact := r.URL.Query().Get("exact") == "true"
 
-	// The epoch must be read before the bounds (and before the render):
-	// an invalidation landing after this point leaves us rendering
-	// against stale geometry or data, and the stale epoch quarantines
-	// that result under a key no post-invalidation request asks for.
-	epoch := s.tableEpoch(table)
 	t, err := s.st.Table(table)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	// The base table's one view: it addresses the tile on a bounds-cache
-	// miss and is what an exact tile renders.
-	base := t.View()
-	bounds, err := s.tableBounds(table, base)
+	// The extent the address resolves against is part of the key, so
+	// the view rendered below may be a later one than this.
+	ext, err := s.tableBounds(table, t.View())
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	if bounds.IsEmpty() {
+	if ext.rect.IsEmpty() {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("table %q has no data", table)})
 		return
 	}
-	tileRect, err := geom.TileRect(bounds, z, x, y)
+	tileRect, err := geom.TileRect(ext.rect, z, x, y)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
 
-	// Resolve the sample first (metadata only): it is part of the cache
-	// identity, and a cache hit must not touch the data at all. The
-	// render below scans exactly this sample — never re-resolving — so a
-	// concurrent sample registration cannot cache one sample's pixels
-	// under another sample's key. A sample replacement (LoadSample
-	// drop-and-recreate) can make the chosen sample table vanish between
-	// Choose and the render; one re-resolve absorbs it.
 	ctx := r.Context()
 	tr := obs.FromContext(ctx)
 	tr.SetTable(table)
-	var (
-		png        []byte
-		metaAny    any
-		hit        bool
-		sampleName string
-	)
-	for attempt := 0; ; attempt++ {
-		var meta store.SampleMeta
+	sp := tr.StartSpan(obs.StagePlan)
+	meta, view, err := s.planner.Resolve(query.Request{
+		Table: table, XCol: xCol, YCol: yCol, Budget: budget, Exact: exact,
+	})
+	sp.End()
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	sampleName := meta.Table
+	if exact {
 		sampleName = "__exact__"
-		if !exact {
-			sp := tr.StartSpan(obs.StagePlan)
-			meta, err = s.planner.Choose(query.Request{
-				Table: table, XCol: xCol, YCol: yCol, Budget: budget,
-			})
-			sp.End()
-			if err != nil {
-				httpError(w, err)
-				return
-			}
-			sampleName = meta.Table
-		}
-		key := tilecache.Key{
-			Table: table, Sample: sampleName, Epoch: epoch,
-			Z: z, X: x, Y: y, Size: size, Filters: filterKey,
-		}
-		// The cache span covers lookup, single-flight waiting, and the
-		// insert — everything but the render itself, whose time lands in
-		// its own stages (probe/residual/gather/render/encode). The span
-		// is closed across the render callback so the stages stay
-		// disjoint and a trace's stage sum still approximates its total.
-		csp := tr.StartSpan(obs.StageCache)
-		png, metaAny, hit, err = s.cache.GetOrRender(key, func() ([]byte, any, error) {
-			csp.End()
-			b, tm, err := s.renderTile(ctx, base, meta, tileRect, size, exact, filters)
-			csp = tr.StartSpan(obs.StageCache)
-			return b, tm, err
-		})
+	}
+	key := tilecache.Key{
+		Table: table, Sample: sampleName, Epoch: view.Gen(), ExtentGen: ext.since,
+		Z: z, X: x, Y: y, Size: size, Filters: filterKey,
+	}
+	// The cache span covers lookup, single-flight waiting, and the
+	// insert — everything but the render itself, whose time lands in its
+	// own stages (probe/residual/gather/render/encode). The span is
+	// closed across the render callback so the stages stay disjoint and
+	// a trace's stage sum still approximates its total.
+	csp := tr.StartSpan(obs.StageCache)
+	png, metaAny, hit, err := s.cache.GetOrRender(key, func() ([]byte, any, error) {
 		csp.End()
-		if err == nil {
-			break
-		}
-		if exact || attempt > 0 || !errors.Is(err, store.ErrNotFound) {
-			httpError(w, err)
-			return
-		}
+		b, tm, err := s.renderTile(ctx, view, meta, tileRect, size, filters)
+		csp = tr.StartSpan(obs.StageCache)
+		return b, tm, err
+	})
+	csp.End()
+	if err != nil {
+		httpError(w, err)
+		return
 	}
 	w.Header().Set("Content-Type", "image/png")
 	w.Header().Set("X-Sample", sampleName)
@@ -1142,8 +1097,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	// PNG bytes have no stats channel, so the scan identity of the tile
 	// rides in response headers, mirroring the JSON fields on /v1/query.
 	// The sidecar is cached with the tile: hits answer with the stats of
-	// the render that produced the pixels. (Entries inserted without a
-	// render — tests using Put — have none.)
+	// the render that produced the pixels.
 	if tm, ok := metaAny.(tileMeta); ok {
 		tm.setHeaders(w.Header())
 		tr.SetScan(scanStatsJSON(tm.Scan))
@@ -1170,23 +1124,16 @@ func (tm tileMeta) setHeaders(h http.Header) {
 	h.Set("X-Vas-Served-Rows", strconv.Itoa(tm.ServedRows))
 }
 
-// renderTile scans exactly the given sample table (or, for exact, the
-// base view the tile was addressed with) within the tile rectangle,
-// pushing any filters into the same probe, and encodes the raster as
-// PNG. It deliberately does not re-run sample selection: the caller
-// already resolved the sample into the cache key, and re-planning here
-// could pick a different (newly registered) sample and poison the
-// cache. Density-embedded samples render with the §V weighted-dot
-// encoding.
-func (s *Server) renderTile(ctx context.Context, base store.View, meta store.SampleMeta, tileRect geom.Rect, size int, exact bool, filters []store.Pred) ([]byte, tileMeta, error) {
+// renderTile scans v, the view the caller keyed the tile by, within the
+// tile rectangle, pushing any filters into the same probe, and encodes
+// the raster as PNG. meta is the sample v belongs to, or the zero value
+// for an exact tile of the base table. Density-embedded samples render
+// with the §V weighted-dot encoding.
+func (s *Server) renderTile(ctx context.Context, v store.View, meta store.SampleMeta, tileRect geom.Rect, size int, filters []store.Pred) ([]byte, tileMeta, error) {
 	var tm tileMeta
-	v, xc, yc := base, xCol, yCol
-	if !exact {
-		t, err := s.st.Table(meta.Table)
-		if err != nil {
-			return nil, tm, err
-		}
-		v, xc, yc = t.View(), meta.XCol, meta.YCol
+	xc, yc := xCol, yCol
+	if meta.Table != "" {
+		xc, yc = meta.XCol, meta.YCol
 	}
 	// Index probe: sample and base tables published through the catalog
 	// carry a spatial index over their (x, y) pair, so a tile-cache miss
@@ -1208,7 +1155,7 @@ func (s *Server) renderTile(ctx context.Context, base store.View, meta store.Sam
 		return nil, tm, err
 	}
 	ras := render.NewRaster(tileRect, size, size)
-	if meta.HasDensity && !exact {
+	if meta.HasDensity {
 		// A density sample whose density column cannot be gathered is
 		// broken data; surface it rather than silently rendering (and
 		// caching) an unweighted tile.

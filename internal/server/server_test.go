@@ -15,7 +15,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/store"
-	"repro/internal/tilecache"
 )
 
 // fixedModel makes latency exactly n microseconds per tuple with zero
@@ -59,10 +58,9 @@ func newTestServer(t *testing.T) *Server {
 }
 
 // newServer is New with the fixed latency model and, for each write
-// hook cfg leaves nil, one that writes the store table and invalidates
-// its tiles, as the catalog's write path does.
+// hook cfg leaves nil, one that writes the store table, as the catalog's
+// write path does.
 func newServer(st *store.Store, cfg Config) *Server {
-	var s *Server
 	if cfg.AppendHook == nil {
 		cfg.AppendHook = func(table string, cols [][]float64) (int, error) {
 			t, err := st.Table(table)
@@ -72,7 +70,6 @@ func newServer(st *store.Store, cfg Config) *Server {
 			if err := t.AppendRows(cols...); err != nil {
 				return 0, err
 			}
-			s.InvalidateTable(table)
 			return len(cols[0]), nil
 		}
 	}
@@ -82,15 +79,25 @@ func newServer(st *store.Store, cfg Config) *Server {
 			if err != nil {
 				return 0, err
 			}
-			n, err := t.DeleteWhere(preds)
-			if n > 0 {
-				s.InvalidateTable(table)
-			}
-			return n, err
+			return t.DeleteWhere(preds)
 		}
 	}
-	s = New(st, query.NewPlanner(st, fixedModel{}), cfg)
-	return s
+	return New(st, query.NewPlanner(st, fixedModel{}), cfg)
+}
+
+// sameAsFresh fails t unless s serves url with the bytes a server with
+// an empty tile cache over the same store serves: no tile cached before
+// a write may be served after it.
+func sameAsFresh(t *testing.T, s *Server, url string) {
+	t.Helper()
+	got := get(t, s, url)
+	want := get(t, newServer(s.st, Config{}), url)
+	if got.Code != http.StatusOK || want.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d, fresh server %d", url, got.Code, want.Code)
+	}
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("GET %s served a stale tile (X-Cache %s)", url, got.Header().Get("X-Cache"))
+	}
 }
 
 func get(t *testing.T, s *Server, url string) *httptest.ResponseRecorder {
@@ -229,11 +236,20 @@ func TestTileEndpointAndCache(t *testing.T) {
 		t.Errorf("X-Sample = %q, want base_vas_20", got)
 	}
 
-	// Invalidation empties the table's tiles: next fetch misses again.
-	s.InvalidateTable("base")
+	// Republishing the sample publishes a new generation of it: the next
+	// fetch renders again.
+	pts := make([]geom.Point, 100)
+	for i := range pts {
+		pts[i] = geom.Pt(float64(i*4), float64(i*4))
+	}
+	if err := query.LoadSample(s.st, "base_vas_100", store.SampleMeta{
+		Source: "base", Method: "vas", XCol: "x", YCol: "y",
+	}, pts, nil); err != nil {
+		t.Fatal(err)
+	}
 	rec = get(t, s, "/v1/tile/base/1/0/1.png?budget=150us&size=64")
 	if h := rec.Header().Get("X-Cache"); h != "MISS" {
-		t.Errorf("post-invalidation fetch X-Cache = %q, want MISS", h)
+		t.Errorf("post-republish fetch X-Cache = %q, want MISS", h)
 	}
 }
 
@@ -354,36 +370,6 @@ func TestTileFilterCacheKeys(t *testing.T) {
 	}
 }
 
-// TestInvalidationEpochBlocksInFlightStaleTile simulates the race where
-// a tile render in flight across an InvalidateTable completes after the
-// invalidation: its deferred cache insert lands under the
-// pre-invalidation epoch key, which no later request asks for, so the
-// stale pixels can never surface as a hit.
-func TestInvalidationEpochBlocksInFlightStaleTile(t *testing.T) {
-	s := newTestServer(t)
-	staleKey := tilecache.Key{
-		Table: "base", Sample: "__exact__", Epoch: s.tableEpoch("base"),
-		Z: 0, X: 0, Y: 0, Size: defaultTileSize,
-	}
-	s.InvalidateTable("base")
-	// The in-flight render finishes now and caches pre-invalidation
-	// pixels under the old epoch (what GetOrRender's deferred insert
-	// does after the renderer returns).
-	stale := []byte("stale-png-bytes")
-	s.cache.GetOrRender(staleKey, func() ([]byte, any, error) { return stale, nil, nil })
-
-	rec := get(t, s, "/v1/tile/base/0/0/0.png?exact=true")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
-	}
-	if h := rec.Header().Get("X-Cache"); h != "MISS" {
-		t.Errorf("post-invalidation fetch X-Cache = %q, want MISS (stale in-flight tile served)", h)
-	}
-	if bytes.Equal(rec.Body.Bytes(), stale) {
-		t.Error("response is the stale pre-invalidation render")
-	}
-}
-
 func TestTileErrors(t *testing.T) {
 	s := newTestServer(t)
 	cases := []struct {
@@ -424,11 +410,14 @@ func TestAppendEndpoint(t *testing.T) {
 	if err := tb.IndexOn("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	// Warm a tile and the bounds cache so the invalidation is observable.
-	if rec := get(t, s, "/v1/tile/base/0/0/0.png?budget=150us&size=64"); rec.Code != http.StatusOK {
-		t.Fatalf("warm tile = %d", rec.Code)
+	// Warm a sampled and an exact tile and the extent, so a stale one
+	// would be served.
+	tiles := []string{"/v1/tile/base/0/0/0.png?budget=150us&size=64", "/v1/tile/base/0/0/0.png?exact=true&size=64"}
+	for _, url := range tiles {
+		if rec := get(t, s, url); rec.Code != http.StatusOK {
+			t.Fatalf("warm tile %s = %d", url, rec.Code)
+		}
 	}
-	epochBefore := s.tableEpoch("base")
 
 	rec := postJSON(t, s, "/v1/append/base", `{"points": [[500, 500], [501, 501], [502, 502]]}`)
 	if rec.Code != http.StatusOK {
@@ -441,10 +430,10 @@ func TestAppendEndpoint(t *testing.T) {
 	if out.Appended != 3 || out.Rows != 403 {
 		t.Fatalf("append response = %+v, want 3 appended / 403 rows", out)
 	}
-	// Appends invalidate the table's tiles: the epoch must have moved so
-	// no pre-append pixels can be served again.
-	if got := s.tableEpoch("base"); got == epochBefore {
-		t.Fatal("append did not bump the tile-cache epoch")
+	// No tile rendered before the append is served after it: the rows
+	// grow the extent, so both tiles are drawn anew.
+	for _, url := range tiles {
+		sameAsFresh(t, s, url)
 	}
 	// The appended rows are immediately visible to exact queries.
 	rec = get(t, s, "/v1/query?table=base&exact=true&minx=450&miny=450&maxx=550&maxy=550")
@@ -685,11 +674,11 @@ func TestDeleteEndpoint(t *testing.T) {
 	if err := tb.IndexOn("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	// Warm a tile so the epoch bump is observable.
-	if rec := get(t, s, "/v1/tile/base/0/0/0.png?budget=150us&size=64"); rec.Code != http.StatusOK {
+	// Warm an exact tile, so a stale one would be served.
+	const exactTile = "/v1/tile/base/0/0/0.png?exact=true&size=64"
+	if rec := get(t, s, exactTile); rec.Code != http.StatusOK {
 		t.Fatalf("warm tile = %d", rec.Code)
 	}
-	epochBefore := s.tableEpoch("base")
 
 	rec := postJSON(t, s, "/v1/delete/base", `{"filters": [{"column": "x", "min": 100, "max": 199}]}`)
 	if rec.Code != http.StatusOK {
@@ -702,9 +691,7 @@ func TestDeleteEndpoint(t *testing.T) {
 	if out.Deleted != 100 || out.Rows != 300 {
 		t.Fatalf("delete response = %+v, want 100 deleted / 300 live rows", out)
 	}
-	if s.tableEpoch("base") == epochBefore {
-		t.Fatal("delete did not bump the tile-cache epoch")
-	}
+	sameAsFresh(t, s, exactTile)
 
 	// Every rows surface now reports LIVE rows: the query response...
 	qrec := get(t, s, "/v1/query?table=base&exact=true")
@@ -740,15 +727,18 @@ func TestDeleteEndpoint(t *testing.T) {
 		t.Errorf("listing rows = %d/%d live, want 400/300", listing.Tables[0].Rows, listing.Tables[0].LiveRows)
 	}
 
-	// Deleting the same slice again is a no-op and must NOT bump the epoch.
-	epochBefore = s.tableEpoch("base")
+	// Deleting the same slice again is a no-op: it publishes no new
+	// generation, so the exact tile stays cached.
 	rec = postJSON(t, s, "/v1/delete/base", `{"filters": [{"column": "x", "min": 100, "max": 199}]}`)
 	out = DeleteResponse{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Deleted != 0 || s.tableEpoch("base") != epochBefore {
-		t.Errorf("no-op delete: deleted %d, epoch moved %t", out.Deleted, s.tableEpoch("base") != epochBefore)
+	if out.Deleted != 0 {
+		t.Errorf("no-op delete deleted %d", out.Deleted)
+	}
+	if h := get(t, s, exactTile).Header().Get("X-Cache"); h != "HIT" {
+		t.Errorf("exact tile after a no-op delete: X-Cache = %q, want HIT", h)
 	}
 
 	// Rect deletes use the configured x/y columns; open-sided filters work.
@@ -845,14 +835,16 @@ func TestDeleteHookRoutesPredicates(t *testing.T) {
 }
 
 // TestEmptyAppendIsNoOp: a `{}` (or explicitly empty) append batch
-// returns 200 with appended=0 and leaves every cache epoch alone — the
-// retry-with-empty-tail client pattern must not wipe warm tiles.
+// returns 200 with appended=0 and publishes no new generation — the
+// retry-with-empty-tail client pattern must not cost warm exact tiles.
 func TestEmptyAppendIsNoOp(t *testing.T) {
 	s := newTestServer(t)
-	if rec := get(t, s, "/v1/tile/base/0/0/0.png?budget=150us&size=64"); rec.Code != http.StatusOK {
-		t.Fatalf("warm tile = %d", rec.Code)
+	tiles := []string{"/v1/tile/base/0/0/0.png?budget=150us&size=64", "/v1/tile/base/0/0/0.png?exact=true&size=64"}
+	for _, url := range tiles {
+		if rec := get(t, s, url); rec.Code != http.StatusOK {
+			t.Fatalf("warm tile %s = %d", url, rec.Code)
+		}
 	}
-	epochBefore := s.tableEpoch("base")
 	for _, body := range []string{`{}`, `{"points": []}`, `{"rows": []}`} {
 		rec := postJSON(t, s, "/v1/append/base", body)
 		if rec.Code != http.StatusOK {
@@ -866,12 +858,11 @@ func TestEmptyAppendIsNoOp(t *testing.T) {
 			t.Errorf("append %s = %+v, want 0 appended / 400 rows", body, out)
 		}
 	}
-	if s.tableEpoch("base") != epochBefore {
-		t.Fatal("empty append bumped the tile-cache epoch")
-	}
-	// The warm tile is still a HIT.
-	if rec := get(t, s, "/v1/tile/base/0/0/0.png?budget=150us&size=64"); rec.Header().Get("X-Cache") != "HIT" {
-		t.Error("empty append evicted the warm tile")
+	// The warm tiles are still HITs.
+	for _, url := range tiles {
+		if rec := get(t, s, url); rec.Header().Get("X-Cache") != "HIT" {
+			t.Errorf("empty append cost the warm tile %s", url)
+		}
 	}
 	// Specifying BOTH shapes stays a 400 even when both are empty-ish.
 	if rec := postJSON(t, s, "/v1/append/base", `{"points": [[1,2]], "rows": [[3,4]]}`); rec.Code != http.StatusBadRequest {

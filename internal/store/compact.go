@@ -140,7 +140,7 @@ func (t *Table) Compact() {
 		}
 		indexes = append(indexes, nw)
 	}
-	t.data = &tableData{cols: cur.cols, n: cur.n, indexes: indexes, dead: cur.dead, loadGen: cur.loadGen}
+	t.publish(&tableData{cols: cur.cols, n: cur.n, indexes: indexes, dead: cur.dead, loadGen: cur.loadGen})
 	t.mu.Unlock()
 	// Appended rows may have shifted a column's value distribution (an
 	// uncorrelated column can become correlated, and vice versa); the
@@ -188,7 +188,7 @@ func (t *Table) compactReclaim(d *tableData, pairs [][2]int, deadCount int, star
 			newCols[i] = append(newCols[i], cur.cols[i][d.n:cur.n]...)
 		}
 	}
-	t.data = &tableData{cols: newCols, n: nn + tail, indexes: built, loadGen: cur.loadGen + 1}
+	t.publish(&tableData{cols: newCols, n: nn + tail, indexes: built, loadGen: cur.loadGen + 1})
 	t.mu.Unlock()
 	t.resetZoneStat()
 	t.counters.reclaimedRows.Add(int64(deadCount))

@@ -62,7 +62,7 @@ func (t *Table) DeleteWhere(preds []Pred) (int, error) {
 			t.mu.Unlock()
 			return 0, nil
 		}
-		t.data = &tableData{cols: cur.cols, n: cur.n, indexes: cur.indexes, dead: dead, loadGen: cur.loadGen}
+		t.publish(&tableData{cols: cur.cols, n: cur.n, indexes: cur.indexes, dead: dead, loadGen: cur.loadGen})
 		t.mu.Unlock()
 		t.counters.deletedRows.Add(int64(added))
 		t.maybeCompact()

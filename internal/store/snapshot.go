@@ -292,7 +292,7 @@ func TableFromSnapshot(snap TableSnapshot) (*Table, error) {
 	// coverage (the appended tail at save time, and any tail-log rows
 	// replayed by the loader land the same way via AppendRows); probes
 	// filter them as the tail, exactly like the live table's.
-	t.data = d
+	t.publish(d)
 	return t, nil
 }
 

@@ -137,6 +137,21 @@ type tableData struct {
 	// which case its indexes describe dead data and must not be
 	// published.
 	loadGen uint64
+	// gen is the generation's number (View.Gen), stamped by publish.
+	gen uint64
+}
+
+// gens numbers the generations of every table from one counter, so a
+// table recreated under an old name (PublishSample, PublishCatalog)
+// never repeats a number.
+var gens atomic.Uint64
+
+// publish stamps d with the next generation number and makes it the
+// table's current generation. The caller holds t.mu, or owns t before
+// any reader can reach it.
+func (t *Table) publish(d *tableData) {
+	d.gen = gens.Add(1)
+	t.data = d
 }
 
 // deadCount returns the number of tombstoned rows in this generation.
@@ -170,10 +185,10 @@ func NewTable(name string, columns ...string) (*Table, error) {
 		name:     name,
 		colName:  append([]string(nil), columns...),
 		colIdx:   make(map[string]int, len(columns)),
-		data:     &tableData{cols: make([][]float64, len(columns))},
 		counters: &tableCounters{},
 		zoneStat: make([]zoneColStat, len(columns)),
 	}
+	t.publish(&tableData{cols: make([][]float64, len(columns))})
 	for i, c := range columns {
 		if c == "" {
 			return nil, fmt.Errorf("store: table %q column %d has empty name", name, i)
@@ -230,7 +245,7 @@ func (t *Table) AppendRows(cols ...[]float64) error {
 	for i := range fresh {
 		fresh[i] = append(d.cols[i], cols[i]...)
 	}
-	t.data = &tableData{cols: fresh, n: d.n + n, indexes: d.indexes, dead: d.dead, loadGen: d.loadGen}
+	t.publish(&tableData{cols: fresh, n: d.n + n, indexes: d.indexes, dead: d.dead, loadGen: d.loadGen})
 	t.mu.Unlock()
 	t.maybeCompact()
 	return nil
@@ -265,7 +280,7 @@ func (t *Table) BulkLoad(cols ...[]float64) error {
 			indexes = append(indexes, ix)
 		}
 	}
-	t.data = &tableData{cols: fresh, n: n, indexes: indexes, loadGen: t.data.loadGen + 1}
+	t.publish(&tableData{cols: fresh, n: n, indexes: indexes, loadGen: t.data.loadGen + 1})
 	// New contents, new value distribution: the adaptive zone-skip
 	// verdicts earned against the old data no longer apply, and a
 	// frozen skip could permanently disable pruning that the new data
@@ -332,7 +347,7 @@ func (t *Table) IndexOn(xCol, yCol string) error {
 	if ix := buildSpatialIndex(xi, yi, d.cols, d.n); ix != nil {
 		indexes = append(indexes, ix)
 	}
-	t.data = &tableData{cols: d.cols, n: d.n, indexes: indexes, dead: d.dead, loadGen: d.loadGen}
+	t.publish(&tableData{cols: d.cols, n: d.n, indexes: indexes, dead: d.dead, loadGen: d.loadGen})
 	return nil
 }
 
@@ -625,18 +640,21 @@ func (s *Store) SamplesOf(source string) []SampleMeta {
 	return append([]SampleMeta(nil), s.samples[source]...)
 }
 
-// IsSample reports whether name is a registered sample table.
-func (s *Store) IsSample(name string) bool {
+// Sample returns the catalog entry of the registered sample name and
+// its table, read in one critical section: the entry describes that
+// table even when a replacement is published meanwhile. ok is false
+// when name is not a registered sample.
+func (s *Store) Sample(name string) (meta SampleMeta, t *Table, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, metas := range s.samples {
 		for _, m := range metas {
 			if m.Table == name {
-				return true
+				return m, s.tables[name], true
 			}
 		}
 	}
-	return false
+	return SampleMeta{}, nil, false
 }
 
 // IndexStats aggregates spatial-index state and read-path usage across

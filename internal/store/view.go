@@ -66,6 +66,12 @@ func (t *Table) Bounds(xCol, yCol string) (geom.Rect, error) {
 	return t.View().Bounds(xCol, yCol)
 }
 
+// Gen returns the number of the view's generation. Every publish of any
+// table (append, delete, load, index build, compaction, snapshot
+// restore) takes the next number of one package-wide counter, so equal
+// Gens mean one generation of one table.
+func (v View) Gen() uint64 { return v.d.gen }
+
 // NumRows returns the view's row count, tombstoned rows included — the
 // high-water mark row ids are addressed against. Use LiveRows for the
 // count a scan can actually return.

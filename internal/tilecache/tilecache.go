@@ -2,8 +2,10 @@
 // hot path of a tile server is dominated by re-rendering the same tiles —
 // map clients fan out over a small working set of (z, x, y) addresses — so
 // the cache keeps encoded PNG bytes keyed by the full render identity
-// (base table, sample table, tile address, pixel size) behind a sharded
-// LRU with byte-size-bounded eviction.
+// (base table, rendered table and its generation, the extent's
+// generation, tile address, pixel size, filters) behind a sharded LRU
+// with byte-size-bounded eviction. Keys name generations, so a write,
+// which publishes new ones, never has to reach the cache.
 //
 // Two production concerns are handled beyond plain LRU:
 //
@@ -11,9 +13,11 @@
 //     deduplicated; one goroutine renders while the rest wait for its
 //     result, so a popular cold tile costs one render, not N.
 //
-//   - invalidation: when a sample is (re)registered for a table, every
-//     cached tile of that table is dropped, so clients never see tiles
-//     rendered from stale samples.
+//   - the newest generation wins: for each (Table, Sample) pair only
+//     tiles of the newest Epoch inserted so far are kept. An insert at a
+//     newer Epoch drops the pair's older tiles from every shard, and a
+//     render at an older Epoch is returned to its caller but not cached,
+//     so superseded tiles do not wait for the LRU to age them out.
 package tilecache
 
 import (
@@ -31,15 +35,17 @@ var ErrRenderPanic = errors.New("tilecache: render panicked")
 type Key struct {
 	// Table is the base table the tile visualizes.
 	Table string
-	// Sample is the sample table actually rendered (budget-dependent).
+	// Sample is the table actually rendered: the sample the latency
+	// budget resolved to, or the caller's name for the base table itself.
 	Sample string
-	// Epoch is the caller's invalidation generation for Table. Callers
-	// that replace table contents in place (reload, sample re-publish)
-	// must bump it with every invalidation: a render in flight across an
-	// invalidation then completes under the old epoch's key, which no
-	// post-invalidation request ever asks for, so stale pixels can never
-	// surface as a hit.
+	// Epoch is the generation of the rendered table the tile was drawn
+	// from; it only grows. The cache keeps one Epoch per (Table, Sample)
+	// pair, the newest it has been given.
 	Epoch uint64
+	// ExtentGen is a generation of Table whose data extent the tile
+	// address was resolved against (geom.TileRect): 8 bytes in every
+	// entry and map slot, where the extent itself would take 32.
+	ExtentGen uint64
 	// Z, X, Y address the tile in the table's extent (geom.TileRect).
 	Z, X, Y int
 	// Size is the tile edge in pixels.
@@ -91,6 +97,11 @@ type shard struct {
 type Cache struct {
 	shards [numShards]shard
 
+	// newest holds, per (Table, Sample) pair, the newest Epoch inserted;
+	// insertMu orders every insert.
+	insertMu sync.Mutex
+	newest   map[pair]uint64
+
 	hits      atomic.Int64
 	misses    atomic.Int64
 	waits     atomic.Int64
@@ -107,7 +118,7 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	c := &Cache{}
+	c := &Cache{newest: make(map[pair]uint64)}
 	per := maxBytes / numShards
 	if per < 1 {
 		per = 1
@@ -175,11 +186,11 @@ func (c *Cache) GetOrRender(k Key, render func() ([]byte, any, error)) (val []by
 		if !completed && fl.err == nil {
 			fl.err = ErrRenderPanic
 		}
+		if fl.err == nil {
+			c.insert(s, k, fl.val, fl.meta)
+		}
 		s.mu.Lock()
 		delete(s.flight, k)
-		if fl.err == nil {
-			c.evictions.Add(s.insert(k, fl.val, fl.meta))
-		}
 		s.mu.Unlock()
 		close(fl.done)
 	}()
@@ -188,19 +199,44 @@ func (c *Cache) GetOrRender(k Key, render func() ([]byte, any, error)) (val []by
 	return fl.val, fl.meta, false, fl.err
 }
 
+// pair is the unit of the newest-generation rule.
+type pair struct{ table, sample string }
+
+// insert caches k's render in s, k's shard, under the newest-generation
+// rule. Inserts follow renders, so one mutex can order them all;
+// lookups never take it. The caller holds no shard lock.
+func (c *Cache) insert(s *shard, k Key, val []byte, meta any) {
+	p := pair{k.Table, k.Sample}
+	c.insertMu.Lock()
+	defer c.insertMu.Unlock()
+	switch newest, seen := c.newest[p]; {
+	case seen && k.Epoch < newest:
+		return
+	case seen && k.Epoch > newest:
+		c.drop(func(o Key) bool { return o.Table == k.Table && o.Sample == k.Sample && o.Epoch < k.Epoch })
+	}
+	c.newest[p] = k.Epoch
+	s.mu.Lock()
+	c.evictions.Add(s.insert(k, val, meta))
+	s.mu.Unlock()
+}
+
 // InvalidateTable drops every cached tile (and nothing else) whose key
-// references the given base table, across all epochs. In-flight renders
-// are not cancelled; their results land in the cache after the
-// invalidation under the epoch they started with — harmless as long as
-// the caller bumps Key.Epoch with every invalidation (the stale entry is
-// unreachable and ages out of the LRU).
+// references the given base table, across all epochs, and returns how
+// many it dropped. In-flight renders are not cancelled: their results
+// are cached when they finish, under the key they started with.
 func (c *Cache) InvalidateTable(table string) int {
+	return c.drop(func(k Key) bool { return k.Table == table })
+}
+
+// drop removes the entries whose keys match from every shard.
+func (c *Cache) drop(match func(Key) bool) int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.entries {
-			if k.Table == table {
+			if match(k) {
 				s.remove(e)
 				n++
 			}

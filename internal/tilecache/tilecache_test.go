@@ -256,3 +256,91 @@ func TestConcurrentMixedUse(t *testing.T) {
 		t.Errorf("negative byte accounting: %+v", st)
 	}
 }
+
+// TestOlderEpochRenderNotCached: a render that started before its table
+// published a newer generation finishes after a tile of that generation
+// was cached. Its caller gets the bytes, but they are not cached, so no
+// request can be served them later.
+func TestOlderEpochRenderNotCached(t *testing.T) {
+	c := New(1 << 20)
+	newer, older := key("t", 0, 0, 0), key("t", 0, 0, 0)
+	newer.Epoch, older.Epoch = 2, 1
+	put(c, newer, []byte("new"))
+	v, _, hit, err := c.GetOrRender(older, func() ([]byte, any, error) { return []byte("old"), nil, nil })
+	if err != nil || hit || string(v) != "old" {
+		t.Fatalf("older render: v=%q hit=%v err=%v, want its own bytes", v, hit, err)
+	}
+	if cached(c, older) {
+		t.Error("the older epoch's tile was cached")
+	}
+	if !cached(c, newer) {
+		t.Error("the newer epoch's tile was dropped")
+	}
+}
+
+// TestNewerEpochDropsOnlyItsPair: caching a tile at a newer Epoch drops
+// every older tile of its (Table, Sample) pair, whatever the address,
+// size or filters, and no tile of any other pair.
+func TestNewerEpochDropsOnlyItsPair(t *testing.T) {
+	c := New(1 << 20)
+	at := func(table, sample string, epoch uint64, i int) Key {
+		return Key{Table: table, Sample: sample, Epoch: epoch, Z: 6, X: i, Y: i, Size: 256, Filters: fmt.Sprint(i % 3)}
+	}
+	pairs := [][2]string{{"a", "a_vas_100"}, {"a", "__exact__"}, {"b", "a_vas_100"}}
+	for _, p := range pairs {
+		for i := 0; i < 40; i++ {
+			put(c, at(p[0], p[1], 1, i), []byte("g1"))
+		}
+	}
+	put(c, at("a", "a_vas_100", 2, 0), []byte("g2"))
+	if st := c.Stats(); st.Entries != 81 {
+		t.Errorf("%d entries after the newer insert, want 81", st.Entries)
+	}
+	for i := 0; i < 40; i++ {
+		if cached(c, at("a", "a_vas_100", 1, i)) {
+			t.Fatalf("superseded tile %d still cached", i)
+		}
+	}
+	for _, p := range pairs[1:] {
+		for i := 0; i < 40; i++ {
+			if !cached(c, at(p[0], p[1], 1, i)) {
+				t.Fatalf("tile %d of pair %v was dropped", i, p)
+			}
+		}
+	}
+}
+
+// TestConcurrentEpochsLeaveNoOlderTile races inserts of one pair at two
+// epochs (run it with -race): once they are done, no tile of the older
+// epoch is cached, and the newer epoch's tiles are.
+func TestConcurrentEpochsLeaveNoOlderTile(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		c := New(1 << 20)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					k := key("t", 5, i, g)
+					k.Epoch = uint64(1 + (g+i)%2)
+					put(c, k, []byte("tile"))
+				}
+			}(g)
+		}
+		wg.Wait()
+		kept := 0
+		for i := range c.shards {
+			s := &c.shards[i]
+			for k := range s.entries {
+				if k.Epoch == 1 {
+					t.Fatalf("round %d: tile %+v of the older epoch survived", round, k)
+				}
+				kept++
+			}
+		}
+		if kept == 0 {
+			t.Fatalf("round %d: no tile of the newer epoch cached", round)
+		}
+	}
+}

@@ -408,11 +408,12 @@ func (c *Catalog) compactFraction() float64 {
 // LoadTable registers a base table named name with columns x and y, or
 // replaces its contents when the table already exists. The (x, y) pair is
 // spatially indexed at load time, so viewport queries and tile renders
-// over the base table are index probes. (Re)loading invalidates the
-// table's cached tiles and extent: exact and fallback renders never
-// serve pixels from the previous contents. Samples built from the old
-// contents keep serving until refreshed — call BuildSamples again after
-// a reload; it replaces the previous sample tables in place.
+// over the base table are index probes. The new contents are a new
+// generation of the table, and tiles are keyed by the generation they
+// were drawn from, so no exact tile of the previous contents is served
+// after the load. Samples built from the old contents keep serving until
+// refreshed — call BuildSamples again after a reload; it replaces the
+// previous sample tables in place.
 func (c *Catalog) LoadTable(name string, points []Point) error {
 	t, err := c.st.Table(name)
 	if err != nil {
@@ -438,7 +439,6 @@ func (c *Catalog) LoadTable(name string, points []Point) error {
 		Rows:       int64(len(points)),
 	}
 	c.provMu.Unlock()
-	c.invalidate(name)
 	return nil
 }
 
@@ -452,24 +452,9 @@ func columns(points []Point) [][]float64 {
 	return [][]float64{xs, ys}
 }
 
-// invalidate drops the HTTP layer's cached tiles and extents for
-// tables. Every write to the catalog's tables calls it: apply (appends
-// and deletes, façade and HTTP alike), LoadTable, sample registration
-// and LoadSnapshot.
-func (c *Catalog) invalidate(tables ...string) {
-	c.srvMu.Lock()
-	defer c.srvMu.Unlock()
-	if c.srv == nil {
-		return
-	}
-	for _, t := range tables {
-		c.srv.InvalidateTable(t)
-	}
-}
-
 // BuildSamples builds and registers VAS samples of each size for the
 // named table, optionally with density embedding. This is the offline
-// preprocessing step of §II-D.
+// preprocessing step of §II-D. A sample replaces the one of its name.
 func (c *Catalog) BuildSamples(table string, points []Point, sizes []int, withDensity bool, opt Options) error {
 	for _, k := range sizes {
 		opt.K = k
@@ -500,9 +485,6 @@ func (c *Catalog) BuildSamples(table string, points []Point, sizes []int, withDe
 	p.Build = buildSpec(sizes, withDensity, opt)
 	c.prov[table] = p
 	c.provMu.Unlock()
-	// Registering samples changes what tile requests resolve to; drop any
-	// tiles the HTTP layer rendered from the previous sample set.
-	c.invalidate(table)
 	return nil
 }
 
@@ -541,7 +523,6 @@ func (c *Catalog) RegisterSample(table string, s *Sample, counts []int64) error 
 	}
 	c.prov[table] = p
 	c.provMu.Unlock()
-	c.invalidate(table)
 	return nil
 }
 
@@ -551,7 +532,8 @@ func (c *Catalog) RegisterSample(table string, s *Sample, counts []int64) error 
 // folds them into a fresh immutable generation in the background), the
 // batch is recorded in the snapshot tail log
 // when the catalog is bound to a snapshot directory (a restart replays
-// it — no rebuild), and the table's cached tiles are invalidated.
+// it — no rebuild). Exact tiles are drawn anew; sampled tiles stay
+// cached unless the rows move the table's extent.
 //
 // A non-nil error with rows already visible (tail-log write failure)
 // means durability is degraded, not that the append was rejected: the
@@ -633,8 +615,8 @@ func (c *Catalog) SetAdmissionLimits(maxInFlight, queueDepth int, queueTimeout t
 // and shared by later calls): budget-bound point queries, PNG map tiles
 // backed by a sharded LRU tile cache, a catalog listing, and health and
 // metrics endpoints. See internal/server for the routes. The handler
-// serves concurrently with ongoing BuildSamples calls; newly registered
-// samples invalidate that table's cached tiles.
+// serves concurrently with every catalog write; tiles are keyed by the
+// generation they were drawn from, so none is served stale.
 func (c *Catalog) Handler() http.Handler {
 	c.srvMu.Lock()
 	defer c.srvMu.Unlock()
@@ -642,7 +624,7 @@ func (c *Catalog) Handler() http.Handler {
 		c.srv = server.New(c.st, c.planner, server.Config{
 			// Appends and deletes route through the catalog's one write
 			// path, which also logs them to the snapshot tail (durable
-			// across a restart) and invalidates the table's tiles.
+			// across a restart).
 			AppendHook: func(table string, cols [][]float64) (int, error) {
 				return c.apply(mutation{Table: table, Cols: cols})
 			},
